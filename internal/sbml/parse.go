@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"sbmlcompose/internal/mathml"
 	"sbmlcompose/internal/units"
@@ -16,16 +15,19 @@ const Namespace = "http://www.sbml.org/sbml/level2/version4"
 
 // Parse reads an SBML document.
 func Parse(r io.Reader) (*Document, error) {
-	root, err := xmltree.Parse(r)
-	if err != nil {
-		return nil, fmt.Errorf("sbml: %w", err)
-	}
-	return FromXML(root)
+	return fromTree(xmltree.Parse(r))
 }
 
 // ParseString parses an in-memory SBML document.
 func ParseString(s string) (*Document, error) {
-	return Parse(strings.NewReader(s))
+	return fromTree(xmltree.ParseString(s))
+}
+
+func fromTree(root *xmltree.Node, err error) (*Document, error) {
+	if err != nil {
+		return nil, fmt.Errorf("sbml: %w", err)
+	}
+	return FromXML(root)
 }
 
 // FromXML converts a parsed XML tree into a Document.

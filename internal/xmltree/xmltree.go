@@ -1,18 +1,45 @@
 // Package xmltree provides a lightweight ordered XML document object model.
 //
 // The composition algorithms in this repository operate on SBML documents,
-// which are XML. Rather than binding struct tags with encoding/xml (which
-// loses element order and unknown attributes — both of which matter for the
-// tree-to-tree comparison methods of the paper's §4.1.1), we parse into an
-// explicit tree of Nodes that preserves document order, every attribute, and
-// character data. The tree supports cloning, canonical serialization,
-// path-based lookup and structural equality, and is the substrate for both
-// the SBML object model (internal/sbml) and the XML diff tools
-// (internal/treediff).
+// which are XML. Rather than binding struct tags (which loses element order
+// and unknown attributes — both of which matter for the tree-to-tree
+// comparison methods of the paper's §4.1.1), we parse into an explicit tree
+// of Nodes that preserves document order, every attribute, and character
+// data. The tree supports cloning, canonical serialization, path-based
+// lookup and structural equality, and is the substrate for both the SBML
+// object model (internal/sbml) and the XML diff tools (internal/treediff).
+//
+// # Parsing
+//
+// Parse and ParseString are a single-pass byte scanner over the whole
+// input. They accept exactly the documents encoding/xml's Decoder accepts
+// in strict mode, and build exactly the tree the earlier encoding/xml
+// token loop built; that loop is kept in the tests as the oracle the
+// scanner is differentially fuzzed against (FuzzParse). The language is:
+//
+//   - UTF-8 only. An XML declaration must say version 1.0 if it gives a
+//     version, and an encoding other than UTF-8 is rejected. Text, CDATA
+//     and attribute values must be valid UTF-8 within the XML Char range;
+//     names must be XML 1.0 names.
+//   - The five predefined entities and decimal and hex character
+//     references are replaced. Any other entity is rejected: DTD internal
+//     subsets are skipped, not expanded.
+//   - "\r\n" and "\r" in text and attribute values become "\n".
+//   - Comments are kept (inside the root) and may not contain "--".
+//     Processing instructions, DOCTYPE and other directives are skipped,
+//     as are text and comments outside the root element, which must still
+//     be well formed.
+//   - Namespace prefixes are dropped from names, except that a name in the
+//     namespace "xmlns" — an xmlns:p declaration, or a prefix bound to the
+//     URL "xmlns" — keeps the form "xmlns:" + local name. End tags must
+//     match their start tags as written.
+//   - Whitespace-only text nodes are dropped.
+//
+// Every string in a parsed tree is a copy or a constant, never a substring
+// of the input, so a tree kept alive does not keep its input alive.
 package xmltree
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"sort"
@@ -71,90 +98,6 @@ func NewElement(name string) *Node {
 // NewText returns a new text node holding s.
 func NewText(s string) *Node {
 	return &Node{Kind: Text, Text: s}
-}
-
-// Parse reads an XML document from r and returns its root element.
-// Leading/trailing whitespace-only text nodes are dropped; interior text is
-// preserved verbatim. Processing instructions and directives are skipped.
-func Parse(r io.Reader) (*Node, error) {
-	dec := xml.NewDecoder(r)
-	var root *Node
-	var stack []*Node
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n := &Node{Kind: Element, Name: qualified(t.Name)}
-			for _, a := range t.Attr {
-				n.Attrs = append(n.Attrs, Attr{Name: qualified(a.Name), Value: a.Value})
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("xmltree: multiple root elements")
-				}
-				root = n
-			} else {
-				parent := stack[len(stack)-1]
-				parent.Children = append(parent.Children, n)
-			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: unbalanced end element %q", t.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) == 0 {
-				continue // whitespace outside root
-			}
-			s := string(t)
-			if strings.TrimSpace(s) == "" {
-				continue
-			}
-			parent := stack[len(stack)-1]
-			parent.Children = append(parent.Children, &Node{Kind: Text, Text: s})
-		case xml.Comment:
-			if len(stack) == 0 {
-				continue
-			}
-			parent := stack[len(stack)-1]
-			parent.Children = append(parent.Children, &Node{Kind: Comment, Text: string(t)})
-		}
-	}
-	if root == nil {
-		return nil, fmt.Errorf("xmltree: empty document")
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: unclosed element %q", stack[len(stack)-1].Name)
-	}
-	return root, nil
-}
-
-// ParseString is Parse over an in-memory document.
-func ParseString(s string) (*Node, error) {
-	return Parse(strings.NewReader(s))
-}
-
-func qualified(n xml.Name) string {
-	// encoding/xml resolves prefixes to namespace URLs in Name.Space. SBML
-	// uses a handful of well-known namespaces; map them back to conventional
-	// prefixes so serialization stays readable, and ignore the default
-	// namespace entirely.
-	switch n.Space {
-	case "", "http://www.sbml.org/sbml/level2", "http://www.sbml.org/sbml/level2/version4",
-		"http://www.sbml.org/sbml/level3/version1/core", "http://www.w3.org/1998/Math/MathML":
-		return n.Local
-	case "xmlns":
-		return "xmlns:" + n.Local
-	default:
-		return n.Local
-	}
 }
 
 // Attr returns the value of the named attribute, or "" if absent.
@@ -425,10 +368,12 @@ func appendIndent(buf []byte, depth int) []byte {
 	return buf
 }
 
-// appendEscaped appends s with the four XML metacharacters escaped,
-// byte-for-byte what escapeText produced.
+// appendEscaped appends s with the four XML metacharacters escaped, and
+// '\r' written as a character reference: a raw carriage return would come
+// back from the parser as '\n', so the written bytes would not be a fixed
+// point of parse-then-write.
 func appendEscaped(buf []byte, s string) []byte {
-	if !strings.ContainsAny(s, "&<>\"") {
+	if !strings.ContainsAny(s, "&<>\"\r") {
 		return append(buf, s...)
 	}
 	for i := 0; i < len(s); i++ {
@@ -441,18 +386,13 @@ func appendEscaped(buf []byte, s string) []byte {
 			buf = append(buf, "&gt;"...)
 		case '"':
 			buf = append(buf, "&quot;"...)
+		case '\r':
+			buf = append(buf, "&#13;"...)
 		default:
 			buf = append(buf, s[i])
 		}
 	}
 	return buf
-}
-
-func escapeText(s string) string {
-	if !strings.ContainsAny(s, "&<>\"") {
-		return s
-	}
-	return string(appendEscaped(nil, s))
 }
 
 // Canonical returns a canonical single-line serialization of the subtree in

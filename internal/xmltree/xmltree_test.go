@@ -221,17 +221,17 @@ func TestRemoveChild(t *testing.T) {
 
 func TestEscaping(t *testing.T) {
 	n := NewElement("p")
-	n.SetAttr("v", `a<b>&"c`)
-	n.AppendChild(NewText("x < y & z"))
+	n.SetAttr("v", "a<b>&\"c\rd")
+	n.AppendChild(NewText("x < y &\r z"))
 	out := n.String()
 	re, err := ParseString(out)
 	if err != nil {
 		t.Fatalf("reparse escaped output: %v\n%s", err, out)
 	}
-	if got := re.Attr("v"); got != `a<b>&"c` {
+	if got := re.Attr("v"); got != "a<b>&\"c\rd" {
 		t.Errorf("attr round trip = %q", got)
 	}
-	if got := re.InnerText(); got != "x < y & z" {
+	if got := re.InnerText(); got != "x < y &\r z" {
 		t.Errorf("text round trip = %q", got)
 	}
 }
