@@ -144,7 +144,7 @@ func (c *Corpus) ReplaceAll(models []PrecompiledModel, before func()) error {
 	}
 	for _, sh := range c.shards {
 		sh.entries = make(map[string]*entry)
-		sh.inv = make(map[string]map[string][]invPosting)
+		sh.inv = make(map[string][]posting)
 	}
 	for i := range models {
 		p := &models[i]

@@ -6,7 +6,9 @@
 //
 // Each added model is compiled once (core.Compile) and its match keys —
 // canonical-synonym ids, Figure 7 MathML patterns, reduced unit vectors —
-// are posted into per-shard inverted indexes. Retrieval for a query model
+// are posted into per-shard inverted indexes: one flat posting list per
+// key, each posting a pointer into the owning entry's read-only key slice,
+// so the index copies no component, kind or tier. Retrieval for a query model
 // is then a posting-list walk over the query's own keys instead of an
 // O(corpus) pairwise composition scan: only models sharing at least one
 // key are ever scored. Scoring builds a sparse component score matrix from
@@ -28,6 +30,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -166,12 +169,12 @@ type Hit struct {
 	Evidence []Evidence `json:"evidence"`
 }
 
-// invPosting is one inverted-index posting: a component of a corpus model
-// reachable under some key.
-type invPosting struct {
-	comp string
-	kind string
-	tier core.KeyTier
+// posting is one inverted-index posting: e.keys[i], a component of a
+// corpus model reachable under that key. It aliases the entry's key slice
+// rather than copying component, kind and tier out of it.
+type posting struct {
+	e *entry
+	i int32
 }
 
 // entry is one stored model with its posted keys, its compiled form
@@ -185,7 +188,9 @@ type invPosting struct {
 // CheckProperty, first snapshot render without stored bytes) from the
 // CRC-verified canonical bytes.
 type entry struct {
-	id   string
+	id string
+	// keys are the model's match keys, read-only once installed: the
+	// shard's postings point into this slice by index.
 	keys []core.ComponentKey
 	// sbml is the canonical serialization, retained when the entry was
 	// installed from persisted bytes (Add with a persister attached, or
@@ -244,9 +249,10 @@ type shard struct {
 	mu      sync.RWMutex
 	entries map[string]*entry
 	// inv maps a match key to the postings of every model in this shard
-	// that emits it, keyed by model id so Remove can drop a model's
-	// postings without touching other models'.
-	inv map[string]map[string][]invPosting
+	// that emits it. A model's postings under one key are contiguous and
+	// in its key order (install appends them together); lists are never
+	// empty (removeLocked deletes a list it empties).
+	inv map[string][]posting
 }
 
 // Corpus is the sharded repository. All methods are safe for concurrent
@@ -267,7 +273,7 @@ func New(opts Options) *Corpus {
 	for i := range c.shards {
 		c.shards[i] = &shard{
 			entries: make(map[string]*entry),
-			inv:     make(map[string]map[string][]invPosting),
+			inv:     make(map[string][]posting),
 		}
 	}
 	if opts.QueryCache > 0 {
@@ -290,7 +296,7 @@ func (c *Corpus) Options() Options { return c.opts }
 func (c *Corpus) shardFor(id string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(id))
-	return c.shards[int(h.Sum32())%len(c.shards)]
+	return c.shards[h.Sum32()%uint32(len(c.shards))]
 }
 
 // Add compiles the model and stores it under its model id. The input is
@@ -338,13 +344,8 @@ func (c *Corpus) Add(m *sbml.Model) (string, error) {
 // holds the shard write lock.
 func (sh *shard) install(e *entry) {
 	sh.entries[e.id] = e
-	for _, k := range e.keys {
-		byModel := sh.inv[k.Key]
-		if byModel == nil {
-			byModel = make(map[string][]invPosting)
-			sh.inv[k.Key] = byModel
-		}
-		byModel[e.id] = append(byModel[e.id], invPosting{comp: k.Component, kind: k.Kind, tier: k.Tier})
+	for i, k := range e.keys {
+		sh.inv[k.Key] = append(sh.inv[k.Key], posting{e: e, i: int32(i)})
 	}
 }
 
@@ -412,23 +413,23 @@ func (c *Corpus) Remove(id string) (bool, error) {
 	return true, nil
 }
 
-// removeLocked deletes an entry and its postings; the caller holds the
-// shard write lock. It reports whether the model was present.
-func (sh *shard) removeLocked(id string) bool {
+// removeLocked deletes an entry, if present, and its postings; the caller
+// holds the shard write lock. Filtering keeps the other models' postings
+// in order, and a list left empty is deleted.
+func (sh *shard) removeLocked(id string) {
 	e, ok := sh.entries[id]
 	if !ok {
-		return false
+		return
 	}
 	delete(sh.entries, id)
 	for _, k := range e.keys {
-		if byModel := sh.inv[k.Key]; byModel != nil {
-			delete(byModel, id)
-			if len(byModel) == 0 {
-				delete(sh.inv, k.Key)
-			}
+		list := slices.DeleteFunc(sh.inv[k.Key], func(p posting) bool { return p.e == e })
+		if len(list) == 0 {
+			delete(sh.inv, k.Key)
+		} else {
+			sh.inv[k.Key] = list
 		}
 	}
-	return true
 }
 
 // DumpConsistent returns every stored model in canonical serialized form,
@@ -777,19 +778,18 @@ func (c *Corpus) rank(ctx context.Context, qkeys []core.ComponentKey, denom int,
 			if qk.Tier.Weight() < opts.Cutoff {
 				continue
 			}
-			byModel, ok := sh.inv[qk.Key]
-			if !ok {
-				continue
-			}
-			for modelID, postings := range byModel {
-				cand := cells[modelID]
-				if cand == nil {
-					cand = &candidate{modelID: modelID}
-					cells[modelID] = cand
+			var last *entry
+			var cand *candidate
+			for _, p := range sh.inv[qk.Key] {
+				if p.e != last {
+					last = p.e
+					cand = cells[p.e.id]
+					if cand == nil {
+						cand = &candidate{modelID: p.e.id}
+						cells[p.e.id] = cand
+					}
 				}
-				for _, p := range postings {
-					cand.add(qk, p)
-				}
+				cand.add(qk, p.e.keys[p.i])
 			}
 		}
 		sh.mu.RUnlock()

@@ -34,19 +34,17 @@ type candidate struct {
 }
 
 // add folds one shared key into the matrix, keeping the strongest tier per
-// cell. The effective tier is the weaker of the query's and the posting's
-// (they agree for symmetric keys; the max guards asymmetric ones).
-func (c *candidate) add(qk core.ComponentKey, p invPosting) {
-	tier := qk.Tier
-	if p.tier > tier {
-		tier = p.tier
-	}
-	k := cellKey{q: qk.Component, t: p.comp}
+// cell: qk is the query's key, tk the candidate's posted key. The
+// effective tier is the weaker of the two (they agree for symmetric keys;
+// the max guards asymmetric ones).
+func (c *candidate) add(qk, tk core.ComponentKey) {
+	tier := max(qk.Tier, tk.Tier)
+	k := cellKey{q: qk.Component, t: tk.Component}
 	if c.cells == nil {
 		c.cells = make(map[cellKey]cellVal)
 	}
 	if v, ok := c.cells[k]; !ok || tier < v.tier {
-		c.cells[k] = cellVal{tier: tier, kind: p.kind}
+		c.cells[k] = cellVal{tier: tier, kind: tk.Kind}
 	}
 }
 
