@@ -520,13 +520,21 @@ func benchCorpus(r *recorder) error {
 }
 
 // benchStore measures the durability layer: WAL append latency under
-// each fsync policy (the per-mutation durability cost, isolated from
-// model compilation by pre-encoding the record blob), recovery latency —
+// each fsync policy (the per-mutation durability cost of a keyed add
+// record, isolated from model compilation by pre-rendering the blob and
+// pre-deriving its keys), recovery latency —
 // store.Open replaying a raw WAL vs loading a snapshot — across corpus
 // sizes, and the snapshot (compaction) write itself.
 func benchStore(r *recorder) error {
 	copts := corpus.Options{Shards: 4, Workers: 4, Match: core.Options{Synonyms: synonym.Builtin()}}
-	blob := []byte(sbml.WrapModel(benchModel("walblob", 12, 16, 555)).String())
+	walModel := benchModel("walblob", 12, 16, 555)
+	blob := []byte(sbml.WrapModel(walModel).String())
+	cm, err := core.Compile(walModel, copts.Match)
+	if err != nil {
+		return err
+	}
+	// Appends log keyed records, as every corpus add does.
+	keys := cm.MatchKeys()
 
 	for _, policy := range []store.FsyncPolicy{store.FsyncNever, store.FsyncAlways} {
 		dir, err := os.MkdirTemp("", "benchstore-append-*")
@@ -544,7 +552,7 @@ func benchStore(r *recorder) error {
 		r.record(fmt.Sprintf("WALAppend/fsync=%s", policy), func(n int) error {
 			for i := 0; i < n; i++ {
 				seq++
-				if err := s.PersistAdd(fmt.Sprintf("m%09d", seq), blob); err != nil {
+				if err := s.PersistAddKeys(fmt.Sprintf("m%09d", seq), blob, keys); err != nil {
 					return err
 				}
 			}
@@ -591,7 +599,7 @@ func benchStore(r *recorder) error {
 					go func() {
 						defer wg.Done()
 						for i := 0; i < per; i++ {
-							if err := s.PersistAdd(fmt.Sprintf("c%09d", seq.Add(1)), blob); err != nil {
+							if err := s.PersistAddKeys(fmt.Sprintf("c%09d", seq.Add(1)), blob, keys); err != nil {
 								errs <- err
 								return
 							}
@@ -647,16 +655,16 @@ func benchStore(r *recorder) error {
 		ropts := store.Options{
 			Corpus: copts, Fsync: store.FsyncNever, CompactBytes: -1, NoSnapshotOnClose: true,
 		}
-		// The three recovery sources: replaying the raw churned WAL,
-		// loading the binary snapshot through its precompiled match keys
-		// (the fast path), and the same snapshot forced through the XML
-		// parse + key-derivation path (RecoveryParseOnly) — the
-		// snapshot/snapshot-parse gap is what the binary codec buys.
+		// The recovery sources: the raw churned WAL and the binary
+		// snapshot, each installed through its persisted match keys (the
+		// fast path) and forced through the XML parse + key-derivation
+		// path (RecoveryParseOnly) — each x/x-parse gap is what the
+		// persisted keys buy.
 		for _, src := range []struct {
 			name      string
 			snapshot  bool
 			parseOnly bool
-		}{{"wal", false, false}, {"snapshot", true, false}, {"snapshot-parse", true, true}} {
+		}{{"wal", false, false}, {"wal-parse", false, true}, {"snapshot", true, false}, {"snapshot-parse", true, true}} {
 			dir, err := prepare(src.snapshot)
 			if err != nil {
 				return err
@@ -705,9 +713,10 @@ func benchStore(r *recorder) error {
 
 	// ReplicationCatchUp: a fresh follower pulling a size-model feed from
 	// a live primary over the real HTTP endpoints — every frame fetched,
-	// CRC-verified, parsed across the recovery pool, and batch-persisted.
-	// One op is a full catch-up, so ns/op divided by the model count is
-	// the follower's catch-up throughput in records/s.
+	// CRC-verified, installed from the match keys it carries, and
+	// batch-persisted. One op is a full catch-up, so the model count
+	// divided by the op time is the follower's catch-up throughput in
+	// records/s.
 	for _, size := range corpusSizes {
 		models := corpusModels(size)
 		pdir, err := os.MkdirTemp("", "benchstore-repl-*")

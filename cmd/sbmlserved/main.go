@@ -127,8 +127,9 @@ func main() {
 			log.Fatalf("sbmlserved: open data dir: %v", err)
 		}
 		rs := st.Stats()
-		log.Printf("sbmlserved: recovered %s: %d snapshot models (seq %d), %d WAL records (%d adds, %d removes, %d skipped)",
-			*dataDir, rs.SnapshotModels, rs.SnapshotSeq, rs.WALRecords, rs.WALAdds, rs.WALRemoves, rs.WALSkipped)
+		log.Printf("sbmlserved: recovered %s: %d snapshot models (seq %d; %d precompiled, %d parsed), %d WAL records (%d adds, %d removes, %d skipped; adds %d precompiled, %d parsed)",
+			*dataDir, rs.SnapshotModels, rs.SnapshotSeq, rs.SnapshotPrecompiled, rs.SnapshotParsed,
+			rs.WALRecords, rs.WALAdds, rs.WALRemoves, rs.WALSkipped, rs.WALPrecompiled, rs.WALParsed)
 		if rs.TornTail {
 			log.Printf("sbmlserved: dropped torn WAL tail (%d bytes of unacknowledged writes)", rs.DroppedBytes)
 		}

@@ -48,8 +48,10 @@ const (
 var ErrCorruptSnapshot = store.ErrCorruptSnapshot
 
 // Replica keeps a read-only CorpusStore converged with a primary's WAL
-// feed over HTTP: frames are CRC-verified, applied through the recovery
-// parse pool, and persisted locally with one fsync per received chunk,
+// feed over HTTP: frames are CRC-verified, installed from the match keys
+// they carry when both stores share match options (and through the
+// recovery parse pool otherwise), and persisted locally with one fsync
+// per received chunk,
 // so the follower's durable log is always a prefix of the primary's
 // acknowledged log. Stop halts replication (the store stays read-only);
 // Promote halts it and lifts the read-only gate, making the store a

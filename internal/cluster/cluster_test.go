@@ -174,8 +174,8 @@ func TestClusterSearchByteIdentical(t *testing.T) {
 	ref := serve.New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 2, Workers: 2}), serve.Config{})
 	seedModels(t, ref, nModels, 400)
 
-	queryHit := modelXML("cl_3", 403)    // clone of a stored model
-	queryMiss := modelXML("fresh", 999)  // related but unstored
+	queryHit := modelXML("cl_3", 403)   // clone of a stored model
+	queryMiss := modelXML("fresh", 999) // related but unstored
 	windows := []map[string]any{
 		{},
 		{"top_k": 3},

@@ -573,9 +573,9 @@ type nodeHealth struct {
 // alive — liveness probes must not recycle a gateway because a shard is
 // down), with the degradation machine-readable in the body.
 type gatewayHealth struct {
-	Status   string       `json:"status"`
-	Role     string       `json:"role"`
-	Nodes    []nodeHealth `json:"nodes"`
+	Status string       `json:"status"`
+	Role   string       `json:"role"`
+	Nodes  []nodeHealth `json:"nodes"`
 	// Models is the fleet total over reachable nodes — the cluster
 	// corpus size when status is "ok", a lower bound when degraded.
 	Models   int     `json:"models"`

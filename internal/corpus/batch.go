@@ -27,9 +27,8 @@ type BatchOp struct {
 	// SBML is the model's canonical serialization (adds only).
 	SBML []byte
 	// Keys are the match keys derived from SBML under the corpus's match
-	// options; Compiled optionally seeds the compiled model eagerly.
-	Keys     []core.ComponentKey
-	Compiled *core.CompiledModel
+	// options. The entry compiles lazily on first structural use.
+	Keys []core.ComponentKey
 }
 
 // BatchPersister is a Persister that can log a whole batch of mutations
@@ -111,7 +110,7 @@ func (c *Corpus) ApplyBatch(ops []BatchOp) error {
 			sh.removeLocked(op.ID)
 			continue
 		}
-		sh.install(&entry{id: op.ID, keys: op.Keys, sbml: op.SBML, match: c.opts.Match, cm: op.Compiled})
+		sh.install(&entry{id: op.ID, keys: op.Keys, sbml: op.SBML, match: c.opts.Match})
 	}
 	return nil
 }
@@ -148,7 +147,7 @@ func (c *Corpus) ReplaceAll(models []PrecompiledModel, before func()) error {
 	}
 	for i := range models {
 		p := &models[i]
-		c.shardFor(p.ID).install(&entry{id: p.ID, keys: p.Keys, sbml: p.SBML, match: c.opts.Match, cm: p.Compiled})
+		c.shardFor(p.ID).install(&entry{id: p.ID, keys: p.Keys, sbml: p.SBML, match: c.opts.Match})
 	}
 	return nil
 }

@@ -71,6 +71,26 @@ type Persister interface {
 	PersistRemove(id string) error
 }
 
+// KeyPersister is a Persister that can log an addition together with the
+// model's match keys, so recovery installs the model without parsing it.
+// Add and AddPrecompiled use it whenever the attached persister
+// implements it.
+type KeyPersister interface {
+	Persister
+	// PersistAddKeys is PersistAdd plus keys, the model's match keys
+	// under the corpus's match options; the slice is read-only.
+	PersistAddKeys(id string, sbmlBytes []byte, keys []core.ComponentKey) error
+}
+
+// persistAdd logs an addition through the attached persister, with the
+// entry's keys when the persister can log them.
+func (c *Corpus) persistAdd(e *entry) error {
+	if kp, ok := c.persister.(KeyPersister); ok {
+		return kp.PersistAddKeys(e.id, e.sbml, e.keys)
+	}
+	return c.persister.PersistAdd(e.id, e.sbml)
+}
+
 // ModelBlob is one stored model in canonical serialized form, the unit of
 // snapshot and replay.
 type ModelBlob struct {
@@ -213,8 +233,8 @@ type entry struct {
 }
 
 // compiled returns the entry's compiled model, materializing it from the
-// stored canonical bytes on first use. Eagerly added entries (Add, or
-// AddPrecompiled with Compiled set) pre-fill cm and never parse here.
+// stored canonical bytes on first use. Entries added through Add pre-fill
+// cm and never parse here.
 func (e *entry) compiled() (*core.CompiledModel, error) {
 	e.cmOnce.Do(func() {
 		if e.cm != nil {
@@ -332,7 +352,7 @@ func (c *Corpus) Add(m *sbml.Model) (string, error) {
 		// the in-memory state without the model. The persisted bytes are
 		// the stored model's exact canonical form, so replay reconstructs
 		// exactly what this corpus stores.
-		if err := c.persister.PersistAdd(m.ID, e.sbml); err != nil {
+		if err := c.persistAdd(e); err != nil {
 			return "", fmt.Errorf("corpus: persist add %q: %w", m.ID, err)
 		}
 	}
@@ -354,15 +374,12 @@ func (sh *shard) install(e *entry) {
 // computed from them. SBML must be the model's canonical serialization
 // (what a previous Add persisted) and Keys its match keys under the
 // corpus's exact match options — the durable store guards both with CRCs
-// and an options fingerprint before trusting them. Compiled, when
-// non-nil, seeds the compiled model eagerly (WAL replay compiles anyway
-// to derive keys); when nil the entry compiles lazily from SBML on first
-// structural use, and Search works off Keys alone.
+// and an options fingerprint before trusting them. The entry compiles
+// lazily from SBML on first structural use; Search works off Keys alone.
 type PrecompiledModel struct {
-	ID       string
-	SBML     []byte
-	Keys     []core.ComponentKey
-	Compiled *core.CompiledModel
+	ID   string
+	SBML []byte
+	Keys []core.ComponentKey
 }
 
 // AddPrecompiled installs a recovered model without parsing or key
@@ -377,7 +394,7 @@ func (c *Corpus) AddPrecompiled(p PrecompiledModel) error {
 	if len(p.SBML) == 0 {
 		return fmt.Errorf("corpus: precompiled model %q has no canonical bytes", p.ID)
 	}
-	e := &entry{id: p.ID, keys: p.Keys, sbml: p.SBML, match: c.opts.Match, cm: p.Compiled}
+	e := &entry{id: p.ID, keys: p.Keys, sbml: p.SBML, match: c.opts.Match}
 	sh := c.shardFor(p.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -385,7 +402,7 @@ func (c *Corpus) AddPrecompiled(p PrecompiledModel) error {
 		return fmt.Errorf("corpus: model %q already present: %w", p.ID, ErrDuplicate)
 	}
 	if c.persister != nil {
-		if err := c.persister.PersistAdd(p.ID, p.SBML); err != nil {
+		if err := c.persistAdd(e); err != nil {
 			return fmt.Errorf("corpus: persist add %q: %w", p.ID, err)
 		}
 	}

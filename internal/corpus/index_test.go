@@ -179,7 +179,7 @@ func churnPool(t testing.TB) *churnFixture {
 			if err != nil {
 				panic(err)
 			}
-			churn.pre = append(churn.pre, PrecompiledModel{ID: m.ID, SBML: canonicalBytes(cm.Model()), Keys: cm.MatchKeys(), Compiled: cm})
+			churn.pre = append(churn.pre, PrecompiledModel{ID: m.ID, SBML: canonicalBytes(cm.Model()), Keys: cm.MatchKeys()})
 		}
 		churn.queries = compileQueries(t, churn.opts, churn.models)
 		for _, q := range churn.models {
@@ -353,5 +353,5 @@ func batchToggle(fx *churnFixture, k int, present bool) BatchOp {
 		return BatchOp{Remove: true, ID: fx.models[k].ID}
 	}
 	p := fx.pre[k]
-	return BatchOp{ID: p.ID, SBML: p.SBML, Keys: p.Keys, Compiled: p.Compiled}
+	return BatchOp{ID: p.ID, SBML: p.SBML, Keys: p.Keys}
 }

@@ -92,6 +92,45 @@ func TestServerStateSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestHealthzReportsKeyedWALReplay restarts on a raw WAL tail: the
+// startup stats and /healthz report every logged add as installed from
+// its persisted match keys, none as parsed.
+func TestHealthzReportsKeyedWALReplay(t *testing.T) {
+	dir := t.TempDir()
+	opts := &sbmlcompose.StoreOptions{
+		Corpus:            sbmlcompose.CorpusOptions{Shards: 2, Workers: 2},
+		Fsync:             sbmlcompose.FsyncNever,
+		NoSnapshotOnClose: true, // keep the tail: recovery must replay it
+	}
+	st, err := sbmlcompose.OpenCorpus(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newPersistentServer(st)
+	for i := 0; i < 3; i++ {
+		if rec, _ := do(t, s, "POST", "/v1/models", modelXML(string(rune('a'+i))+"_wal", int64(600+i))); rec.Code != http.StatusCreated {
+			t.Fatalf("POST /models #%d: %d", i, rec.Code)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := sbmlcompose.OpenCorpus(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if rs := st2.Stats(); rs.WALAdds != 3 || rs.WALPrecompiled != 3 || rs.WALParsed != 0 {
+		t.Fatalf("recovery stats %+v, want 3 WAL adds, all precompiled", rs)
+	}
+	_, payload := do(t, newPersistentServer(st2), "GET", "/v1/healthz", "")
+	storeInfo, _ := payload["store"].(map[string]any)
+	recovery, _ := storeInfo["recovery"].(map[string]any)
+	if recovery["wal_precompiled"] != float64(3) || recovery["wal_parsed"] != float64(0) {
+		t.Fatalf("healthz recovery section = %v", recovery)
+	}
+}
+
 // stripTookMS drops the timing field so response comparison pins results,
 // not latency.
 func stripTookMS(t *testing.T, body string) string {

@@ -142,7 +142,7 @@ func assertRecoveredEqualsPrefix(t *testing.T, s *Store, want expectedState, que
 // makeWorkload builds a seeded random interleaving of adds and removes
 // (removes always target a currently-present model), ending with the
 // given final operation kind.
-func makeWorkload(t *testing.T, seed int64, steps int, endWithRemove bool) []crashWorkload {
+func makeWorkload(t testing.TB, seed int64, steps int, endWithRemove bool) []crashWorkload {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var w []crashWorkload

@@ -10,67 +10,106 @@ import (
 	"sbmlcompose/internal/sbml"
 )
 
-// This file implements the recovery parse path and its parallelism.
-// Recovery has two kinds of work: decoding (snapshot entries, WAL
-// frames), which is cheap and stays sequential, and the parse path —
-// XML parse plus core.Compile — which dominates restart time whenever
-// an entry arrives without trustworthy precompiled keys (every WAL
-// record, every legacy or damaged snapshot entry, any fingerprint
-// mismatch). In a CPU profile of opening a store with a 300-record WAL
-// tail (sbmlbench's ingest-churn fixture, 2 vCPUs), the XML parse
-// (xmltree's byte scanner) is ~15% of the open and sbml.FromXML plus
-// core.Compile ~21%, so neither side alone dominates any more. The
-// parse path is embarrassingly parallel: each model compiles
+// This file implements the trust rule for persisted match keys and the
+// recovery parse path it falls back to. Four sites install models read
+// back from disk or the replication feed — Open's snapshot loop, Open's
+// WAL loop, Replica.applyRecords and ApplySnapshotImage — and all of
+// them go through resolveKeys: a model whose persisted keys survived
+// their integrity check and were derived under this store's match
+// options installs with those keys; every other model takes the parse
+// path (XML parse plus core.Compile, only to derive the keys). Either
+// way the entry is installed as {id, sbml, keys} and compiles lazily on
+// first structural use.
+//
+// The parse path is embarrassingly parallel: each model compiles
 // independently, and only the sequential apply step afterwards needs
-// the results in order. parseAll fans the compiles out across
-// GOMAXPROCS workers and returns results positionally, so Open applies
+// the results in order. resolveKeys fans the parses out across
+// GOMAXPROCS workers and returns results positionally, so callers apply
 // them in exactly the order a sequential recovery would have.
 
-// parseJob is one model needing the parse path: canonical bytes plus
-// the id the containing record claims, cross-checked after the parse.
-type parseJob struct {
+// persistedModel is one model as a snapshot entry or WAL record carries
+// it: canonical bytes plus, when the source persisted them, match keys.
+type persistedModel struct {
 	id   string
 	sbml []byte
+	// hasKeys reports that the source carries keys that passed its
+	// integrity check: decoded in keys (snapshot entries) or still
+	// encoded in keysBlob (WAL records, decoded only once trusted).
+	// fingerprint names the match options they were derived under.
+	hasKeys     bool
+	keys        []core.ComponentKey
+	keysBlob    []byte
+	fingerprint uint64
 }
 
-// parseResult is the outcome of one parse-path compile, at the same
-// index as its job.
-type parseResult struct {
-	cm  *core.CompiledModel
-	err error
+// walModel views an add record as a persistedModel.
+func walModel(rec walRecord) persistedModel {
+	return persistedModel{
+		id:          rec.id,
+		sbml:        rec.sbml,
+		hasKeys:     rec.op == opAddKeys,
+		keysBlob:    rec.keys,
+		fingerprint: rec.fingerprint,
+	}
 }
 
-// parseOne runs the full parse path for one job.
-func parseOne(j parseJob, match core.Options) parseResult {
-	doc, err := sbml.ParseString(string(j.sbml))
-	if err != nil {
-		// ParseString guarantees doc.Model on success, so this covers
-		// model-less documents too.
-		return parseResult{err: fmt.Errorf("parse stored model: %w", err)}
+// snapModels views a decoded snapshot's entries as persistedModels.
+func snapModels(sf snapFile) []persistedModel {
+	ms := make([]persistedModel, len(sf.entries))
+	for i, e := range sf.entries {
+		ms[i] = persistedModel{id: e.id, sbml: e.sbml, hasKeys: e.keysOK, keys: e.keys, fingerprint: sf.fingerprint}
 	}
-	if doc.Model.ID != j.id {
-		return parseResult{err: fmt.Errorf("stored bytes carry id %q, record says %q", doc.Model.ID, j.id)}
-	}
-	cm, err := core.Compile(doc.Model, match)
-	if err != nil {
-		return parseResult{err: err}
-	}
-	return parseResult{cm: cm}
+	return ms
 }
 
-// parseAll compiles every job across a worker pool and returns results
-// at matching indexes. Errors are per-job, never short-circuiting: the
-// caller applies results in record order, so the error it surfaces is
-// the one a sequential recovery would have hit first.
-func parseAll(jobs []parseJob, match core.Options) []parseResult {
-	results := make([]parseResult, len(jobs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
+// keyResult is the outcome for one persistedModel, at the same index.
+// parsed reports that the keys came from the parse path.
+type keyResult struct {
+	keys   []core.ComponentKey
+	parsed bool
+	err    error
+}
+
+// trustsKeys is the trust rule: persisted keys derived under fingerprint
+// are reusable unless Options.RecoveryParseOnly forces re-derivation.
+func (s *Store) trustsKeys(fingerprint uint64) bool {
+	return !s.opts.RecoveryParseOnly && fingerprint == s.fingerprint
+}
+
+// resolveKeys returns every model's match keys: the persisted ones where
+// the trust rule accepts them and they decode, else keys derived on the
+// parse path. Errors are per-model, never short-circuiting: callers apply
+// results in record order, so the error they surface is the one a
+// sequential recovery would have hit first.
+func (s *Store) resolveKeys(ms []persistedModel) []keyResult {
+	results := make([]keyResult, len(ms))
+	var jobs []int
+	for i, m := range ms {
+		if m.hasKeys && s.trustsKeys(m.fingerprint) {
+			keys := m.keys
+			var err error
+			if m.keysBlob != nil {
+				// A CRC-valid record whose blob will not decode degrades
+				// to the parse path, like a damaged sbsnap-2 keys section.
+				keys, err = core.DecodeMatchKeys(m.keysBlob)
+			}
+			if err == nil {
+				results[i].keys = keys
+				continue
+			}
+		}
+		jobs = append(jobs, i)
 	}
+	s.parseJobs.Add(int64(len(jobs)))
+	parse := func(k int) {
+		i := jobs[k]
+		keys, err := parseKeys(ms[i].id, ms[i].sbml, s.opts.Corpus.Match)
+		results[i] = keyResult{keys: keys, parsed: true, err: err}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	if workers <= 1 {
-		for i, j := range jobs {
-			results[i] = parseOne(j, match)
+		for k := range jobs {
+			parse(k)
 		}
 		return results
 	}
@@ -83,14 +122,35 @@ func parseAll(jobs []parseJob, match core.Options) []parseResult {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
+				k := int(next.Add(1)) - 1
+				if k >= len(jobs) {
 					return
 				}
-				results[i] = parseOne(jobs[i], match)
+				parse(k)
 			}
 		}()
 	}
 	wg.Wait()
 	return results
+}
+
+// parseKeys runs the parse path for one model: parse the canonical
+// bytes, cross-check the id the containing record claims, and derive the
+// match keys. The compiled model is dropped; the corpus entry compiles
+// again lazily if a structural use ever needs it.
+func parseKeys(id string, sbmlBytes []byte, match core.Options) ([]core.ComponentKey, error) {
+	doc, err := sbml.ParseString(string(sbmlBytes))
+	if err != nil {
+		// ParseString guarantees doc.Model on success, so this covers
+		// model-less documents too.
+		return nil, fmt.Errorf("parse stored model: %w", err)
+	}
+	if doc.Model.ID != id {
+		return nil, fmt.Errorf("stored bytes carry id %q, record says %q", doc.Model.ID, id)
+	}
+	cm, err := core.Compile(doc.Model, match)
+	if err != nil {
+		return nil, err
+	}
+	return cm.MatchKeys(), nil
 }

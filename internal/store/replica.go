@@ -18,11 +18,11 @@ import (
 // This file implements the follower side of replication: a Replica owns
 // a read-only Store and keeps it converged with a primary by pulling the
 // WAL feed (tail.go), verifying every frame with the WAL's own CRC and
-// decode checks, and applying verified chunks through the same ordered
-// parse+compile pool recovery uses. Applied records keep the primary's
-// sequence numbers and land in the follower's own WAL through one
-// AppendBatch per chunk (one fsync per received batch), so the
-// follower's durable log is at all times a prefix of the primary's
+// decode checks, and applying verified chunks under the same trust rule
+// for persisted match keys recovery uses (recover.go). Applied records
+// keep the primary's sequence numbers and land in the follower's own WAL
+// through one AppendBatch per chunk (one fsync per received batch), so
+// the follower's durable log is at all times a prefix of the primary's
 // acknowledged log — which is exactly what makes promotion safe and a
 // crashed follower's restart resume from its own durable seq.
 //
@@ -451,44 +451,37 @@ func (r *Replica) applyFrames(frames []byte, from uint64) error {
 	return damaged
 }
 
-// applyRecords parses the adds across the recovery worker pool and
-// applies the whole chunk through corpus.ApplyBatch: validation and the
-// WAL append (one fsync) happen under every shard's write lock, then the
-// mutations become visible in order.
+// applyRecords resolves the adds' match keys under recovery's trust rule
+// (recover.go) — keyed records from a primary with the same match
+// options install without parsing — and applies the whole chunk through
+// corpus.ApplyBatch: validation and the WAL append (one fsync) happen
+// under every shard's write lock, then the mutations become visible in
+// order.
 func (r *Replica) applyRecords(recs []walRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	applyStart := time.Now()
-	var jobs []parseJob
+	var adds []persistedModel
 	for _, rec := range recs {
-		if rec.op == opAdd {
-			jobs = append(jobs, parseJob{id: rec.id, sbml: rec.sbml})
+		if rec.op != opRemove {
+			adds = append(adds, walModel(rec))
 		}
 	}
-	parsed := parseAll(jobs, r.s.opts.Corpus.Match)
+	keys := r.s.resolveKeys(adds)
 	ops := make([]corpus.BatchOp, 0, len(recs))
-	ji := 0
+	ai := 0
 	for _, rec := range recs {
-		switch rec.op {
-		case opAdd:
-			p := parsed[ji]
-			ji++
-			if p.err != nil {
-				return fmt.Errorf("apply seq %d: %w", rec.seq, p.err)
-			}
-			ops = append(ops, corpus.BatchOp{
-				Seq:      rec.seq,
-				ID:       rec.id,
-				SBML:     rec.sbml,
-				Keys:     p.cm.MatchKeys(),
-				Compiled: p.cm,
-			})
-		case opRemove:
+		if rec.op == opRemove {
 			ops = append(ops, corpus.BatchOp{Remove: true, Seq: rec.seq, ID: rec.id})
-		default:
-			return fmt.Errorf("apply seq %d: unknown op %d", rec.seq, rec.op)
+			continue
 		}
+		k := keys[ai]
+		ai++
+		if k.err != nil {
+			return fmt.Errorf("apply seq %d: %w", rec.seq, k.err)
+		}
+		ops = append(ops, corpus.BatchOp{Seq: rec.seq, ID: rec.id, SBML: rec.sbml, Keys: k.keys})
 	}
 	if err := r.s.c.ApplyBatch(ops); err != nil {
 		return err

@@ -108,6 +108,8 @@ func replicationWorkload(t *testing.T, s *Store, n int) []*sbml.Model {
 // — cut exactly on a boundary and cut mid-frame — the follower applies
 // precisely the intact records, reports the damage for torn cuts, and
 // converges once handed the rest of the stream from its durable seq.
+// The feed holds keyless op-1 adds, as shipped from an sbwal-v1 segment;
+// TestReplicaApplyKeyedCutAtEveryFrameBoundary runs the keyed feed.
 func TestReplicaApplyCutAtEveryFrameBoundary(t *testing.T) {
 	primary := mustOpen(t, t.TempDir(), testOptions())
 	defer primary.Close()
@@ -116,7 +118,27 @@ func TestReplicaApplyCutAtEveryFrameBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := tb.Frames
+	checkCutAtEveryFrameBoundary(t, primary, probes, keylessFrames(t, tb.Frames))
+}
+
+// TestReplicaApplyKeyedCutAtEveryFrameBoundary is the frame-boundary cut
+// check over the op-3 feed this code writes.
+func TestReplicaApplyKeyedCutAtEveryFrameBoundary(t *testing.T) {
+	primary := mustOpen(t, t.TempDir(), testOptions())
+	defer primary.Close()
+	probes := replicationWorkload(t, primary, 5)
+	tb, err := primary.ReadTail(context.Background(), 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ops := frameOps(t, tb.Frames); ops[opAddKeys] == 0 || ops[opAdd] != 0 {
+		t.Fatalf("primary feed ops %v, want keyed adds only", ops)
+	}
+	checkCutAtEveryFrameBoundary(t, primary, probes, tb.Frames)
+}
+
+func checkCutAtEveryFrameBoundary(t *testing.T, primary *Store, probes []*sbml.Model, frames []byte) {
+	t.Helper()
 	bounds := frameBoundaries(t, frames)
 
 	for k := 0; k < len(bounds); k++ {
@@ -151,6 +173,49 @@ func TestReplicaApplyCutAtEveryFrameBoundary(t *testing.T) {
 			})
 		}
 	}
+}
+
+// keylessFrames re-renders a clean feed buffer the way an sbwal-v1
+// segment would have shipped it: every keyed add downgraded to a keyless
+// op-1 add with the same seq, id and model bytes.
+func keylessFrames(t *testing.T, frames []byte) []byte {
+	t.Helper()
+	var out []byte
+	for off := int64(0); off < int64(len(frames)); {
+		payload, end, ok := nextFrame(frames, off)
+		if !ok {
+			t.Fatalf("feed buffer torn at %d", off)
+		}
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.op == opAddKeys {
+			rec = walRecord{op: opAdd, seq: rec.seq, id: rec.id, sbml: rec.sbml}
+		}
+		out = append(out, frameRecord(encodeRecord(rec))...)
+		off = end
+	}
+	return out
+}
+
+// frameOps counts each op in a clean feed buffer.
+func frameOps(t *testing.T, frames []byte) map[byte]int {
+	t.Helper()
+	ops := map[byte]int{}
+	for off := int64(0); off < int64(len(frames)); {
+		payload, end, ok := nextFrame(frames, off)
+		if !ok {
+			t.Fatalf("feed buffer torn at %d", off)
+		}
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops[rec.op]++
+		off = end
+	}
+	return ops
 }
 
 // TestReplicaApplyRejectsBitFlips flips a byte inside every frame of the
@@ -223,10 +288,13 @@ func replayIDs(t *testing.T, frames []byte) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.op == opAdd {
+		switch rec.op {
+		case opAdd, opAddKeys:
 			present[rec.id] = true
-		} else {
+		case opRemove:
 			delete(present, rec.id)
+		default:
+			t.Fatalf("frame at %d: unknown op %d", off, rec.op)
 		}
 		off = end
 	}

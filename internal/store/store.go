@@ -10,10 +10,10 @@
 //	corpus.snap            snapshot (optional until first compaction)
 //	wal-<gen 16-hex>.log   WAL segments, generation order = lexical order
 //
-// # WAL format (version sbwal-v1)
+// # WAL format (version sbwal-v2)
 //
-// Each segment begins with the 8-byte magic "sbwal-v1", followed by
-// length+CRC-framed records:
+// Each segment begins with an 8-byte magic, "sbwal-v2" for every segment
+// this code creates, followed by length+CRC-framed records:
 //
 //	uint32 LE  payload length
 //	uint32 LE  CRC-32 (IEEE) of the payload
@@ -21,11 +21,29 @@
 //
 // A record payload is:
 //
-//	byte     op               1 = AddModel, 2 = RemoveModel
+//	byte     op               1 = AddModel, 2 = RemoveModel,
+//	                          3 = AddModel with match keys
 //	uvarint  seq              monotonically increasing across segments
 //	uvarint  len(id) + id     the model id
-//	uvarint  len(sbml) + sbml (AddModel only) canonical SBML bytes,
+//	uvarint  len(sbml) + sbml (ops 1 and 3) canonical SBML bytes,
 //	                          exactly as the corpus stores the model
+//	uint64 LE  fingerprint    (op 3 only) core.Options.MatchKeyFingerprint
+//	                          of the options the keys were derived under
+//	keys                      (op 3 only, to the end of the payload)
+//	                          core.EncodeMatchKeys blob
+//
+// The frame CRC covers the fingerprint and keys like everything else.
+// Adds through the corpus write op 3; op 1 is what sbwal-v1 segments
+// hold, and it still decodes. Readers accept both magics. A v1 segment
+// never receives an op-3 record: when Open finds a v1 tail segment, it
+// rotates to a fresh v2 segment before the first append.
+//
+// The version bump is what makes a downgrade safe. A binary that knows
+// only v1 decodes op 3 as an unknown op, which it treats as a torn tail
+// and truncates, losing acknowledged records; instead it refuses the v2
+// magic and does not start. For the same reason, upgrade replication
+// followers before their primary: an old follower refuses op-3 frames
+// from a new primary, so it stalls, but it is never corrupted.
 //
 // The sequence number orders records globally and links the WAL to
 // snapshots: a snapshot records the highest seq whose effect it includes,
@@ -49,13 +67,17 @@
 //
 // Snapshots are written in a binary format (sbsnap-2, codec.go) that
 // carries each model's precompiled match keys next to its canonical
-// bytes, so snapshot entries normally install without touching the XML
-// pipeline at all. The keys are trusted only when their CRC holds and
-// the snapshot's match-options fingerprint equals the opening corpus's;
-// otherwise — and for every WAL record, which carries bytes only — the
-// model takes the parse path, fanned out across GOMAXPROCS workers
-// (recover.go) and applied in record order. Either way the recovered
-// corpus is search-identical to a never-restarted one.
+// bytes, and op-3 WAL records carry them too, so recovered models
+// normally install without touching the XML pipeline at all. One trust
+// rule (recover.go) covers snapshot entries, WAL records, replicated
+// records and snapshot images alike: persisted keys are used only when
+// their CRC holds, they decode, the recorded match-options fingerprint
+// equals the opening corpus's, and Options.RecoveryParseOnly is off.
+// Otherwise the model takes the parse path, fanned out across GOMAXPROCS
+// workers and applied in record order; a keys blob that fails to decode
+// never cuts the log. Either way the entry is installed with keys only
+// and compiles on first structural use, and the recovered corpus is
+// search-identical to a never-restarted one.
 //
 // # Durability policy
 //
@@ -79,6 +101,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sbmlcompose/internal/core"
 	"sbmlcompose/internal/corpus"
 )
 
@@ -130,10 +153,12 @@ type Options struct {
 	// fewer syncs. 0 — the default — batches naturally: whatever lands
 	// during one fsync forms the next batch.
 	GroupMaxDelay time.Duration
-	// RecoveryParseOnly makes Open ignore the snapshot's precompiled match
-	// keys and push every model through the parse path, as if the snapshot
-	// carried canonical bytes only. Benchmarks use it to isolate the binary
-	// format's advantage; operators can use it to force re-derivation.
+	// RecoveryParseOnly makes the store ignore persisted match keys — in
+	// the snapshot, in keyed WAL records, and in replicated records and
+	// snapshot images — and push every model through the parse path, as
+	// if only canonical bytes were persisted. Benchmarks use it to isolate
+	// the persisted keys' advantage; operators can use it to force
+	// re-derivation.
 	RecoveryParseOnly bool
 	// CompactBytes triggers an automatic snapshot (and WAL truncation)
 	// once the live segment's record bytes exceed it. 0 defaults to 8 MiB;
@@ -182,12 +207,18 @@ type RecoveryStats struct {
 	SnapshotParsed      int    `json:"snapshot_parsed"`
 	// WALSegments and WALRecords count the segments read and the intact
 	// records in them; WALSkipped of those were already covered by the
-	// snapshot, WALAdds/WALRemoves were applied.
-	WALSegments int `json:"wal_segments"`
-	WALRecords  int `json:"wal_records"`
-	WALSkipped  int `json:"wal_skipped"`
-	WALAdds     int `json:"wal_adds"`
-	WALRemoves  int `json:"wal_removes"`
+	// snapshot, WALAdds/WALRemoves were applied. Of the adds,
+	// WALPrecompiled installed straight from the keys their record
+	// carries and WALParsed took the parse path (keyless v1-era record,
+	// undecodable keys, fingerprint mismatch, or
+	// Options.RecoveryParseOnly).
+	WALSegments    int `json:"wal_segments"`
+	WALRecords     int `json:"wal_records"`
+	WALSkipped     int `json:"wal_skipped"`
+	WALAdds        int `json:"wal_adds"`
+	WALRemoves     int `json:"wal_removes"`
+	WALPrecompiled int `json:"wal_precompiled"`
+	WALParsed      int `json:"wal_parsed"`
 	// TornTail reports that a torn or corrupt tail was found and dropped;
 	// DroppedBytes is its size.
 	TornTail     bool  `json:"torn_tail"`
@@ -218,9 +249,13 @@ type Store struct {
 	c     *corpus.Corpus
 	stats RecoveryStats
 	// fingerprint identifies the match options the corpus's keys are
-	// derived under; snapshots record it so a later Open knows whether the
-	// persisted keys are trustworthy.
+	// derived under; snapshots and keyed WAL records carry it so a later
+	// Open (or a follower) knows whether the persisted keys are
+	// trustworthy.
 	fingerprint uint64
+	// parseJobs counts models sent down the parse path by resolveKeys
+	// (recover.go) over the store's lifetime.
+	parseJobs atomic.Int64
 
 	// mu guards the WAL writer, sequence counter and tail size. Lock
 	// order is shard lock → mu (persist calls arrive holding a shard
@@ -328,34 +363,20 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.fingerprint = opts.Corpus.Match.MatchKeyFingerprint()
 	c := corpus.New(opts.Corpus)
 	if haveSnap {
-		// Entries whose persisted keys survived their CRC — and were
-		// derived under these exact match options — install directly; the
-		// rest take the parse path, fanned out across workers (recover.go).
-		trustKeys := !opts.RecoveryParseOnly && sf.fingerprint == s.fingerprint
-		var snapJobs []parseJob
-		for _, e := range sf.entries {
-			if !(trustKeys && e.keysOK) {
-				snapJobs = append(snapJobs, parseJob{id: e.id, sbml: e.sbml})
+		// Entries with trusted keys install directly; the rest take the
+		// parse path, fanned out across workers (recover.go).
+		ms := snapModels(sf)
+		for i, r := range s.resolveKeys(ms) {
+			if r.err != nil {
+				return nil, fmt.Errorf("store: snapshot model %q: %w", ms[i].id, r.err)
 			}
-		}
-		parsed := parseAll(snapJobs, opts.Corpus.Match)
-		ji := 0
-		for _, e := range sf.entries {
-			p := corpus.PrecompiledModel{ID: e.id, SBML: e.sbml, Keys: e.keys}
-			if trustKeys && e.keysOK {
-				s.stats.SnapshotPrecompiled++
-			} else {
-				r := parsed[ji]
-				ji++
-				if r.err != nil {
-					return nil, fmt.Errorf("store: snapshot model %q: %w", e.id, r.err)
-				}
-				p.Keys = r.cm.MatchKeys()
-				p.Compiled = r.cm
+			if r.parsed {
 				s.stats.SnapshotParsed++
+			} else {
+				s.stats.SnapshotPrecompiled++
 			}
-			if err := c.AddPrecompiled(p); err != nil {
-				return nil, fmt.Errorf("store: snapshot model %q: %w", e.id, err)
+			if err := c.AddPrecompiled(corpus.PrecompiledModel{ID: ms[i].id, SBML: ms[i].sbml, Keys: r.keys}); err != nil {
+				return nil, fmt.Errorf("store: snapshot model %q: %w", ms[i].id, err)
 			}
 		}
 		s.stats.SnapshotModels = len(sf.entries)
@@ -406,26 +427,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			pending = append(pending, walApply{rec: rec, path: path})
 		}
 		if i == len(segs)-1 {
-			// Tail segment: repair a torn tail and reopen for appending.
-			if rep.goodOff < int64(len(walMagic)) {
-				// Crash during segment creation: recreate it whole.
-				if err := os.Remove(path); err != nil {
-					return nil, fmt.Errorf("store: recreate %s: %w", path, err)
-				}
-				s.wal, err = createSegment(path, opts.Fsync == FsyncAlways)
-			} else {
-				if rep.droppedBytes > 0 {
-					if err := os.Truncate(path, rep.goodOff); err != nil {
-						return nil, fmt.Errorf("store: truncate torn tail of %s: %w", path, err)
-					}
-				}
-				s.wal, err = openSegmentForAppend(path, rep.goodOff, opts.Fsync == FsyncAlways)
-			}
-			if err != nil {
-				return nil, err
-			}
-			s.tailBytes = s.wal.off - int64(len(walMagic))
-			if s.gen, err = segmentGen(path); err != nil {
+			if err := s.openTail(path, rep); err != nil {
 				return nil, err
 			}
 		}
@@ -440,34 +442,35 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.wal.metrics = opts.Metrics
 
-	// Apply the WAL tail in record order. The adds' parse work runs in
-	// parallel first; the apply itself stays sequential because removes
-	// interleave with adds and duplicate detection is order-dependent.
-	var walJobs []parseJob
+	// Apply the WAL tail in record order. The adds' keys are resolved
+	// first, with any parse path fanned out (recover.go); the apply itself
+	// stays sequential because removes interleave with adds and duplicate
+	// detection is order-dependent.
+	var adds []persistedModel
 	for _, pa := range pending {
-		if pa.rec.op == opAdd {
-			walJobs = append(walJobs, parseJob{id: pa.rec.id, sbml: pa.rec.sbml})
+		if pa.rec.op != opRemove {
+			adds = append(adds, walModel(pa.rec))
 		}
 	}
-	parsed := parseAll(walJobs, opts.Corpus.Match)
-	ji := 0
+	keys := s.resolveKeys(adds)
+	ai := 0
 	for _, pa := range pending {
 		switch pa.rec.op {
-		case opAdd:
-			r := parsed[ji]
-			ji++
+		case opAdd, opAddKeys:
+			r := keys[ai]
+			ai++
 			if r.err != nil {
 				return nil, fmt.Errorf("store: replay %s seq %d: %w", pa.path, pa.rec.seq, r.err)
 			}
-			if err := c.AddPrecompiled(corpus.PrecompiledModel{
-				ID:       pa.rec.id,
-				SBML:     pa.rec.sbml,
-				Keys:     r.cm.MatchKeys(),
-				Compiled: r.cm,
-			}); err != nil {
+			if err := c.AddPrecompiled(corpus.PrecompiledModel{ID: pa.rec.id, SBML: pa.rec.sbml, Keys: r.keys}); err != nil {
 				return nil, fmt.Errorf("store: replay %s seq %d: %w", pa.path, pa.rec.seq, err)
 			}
 			s.stats.WALAdds++
+			if r.parsed {
+				s.stats.WALParsed++
+			} else {
+				s.stats.WALPrecompiled++
+			}
 		case opRemove:
 			ok, err := c.Remove(pa.rec.id)
 			if err != nil {
@@ -502,6 +505,47 @@ func Open(dir string, opts Options) (*Store, error) {
 		go s.groupLoop()
 	}
 	return s, nil
+}
+
+// openTail repairs the log's last segment and opens the append target:
+// a segment torn during creation is recreated whole, and a torn tail is
+// truncated back to its last intact record. A v1 segment never receives
+// an appended record — an older binary reading an opAddKeys frame behind
+// the v1 magic would truncate the log there — so appends go to a fresh
+// v2 segment instead, the way compaction rotates, and the v1 segment
+// replays until the next compaction covers it.
+func (s *Store) openTail(path string, rep segmentReplay) error {
+	gen, err := segmentGen(path)
+	if err != nil {
+		return err
+	}
+	s.gen = gen
+	always := s.opts.Fsync == FsyncAlways
+	if rep.goodOff < int64(len(walMagic)) {
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("store: recreate %s: %w", path, err)
+		}
+		s.wal, err = createSegment(path, always)
+		return err
+	}
+	if rep.droppedBytes > 0 {
+		if err := os.Truncate(path, rep.goodOff); err != nil {
+			return fmt.Errorf("store: truncate torn tail of %s: %w", path, err)
+		}
+	}
+	// The segment's record bytes count toward auto-compaction either way:
+	// after a v1 rotation they are still uncompacted tail.
+	s.tailBytes = rep.goodOff - int64(len(walMagic))
+	if rep.v1 {
+		s.gen++
+		if s.wal, err = createSegment(segmentName(s.dir, s.gen), always); err != nil {
+			return err
+		}
+		syncDir(s.dir)
+		return nil
+	}
+	s.wal, err = openSegmentForAppend(path, rep.goodOff, always)
+	return err
 }
 
 // Corpus returns the recovered corpus. Mutations made through it are
@@ -550,6 +594,18 @@ func (s *Store) PersistAdd(id string, sbmlBytes []byte) error {
 		return persistErr("wal append add", ErrReadOnly)
 	}
 	return s.appendRecord(walRecord{op: opAdd, id: id, sbml: sbmlBytes}, "wal append add")
+}
+
+// PersistAddKeys implements corpus.KeyPersister: PersistAdd, except the
+// record also carries the model's match keys and this store's
+// match-options fingerprint (op 3), so recovery and followers install the
+// model without parsing it.
+func (s *Store) PersistAddKeys(id string, sbmlBytes []byte, keys []core.ComponentKey) error {
+	if s.readOnly.Load() {
+		return persistErr("wal append add", ErrReadOnly)
+	}
+	rec := walRecord{op: opAddKeys, id: id, sbml: sbmlBytes, fingerprint: s.fingerprint, keys: core.EncodeMatchKeys(keys)}
+	return s.appendRecord(rec, "wal append add")
 }
 
 // PersistRemove implements corpus.Persister for removals.
@@ -646,6 +702,9 @@ type BatchRecord struct {
 	Seq  uint64
 	ID   string
 	SBML []byte
+	// Keys, when non-nil, are SBML's match keys under this store's match
+	// options: the add is logged as a keyed record (op 3).
+	Keys []core.ComponentKey
 }
 
 // AppendBatch logs a chunk of records with a single write and at most a
@@ -673,8 +732,11 @@ func (s *Store) AppendBatch(recs []BatchRecord) error {
 	var frames []byte
 	for _, br := range recs {
 		rec := walRecord{op: opAdd, id: br.ID, sbml: br.SBML}
-		if br.Remove {
+		switch {
+		case br.Remove:
 			rec = walRecord{op: opRemove, id: br.ID}
+		case br.Keys != nil:
+			rec.op, rec.fingerprint, rec.keys = opAddKeys, s.fingerprint, core.EncodeMatchKeys(br.Keys)
 		}
 		if br.Seq == 0 {
 			s.seq++

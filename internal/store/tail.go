@@ -137,9 +137,13 @@ type tailCursor struct {
 // numbers are monotone across generations, so the scan stops at the
 // first record past acked (an unacknowledged group-commit tail that must
 // not ship). A segment vanishing mid-scan (compaction won the race) is
-// skipped — the caller re-checks the compaction watermark. A torn or
-// corrupt frame ends the segment, exactly as in recovery: everything
-// before it is intact and usable.
+// skipped — the caller re-checks the compaction watermark — and so is
+// one still shorter than its magic (mid-creation, no records yet). A
+// full-length unknown magic is an error, as in recovery: followers accept
+// sequence gaps, so skipping it would silently lose its records. Both
+// sbwal-v1 and sbwal-v2 segments ship. A torn or corrupt frame ends the
+// segment, exactly as in recovery: everything before it is intact and
+// usable.
 //
 // A follower walking the feed forward presents from = the previous
 // batch's LastSeq, which matches the cached tailCursor: the scan then
@@ -182,7 +186,10 @@ func (s *Store) collectTail(from, acked uint64, maxBytes int) (TailBatch, error)
 		if err != nil {
 			return tb, fmt.Errorf("store: read tail: %w", err)
 		}
-		if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
+		if _, err := checkSegmentMagic(path, data); err != nil {
+			return tb, fmt.Errorf("store: read tail: %w", err)
+		}
+		if len(data) < len(walMagic) {
 			continue // segment mid-creation; it has no records yet
 		}
 		off := int64(len(walMagic))
@@ -242,14 +249,15 @@ func (s *Store) collectTail(from, acked uint64, maxBytes int) (TailBatch, error)
 }
 
 // PersistBatch implements corpus.BatchPersister: one WAL write and at
-// most one fsync for the whole chunk (AppendBatch). It is the follower
-// apply path's persist hook — and deliberately not gated by the
-// read-only flag, because records arriving through it carry the
-// primary's sequence numbers rather than minting local ones.
+// most one fsync for the whole chunk (AppendBatch), logging adds as keyed
+// records. It is the follower apply path's persist hook — and
+// deliberately not gated by the read-only flag, because records arriving
+// through it carry the primary's sequence numbers rather than minting
+// local ones.
 func (s *Store) PersistBatch(ops []corpus.BatchOp) error {
 	recs := make([]BatchRecord, len(ops))
 	for i, op := range ops {
-		recs[i] = BatchRecord{Remove: op.Remove, Seq: op.Seq, ID: op.ID, SBML: op.SBML}
+		recs[i] = BatchRecord{Remove: op.Remove, Seq: op.Seq, ID: op.ID, SBML: op.SBML, Keys: op.Keys}
 	}
 	if err := s.AppendBatch(recs); err != nil {
 		return fmt.Errorf("%w: %w", err, corpus.ErrPersist)
@@ -296,31 +304,15 @@ func (s *Store) ApplySnapshotImage(image []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: apply snapshot image: %w", err)
 	}
-	// Prepare the in-memory entries before touching any state: entries
-	// whose persisted keys are trustworthy under our match options install
-	// directly, the rest take the parse path — recovery's exact rule.
-	trustKeys := !s.opts.RecoveryParseOnly && sf.fingerprint == s.fingerprint
-	var jobs []parseJob
-	for _, e := range sf.entries {
-		if !(trustKeys && e.keysOK) {
-			jobs = append(jobs, parseJob{id: e.id, sbml: e.sbml})
+	// Prepare the in-memory entries before touching any state, under
+	// recovery's exact trust rule (recover.go).
+	ms := snapModels(sf)
+	models := make([]corpus.PrecompiledModel, len(ms))
+	for i, r := range s.resolveKeys(ms) {
+		if r.err != nil {
+			return fmt.Errorf("store: apply snapshot image: model %q: %w", ms[i].id, r.err)
 		}
-	}
-	parsed := parseAll(jobs, s.opts.Corpus.Match)
-	models := make([]corpus.PrecompiledModel, 0, len(sf.entries))
-	ji := 0
-	for _, e := range sf.entries {
-		p := corpus.PrecompiledModel{ID: e.id, SBML: e.sbml, Keys: e.keys}
-		if !(trustKeys && e.keysOK) {
-			r := parsed[ji]
-			ji++
-			if r.err != nil {
-				return fmt.Errorf("store: apply snapshot image: model %q: %w", e.id, r.err)
-			}
-			p.Keys = r.cm.MatchKeys()
-			p.Compiled = r.cm
-		}
-		models = append(models, p)
+		models[i] = corpus.PrecompiledModel{ID: ms[i].id, SBML: ms[i].sbml, Keys: r.keys}
 	}
 
 	s.snapMu.Lock()

@@ -20,6 +20,22 @@ import (
 // the pinned satellite — that a compaction racing the cursor always
 // yields a deterministic snapshot-or-resume decision.
 
+// applyShadow applies decoded feed records to an id-set shadow, failing
+// on an op it does not know rather than misclassifying it.
+func applyShadow(t *testing.T, shadow map[string]bool, recs []walRecord) {
+	t.Helper()
+	for _, rec := range recs {
+		switch rec.op {
+		case opAdd, opAddKeys:
+			shadow[rec.id] = true
+		case opRemove:
+			delete(shadow, rec.id)
+		default:
+			t.Fatalf("seq %d: unknown op %d", rec.seq, rec.op)
+		}
+	}
+}
+
 // decodeFrames decodes a TailBatch's frame buffer back into records,
 // failing the test on any framing or decode error (the feed must only
 // ever ship intact frames).
@@ -292,13 +308,7 @@ func TestReadTailConcurrentCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ReadTail(from=%d): %v", cursor, err)
 		}
-		for _, rec := range decodeFrames(t, tb.Frames) {
-			if rec.op == opAdd {
-				shadow[rec.id] = true
-			} else {
-				delete(shadow, rec.id)
-			}
-		}
+		applyShadow(t, shadow, decodeFrames(t, tb.Frames))
 		if tb.Records > 0 {
 			cursor = tb.LastSeq
 		}
@@ -333,13 +343,7 @@ func TestReadTailConcurrentCompaction(t *testing.T) {
 		if tb.Records == 0 {
 			break
 		}
-		for _, rec := range decodeFrames(t, tb.Frames) {
-			if rec.op == opAdd {
-				shadow[rec.id] = true
-			} else {
-				delete(shadow, rec.id)
-			}
-		}
+		applyShadow(t, shadow, decodeFrames(t, tb.Frames))
 		cursor = tb.LastSeq
 	}
 	want := s.Corpus().IDs()

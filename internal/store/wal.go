@@ -19,8 +19,14 @@ import (
 // that comment true.
 
 const (
-	walMagic    = "sbwal-v1" // 8-byte segment header
-	walFrameLen = 8          // uint32 length + uint32 CRC32
+	// walMagic heads every segment this code creates. Readers also accept
+	// walMagicV1, whose segments never hold an opAddKeys record: an
+	// older binary treats an unknown op as a torn tail and would truncate
+	// acknowledged records after it, so op 3 is only ever written behind
+	// the v2 magic, which that binary refuses outright.
+	walMagic    = "sbwal-v2" // 8-byte segment header
+	walMagicV1  = "sbwal-v1"
+	walFrameLen = 8 // uint32 length + uint32 CRC32
 	// walMaxRecord bounds a decoded length prefix. A frame claiming more
 	// is treated as a torn/corrupt tail, not an allocation request — a
 	// flipped bit in the length field must not ask for gigabytes.
@@ -28,6 +34,9 @@ const (
 
 	opAdd    = 1
 	opRemove = 2
+	// opAddKeys is opAdd plus the model's match keys and the fingerprint
+	// of the match options they were derived under.
+	opAddKeys = 3
 )
 
 var walCRC = crc32.IEEETable
@@ -37,22 +46,36 @@ type walRecord struct {
 	op  byte
 	seq uint64
 	id  string
-	// sbml holds the canonical model bytes for opAdd records.
+	// sbml holds the canonical model bytes for opAdd and opAddKeys
+	// records.
 	sbml []byte
+	// fingerprint and keys (opAddKeys only) are the match-options
+	// fingerprint and the core.EncodeMatchKeys blob. The blob is kept
+	// encoded: it is decoded only where the trust rule accepts it
+	// (recover.go), and a blob that fails to decode there only sends the
+	// model down the parse path. A decoded record's blob aliases the
+	// payload it came from.
+	fingerprint uint64
+	keys        []byte
 }
 
 // encodeRecord renders the record payload: op byte, then uvarint seq,
-// uvarint-length-prefixed id, and for adds a uvarint-length-prefixed
-// canonical SBML blob.
+// uvarint-length-prefixed id, for adds a uvarint-length-prefixed
+// canonical SBML blob, and for keyed adds the uint64 LE fingerprint
+// followed by the keys blob, which runs to the end of the payload.
 func encodeRecord(rec walRecord) []byte {
-	buf := make([]byte, 0, 1+binary.MaxVarintLen64*3+len(rec.id)+len(rec.sbml))
+	buf := make([]byte, 0, 1+binary.MaxVarintLen64*3+len(rec.id)+len(rec.sbml)+8+len(rec.keys))
 	buf = append(buf, rec.op)
 	buf = binary.AppendUvarint(buf, rec.seq)
 	buf = binary.AppendUvarint(buf, uint64(len(rec.id)))
 	buf = append(buf, rec.id...)
-	if rec.op == opAdd {
+	if rec.op == opAdd || rec.op == opAddKeys {
 		buf = binary.AppendUvarint(buf, uint64(len(rec.sbml)))
 		buf = append(buf, rec.sbml...)
+	}
+	if rec.op == opAddKeys {
+		buf = binary.LittleEndian.AppendUint64(buf, rec.fingerprint)
+		buf = append(buf, rec.keys...)
 	}
 	return buf
 }
@@ -81,12 +104,25 @@ func decodeRecord(payload []byte) (walRecord, error) {
 	rec.id = string(rest[:idLen])
 	rest = rest[idLen:]
 	switch rec.op {
-	case opAdd:
+	case opAdd, opAddKeys:
 		blobLen, n := binary.Uvarint(rest)
-		if n <= 0 || uint64(len(rest[n:])) != blobLen {
+		if n <= 0 || uint64(len(rest[n:])) < blobLen {
 			return rec, fmt.Errorf("bad sbml length")
 		}
-		rec.sbml = append([]byte(nil), rest[n:]...)
+		rest = rest[n:]
+		rec.sbml = append([]byte(nil), rest[:blobLen]...)
+		rest = rest[blobLen:]
+		if rec.op == opAdd {
+			if len(rest) != 0 {
+				return rec, fmt.Errorf("bad sbml length")
+			}
+			break
+		}
+		if len(rest) < 8 {
+			return rec, fmt.Errorf("truncated key fingerprint")
+		}
+		rec.fingerprint = binary.LittleEndian.Uint64(rest)
+		rec.keys = rest[8:]
 	case opRemove:
 		if len(rest) != 0 {
 			return rec, fmt.Errorf("trailing bytes in remove record")
@@ -291,29 +327,56 @@ type segmentReplay struct {
 	goodOff      int64
 	droppedBytes int64
 	size         int64
+	// v1 reports an sbwal-v1 header: Open must not append to the segment.
+	v1 bool
+}
+
+// checkSegmentMagic checks a segment image's header, the one magic check
+// recovery and the replication feed share. An image shorter than the
+// magic is a segment mid-creation and passes (the callers treat it as
+// holding no records); a full-length magic must be sbwal-v2 or sbwal-v1,
+// and v1 reports which. Anything else is not a WAL segment, and guessing
+// would mis-apply garbage or silently skip acknowledged records.
+func checkSegmentMagic(path string, data []byte) (v1 bool, err error) {
+	if len(data) < len(walMagic) {
+		return false, nil
+	}
+	switch string(data[:len(walMagic)]) {
+	case walMagic:
+		return false, nil
+	case walMagicV1:
+		return true, nil
+	}
+	return false, fmt.Errorf("store: %s: bad WAL magic %q", filepath.Base(path), data[:len(walMagic)])
 }
 
 // readSegment replays one segment file. A segment shorter than its header
 // is treated as a crash during creation: zero records, goodOff at the end
 // of whatever header prefix exists (the caller recreates it). A wrong
-// magic is a hard error — the file is not a WAL, and guessing would
-// mis-apply garbage. After the header, records are read until the first
-// bad frame (short frame header, implausible length, CRC mismatch, or an
-// undecodable payload); everything from that frame on is reported as
-// dropped, never applied.
+// magic is a hard error (checkSegmentMagic). After the header, records
+// are read until the first bad frame (short frame header, implausible
+// length, CRC mismatch, or an undecodable payload); everything from that
+// frame on is reported as dropped, never applied.
 func readSegment(path string) (segmentReplay, error) {
-	var rep segmentReplay
 	data, err := os.ReadFile(path)
 	if err != nil {
+		return segmentReplay{}, err
+	}
+	return scanSegment(path, data)
+}
+
+// scanSegment is readSegment over a segment image already in memory; path
+// only names the segment in errors.
+func scanSegment(path string, data []byte) (segmentReplay, error) {
+	var rep segmentReplay
+	var err error
+	rep.size = int64(len(data))
+	if rep.v1, err = checkSegmentMagic(path, data); err != nil {
 		return rep, err
 	}
-	rep.size = int64(len(data))
 	if len(data) < len(walMagic) {
 		rep.droppedBytes = int64(len(data))
 		return rep, nil
-	}
-	if string(data[:len(walMagic)]) != walMagic {
-		return rep, fmt.Errorf("store: %s: bad WAL magic %q", filepath.Base(path), data[:len(walMagic)])
 	}
 	off := int64(len(walMagic))
 	rep.goodOff = off
