@@ -21,29 +21,19 @@
 //	                              (BENCH_corpus.json): repository build and
 //	                              top-K search latency — inverted-index
 //	                              retrieval vs the naive all-pairs
-//	                              MatchModels scan, plus the compiled-query
-//	                              LRU's repeated-query win — across corpus
-//	                              sizes 10/100/1000. Suite "store"
+//	                              MatchModels scan — across corpus sizes
+//	                              10/100/1000. Suite "store"
 //	                              (BENCH_store.json): durable-store WAL
 //	                              append latency per fsync policy — single
 //	                              writer and concurrent writers pitting
 //	                              fsync=always against group commit — and
 //	                              recovery (Open) latency from raw WAL vs
 //	                              binary snapshot vs the forced parse path
-//	                              across corpus sizes. Suite "serve"
-//	                              (BENCH_serve.json): serving-level load
-//	                              harness — mixed search/compose/simulate
-//	                              traffic against an sbmlserved handler —
-//	                              in-process by default, over a real TCP
-//	                              loopback listener with -socket —
-//	                              open-loop at fixed arrival rates and
-//	                              closed-loop across concurrency levels,
-//	                              percentiles from the same histograms
-//	                              /v1/metrics serves, plus scatter-gather
-//	                              rows through a gateway over 3 TCP shard
-//	                              nodes. -quick runs each benchmark once
-//	                              (CI smoke) instead of through
-//	                              testing.Benchmark.
+//	                              across corpus sizes. -quick runs each
+//	                              benchmark once (CI smoke) instead of
+//	                              through testing.Benchmark. Serving-level
+//	                              load (open and closed loop, sockets, the
+//	                              gateway) is measured by cmd/sbmlbench.
 //
 // Output is one whitespace-separated row per composition (ready for
 // gnuplot); a summary — the numbers EXPERIMENTS.md records — goes to
@@ -106,10 +96,9 @@ func run(ctx context.Context) error {
 		stride   = flag.Int("stride", 4, "corpus sampling stride for figure 8 (1 = full sweep)")
 		reps     = flag.Int("reps", 3, "repetitions per pair; the minimum is reported")
 		jsonMode = flag.Bool("json", false, "run an engine benchmark suite and write JSON")
-		suite    = flag.String("suite", "compose", "benchmark suite for -json: compose | sim | corpus | store | serve")
+		suite    = flag.String("suite", "compose", "benchmark suite for -json: compose | sim | corpus | store")
 		outPath  = flag.String("out", "", "output file for -json (default BENCH_<suite>.json)")
 		quick    = flag.Bool("quick", false, "single-iteration smoke run instead of testing.Benchmark")
-		socket   = flag.Bool("socket", false, "serve suite: drive the sweeps over a real TCP loopback listener instead of in-process ServeHTTP")
 	)
 	flag.Parse()
 	if *jsonMode {
@@ -126,10 +115,8 @@ func run(ctx context.Context) error {
 			return benchJSON(ctx, out, *quick, benchCorpus)
 		case "store":
 			return benchJSON(ctx, out, *quick, benchStore)
-		case "serve":
-			return benchServe(ctx, out, *quick, *socket)
 		default:
-			return fmt.Errorf("unknown suite %q (want compose, sim, corpus, store or serve)", *suite)
+			return fmt.Errorf("unknown suite %q (want compose, sim, corpus or store)", *suite)
 		}
 	}
 	switch *fig {
@@ -445,15 +432,9 @@ func benchCorpus(r *recorder) error {
 			return nil
 		})
 
-		// QueryCache -1: the baseline search row measures the full
-		// compile-and-retrieve path, comparable with earlier snapshots.
-		c := corpus.New(corpus.Options{Shards: 4, Workers: 4, QueryCache: -1, Match: matchOpts})
-		cached := corpus.New(corpus.Options{Shards: 4, Workers: 4, Match: matchOpts})
+		c := corpus.New(corpus.Options{Shards: 4, Workers: 4, Match: matchOpts})
 		for _, m := range models {
 			if _, err := c.Add(m); err != nil {
-				return err
-			}
-			if _, err := cached.Add(m); err != nil {
 				return err
 			}
 		}
@@ -470,38 +451,18 @@ func benchCorpus(r *recorder) error {
 			}
 			return nil
 		})
-		// The repeated-query path: every iteration after the first hits
-		// the compiled-query LRU, so this row shows what a client issuing
-		// the same query repeatedly pays.
-		r.record(fmt.Sprintf("CorpusSearch/size=%d/engine=inverted+qcache", size), func(n int) error {
-			for i := 0; i < n; i++ {
-				hits, err := cached.Search(query, sopts)
-				if err != nil {
-					return err
-				}
-				if len(hits) == 0 || hits[0].ModelID != query.ID {
-					return fmt.Errorf("cached search lost the planted hit at size %d", size)
-				}
-			}
-			return nil
-		})
-		// The cache's saving is the query compile, which scales with query
-		// size — shown once with a medium (60-node) query.
+		// Search cost grows with the query's compile, which scales with
+		// query size — shown once with a medium (60-node) query.
 		if size == 100 {
 			big := benchModel("bigquery", 60, 90, 4242)
-			for _, row := range []struct {
-				label string
-				c     *corpus.Corpus
-			}{{"inverted", c}, {"inverted+qcache", cached}} {
-				r.record(fmt.Sprintf("CorpusSearch/size=%d/query=large/engine=%s", size, row.label), func(n int) error {
-					for i := 0; i < n; i++ {
-						if _, err := row.c.Search(big, sopts); err != nil {
-							return err
-						}
+			r.record(fmt.Sprintf("CorpusSearch/size=%d/query=large/engine=inverted", size), func(n int) error {
+				for i := 0; i < n; i++ {
+					if _, err := c.Search(big, sopts); err != nil {
+						return err
 					}
-					return nil
-				})
-			}
+				}
+				return nil
+			})
 		}
 		r.record(fmt.Sprintf("CorpusSearch/size=%d/engine=allpairs", size), func(n int) error {
 			for i := 0; i < n; i++ {

@@ -34,11 +34,11 @@ type SearchOptions = corpuspkg.SearchOptions
 // Hit is one ranked search result with per-component match evidence.
 type Hit = corpuspkg.Hit
 
-// CompiledQuery is a query model's derived match state — canonical bytes
-// plus tiered component keys — compiled once with Corpus.CompileQuery and
-// reusable across Corpus.SearchCompiled / SearchCompiledContext calls.
-// Rankings are identical to Search on the original model; only the
-// per-call parse and key derivation are skipped.
+// CompiledQuery is a query model's derived match state — its tiered
+// component keys plus the matchable-component denominator — compiled once
+// with Corpus.CompileQuery and reusable across Corpus.SearchCompiled /
+// SearchCompiledContext calls. Rankings are identical to Search on the
+// original model; only the per-call key derivation is skipped.
 type CompiledQuery = corpuspkg.CompiledQuery
 
 // MatchEvidence is one component correspondence supporting a Hit.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sbmlcompose/internal/biomodels"
@@ -97,4 +99,81 @@ func TestMatchKeyFingerprint(t *testing.T) {
 	if f, g := (Options{}).MatchKeyFingerprint(), (Options{Synonyms: synonym.NewTable()}).MatchKeyFingerprint(); f != g {
 		t.Fatalf("nil table and empty table disagree: %x vs %x", f, g)
 	}
+}
+
+// FuzzDecodeMatchKeys holds the match-keys codec — the bytes of sbsnap-2
+// keys sections, keyed WAL records and replication chunks — to the
+// decoder rule: arbitrary blobs never panic, an accepted blob stops being
+// accepted once a byte is appended, whatever decodes re-encodes to the
+// same keys, and keys built from any input round-trip exactly. It is
+// seeded with the encoded keys of generated models.
+func FuzzDecodeMatchKeys(f *testing.F) {
+	for i := 0; i < 4; i++ {
+		keys, err := MatchKeysFor(biomodels.Generate(biomodels.Config{
+			ID:             fmt.Sprintf("fz%d", i),
+			Nodes:          2 + 3*i,
+			Edges:          1 + 4*i,
+			Seed:           int64(600 + i),
+			VocabularySize: 20,
+			Decorate:       i%2 == 0,
+		}), Options{Synonyms: synonym.Builtin()})
+		if err != nil {
+			f.Fatal(err)
+		}
+		blob := EncodeMatchKeys(keys)
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+	}
+	f.Add(EncodeMatchKeys(nil))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		built := keysFromBytes(blob)
+		again, err := DecodeMatchKeys(EncodeMatchKeys(built))
+		if err != nil {
+			t.Fatalf("encoded keys do not decode: %v (%+v)", err, built)
+		}
+		if !slices.Equal(again, built) {
+			t.Fatalf("decode(encode(keys)) != keys:\n got %+v\nwant %+v", again, built)
+		}
+
+		keys, err := DecodeMatchKeys(blob)
+		if err != nil {
+			return
+		}
+		if _, err := DecodeMatchKeys(append(blob[:len(blob):len(blob)], 0)); err == nil {
+			t.Fatal("an accepted blob still decodes with a trailing byte appended")
+		}
+		for _, k := range keys {
+			if k.Tier < TierExactID || k.Tier > TierUnit {
+				t.Fatalf("accepted out-of-range tier %d", k.Tier)
+			}
+		}
+		enc := EncodeMatchKeys(keys)
+		if len(enc) > len(blob) {
+			t.Fatalf("accepted blob of %d bytes re-encodes to %d", len(blob), len(enc))
+		}
+		again, err = DecodeMatchKeys(enc)
+		if err != nil {
+			t.Fatalf("re-encoded keys do not decode: %v (%+v)", err, keys)
+		}
+		if !slices.Equal(again, keys) {
+			t.Fatalf("accepted keys change across a round trip:\n got %+v\nwant %+v", again, keys)
+		}
+	})
+}
+
+// keysFromBytes builds a key set from arbitrary bytes: NUL-separated
+// fields taken three at a time as component, kind and key, with the tier
+// drawn from the component's length.
+func keysFromBytes(b []byte) []ComponentKey {
+	fields := bytes.Split(b, []byte{0})
+	var keys []ComponentKey
+	for i := 0; i+2 < len(fields); i += 3 {
+		keys = append(keys, ComponentKey{
+			Component: string(fields[i]),
+			Kind:      string(fields[i+1]),
+			Key:       string(fields[i+2]),
+			Tier:      KeyTier(len(fields[i]) % int(TierUnit+1)),
+		})
+	}
+	return keys
 }

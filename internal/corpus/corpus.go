@@ -117,11 +117,6 @@ type Options struct {
 	Shards int
 	// Workers caps the Search scoring pool; 0 or less means GOMAXPROCS.
 	Workers int
-	// QueryCache bounds the LRU of compiled query models Search keeps,
-	// keyed by the query's canonical SBML bytes, so repeated identical
-	// queries skip recompilation (the PR 3 hot spot). 0 defaults to 32;
-	// negative disables the cache.
-	QueryCache int
 	// Match configures compilation and matching (semantics level, synonym
 	// table, index kind) for every model in the corpus.
 	Match core.Options
@@ -133,9 +128,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.QueryCache == 0 {
-		o.QueryCache = 32
 	}
 	return o
 }
@@ -278,9 +270,8 @@ type shard struct {
 // Corpus is the sharded repository. All methods are safe for concurrent
 // use.
 type Corpus struct {
-	opts    Options
-	shards  []*shard
-	queries *queryCache
+	opts   Options
+	shards []*shard
 	// persister, when non-nil, is called under the shard write lock before
 	// every mutation becomes visible; see SetPersister.
 	persister Persister
@@ -295,9 +286,6 @@ func New(opts Options) *Corpus {
 			entries: make(map[string]*entry),
 			inv:     make(map[string][]posting),
 		}
-	}
-	if opts.QueryCache > 0 {
-		c.queries = newQueryCache(opts.QueryCache)
 	}
 	return c
 }
@@ -663,32 +651,6 @@ func (c *Corpus) CheckPropertyContext(ctx context.Context, id string, formula st
 	return mc2.Check(tr, f)
 }
 
-// compileQuery returns the query's match keys and matchable-component
-// count, through the compiled-query LRU when one is configured: repeated
-// identical queries (same canonical SBML bytes) skip recompilation. The
-// cached values are read-only and shared safely across concurrent
-// Searches.
-func (c *Corpus) compileQuery(query *sbml.Model) ([]core.ComponentKey, int, error) {
-	if c.queries == nil {
-		qcm, err := core.Compile(query, c.opts.Match)
-		if err != nil {
-			return nil, 0, err
-		}
-		return qcm.MatchKeys(), qcm.MatchableComponents(), nil
-	}
-	key := string(canonicalBytes(query))
-	if cq, ok := c.queries.Get(key); ok {
-		return cq.keys, cq.denom, nil
-	}
-	qcm, err := core.Compile(query, c.opts.Match)
-	if err != nil {
-		return nil, 0, err
-	}
-	cq := &cachedQuery{keys: qcm.MatchKeys(), denom: qcm.MatchableComponents()}
-	c.queries.Put(key, cq)
-	return cq.keys, cq.denom, nil
-}
-
 // CompiledQuery is a query compiled once for repeated searches: the match
 // keys and the matchable-component denominator, everything ranking
 // consumes. It is immutable and safe to share across concurrent
@@ -699,20 +661,19 @@ type CompiledQuery struct {
 	denom int
 }
 
-// CompileQuery compiles a query model for SearchCompiled, through the
-// compiled-query LRU when one is configured. Callers that key their own
-// cache more cheaply than by canonical bytes (the HTTP server keys on raw
-// request bytes) hold the result and skip both serialization and
-// compilation on a hit.
+// CompileQuery compiles a query model for SearchCompiled. Callers that
+// search with the same query repeatedly hold the result and skip
+// compilation on every later call; the HTTP server caches it keyed on raw
+// request bytes.
 func (c *Corpus) CompileQuery(query *sbml.Model) (*CompiledQuery, error) {
 	if query == nil {
 		return nil, fmt.Errorf("corpus: CompileQuery requires a non-nil query")
 	}
-	keys, denom, err := c.compileQuery(query)
+	qcm, err := core.Compile(query, c.opts.Match)
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledQuery{keys: keys, denom: denom}, nil
+	return &CompiledQuery{keys: qcm.MatchKeys(), denom: qcm.MatchableComponents()}, nil
 }
 
 // SearchCompiled ranks the corpus against an already compiled query; see
@@ -760,12 +721,12 @@ func (c *Corpus) SearchContext(ctx context.Context, query *sbml.Model, opts Sear
 		return nil, err
 	}
 	sp := obs.FromContext(ctx).Start("compile")
-	qkeys, denom, err := c.compileQuery(query)
+	cq, err := c.CompileQuery(query)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return c.rank(ctx, qkeys, denom, opts)
+	return c.rank(ctx, cq.keys, cq.denom, opts)
 }
 
 // rank is the shared post-compile body of SearchContext and

@@ -16,7 +16,7 @@ import (
 // numbers are directly comparable with BENCH_corpus.json rows.
 func benchCorpus100(b *testing.B) (*Corpus, *sbml.Model) {
 	b.Helper()
-	c := New(Options{Shards: 4, Workers: 4, QueryCache: -1, Match: core.Options{Synonyms: synonym.Builtin()}})
+	c := New(Options{Shards: 4, Workers: 4, Match: core.Options{Synonyms: synonym.Builtin()}})
 	var query *sbml.Model
 	for i := 0; i < 100; i++ {
 		m := biomodels.Generate(biomodels.Config{

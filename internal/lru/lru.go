@@ -1,5 +1,5 @@
 // Package lru provides the one mutex-guarded LRU cache shape shared by
-// the facade's compiled-engine cache and the corpus's compiled-query
+// the HTTP server's raw-body search cache and the Client's compiled-engine
 // cache: string keys, most-recently-used at the front, eviction past a
 // fixed capacity. Values must be safe to share between goroutines after
 // insertion (both users cache immutable compiled artifacts).

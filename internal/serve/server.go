@@ -3,9 +3,9 @@
 // simulation engines) exposed as a versioned JSON query service, with
 // per-route latency histograms, stage tracing, request IDs, and
 // Prometheus text exposition at GET /v1/metrics. It lives as a library
-// rather than inside cmd/sbmlserved so the serving-level load harness in
-// cmd/benchfig can drive a fully wired in-process server through
-// httptest, measuring exactly what production serves.
+// rather than inside cmd/sbmlserved so the gateway tests and
+// cmd/sbmlbench can run fully wired servers in-process, measuring
+// exactly what production serves.
 //
 // The API is versioned under /v1/ with typed JSON requests and responses:
 //
@@ -36,10 +36,8 @@
 // breakdown (decode, cache lookup, parse, compile, retrieval, scoring,
 // merge, ...), so one line explains where a slow search went.
 //
-// The legacy unversioned routes (POST /models, /search, ...) respond
-// with a permanent redirect to their /v1/ equivalents (308 for
-// method-bearing requests, 301 for GET/HEAD). GET /healthz keeps
-// answering in place for liveness probes.
+// The one unversioned route is GET /healthz, identical to GET
+// /v1/healthz, for liveness probes.
 //
 // Request handlers run under the request context capped by
 // Config.RequestTimeout; context terminations map to 408 (server-side
@@ -225,22 +223,7 @@ func New(c *sbmlcompose.Corpus, cfg Config) *Server {
 	s.route("GET /v1/healthz", "healthz", s.handleHealthz)
 	s.route("GET /v1/metrics", "metrics", s.handleMetrics)
 
-	// Legacy unversioned API routes moved permanently to /v1/. The
-	// redirect carries the method-specific pattern so an unknown
-	// path/method still 404/405s instead of bouncing.
-	for _, pattern := range []string{
-		"POST /models",
-		"DELETE /models/{id}",
-		"POST /search",
-		"POST /compose",
-		"POST /simulate",
-		"POST /check",
-		"POST /snapshot",
-	} {
-		s.mux.HandleFunc(pattern, redirectV1)
-	}
-	// Liveness probes don't follow redirects; /healthz keeps answering in
-	// place, identically to /v1/healthz.
+	// Liveness probes poll the unversioned /healthz.
 	s.route("GET /healthz", "healthz_legacy", s.handleHealthz)
 
 	if cfg.Pprof {
@@ -464,24 +447,6 @@ func (c *stageCache) get(name string) *obs.Histogram {
 		obs.LatencyBuckets(), obs.L("stage", name))
 	c.dyn.Store(name, h)
 	return h
-}
-
-// redirectV1 permanently redirects a legacy route to its /v1 equivalent,
-// preserving the remaining path and the query string. GET/HEAD use the
-// classic 301; everything else uses 308 Permanent Redirect, because
-// clients rewrite a 301'd POST into a body-less GET (Go's http.Client,
-// curl -L) — the redirect must preserve method and body for a legacy
-// POST /search caller that follows it to keep working.
-func redirectV1(w http.ResponseWriter, r *http.Request) {
-	target := "/v1" + r.URL.Path
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
-	status := http.StatusPermanentRedirect
-	if r.Method == http.MethodGet || r.Method == http.MethodHead {
-		status = http.StatusMovedPermanently
-	}
-	http.Redirect(w, r, target, status)
 }
 
 // BeginShutdown wakes in-flight replication long-polls so the drain

@@ -1,7 +1,7 @@
 package serve
 
 // Tests for the /v1 surface added by the context-aware API redesign:
-// legacy-route redirects, pagination inside the ranking merge, the
+// the removed unversioned routes, pagination inside the ranking merge, the
 // per-request deadline (408) and client-disconnect (499) error mapping,
 // and the /healthz in-flight gauge. The cancellation tests double as the
 // proof that a dropped connection frees the worker pool: in-flight must
@@ -18,83 +18,35 @@ import (
 	"time"
 )
 
-func TestLegacyRoutesRedirectToV1(t *testing.T) {
+// TestLegacyRoutesAreGone pins that the unversioned API routes answer
+// 404 with no redirect, while GET /healthz, which liveness probes poll,
+// still answers.
+func TestLegacyRoutesAreGone(t *testing.T) {
 	s := testServer()
-	for _, tc := range []struct {
-		method, path, want string
-	}{
-		{"POST", "/models?id=x", "/v1/models?id=x"},
-		{"DELETE", "/models/some_id", "/v1/models/some_id"},
-		{"POST", "/search", "/v1/search"},
-		{"POST", "/compose", "/v1/compose"},
-		{"POST", "/simulate", "/v1/simulate"},
-		{"POST", "/check", "/v1/check"},
-		{"POST", "/snapshot", "/v1/snapshot"},
+	for _, tc := range []struct{ method, path string }{
+		{"POST", "/models?id=x"},
+		{"DELETE", "/models/some_id"},
+		{"POST", "/search"},
+		{"POST", "/compose"},
+		{"POST", "/simulate"},
+		{"POST", "/check"},
+		{"POST", "/snapshot"},
+		{"GET", "/metrics"},
 	} {
 		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(""))
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
-		// Method-bearing requests get 308 so a following client re-sends
-		// the same method and body; only GET/HEAD may use 301.
-		if rec.Code != http.StatusPermanentRedirect {
-			t.Errorf("%s %s: %d, want 308", tc.method, tc.path, rec.Code)
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s: %d, want 404", tc.method, tc.path, rec.Code)
 		}
-		if loc := rec.Header().Get("Location"); loc != tc.want {
-			t.Errorf("%s %s: Location %q, want %q", tc.method, tc.path, loc, tc.want)
+		if loc := rec.Header().Get("Location"); loc != "" {
+			t.Errorf("%s %s: Location %q, want none", tc.method, tc.path, loc)
 		}
 	}
 
-	// /healthz is the one legacy route that still answers in place:
-	// liveness probes don't follow redirects.
 	rec, payload := do(t, s, "GET", "/healthz", "")
 	if rec.Code != http.StatusOK || payload["status"] != "ok" {
 		t.Fatalf("GET /healthz: %d %v", rec.Code, payload)
-	}
-}
-
-// TestLegacyClientFollowsRedirect proves backward compatibility end to
-// end: an unmodified legacy client POSTing to the old routes through a
-// redirect-following http.Client must still succeed — the 308 preserves
-// the method and body across the hop.
-func TestLegacyClientFollowsRedirect(t *testing.T) {
-	s := testServer()
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-
-	resp, err := http.Post(srv.URL+"/models", "application/xml", strings.NewReader(modelXML("legacy_m", 600)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("legacy POST /models through redirect: %d", resp.StatusCode)
-	}
-
-	body := jsonBody(t, map[string]any{"sbml": modelXML("legacy_m", 600), "top_k": 1})
-	resp2, err := http.Post(srv.URL+"/search", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("legacy POST /search through redirect: %d", resp2.StatusCode)
-	}
-	var payload map[string]any
-	if err := json.NewDecoder(resp2.Body).Decode(&payload); err != nil {
-		t.Fatal(err)
-	}
-	if hits := payload["hits"].([]any); len(hits) != 1 {
-		t.Fatalf("legacy search through redirect returned %d hits", len(hits))
-	}
-
-	req, _ := http.NewRequest("DELETE", srv.URL+"/models/legacy_m", nil)
-	resp3, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusNoContent {
-		t.Fatalf("legacy DELETE through redirect: %d", resp3.StatusCode)
 	}
 }
 
