@@ -55,6 +55,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -136,6 +137,10 @@ type benchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	// LiveHeapMB, on rows that measure it, is the live heap the operation
+	// leaves behind: the heap marked live by a full collection with its
+	// result still held, less the heap before it ran.
+	LiveHeapMB float64 `json:"live_heap_mb,omitempty"`
 }
 
 // benchReport is the BENCH_compose.json schema.
@@ -201,6 +206,40 @@ func (r *recorder) record(name string, fn func(n int) error) {
 	}
 	r.report.Results = append(r.report.Results, res)
 	fmt.Fprintf(os.Stderr, "%-56s %14.0f ns/op\n", name, res.NsPerOp)
+}
+
+// liveHeap sets the named row's LiveHeapMB: the live heap after open
+// returns, with whatever it opened still held, less the live heap before
+// it. The release func open returns runs after the measurement.
+func (r *recorder) liveHeap(name string, open func() (release func() error, err error)) error {
+	if r.err != nil {
+		return nil
+	}
+	base := liveHeapBytes()
+	release, err := open()
+	if err != nil {
+		return fmt.Errorf("%s: live heap: %w", name, err)
+	}
+	mb := float64(liveHeapBytes()-base) / 1e6
+	if err := release(); err != nil {
+		return fmt.Errorf("%s: live heap: %w", name, err)
+	}
+	for i := range r.report.Results {
+		if r.report.Results[i].Name == name {
+			r.report.Results[i].LiveHeapMB = mb
+		}
+	}
+	fmt.Fprintf(os.Stderr, "%-56s %14.2f MB live heap\n", name, mb)
+	return nil
+}
+
+// liveHeapBytes runs a full collection and returns the heap it marked
+// live.
+func liveHeapBytes() int64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
 }
 
 // benchJSON runs a suite and writes machine-readable results. A
@@ -513,7 +552,7 @@ func benchStore(r *recorder) error {
 		r.record(fmt.Sprintf("WALAppend/fsync=%s", policy), func(n int) error {
 			for i := 0; i < n; i++ {
 				seq++
-				if err := s.PersistAddKeys(fmt.Sprintf("m%09d", seq), blob, keys); err != nil {
+				if _, err := s.PersistAddKeys(fmt.Sprintf("m%09d", seq), blob, keys); err != nil {
 					return err
 				}
 			}
@@ -560,7 +599,7 @@ func benchStore(r *recorder) error {
 					go func() {
 						defer wg.Done()
 						for i := 0; i < per; i++ {
-							if err := s.PersistAddKeys(fmt.Sprintf("c%09d", seq.Add(1)), blob, keys); err != nil {
+							if _, err := s.PersistAddKeys(fmt.Sprintf("c%09d", seq.Add(1)), blob, keys); err != nil {
 								errs <- err
 								return
 							}
@@ -633,7 +672,8 @@ func benchStore(r *recorder) error {
 			defer os.RemoveAll(dir)
 			openOpts := ropts
 			openOpts.RecoveryParseOnly = src.parseOnly
-			r.record(fmt.Sprintf("StoreRecovery/models=%d/source=%s", size, src.name), func(n int) error {
+			row := fmt.Sprintf("StoreRecovery/models=%d/source=%s", size, src.name)
+			r.record(row, func(n int) error {
 				for i := 0; i < n; i++ {
 					s, err := store.Open(dir, openOpts)
 					if err != nil {
@@ -648,6 +688,17 @@ func benchStore(r *recorder) error {
 				}
 				return nil
 			})
+			if size == 1000 {
+				if err := r.liveHeap(row, func() (func() error, error) {
+					s, err := store.Open(dir, openOpts)
+					if err != nil {
+						return nil, err
+					}
+					return s.Close, nil
+				}); err != nil {
+					return err
+				}
+			}
 		}
 
 		snapDir, err := prepare(true)

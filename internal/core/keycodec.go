@@ -45,11 +45,13 @@ func EncodeMatchKeys(keys []ComponentKey) []byte {
 }
 
 // DecodeMatchKeys parses an EncodeMatchKeys blob. Any structural problem
-// — truncation, over-long lengths, an out-of-range tier, trailing bytes —
-// is an error; callers treat a failed decode as "no precompiled keys" and
-// re-derive from the model.
+// — truncation, over-long lengths, a non-minimal varint, an out-of-range
+// tier, trailing bytes — is an error; callers treat a failed decode as "no
+// precompiled keys" and re-derive from the model. The decoded keys share
+// strings the way MatchKeys' do: a known kind is its Kind constant, and
+// consecutive keys of one component share one Component string.
 func DecodeMatchKeys(data []byte) ([]ComponentKey, error) {
-	count, n := binary.Uvarint(data)
+	count, n := Uvarint(data)
 	if n <= 0 {
 		return nil, fmt.Errorf("core: match keys: bad count varint")
 	}
@@ -60,29 +62,24 @@ func DecodeMatchKeys(data []byte) ([]ComponentKey, error) {
 		// allocation request.
 		return nil, fmt.Errorf("core: match keys: count %d exceeds blob size", count)
 	}
-	readStr := func() (string, error) {
-		l, n := binary.Uvarint(data)
+	var err error
+	field := func() []byte {
+		l, n := Uvarint(data)
 		if n <= 0 || uint64(len(data[n:])) < l {
-			return "", fmt.Errorf("core: match keys: truncated string")
+			err = fmt.Errorf("core: match keys: truncated string")
+			return nil
 		}
-		s := string(data[n : n+int(l)])
+		b := data[n : n+int(l)]
 		data = data[n+int(l):]
-		return s, nil
+		return b
 	}
 	keys := make([]ComponentKey, 0, count)
 	for i := uint64(0); i < count; i++ {
-		var k ComponentKey
-		var err error
-		if k.Component, err = readStr(); err != nil {
+		comp, kind, key := field(), field(), field()
+		if err != nil {
 			return nil, err
 		}
-		if k.Kind, err = readStr(); err != nil {
-			return nil, err
-		}
-		if k.Key, err = readStr(); err != nil {
-			return nil, err
-		}
-		tier, n := binary.Uvarint(data)
+		tier, n := Uvarint(data)
 		if n <= 0 {
 			return nil, fmt.Errorf("core: match keys: truncated tier")
 		}
@@ -90,13 +87,45 @@ func DecodeMatchKeys(data []byte) ([]ComponentKey, error) {
 		if tier > uint64(TierUnit) {
 			return nil, fmt.Errorf("core: match keys: tier %d out of range", tier)
 		}
-		k.Tier = KeyTier(tier)
+		k := ComponentKey{Component: string(comp), Kind: internKind(kind), Key: string(key), Tier: KeyTier(tier)}
+		if last := len(keys) - 1; last >= 0 && keys[last].Component == string(comp) {
+			k.Component = keys[last].Component
+		}
 		keys = append(keys, k)
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("core: match keys: %d trailing bytes", len(data))
 	}
 	return keys, nil
+}
+
+// internKind returns the Kind constant spelled by b, or a fresh string
+// for a kind this build does not know.
+func internKind(b []byte) string {
+	switch string(b) {
+	case KindCompartment:
+		return KindCompartment
+	case KindSpecies:
+		return KindSpecies
+	case KindFunction:
+		return KindFunction
+	case KindUnitDef:
+		return KindUnitDef
+	case KindReaction:
+		return KindReaction
+	}
+	return string(b)
+}
+
+// Uvarint is binary.Uvarint restricted to minimal encodings: a value
+// written with padding continuation bytes reports n <= 0, so every
+// accepted varint re-encodes to the bytes it was read from.
+func Uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -n
+	}
+	return v, n
 }
 
 // MatchKeyFingerprint hashes the parts of the options that key derivation

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"sbmlcompose/internal/biomodels"
 	"sbmlcompose/internal/synonym"
@@ -73,6 +74,45 @@ func TestMatchKeyCodecRejectsCorruption(t *testing.T) {
 	bad := EncodeMatchKeys([]ComponentKey{{Component: "x", Kind: "species", Key: "s|id:x@c", Tier: KeyTier(9)}})
 	if _, err := DecodeMatchKeys(bad); err == nil {
 		t.Fatal("out-of-range tier not rejected")
+	}
+	// A padded varint (0 written as 0x80 0x00) must error: accepting it
+	// would let a blob decode to keys that re-encode to other bytes.
+	one := EncodeMatchKeys([]ComponentKey{{Component: "x", Kind: KindSpecies, Key: "s|id:x@c", Tier: TierExactID}})
+	padded := append(one[:len(one)-1:len(one)-1], 0x80, 0x00)
+	if _, err := DecodeMatchKeys(padded); err == nil {
+		t.Fatal("padded tier varint not rejected")
+	}
+}
+
+// TestDecodeMatchKeysSharesStrings pins what installed keys cost: a
+// decoded key's kind is the Kind constant itself, and consecutive keys of
+// one component share one Component string, as MatchKeys' keys do.
+func TestDecodeMatchKeysSharesStrings(t *testing.T) {
+	keys, err := MatchKeysFor(biomodels.Generate(biomodels.Config{
+		ID: "share", Nodes: 6, Edges: 8, Seed: 78, VocabularySize: 20, Decorate: true,
+	}), Options{Synonyms: synonym.Builtin()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeMatchKeys(EncodeMatchKeys(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := []string{KindCompartment, KindSpecies, KindFunction, KindUnitDef, KindReaction}
+	runs := 0
+	for i, k := range got {
+		if !slices.ContainsFunc(kinds, func(c string) bool { return unsafe.StringData(c) == unsafe.StringData(k.Kind) }) {
+			t.Fatalf("key %d: kind %q is not a Kind constant", i, k.Kind)
+		}
+		if i > 0 && k.Component == got[i-1].Component {
+			runs++
+			if unsafe.StringData(k.Component) != unsafe.StringData(got[i-1].Component) {
+				t.Fatalf("keys %d and %d of component %q hold separate strings", i-1, i, k.Component)
+			}
+		}
+	}
+	if runs == 0 {
+		t.Fatal("no component emitted two consecutive keys; the check is vacuous")
 	}
 }
 

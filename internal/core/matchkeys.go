@@ -67,6 +67,18 @@ func (t KeyTier) Weight() float64 {
 	}
 }
 
+// The component kinds, the values of ComponentKey.Kind. MatchKeys emits
+// only these, and DecodeMatchKeys hands back these very strings for them,
+// so installed keys share five kind strings instead of holding one copy
+// each.
+const (
+	KindCompartment = "compartment"
+	KindSpecies     = "species"
+	KindFunction    = "function"
+	KindUnitDef     = "unitdef"
+	KindReaction    = "reaction"
+)
+
 // ComponentKey is one match key of one model component, namespaced by
 // component kind so a species name never collides with a math pattern in a
 // shared inverted index.
@@ -74,8 +86,7 @@ type ComponentKey struct {
 	// Component is the component's id in its model (constraints, which have
 	// no id, are keyed by a positional label).
 	Component string
-	// Kind is the component family: "species", "reaction", "compartment",
-	// "function" or "unitdef".
+	// Kind is the component family, one of the Kind constants.
 	Kind string
 	// Key is the kind-prefixed match key.
 	Key string
@@ -93,9 +104,9 @@ func (cm *CompiledModel) MatchKeys() []ComponentKey {
 	opts := cm.opts
 	keys := make([]ComponentKey, 0, 3*len(m.Species)+2*len(m.Reactions)+len(m.FunctionDefinitions)+len(m.UnitDefinitions)+2*len(m.Compartments))
 	for _, comp := range m.Compartments {
-		keys = append(keys, ComponentKey{comp.ID, "compartment", "c|id:" + comp.ID, TierExactID})
+		keys = append(keys, ComponentKey{comp.ID, KindCompartment, "c|id:" + comp.ID, TierExactID})
 		if comp.Name != "" && opts.Semantics != NoSemantics {
-			keys = append(keys, ComponentKey{comp.ID, "compartment", "c|n:" + canonicalNameFor(opts, comp.Name), TierSynonym})
+			keys = append(keys, ComponentKey{comp.ID, KindCompartment, "c|n:" + canonicalNameFor(opts, comp.Name), TierSynonym})
 		}
 	}
 	for _, s := range m.Species {
@@ -106,19 +117,19 @@ func (cm *CompiledModel) MatchKeys() []ComponentKey {
 			if i == 0 {
 				tier = TierExactID
 			}
-			keys = append(keys, ComponentKey{s.ID, "species", "s|" + k, tier})
+			keys = append(keys, ComponentKey{s.ID, KindSpecies, "s|" + k, tier})
 		}
 	}
 	for _, f := range m.FunctionDefinitions {
-		keys = append(keys, ComponentKey{f.ID, "function", "f|" + mathKeyFor(opts, f.Math), TierMath})
+		keys = append(keys, ComponentKey{f.ID, KindFunction, "f|" + mathKeyFor(opts, f.Math), TierMath})
 	}
 	for _, u := range m.UnitDefinitions {
-		keys = append(keys, ComponentKey{u.ID, "unitdef", "u|" + unitKey(u), TierUnit})
+		keys = append(keys, ComponentKey{u.ID, KindUnitDef, "u|" + unitKey(u), TierUnit})
 	}
 	for _, r := range m.Reactions {
-		keys = append(keys, ComponentKey{r.ID, "reaction", "r|st:" + reactionStructureKey(r), TierExactID})
+		keys = append(keys, ComponentKey{r.ID, KindReaction, "r|st:" + reactionStructureKey(r), TierExactID})
 		if r.KineticLaw != nil && r.KineticLaw.Math != nil {
-			keys = append(keys, ComponentKey{r.ID, "reaction", "r|kl:" + mathKeyFor(opts, r.KineticLaw.Math), TierMath})
+			keys = append(keys, ComponentKey{r.ID, KindReaction, "r|kl:" + mathKeyFor(opts, r.KineticLaw.Math), TierMath})
 		}
 	}
 	return keys

@@ -16,7 +16,7 @@ import (
 // batches exactly as it does for single mutations.
 
 // BatchOp is one mutation of an ApplyBatch call: a precompiled add
-// (canonical bytes plus derived keys, like PrecompiledModel) or a
+// (canonical serialization plus derived keys, like PrecompiledModel) or a
 // removal. Seq, when non-zero, is the externally assigned sequence
 // number forwarded to the batch persister — the replication path
 // preserves the primary's numbering.
@@ -24,10 +24,12 @@ type BatchOp struct {
 	Remove bool
 	Seq    uint64
 	ID     string
-	// SBML is the model's canonical serialization (adds only).
-	SBML []byte
-	// Keys are the match keys derived from SBML under the corpus's match
-	// options. The entry compiles lazily on first structural use.
+	// Doc is the model's canonical serialization (adds only). The batch
+	// persister replaces it with a Doc that reads the logged copy back.
+	Doc Doc
+	// Keys are the match keys derived from Doc under the corpus's match
+	// options; ownership passes to the corpus. The entry compiles lazily
+	// on first structural use.
 	Keys []core.ComponentKey
 }
 
@@ -39,7 +41,9 @@ type BatchOp struct {
 type BatchPersister interface {
 	Persister
 	// PersistBatch logs every op, all-or-nothing, under the same
-	// "before the mutation becomes visible" contract as PersistAdd.
+	// "before the mutation becomes visible" contract as PersistAdd. On
+	// success it sets each add's ops[i].Doc to a Doc reading the logged
+	// bytes, which the installed entry keeps.
 	PersistBatch(ops []BatchOp) error
 }
 
@@ -72,7 +76,7 @@ func (c *Corpus) ApplyBatch(ops []BatchOp) error {
 		if ops[i].ID == "" {
 			return fmt.Errorf("corpus: batch op %d has no id", i)
 		}
-		if !ops[i].Remove && len(ops[i].SBML) == 0 {
+		if !ops[i].Remove && ops[i].Doc == nil {
 			return fmt.Errorf("corpus: batch add %q has no canonical bytes", ops[i].ID)
 		}
 	}
@@ -110,7 +114,7 @@ func (c *Corpus) ApplyBatch(ops []BatchOp) error {
 			sh.removeLocked(op.ID)
 			continue
 		}
-		sh.install(&entry{id: op.ID, keys: op.Keys, sbml: op.SBML, match: c.opts.Match})
+		sh.install(c.newEntry(op.ID, op.Keys, op.Doc))
 	}
 	return nil
 }
@@ -129,7 +133,7 @@ func (c *Corpus) ReplaceAll(models []PrecompiledModel, before func()) error {
 		if models[i].ID == "" {
 			return fmt.Errorf("corpus: replacement model %d has no id", i)
 		}
-		if len(models[i].SBML) == 0 {
+		if models[i].Doc == nil {
 			return fmt.Errorf("corpus: replacement model %q has no canonical bytes", models[i].ID)
 		}
 		if seen[models[i].ID] {
@@ -147,7 +151,7 @@ func (c *Corpus) ReplaceAll(models []PrecompiledModel, before func()) error {
 	}
 	for i := range models {
 		p := &models[i]
-		c.shardFor(p.ID).install(&entry{id: p.ID, keys: p.Keys, sbml: p.SBML, match: c.opts.Match})
+		c.shardFor(p.ID).install(c.newEntry(p.ID, p.Keys, p.Doc))
 	}
 	return nil
 }

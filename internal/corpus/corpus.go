@@ -33,6 +33,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sbmlcompose/internal/core"
 	"sbmlcompose/internal/mc2"
@@ -72,30 +73,53 @@ type Persister interface {
 }
 
 // KeyPersister is a Persister that can log an addition together with the
-// model's match keys, so recovery installs the model without parsing it.
-// Add and AddPrecompiled use it whenever the attached persister
-// implements it.
+// model's match keys, so recovery installs the model without parsing it,
+// and that keeps the logged bytes readable: the Doc it returns reads them
+// back, so the entry need not hold them. Add and AddPrecompiled use it
+// whenever the attached persister implements it.
 type KeyPersister interface {
 	Persister
 	// PersistAddKeys is PersistAdd plus keys, the model's match keys
-	// under the corpus's match options; the slice is read-only.
-	PersistAddKeys(id string, sbmlBytes []byte, keys []core.ComponentKey) error
+	// under the corpus's match options (the slice is read-only). The
+	// returned Doc reads sbmlBytes back from the log; the corpus keeps it
+	// in their place.
+	PersistAddKeys(id string, sbmlBytes []byte, keys []core.ComponentKey) (Doc, error)
 }
 
-// persistAdd logs an addition through the attached persister, with the
-// entry's keys when the persister can log them.
-func (c *Corpus) persistAdd(e *entry) error {
+// Doc is a stored model's canonical serialization, wherever it lives.
+// Bytes returns it; the caller must not modify the result. A Doc read
+// from disk verifies its bytes before returning them, so a read can fail.
+// Implementations other than Bytes must be comparable (Relocate compares
+// them with ==); the durable store's file locators are pointers.
+type Doc interface {
+	Bytes() ([]byte, error)
+}
+
+// Bytes is a Doc held in memory. It backs the entries of a corpus with no
+// persister or with a plain Persister, which cannot read its log back.
+type Bytes []byte
+
+// Bytes returns b.
+func (b Bytes) Bytes() ([]byte, error) { return b, nil }
+
+// persistAdd logs an addition of sbmlBytes through the attached persister,
+// with the entry's keys when the persister can log them, and returns the
+// Doc the entry keeps: the persister's locator, or the bytes themselves.
+func (c *Corpus) persistAdd(e *entry, sbmlBytes []byte) (Doc, error) {
 	if kp, ok := c.persister.(KeyPersister); ok {
-		return kp.PersistAddKeys(e.id, e.sbml, e.keys)
+		return kp.PersistAddKeys(e.id, sbmlBytes, e.keys)
 	}
-	return c.persister.PersistAdd(e.id, e.sbml)
+	return Bytes(sbmlBytes), c.persister.PersistAdd(e.id, sbmlBytes)
 }
 
 // ModelBlob is one stored model in canonical serialized form, the unit of
 // snapshot and replay.
 type ModelBlob struct {
-	ID   string
-	SBML []byte
+	ID string
+	// Doc is the model's canonical serialization: the entry's own Doc
+	// (for a store-backed corpus, a locator into the store's files), or
+	// Bytes rendered for the dump when the entry kept none.
+	Doc Doc
 	// Keys holds the model's derived match keys — the expensive part of
 	// Add — so a snapshot can persist them alongside the canonical bytes
 	// and recovery can skip re-derivation (AddPrecompiled). The slice is
@@ -189,28 +213,32 @@ type posting struct {
 	i int32
 }
 
-// entry is one stored model with its posted keys, its compiled form
-// (possibly lazily materialized from canonical bytes), and a lazily
-// compiled simulation engine.
+// entry is one stored model: its posted keys, a Doc for its canonical
+// serialization, its compiled form (possibly lazily materialized from the
+// Doc), and a lazily compiled simulation engine.
 //
 // Search needs only the keys — scoring is a pure function of the shared
-// postings (score.go) — so an entry recovered from a binary snapshot can
-// serve queries without ever parsing its model. The compiled model is
-// materialized on first structural use (Get, ComposeWith, Simulate,
-// CheckProperty, first snapshot render without stored bytes) from the
-// CRC-verified canonical bytes.
+// postings (score.go) — so the keys are all an entry keeps resident. An
+// entry of a store-backed corpus holds no SBML: its Doc is the store's
+// locator, which reads the bytes from the WAL segment or snapshot that
+// holds them and re-verifies their CRC on every read. The compiled model
+// is materialized on first structural use (Get, ComposeWith, Simulate,
+// CheckProperty) from the Doc; a Doc that fails its check leaves the
+// entry searchable but structurally unusable, and its bytes are never
+// parsed.
 type entry struct {
 	id string
 	// keys are the model's match keys, read-only once installed: the
 	// shard's postings point into this slice by index.
 	keys []core.ComponentKey
-	// sbml is the canonical serialization, retained when the entry was
-	// installed from persisted bytes (Add with a persister attached, or
-	// AddPrecompiled at recovery). It backs both the lazy compile and
-	// DumpConsistent — canonical bytes are pinned stable under
+	// doc is the canonical serialization: nil for an entry added with no
+	// persister attached (it keeps cm instead), Bytes under a plain
+	// Persister, otherwise the store's locator. It backs the lazy compile
+	// and DumpConsistent — canonical bytes are pinned stable under
 	// write→parse→write, so emitting them verbatim is byte-identical to
-	// re-rendering the parsed model.
-	sbml []byte
+	// re-rendering the parsed model. Relocate swaps it while readers run,
+	// hence the atomic; see loadDoc.
+	doc atomic.Pointer[Doc]
 	// match holds the corpus match options the keys were derived under,
 	// needed to compile lazily with identical semantics.
 	match core.Options
@@ -232,7 +260,12 @@ func (e *entry) compiled() (*core.CompiledModel, error) {
 		if e.cm != nil {
 			return
 		}
-		doc, err := sbml.ParseString(string(e.sbml))
+		b, err := e.loadDoc().Bytes()
+		if err != nil {
+			e.cmErr = fmt.Errorf("corpus: lazy compile %q: %w", e.id, err)
+			return
+		}
+		doc, err := sbml.ParseString(string(b))
 		if err != nil {
 			e.cmErr = fmt.Errorf("corpus: lazy compile %q: parse stored bytes: %w", e.id, err)
 			return
@@ -240,6 +273,28 @@ func (e *entry) compiled() (*core.CompiledModel, error) {
 		e.cm, e.cmErr = core.Compile(doc.Model, e.match)
 	})
 	return e.cm, e.cmErr
+}
+
+// loadDoc returns the entry's Doc, nil if it has none.
+func (e *entry) loadDoc() Doc {
+	if p := e.doc.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// setDoc replaces the entry's Doc.
+func (e *entry) setDoc(d Doc) {
+	if d != nil {
+		e.doc.Store(&d)
+	}
+}
+
+// newEntry returns an uninstalled entry under the corpus's match options.
+func (c *Corpus) newEntry(id string, keys []core.ComponentKey, doc Doc) *entry {
+	e := &entry{id: id, keys: keys, match: c.opts.Match}
+	e.setDoc(doc)
+	return e
 }
 
 // engine returns the entry's simulation engine, compiling it on first use.
@@ -320,14 +375,14 @@ func (c *Corpus) Add(m *sbml.Model) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	e := &entry{id: m.ID, cm: cm, keys: cm.MatchKeys(), match: c.opts.Match}
+	e := c.newEntry(m.ID, cm.MatchKeys(), nil)
+	e.cm = cm
 	// Serialize outside the lock: the blob is a pure function of the
 	// compiled (cloned) model, and holding the shard lock across an XML
 	// render would stall that shard's readers for no consistency gain.
-	// The blob is retained on the entry so snapshots emit it without
-	// re-rendering.
+	var blob []byte
 	if c.persister != nil {
-		e.sbml = canonicalBytes(cm.Model())
+		blob = canonicalBytes(cm.Model())
 	}
 	sh := c.shardFor(m.ID)
 	sh.mu.Lock()
@@ -339,50 +394,70 @@ func (c *Corpus) Add(m *sbml.Model) (string, error) {
 		// Log before applying: an append failure leaves both the log and
 		// the in-memory state without the model. The persisted bytes are
 		// the stored model's exact canonical form, so replay reconstructs
-		// exactly what this corpus stores.
-		if err := c.persistAdd(e); err != nil {
+		// exactly what this corpus stores; the entry keeps the Doc that
+		// reads them back, so snapshots emit them without re-rendering.
+		doc, err := c.persistAdd(e, blob)
+		if err != nil {
 			return "", fmt.Errorf("corpus: persist add %q: %w", m.ID, err)
 		}
+		e.setDoc(doc)
 	}
 	sh.install(e)
 	return m.ID, nil
 }
 
 // install publishes an entry and its inverted-index postings; the caller
-// holds the shard write lock.
+// holds the shard write lock. Each key string the shard already posts is
+// swapped for the copy its posting list holds, so the shard keeps one
+// string per distinct key however many entries emit it. The entry's keys
+// are still private here: installing is what makes them read-only.
 func (sh *shard) install(e *entry) {
 	sh.entries[e.id] = e
-	for i, k := range e.keys {
-		sh.inv[k.Key] = append(sh.inv[k.Key], posting{e: e, i: int32(i)})
+	for i := range e.keys {
+		k := &e.keys[i]
+		list := sh.inv[k.Key]
+		if len(list) > 0 {
+			k.Key = list[0].e.keys[list[0].i].Key
+		}
+		sh.inv[k.Key] = append(list, posting{e: e, i: int32(i)})
 	}
 }
 
 // PrecompiledModel is one recovery-path entry for AddPrecompiled: the
-// canonical serialized bytes plus the derived state a plain Add would have
-// computed from them. SBML must be the model's canonical serialization
-// (what a previous Add persisted) and Keys its match keys under the
-// corpus's exact match options — the durable store guards both with CRCs
-// and an options fingerprint before trusting them. The entry compiles
-// lazily from SBML on first structural use; Search works off Keys alone.
+// model's canonical serialization plus the derived state a plain Add would
+// have computed from it. Doc must read back the model's canonical
+// serialization (what a previous Add persisted) and Keys must be its match
+// keys under the corpus's exact match options — the durable store guards
+// both with CRCs and an options fingerprint before trusting them, and its
+// Docs are locators into its files, re-verified on every read. The entry
+// compiles lazily from Doc on first structural use; Search works off Keys
+// alone.
 type PrecompiledModel struct {
 	ID   string
-	SBML []byte
+	Doc  Doc
 	Keys []core.ComponentKey
 }
 
 // AddPrecompiled installs a recovered model without parsing or key
 // derivation — the fast restart path. The caller vouches for the
-// invariants documented on PrecompiledModel; ownership of the slices
+// invariants documented on PrecompiledModel; ownership of the Keys slice
 // passes to the corpus. With a persister attached the addition is logged
-// first, exactly like Add.
+// first, exactly like Add, and the entry keeps the Doc the log returns.
 func (c *Corpus) AddPrecompiled(p PrecompiledModel) error {
 	if p.ID == "" {
 		return fmt.Errorf("corpus: precompiled model has no id")
 	}
-	if len(p.SBML) == 0 {
+	if p.Doc == nil {
 		return fmt.Errorf("corpus: precompiled model %q has no canonical bytes", p.ID)
 	}
-	e := &entry{id: p.ID, keys: p.Keys, sbml: p.SBML, match: c.opts.Match}
+	e := c.newEntry(p.ID, p.Keys, p.Doc)
+	var blob []byte
+	if c.persister != nil {
+		var err error
+		if blob, err = p.Doc.Bytes(); err != nil {
+			return fmt.Errorf("corpus: precompiled model %q: %w", p.ID, err)
+		}
+	}
 	sh := c.shardFor(p.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -390,9 +465,11 @@ func (c *Corpus) AddPrecompiled(p PrecompiledModel) error {
 		return fmt.Errorf("corpus: model %q already present: %w", p.ID, ErrDuplicate)
 	}
 	if c.persister != nil {
-		if err := c.persistAdd(e); err != nil {
+		doc, err := c.persistAdd(e, blob)
+		if err != nil {
 			return fmt.Errorf("corpus: persist add %q: %w", p.ID, err)
 		}
+		e.setDoc(doc)
 	}
 	sh.install(e)
 	return nil
@@ -474,23 +551,41 @@ func (c *Corpus) DumpConsistentContext(ctx context.Context, before func()) ([]Mo
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			// Entries that carry their canonical bytes (persisted adds,
-			// recovered entries) dump them verbatim — byte-identical to a
-			// re-render by the canonical-bytes stability invariant, and it
-			// never forces a lazy entry to compile just to be snapshotted.
-			blob := ModelBlob{ID: id, SBML: e.sbml, Keys: e.keys}
-			if blob.SBML == nil {
-				cm, err := e.compiled()
-				if err != nil {
-					return nil, err
-				}
-				blob.SBML = canonicalBytes(cm.Model())
+			// Entries with a Doc (persisted adds, recovered entries) dump
+			// it as is — byte-identical to a re-render by the
+			// canonical-bytes stability invariant; the dump reads no
+			// bytes, and never forces a lazy entry to compile.
+			blob := ModelBlob{ID: id, Doc: e.loadDoc(), Keys: e.keys}
+			if blob.Doc == nil {
+				blob.Doc = Bytes(canonicalBytes(e.cm.Model()))
 			}
 			blobs = append(blobs, blob)
 		}
 	}
 	sort.Slice(blobs, func(i, j int) bool { return blobs[i].ID < blobs[j].ID })
 	return blobs, nil
+}
+
+// Relocate re-points entries at new copies of their documents — the
+// durable store calls it after compaction writes a snapshot, before it
+// deletes the files the old Docs read from. For each i, the entry stored
+// under blobs[i].ID switches to docs[i] if it still holds blobs[i].Doc (a
+// model removed or replaced since the dump keeps what it has). In-memory
+// Bytes are not relocated: they read from no file. Each shard is
+// write-locked while its entries are swapped; a lazy compile already
+// reading an old Doc finishes on it.
+func (c *Corpus) Relocate(blobs []ModelBlob, docs []Doc) {
+	for i, b := range blobs {
+		if _, inMemory := b.Doc.(Bytes); inMemory {
+			continue
+		}
+		sh := c.shardFor(b.ID)
+		sh.mu.Lock()
+		if e, ok := sh.entries[b.ID]; ok && e.loadDoc() == b.Doc {
+			e.setDoc(docs[i])
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // Len returns the number of stored models.
@@ -527,9 +622,11 @@ func (c *Corpus) Get(id string) (*sbml.Model, bool) {
 	}
 	cm, err := e.compiled()
 	if err != nil {
-		// Unreachable for entries installed through Add; a lazy entry's
-		// bytes are CRC-verified canonical output of a previous Add, and
-		// canonical bytes re-parse by construction.
+		// Unreachable for entries installed through Add. A lazy entry's
+		// bytes are canonical output of a previous Add, which re-parses by
+		// construction; what fails here is a Doc whose bytes rotted on
+		// disk and failed their CRC, and a model that cannot be read back
+		// is reported absent.
 		return nil, false
 	}
 	return cm.Snapshot(), true

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"sbmlcompose/internal/core"
 	"sbmlcompose/internal/sbml"
@@ -14,8 +16,8 @@ import (
 // checkIndex verifies a corpus's inverted index against its entries:
 // every list is non-empty; every posting points at an installed entry's
 // key under that key; each entry's postings under a key form one
-// contiguous run in its key order; and every key of every entry is posted
-// exactly once.
+// contiguous run in its key order; every posting's key shares the list's
+// one key string; and every key of every entry is posted exactly once.
 func checkIndex(c *Corpus) error {
 	for si, sh := range c.shards {
 		sh.mu.RLock()
@@ -46,6 +48,9 @@ func checkShard(sh *shard) error {
 			}
 			if got := p.e.keys[p.i].Key; got != key {
 				return fmt.Errorf("key %q: posting %d aliases %q's key %d, which is %q", key, j, p.e.id, p.i, got)
+			}
+			if unsafe.StringData(p.e.keys[p.i].Key) != unsafe.StringData(list[0].e.keys[list[0].i].Key) {
+				return fmt.Errorf("key %q: posting %d (%q's key %d) holds its own copy of the key string", key, j, p.e.id, p.i)
 			}
 			if j > 0 && list[j-1].e == p.e {
 				if list[j-1].i >= p.i {
@@ -179,7 +184,7 @@ func churnPool(t testing.TB) *churnFixture {
 			if err != nil {
 				panic(err)
 			}
-			churn.pre = append(churn.pre, PrecompiledModel{ID: m.ID, SBML: canonicalBytes(cm.Model()), Keys: cm.MatchKeys()})
+			churn.pre = append(churn.pre, PrecompiledModel{ID: m.ID, Doc: Bytes(canonicalBytes(cm.Model())), Keys: cm.MatchKeys()})
 		}
 		churn.queries = compileQueries(t, churn.opts, churn.models)
 		for _, q := range churn.models {
@@ -275,7 +280,7 @@ func FuzzSearchChurn(f *testing.F) {
 				if bad {
 					ops = append(ops, batchToggle(fx, j, !after[j]))
 				}
-				err := both(func(c *Corpus) error { return c.ApplyBatch(ops) })
+				err := both(func(c *Corpus) error { return c.ApplyBatch(ownBatch(ops)) })
 				if bad != (err != nil) {
 					t.Fatalf("ApplyBatch(%d ops, invalid=%v): %v", len(ops), bad, err)
 				}
@@ -290,7 +295,7 @@ func FuzzSearchChurn(f *testing.F) {
 						set = append(set, fx.pre[k])
 					}
 				}
-				if err := both(func(c *Corpus) error { return c.ReplaceAll(set, nil) }); err != nil {
+				if err := both(func(c *Corpus) error { return c.ReplaceAll(ownModels(set), nil) }); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -302,7 +307,7 @@ func FuzzSearchChurn(f *testing.F) {
 		var survivors []string
 		for k, p := range present {
 			if p {
-				if err := fresh.AddPrecompiled(fx.pre[k]); err != nil {
+				if err := fresh.AddPrecompiled(ownModels(fx.pre[k : k+1])[0]); err != nil {
 					t.Fatal(err)
 				}
 				survivors = append(survivors, fx.models[k].ID)
@@ -346,6 +351,25 @@ func FuzzSearchChurn(f *testing.F) {
 	})
 }
 
+// ownModels and ownBatch copy pool models' keys for one corpus: an
+// install takes ownership of the keys it is handed (it swaps their key
+// strings for the shard's), so no two corpora may share a pool slice.
+func ownModels(set []PrecompiledModel) []PrecompiledModel {
+	own := slices.Clone(set)
+	for i := range own {
+		own[i].Keys = slices.Clone(own[i].Keys)
+	}
+	return own
+}
+
+func ownBatch(ops []BatchOp) []BatchOp {
+	own := slices.Clone(ops)
+	for i := range own {
+		own[i].Keys = slices.Clone(own[i].Keys)
+	}
+	return own
+}
+
 // batchToggle returns the batch op that removes pool model k when
 // present, else adds it.
 func batchToggle(fx *churnFixture, k int, present bool) BatchOp {
@@ -353,5 +377,5 @@ func batchToggle(fx *churnFixture, k int, present bool) BatchOp {
 		return BatchOp{Remove: true, ID: fx.models[k].ID}
 	}
 	p := fx.pre[k]
-	return BatchOp{ID: p.ID, SBML: p.SBML, Keys: p.Keys}
+	return BatchOp{ID: p.ID, Doc: p.Doc, Keys: p.Keys}
 }

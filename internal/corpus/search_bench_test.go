@@ -84,7 +84,7 @@ func benchPrecompiled(b *testing.B, opts Options, n int) []PrecompiledModel {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pre[i] = PrecompiledModel{ID: m.ID, SBML: canonicalBytes(cm.Model()), Keys: cm.MatchKeys()}
+		pre[i] = PrecompiledModel{ID: m.ID, Doc: Bytes(canonicalBytes(cm.Model())), Keys: cm.MatchKeys()}
 	}
 	return pre
 }

@@ -1,20 +1,27 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 
 	"sbmlcompose/internal/core"
 	"sbmlcompose/internal/corpus"
 )
 
-// This file implements the versioned binary snapshot codec (format
-// sbsnap-2). Where the v1 format stored only each model's canonical SBML
-// bytes — forcing recovery to re-parse and re-derive match keys, the
-// dominant restart cost — v2 persists the derived state alongside them,
-// so Open installs precompiled entries and skips the XML pipeline
-// entirely.
+// This file implements the snapshot file: the binary codec (format
+// sbsnap-2) and the atomic write and load. Where the retired sbsnap-1 gob
+// format stored only each model's canonical SBML bytes — forcing recovery
+// to re-parse and re-derive match keys, the dominant restart cost — v2
+// persists the derived state alongside them, so Open installs precompiled
+// entries and skips the XML pipeline entirely.
 //
 // # Layout
 //
@@ -39,15 +46,33 @@ import (
 // The two per-entry sections fail differently, by design. The core
 // section holds the canonical bytes — the source of truth; losing it
 // loses the model, so a core CRC mismatch (or any framing damage that
-// makes the core unreachable) is a hard ErrCorruptSnapshot, like v1. The
-// keys section holds only derived state that can always be rebuilt from
-// the core bytes, so a keys CRC mismatch, an undecodable keys blob, or a
+// makes the core unreachable) is a hard ErrCorruptSnapshot. The keys
+// section holds only derived state that can always be rebuilt from the
+// core bytes, so a keys CRC mismatch, an undecodable keys blob, or a
 // whole-file fingerprint mismatch degrades that entry (or file) to the
-// parse path: slower, never wrong. An unknown magic is a hard error; the
-// v1 magic routes to the legacy gob loader, whose entries all take the
-// parse path.
+// parse path: slower, never wrong. Any other magic is a hard error,
+// including the sbsnap-1 gob format this code no longer reads.
+//
+// A core section is also what a recovered entry's locator points at
+// (doc.go): the entry keeps the section's offset, length and CRC, and
+// every later read of the model re-runs the core CRC check.
+//
+// Files are written atomically (temp file + fsync + rename) so a crash
+// mid-write leaves the previous snapshot intact.
 
-const snapMagicV2 = "sbsnap-2"
+const (
+	snapMagicV2 = "sbsnap-2"
+	// snapMagicV1 heads the legacy gob format, recognized only to refuse
+	// it with a message saying how to upgrade.
+	snapMagicV1 = "sbsnap-1"
+	// snapName is the single live snapshot file; writes replace it
+	// atomically.
+	snapName = "corpus.snap"
+)
+
+// ErrCorruptSnapshot marks an unreadable snapshot file. Recovery will not
+// guess around it: the operator must restore or delete the snapshot.
+var ErrCorruptSnapshot = errors.New("corrupt snapshot")
 
 // snapHeaderLen is the fixed header after the magic: lastSeq (8) +
 // fingerprint (8) + count (4) + headerCRC (4).
@@ -56,50 +81,77 @@ const snapHeaderLen = 24
 // snapEntry is one decoded snapshot entry. keysOK reports that the keys
 // section survived intact and was derived under the opening corpus's
 // match options; without it the entry must be re-parsed and re-derived.
+// sbml aliases the image the entry was decoded from; core locates the
+// entry's core section in that image.
 type snapEntry struct {
 	id     string
 	sbml   []byte
 	keys   []core.ComponentKey
 	keysOK bool
+	core   span
 }
 
-// snapFile is a decoded snapshot, version-independent: the v2 decoder
-// fills keys where trustworthy, the v1 loader leaves every entry on the
-// parse path.
+// snapFile is a decoded snapshot.
 type snapFile struct {
 	lastSeq     uint64
 	fingerprint uint64
 	entries     []snapEntry
 }
 
-// encodeSnapshotV2 renders the full snapshot file image (magic included).
-func encodeSnapshotV2(lastSeq, fingerprint uint64, blobs []corpus.ModelBlob) []byte {
-	size := len(snapMagicV2) + snapHeaderLen
-	for _, b := range blobs {
-		size += 24 + 2*binary.MaxVarintLen64 + len(b.ID) + len(b.SBML) + 8*len(b.Keys)
-	}
-	buf := make([]byte, 0, size)
+// encodeSnapshot streams the full snapshot file image (magic included)
+// to w, reading each blob's canonical bytes through its Doc, and returns
+// the span of every blob's core section in the image. A Doc that fails
+// its read fails the encoding: a snapshot never copies damaged bytes. One
+// entry at a time is buffered, so a compaction holds no second copy of
+// the corpus.
+func encodeSnapshot(w io.Writer, lastSeq, fingerprint uint64, blobs []corpus.ModelBlob) ([]span, error) {
+	buf := make([]byte, 0, len(snapMagicV2)+snapHeaderLen)
 	buf = append(buf, snapMagicV2...)
 	buf = binary.LittleEndian.AppendUint64(buf, lastSeq)
 	buf = binary.LittleEndian.AppendUint64(buf, fingerprint)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blobs)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(snapMagicV2):]))
-	for _, b := range blobs {
-		cs := make([]byte, 0, 2*binary.MaxVarintLen64+len(b.ID)+len(b.SBML))
-		cs = binary.AppendUvarint(cs, uint64(len(b.ID)))
-		cs = append(cs, b.ID...)
-		cs = binary.AppendUvarint(cs, uint64(len(b.SBML)))
-		cs = append(cs, b.SBML...)
+	spans := make([]span, len(blobs))
+	off := int64(0)
+	for i, b := range blobs {
+		if _, err := w.Write(buf); err != nil {
+			return nil, err
+		}
+		off += int64(len(buf))
+		model, err := b.Doc.Bytes()
+		if err != nil {
+			return nil, fmt.Errorf("store: snapshot model %q: %w", b.ID, err)
+		}
+		// Entry: entryLen, coreLen, coreCRC, core, keysLen, keysCRC, keys;
+		// the three leading fields are filled in once the core is laid out.
+		buf = append(buf[:0], make([]byte, 12)...)
+		buf = binary.AppendUvarint(buf, uint64(len(b.ID)))
+		buf = append(buf, b.ID...)
+		buf = binary.AppendUvarint(buf, uint64(len(model)))
+		buf = append(buf, model...)
+		cs := buf[12:]
+		spans[i] = span{off: off + 12, n: uint32(len(cs)), crc: crc32.ChecksumIEEE(cs)}
 		keys := core.EncodeMatchKeys(b.Keys)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(16+len(cs)+len(keys)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cs)))
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(cs))
-		buf = append(buf, cs...)
+		binary.LittleEndian.PutUint32(buf[0:4], uint32(16+len(cs)+len(keys)))
+		binary.LittleEndian.PutUint32(buf[4:8], spans[i].n)
+		binary.LittleEndian.PutUint32(buf[8:12], spans[i].crc)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
 		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(keys))
 		buf = append(buf, keys...)
 	}
-	return buf
+	_, err := w.Write(buf)
+	return spans, err
+}
+
+// encodeSnapshotV2 renders the full snapshot file image in memory: the
+// replication bootstrap payload.
+func encodeSnapshotV2(lastSeq, fingerprint uint64, blobs []corpus.ModelBlob) ([]byte, []span, error) {
+	var image bytes.Buffer
+	spans, err := encodeSnapshot(&image, lastSeq, fingerprint, blobs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return image.Bytes(), spans, nil
 }
 
 // corruptf wraps a format violation in ErrCorruptSnapshot.
@@ -107,11 +159,21 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("store: %s: %s: %w", snapName, fmt.Sprintf(format, args...), ErrCorruptSnapshot)
 }
 
-// decodeSnapshotV2 parses a full file image whose magic already matched
-// snapMagicV2. Damage to canonical data is a hard error; damage confined
-// to a keys section only clears that entry's keysOK.
+// decodeSnapshotV2 parses a full snapshot file image. Damage to canonical
+// data is a hard error; damage confined to a keys section only clears
+// that entry's keysOK. The entries alias data.
 func decodeSnapshotV2(data []byte) (snapFile, error) {
 	var sf snapFile
+	if len(data) < len(snapMagicV2) {
+		return sf, corruptf("bad header")
+	}
+	switch magic := string(data[:len(snapMagicV2)]); magic {
+	case snapMagicV2:
+	case snapMagicV1:
+		return sf, corruptf("legacy %s format is no longer readable; open the store once with an older build, which rewrites the snapshot as %s on close", snapMagicV1, snapMagicV2)
+	default:
+		return sf, corruptf("unknown magic %q", magic)
+	}
 	rest := data[len(snapMagicV2):]
 	if len(rest) < snapHeaderLen {
 		return sf, corruptf("truncated header")
@@ -155,6 +217,7 @@ func decodeSnapshotV2(data []byte) (snapFile, error) {
 		if err != nil {
 			return sf, corruptf("entry %d: %v", i, err)
 		}
+		e.core = span{off: int64(len(data) - len(rest) - len(eb) + 8), n: coreLen, crc: coreCRC}
 
 		// Keys section: any inconsistency here downgrades the entry to
 		// the parse path instead of failing the load — the canonical
@@ -179,22 +242,115 @@ func decodeSnapshotV2(data []byte) (snapFile, error) {
 }
 
 // decodeSnapCore parses an entry's core section (id + canonical bytes).
+// The returned sbml aliases b.
 func decodeSnapCore(b []byte) (snapEntry, error) {
 	var e snapEntry
-	idLen, n := binary.Uvarint(b)
+	idLen, n := core.Uvarint(b)
 	if n <= 0 || uint64(len(b[n:])) < idLen {
 		return e, fmt.Errorf("bad id length")
 	}
 	b = b[n:]
 	e.id = string(b[:idLen])
 	b = b[idLen:]
-	blobLen, n := binary.Uvarint(b)
+	blobLen, n := core.Uvarint(b)
 	if n <= 0 || uint64(len(b[n:])) != blobLen {
 		return e, fmt.Errorf("bad sbml length")
 	}
-	e.sbml = append([]byte(nil), b[n:]...)
+	e.sbml = b[n:]
 	if e.id == "" || len(e.sbml) == 0 {
 		return e, fmt.Errorf("empty id or model bytes")
 	}
 	return e, nil
+}
+
+// writeSnapshot streams an sbsnap-2 snapshot of blobs into
+// dir/corpus.snap and returns a Doc for each blob, reading it from the new
+// file. fingerprint records the match options the blobs' keys were
+// derived under, so a later Open with different options knows to
+// re-derive.
+func writeSnapshot(dir string, lastSeq, fingerprint uint64, blobs []corpus.ModelBlob) ([]corpus.Doc, error) {
+	var spans []span
+	f, err := installSnapshot(dir, func(w io.Writer) (err error) {
+		spans, err = encodeSnapshot(w, lastSeq, fingerprint, blobs)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	docs := make([]corpus.Doc, len(spans))
+	for i, sp := range spans {
+		docs[i] = &fileDoc{f: f, span: sp, snap: true}
+	}
+	return docs, nil
+}
+
+// writeSnapshotImage installs an already encoded snapshot file image —
+// the replication bootstrap path, which receives the primary's image
+// verbatim.
+func writeSnapshotImage(dir string, image []byte) (*os.File, error) {
+	return installSnapshot(dir, func(w io.Writer) error {
+		_, err := w.Write(image)
+		return err
+	})
+}
+
+// installSnapshot atomically replaces dir/corpus.snap with what write
+// produces (temp file + fsync + rename + directory sync) and returns a
+// read-only handle on the installed file for its locators. Snapshots are
+// serialized (Store.snapMu), so the file opened after the rename is the
+// one just written. A failure to open it fails the write: the caller
+// keeps every file its entries read from, as when the write itself fails.
+func installSnapshot(dir string, write func(io.Writer) error) (*os.File, error) {
+	f, err := os.CreateTemp(dir, snapName+".tmp*")
+	if err != nil {
+		return nil, err
+	}
+	tmpPath := f.Name()
+	defer os.Remove(tmpPath) // no-op after the rename
+	bw := bufio.NewWriterSize(f, 1<<16)
+	if err := write(bw); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
+	path := filepath.Join(dir, snapName)
+	if err := os.Rename(tmpPath, path); err != nil {
+		return nil, err
+	}
+	syncDir(dir)
+	return os.Open(path)
+}
+
+// loadSnapshot reads and decodes dir/corpus.snap, returning with it the
+// read-only handle the entries' locators read through. A missing file is
+// a fresh store (nil handle, no error); an unknown magic or damaged
+// canonical data wraps ErrCorruptSnapshot.
+func loadSnapshot(dir string) (snapFile, *os.File, error) {
+	path := filepath.Join(dir, snapName)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return snapFile{}, nil, nil
+	}
+	if err != nil {
+		return snapFile{}, nil, err
+	}
+	sf, err := decodeSnapshotV2(data)
+	if err != nil {
+		return snapFile{}, nil, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return snapFile{}, nil, err
+	}
+	return sf, f, nil
 }

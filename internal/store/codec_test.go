@@ -1,13 +1,12 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sbmlcompose/internal/core"
@@ -166,46 +165,26 @@ func TestBinarySnapshotBitFlipSweep(t *testing.T) {
 	}
 }
 
-// TestLegacyV1SnapshotStillOpens hand-writes an old-format (sbsnap-1
-// gob) snapshot and expects recovery through the parse path, with the
-// next snapshot upgrading the directory to the binary format.
-func TestLegacyV1SnapshotStillOpens(t *testing.T) {
-	adds := []*sbml.Model{testModel(0), testModel(1), testModel(2), testModel(3)}
-	ref := buildReference(t, testOptions().Corpus, adds, nil)
-	blobs := ref.DumpConsistent(nil)
-	for i := range blobs {
-		blobs[i].Keys = nil // old files carried canonical bytes only
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snapManifest{Version: snapVersionV1, LastSeq: 4, Models: blobs}); err != nil {
-		t.Fatal(err)
-	}
-	file := []byte(snapMagicV1)
-	file = binary.LittleEndian.AppendUint32(file, uint32(payload.Len()))
-	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(payload.Bytes()))
-	file = append(file, payload.Bytes()...)
+// TestLegacyV1SnapshotRefused pins the retired sbsnap-1 gob format: a
+// file behind its magic no longer opens, and the error says which format
+// it is and how to upgrade it rather than calling it garbage.
+func TestLegacyV1SnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
+	file := []byte(snapMagicV1)
+	file = binary.LittleEndian.AppendUint32(file, 0)
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(nil))
 	if err := os.WriteFile(snapPath(dir), file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	s := mustOpen(t, dir, testOptions())
-	st := s.Stats()
-	if st.SnapshotModels != 4 || st.SnapshotParsed != 4 || st.SnapshotPrecompiled != 0 || st.SnapshotSeq != 4 {
-		t.Fatalf("legacy recovery stats: %+v", st)
+	_, err := Open(dir, testOptions())
+	if !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("Open of an sbsnap-1 snapshot: %v, want ErrCorruptSnapshot", err)
 	}
-	queries := []*sbml.Model{testModel(0), testModel(33)}
-	assertCorporaEquivalent(t, s.Corpus(), ref, queries)
-	if err := s.Close(); err != nil { // close-snapshot rewrites in v2
-		t.Fatal(err)
+	for _, want := range []string{snapMagicV1, "older build"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not mention %q", err, want)
+		}
 	}
-
-	s2 := mustOpen(t, dir, testOptions())
-	if st := s2.Stats(); st.SnapshotPrecompiled != 4 || st.SnapshotParsed != 0 {
-		t.Fatalf("post-upgrade stats: %+v, want all precompiled", st)
-	}
-	assertCorporaEquivalent(t, s2.Corpus(), ref, queries)
-	s2.Close()
 }
 
 // TestFingerprintMismatchReparses reopens a snapshot under different

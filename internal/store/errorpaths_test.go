@@ -208,7 +208,7 @@ func TestTornTailInNonFinalSegmentRefusesToOpen(t *testing.T) {
 // TestWriteSnapshotDirectFailure covers writeSnapshot's temp-file branch
 // without going through rotation.
 func TestWriteSnapshotDirectFailure(t *testing.T) {
-	if err := writeSnapshot("/nonexistent-store-dir", 0, 0, nil); err == nil {
+	if _, err := writeSnapshot("/nonexistent-store-dir", 0, 0, nil); err == nil {
 		t.Fatal("writeSnapshot without a directory succeeded")
 	}
 }

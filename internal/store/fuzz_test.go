@@ -3,19 +3,23 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"sbmlcompose/internal/biomodels"
 	"sbmlcompose/internal/core"
+	"sbmlcompose/internal/corpus"
 	"sbmlcompose/internal/sbml"
 )
 
-// These fuzz targets hold the WAL decoders — which recovery runs over
-// on-disk bytes and followers run over network bytes — to the ROADMAP's
-// decoder rule: arbitrary input never panics, and nothing beyond a
-// verified prefix is ever accepted. Both are seeded from the crash
-// harness's workloads, written once as keyed (op 3) records and once as
-// v1-era op-1 records.
+// These fuzz targets hold the WAL and snapshot decoders — which recovery
+// runs over on-disk bytes and followers run over network bytes — to the
+// ROADMAP's decoder rule: arbitrary input never panics, and nothing beyond
+// a verified prefix is ever accepted. The two WAL targets are seeded from
+// the crash harness's workloads, written once as keyed (op 3) records and
+// once as v1-era op-1 records.
 
 // crashSeedRecords renders a crash-harness workload as the records a
 // store would log for it: keyed adds when keyed is set, else op-1 adds.
@@ -142,6 +146,78 @@ func FuzzReadSegment(f *testing.F) {
 		}
 		if rep.v1 != (string(data[:len(walMagic)]) == walMagicV1) {
 			t.Fatalf("v1 = %v for header %q", rep.v1, data[:len(walMagic)])
+		}
+	})
+}
+
+// FuzzDecodeSnapshot holds the sbsnap-2 decoder — which Open runs over
+// corpus.snap and a resyncing follower over the primary's image — to the
+// decoder rule: arbitrary input never panics; every accepted entry's core
+// span lies inside the image and reads back, through the read path of the
+// corpus's locators, as the entry's id and bytes; and an accepted image
+// whose keys sections all verified re-encodes byte-identically. It is
+// seeded with images of generated models.
+func FuzzDecodeSnapshot(f *testing.F) {
+	match := testOptions().Corpus.Match
+	for n := 0; n < 3; n++ {
+		var blobs []corpus.ModelBlob
+		for i := 0; i < n; i++ {
+			m := biomodels.Generate(biomodels.Config{
+				ID: fmt.Sprintf("fz%d", i), Nodes: 2 + 2*i, Edges: 1 + 2*i,
+				Seed: int64(800 + i), VocabularySize: 20, Decorate: i%2 == 0,
+			})
+			cm, err := core.Compile(m, match)
+			if err != nil {
+				f.Fatal(err)
+			}
+			blobs = append(blobs, corpus.ModelBlob{ID: m.ID, Doc: corpus.Bytes(sbml.WrapModel(cm.Model()).String()), Keys: cm.MatchKeys()})
+		}
+		image, _, err := encodeSnapshotV2(uint64(7*n), match.MatchKeyFingerprint(), blobs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(image)
+		f.Add(image[:len(image)-5])
+	}
+	f.Add([]byte(snapMagicV1 + "\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sf, err := decodeSnapshotV2(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("rejection does not wrap ErrCorruptSnapshot: %v", err)
+			}
+			return
+		}
+		blobs := make([]corpus.ModelBlob, len(sf.entries))
+		allKeys := true
+		for i, e := range sf.entries {
+			if e.core.off < 0 || e.core.off+int64(e.core.n) > int64(len(data)) {
+				t.Fatalf("entry %d: span %+v outside a %d-byte image", i, e.core, len(data))
+			}
+			got, err := readSpan(bytes.NewReader(data), e.core, true)
+			if err != nil {
+				t.Fatalf("entry %d: accepted span does not read back: %v", i, err)
+			}
+			if !bytes.Equal(got, e.sbml) {
+				t.Fatalf("entry %d: span reads back other bytes than the entry's", i)
+			}
+			blobs[i] = corpus.ModelBlob{ID: e.id, Doc: corpus.Bytes(e.sbml), Keys: e.keys}
+			allKeys = allKeys && e.keysOK
+		}
+		if !allKeys {
+			return
+		}
+		again, spans, err := encodeSnapshotV2(sf.lastSeq, sf.fingerprint, blobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted image of %d bytes re-encodes to %d different bytes", len(data), len(again))
+		}
+		for i, sp := range spans {
+			if sp != sf.entries[i].core {
+				t.Fatalf("entry %d: encoder span %+v, decoder span %+v", i, sp, sf.entries[i].core)
+			}
 		}
 	})
 }

@@ -18,8 +18,9 @@ import (
 // their integrity check and were derived under this store's match
 // options installs with those keys; every other model takes the parse
 // path (XML parse plus core.Compile, only to derive the keys). Either
-// way the entry is installed as {id, sbml, keys} and compiles lazily on
-// first structural use.
+// way the entry is installed as {id, locator, keys} and compiles lazily
+// on first structural use; the sbml a persistedModel carries aliases a
+// transient file or chunk image and is read only by the parse path.
 //
 // The parse path is embarrassingly parallel: each model compiles
 // independently, and only the sequential apply step afterwards needs

@@ -481,7 +481,9 @@ func (r *Replica) applyRecords(recs []walRecord) error {
 		if k.err != nil {
 			return fmt.Errorf("apply seq %d: %w", rec.seq, k.err)
 		}
-		ops = append(ops, corpus.BatchOp{Seq: rec.seq, ID: rec.id, SBML: rec.sbml, Keys: k.keys})
+		// The bytes alias the received chunk only until PersistBatch
+		// swaps in a locator into this store's own WAL.
+		ops = append(ops, corpus.BatchOp{Seq: rec.seq, ID: rec.id, Doc: corpus.Bytes(rec.sbml), Keys: k.keys})
 	}
 	if err := r.s.c.ApplyBatch(ops); err != nil {
 		return err

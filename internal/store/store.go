@@ -75,9 +75,45 @@
 // equals the opening corpus's, and Options.RecoveryParseOnly is off.
 // Otherwise the model takes the parse path, fanned out across GOMAXPROCS
 // workers and applied in record order; a keys blob that fails to decode
-// never cuts the log. Either way the entry is installed with keys only
-// and compiles on first structural use, and the recovered corpus is
-// search-identical to a never-restarted one.
+// never cuts the log. Either way the entry is installed with keys and a
+// locator only, and compiles on first structural use; the recovered
+// corpus is search-identical to a never-restarted one. The snapshot
+// image and segment images read at Open are transient: nothing installed
+// keeps a reference into them. The retired sbsnap-1 gob format is
+// refused with ErrCorruptSnapshot; an older build upgrades such a store
+// by opening and closing it once.
+//
+// # Documents stay on disk
+//
+// Search needs only a model's match keys, so corpus entries backed by
+// this store hold no SBML. Each keeps a locator instead (a corpus.Doc,
+// doc.go): a shared read-only file handle plus the offset, length and
+// CRC-32 of a span the file format already checksums — a WAL record's
+// frame payload under its frame CRC, or a snapshot entry's core section
+// under its core CRC. Structural use (Get, compose, simulate, check) and
+// snapshot writes read the span and verify its CRC before anything
+// parses it, so bytes that rot on disk after Open are caught at read
+// time: the model reads as absent from Get, its structural operations
+// fail with ErrCorruptDoc, and a snapshot refuses to copy it.
+//
+// Locators come from every path that installs a model: Open points them
+// into the snapshot and segments it read, an append returns the offset
+// of the frame it wrote (AppendBatch sets BatchRecord.Doc, and the
+// corpus hooks PersistAddKeys and PersistBatch hand the locator back to
+// the entry), and ApplySnapshotImage points them into the corpus.snap it
+// just installed. Each segment and snapshot file gets its own O_RDONLY
+// handle, separate from the WAL writer's descriptor, which rotation
+// closes.
+//
+// Compaction relocates before it deletes. Once the new snapshot is on
+// disk and open, Corpus.Relocate swaps, under each shard's write lock,
+// every dumped entry that still holds its dumped locator for one into
+// the new snapshot; only then are the covered segments removed. A
+// snapshot that cannot be written or opened leaves every old file in
+// place, as it always has. A handle is never closed explicitly: the
+// os.File cleanup closes it once no locator reaches it, so a lazy read
+// in flight on an old locator never races a close, and a deleted file's
+// space is released after the collector next runs.
 //
 // # Durability policy
 //
@@ -356,15 +392,16 @@ func Open(dir string, opts Options) (*Store, error) {
 	if s.ident, err = loadReplIdentity(dir); err != nil {
 		return nil, err
 	}
-	sf, haveSnap, err := loadSnapshot(dir)
+	sf, snapF, err := loadSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
 	s.fingerprint = opts.Corpus.Match.MatchKeyFingerprint()
 	c := corpus.New(opts.Corpus)
-	if haveSnap {
+	if snapF != nil {
 		// Entries with trusted keys install directly; the rest take the
-		// parse path, fanned out across workers (recover.go).
+		// parse path, fanned out across workers (recover.go). Either way
+		// the entry keeps a locator into the snapshot, not its bytes.
 		ms := snapModels(sf)
 		for i, r := range s.resolveKeys(ms) {
 			if r.err != nil {
@@ -375,7 +412,8 @@ func Open(dir string, opts Options) (*Store, error) {
 			} else {
 				s.stats.SnapshotPrecompiled++
 			}
-			if err := c.AddPrecompiled(corpus.PrecompiledModel{ID: ms[i].id, SBML: ms[i].sbml, Keys: r.keys}); err != nil {
+			doc := &fileDoc{f: snapF, span: sf.entries[i].core, snap: true}
+			if err := c.AddPrecompiled(corpus.PrecompiledModel{ID: ms[i].id, Doc: doc, Keys: r.keys}); err != nil {
 				return nil, fmt.Errorf("store: snapshot model %q: %w", ms[i].id, err)
 			}
 		}
@@ -394,6 +432,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	// adds is then fanned out before the ordered apply below.
 	type walApply struct {
 		rec  walRecord
+		doc  *fileDoc
 		path string
 	}
 	var pending []walApply
@@ -415,7 +454,7 @@ func Open(dir string, opts Options) (*Store, error) {
 				return nil, fmt.Errorf("store: %s has a torn or corrupt tail but later segments exist; refusing to replay past the gap (restore the segment or delete the newer ones)", path)
 			}
 		}
-		for _, rec := range rep.records {
+		for j, rec := range rep.records {
 			s.stats.WALRecords++
 			if rec.seq > s.seq {
 				s.seq = rec.seq
@@ -424,7 +463,7 @@ func Open(dir string, opts Options) (*Store, error) {
 				s.stats.WALSkipped++
 				continue
 			}
-			pending = append(pending, walApply{rec: rec, path: path})
+			pending = append(pending, walApply{rec: rec, doc: &fileDoc{f: rep.f, span: rep.spans[j]}, path: path})
 		}
 		if i == len(segs)-1 {
 			if err := s.openTail(path, rep); err != nil {
@@ -462,7 +501,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			if r.err != nil {
 				return nil, fmt.Errorf("store: replay %s seq %d: %w", pa.path, pa.rec.seq, r.err)
 			}
-			if err := c.AddPrecompiled(corpus.PrecompiledModel{ID: pa.rec.id, SBML: pa.rec.sbml, Keys: r.keys}); err != nil {
+			if err := c.AddPrecompiled(corpus.PrecompiledModel{ID: pa.rec.id, Doc: pa.doc, Keys: r.keys}); err != nil {
 				return nil, fmt.Errorf("store: replay %s seq %d: %w", pa.path, pa.rec.seq, err)
 			}
 			s.stats.WALAdds++
@@ -593,19 +632,25 @@ func (s *Store) PersistAdd(id string, sbmlBytes []byte) error {
 	if s.readOnly.Load() {
 		return persistErr("wal append add", ErrReadOnly)
 	}
-	return s.appendRecord(walRecord{op: opAdd, id: id, sbml: sbmlBytes}, "wal append add")
+	_, err := s.appendRecord(walRecord{op: opAdd, id: id, sbml: sbmlBytes}, "wal append add")
+	return err
 }
 
 // PersistAddKeys implements corpus.KeyPersister: PersistAdd, except the
 // record also carries the model's match keys and this store's
 // match-options fingerprint (op 3), so recovery and followers install the
-// model without parsing it.
-func (s *Store) PersistAddKeys(id string, sbmlBytes []byte, keys []core.ComponentKey) error {
+// model without parsing it. The returned Doc locates the record in the
+// live segment.
+func (s *Store) PersistAddKeys(id string, sbmlBytes []byte, keys []core.ComponentKey) (corpus.Doc, error) {
 	if s.readOnly.Load() {
-		return persistErr("wal append add", ErrReadOnly)
+		return nil, persistErr("wal append add", ErrReadOnly)
 	}
 	rec := walRecord{op: opAddKeys, id: id, sbml: sbmlBytes, fingerprint: s.fingerprint, keys: core.EncodeMatchKeys(keys)}
-	return s.appendRecord(rec, "wal append add")
+	doc, err := s.appendRecord(rec, "wal append add")
+	if err != nil {
+		return nil, err
+	}
+	return doc, nil
 }
 
 // PersistRemove implements corpus.Persister for removals.
@@ -613,10 +658,13 @@ func (s *Store) PersistRemove(id string) error {
 	if s.readOnly.Load() {
 		return persistErr("wal append remove", ErrReadOnly)
 	}
-	return s.appendRecord(walRecord{op: opRemove, id: id}, "wal append remove")
+	_, err := s.appendRecord(walRecord{op: opRemove, id: id}, "wal append remove")
+	return err
 }
 
-func (s *Store) appendRecord(rec walRecord, op string) error {
+// appendRecord logs one record and returns a locator for it in the
+// segment it landed in.
+func (s *Store) appendRecord(rec walRecord, op string) (*fileDoc, error) {
 	if m := s.opts.Metrics; m != nil {
 		t0 := time.Now()
 		defer func() { m.AppendSeconds.Observe(time.Since(t0).Seconds()) }()
@@ -630,16 +678,17 @@ func (s *Store) appendRecord(rec walRecord, op string) error {
 		// set under mu before done is closed, so this check and the drain
 		// cannot miss the same waiter.
 		s.mu.Unlock()
-		return persistErr(op, fmt.Errorf("store is closed"))
+		return nil, persistErr(op, fmt.Errorf("store is closed"))
 	}
 	s.seq++
 	rec.seq = s.seq
-	payload := encodeRecord(rec)
-	if err := s.wal.append(payload); err != nil {
+	frame := frameRecord(encodeRecord(rec))
+	doc := &fileDoc{f: s.wal.r, span: frameSpan(frame, s.wal.off)}
+	if err := s.wal.appendFrames(frame); err != nil {
 		s.mu.Unlock()
-		return persistErr(op, err)
+		return nil, persistErr(op, err)
 	}
-	s.tailBytes += int64(walFrameLen + len(payload))
+	s.tailBytes += int64(len(frame))
 	if s.opts.CompactBytes > 0 && s.tailBytes >= s.opts.CompactBytes {
 		select {
 		case s.compactCh <- struct{}{}:
@@ -657,7 +706,7 @@ func (s *Store) appendRecord(rec walRecord, op string) error {
 			s.advanceAckedLocked(rec.seq)
 		}
 		s.mu.Unlock()
-		return nil
+		return doc, nil
 	}
 	// Group commit: the record is written but not yet durable. Enqueue in
 	// the same critical section as the write — that is what lets both the
@@ -666,16 +715,16 @@ func (s *Store) appendRecord(rec walRecord, op string) error {
 	// then the record has been rolled back and the mutation must abort).
 	done := make(chan error, 1)
 	s.groupWaiters = append(s.groupWaiters, groupWaiter{ch: done, seq: rec.seq, records: 1})
-	s.groupBytes += int64(walFrameLen + len(payload))
+	s.groupBytes += int64(len(frame))
 	s.mu.Unlock()
 	select {
 	case s.groupCh <- struct{}{}:
 	default: // loop already kicked; it drains all waiters regardless
 	}
 	if err := <-done; err != nil {
-		return persistErr(op, err)
+		return nil, persistErr(op, err)
 	}
-	return nil
+	return doc, nil
 }
 
 // advanceAckedLocked raises the acknowledged-sequence watermark and wakes
@@ -705,6 +754,9 @@ type BatchRecord struct {
 	// Keys, when non-nil, are SBML's match keys under this store's match
 	// options: the add is logged as a keyed record (op 3).
 	Keys []core.ComponentKey
+	// Doc is set by a successful AppendBatch, for adds: a locator reading
+	// SBML back from the segment the record landed in.
+	Doc corpus.Doc
 }
 
 // AppendBatch logs a chunk of records with a single write and at most a
@@ -714,6 +766,7 @@ type BatchRecord struct {
 // blocked-writer count. Under FsyncGroup the batch enqueues one waiter,
 // so it joins whatever batch the group loop forms. All records land or
 // none do: a failed write or sync rolls the entire chunk back.
+// On success every add's Doc locates its record.
 func (s *Store) AppendBatch(recs []BatchRecord) error {
 	if len(recs) == 0 {
 		return nil
@@ -730,7 +783,8 @@ func (s *Store) AppendBatch(recs []BatchRecord) error {
 	}
 	seq0 := s.seq
 	var frames []byte
-	for _, br := range recs {
+	spans := make([]span, len(recs))
+	for i, br := range recs {
 		rec := walRecord{op: opAdd, id: br.ID, sbml: br.SBML}
 		switch {
 		case br.Remove:
@@ -751,7 +805,9 @@ func (s *Store) AppendBatch(recs []BatchRecord) error {
 			s.seq = br.Seq
 			rec.seq = br.Seq
 		}
-		frames = append(frames, frameRecord(encodeRecord(rec))...)
+		frame := frameRecord(encodeRecord(rec))
+		spans[i] = frameSpan(frame, s.wal.off+int64(len(frames)))
+		frames = append(frames, frame...)
 	}
 	if err := s.wal.appendFrames(frames); err != nil {
 		// The writer rolled the whole chunk back (or wedged); the seqs it
@@ -759,6 +815,11 @@ func (s *Store) AppendBatch(recs []BatchRecord) error {
 		s.seq = seq0
 		s.mu.Unlock()
 		return persistErr("wal append batch", err)
+	}
+	for i := range recs {
+		if !recs[i].Remove {
+			recs[i].Doc = &fileDoc{f: s.wal.r, span: spans[i]}
+		}
 	}
 	last := s.seq
 	s.tailBytes += int64(len(frames))
@@ -889,14 +950,21 @@ func (s *Store) SnapshotContext(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := writeSnapshot(s.dir, lastSeq, s.fingerprint, blobs); err != nil {
-		// The old segments remain; recovery still replays them.
+	docs, err := writeSnapshot(s.dir, lastSeq, s.fingerprint, blobs)
+	if err != nil {
+		// The old segments remain; recovery still replays them, and
+		// entries keep reading from them.
 		return fmt.Errorf("store: write snapshot: %w", err)
 	}
+	// Re-point every dumped entry still holding its dumped Doc at the new
+	// snapshot before any file an old Doc reads from goes away.
+	s.c.Relocate(blobs, docs)
 
 	// The snapshot covers every record in segments older than the live
 	// one (they were rotated out before LastSeq was captured); delete
-	// them. A crash before this point replays them into no-ops.
+	// them. A crash before this point replays them into no-ops. Entries
+	// still reading a deleted segment (a model replaced after the dump
+	// holds none) keep its handle, and its space, until they go.
 	segs, err := segmentPaths(s.dir)
 	if err != nil {
 		return err

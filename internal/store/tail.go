@@ -250,17 +250,29 @@ func (s *Store) collectTail(from, acked uint64, maxBytes int) (TailBatch, error)
 
 // PersistBatch implements corpus.BatchPersister: one WAL write and at
 // most one fsync for the whole chunk (AppendBatch), logging adds as keyed
-// records. It is the follower apply path's persist hook — and
-// deliberately not gated by the read-only flag, because records arriving
-// through it carry the primary's sequence numbers rather than minting
-// local ones.
+// records, and each add's Doc swapped for a locator of its record. It is
+// the follower apply path's persist hook — and deliberately not gated by
+// the read-only flag, because records arriving through it carry the
+// primary's sequence numbers rather than minting local ones.
 func (s *Store) PersistBatch(ops []corpus.BatchOp) error {
 	recs := make([]BatchRecord, len(ops))
 	for i, op := range ops {
-		recs[i] = BatchRecord{Remove: op.Remove, Seq: op.Seq, ID: op.ID, SBML: op.SBML, Keys: op.Keys}
+		recs[i] = BatchRecord{Remove: op.Remove, Seq: op.Seq, ID: op.ID, Keys: op.Keys}
+		if !op.Remove {
+			b, err := op.Doc.Bytes()
+			if err != nil {
+				return fmt.Errorf("store: batch add %q: %w", op.ID, err)
+			}
+			recs[i].SBML = b
+		}
 	}
 	if err := s.AppendBatch(recs); err != nil {
 		return fmt.Errorf("%w: %w", err, corpus.ErrPersist)
+	}
+	for i := range ops {
+		if !ops[i].Remove {
+			ops[i].Doc = recs[i].Doc
+		}
 	}
 	return nil
 }
@@ -286,7 +298,11 @@ func (s *Store) SnapshotImage(ctx context.Context) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return encodeSnapshotV2(lastSeq, s.fingerprint, blobs), lastSeq, nil
+	image, _, err := encodeSnapshotV2(lastSeq, s.fingerprint, blobs)
+	if err != nil {
+		return nil, 0, err
+	}
+	return image, lastSeq, nil
 }
 
 // ApplySnapshotImage replaces this store's entire durable and in-memory
@@ -297,9 +313,6 @@ func (s *Store) SnapshotImage(ctx context.Context) ([]byte, uint64, error) {
 // sequence state all agree with the image; old segments are gone and the
 // next tail request resumes from the image's seq.
 func (s *Store) ApplySnapshotImage(image []byte) error {
-	if len(image) < len(snapMagicV2) || string(image[:len(snapMagicV2)]) != snapMagicV2 {
-		return fmt.Errorf("store: apply snapshot image: not an %s image", snapMagicV2)
-	}
 	sf, err := decodeSnapshotV2(image)
 	if err != nil {
 		return fmt.Errorf("store: apply snapshot image: %w", err)
@@ -312,7 +325,7 @@ func (s *Store) ApplySnapshotImage(image []byte) error {
 		if r.err != nil {
 			return fmt.Errorf("store: apply snapshot image: model %q: %w", ms[i].id, r.err)
 		}
-		models[i] = corpus.PrecompiledModel{ID: ms[i].id, SBML: ms[i].sbml, Keys: r.keys}
+		models[i] = corpus.PrecompiledModel{ID: ms[i].id, Keys: r.keys}
 	}
 
 	s.snapMu.Lock()
@@ -374,8 +387,13 @@ func (s *Store) ApplySnapshotImage(image []byte) error {
 	// later point recovers to exactly the primary's snapshotted state
 	// (surviving older segments hold records at or below the local seq,
 	// which the image's higher seq makes no-ops at replay).
-	if err := writeSnapshotImage(s.dir, image); err != nil {
+	snapF, err := writeSnapshotImage(s.dir, image)
+	if err != nil {
 		return fmt.Errorf("store: apply snapshot image: %w", err)
+	}
+	// The entries read from the file just installed, never from image.
+	for i := range models {
+		models[i].Doc = &fileDoc{f: snapF, span: sf.entries[i].core, snap: true}
 	}
 	segs, err := segmentPaths(s.dir)
 	if err != nil {

@@ -47,7 +47,9 @@ type walRecord struct {
 	seq uint64
 	id  string
 	// sbml holds the canonical model bytes for opAdd and opAddKeys
-	// records.
+	// records. A decoded record's sbml aliases the payload it came from:
+	// recovery reads it only on the parse path, while the segment image is
+	// still live, and installs a locator (doc.go) rather than the bytes.
 	sbml []byte
 	// fingerprint and keys (opAddKeys only) are the match-options
 	// fingerprint and the core.EncodeMatchKeys blob. The blob is kept
@@ -110,7 +112,7 @@ func decodeRecord(payload []byte) (walRecord, error) {
 			return rec, fmt.Errorf("bad sbml length")
 		}
 		rest = rest[n:]
-		rec.sbml = append([]byte(nil), rest[:blobLen]...)
+		rec.sbml = rest[:blobLen]
 		rest = rest[blobLen:]
 		if rec.op == opAdd {
 			if len(rest) != 0 {
@@ -169,7 +171,10 @@ func nextFrame(data []byte, off int64) (payload []byte, end int64, ok bool) {
 
 // walWriter appends framed records to one segment file.
 type walWriter struct {
-	f    *os.File
+	f *os.File
+	// r is the segment's read-only handle, shared by the locators of the
+	// records appended here; it outlives f, which rotation closes.
+	r    *os.File
 	path string
 	off  int64 // current append offset (file size)
 	sync bool  // fsync after every append (FsyncAlways)
@@ -201,7 +206,7 @@ func (w *walWriter) doSync() error {
 }
 
 // createSegment creates a fresh segment with its header written (and
-// optionally synced).
+// optionally synced), and opens its read-only handle.
 func createSegment(path string, syncEvery bool) (*walWriter, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -217,11 +222,17 @@ func createSegment(path string, syncEvery bool) (*walWriter, error) {
 			return nil, err
 		}
 	}
-	return &walWriter{f: f, path: path, off: int64(len(walMagic)), syncedOff: int64(len(walMagic)), sync: syncEvery}, nil
+	r, err := os.Open(path)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &walWriter{f: f, r: r, path: path, off: int64(len(walMagic)), syncedOff: int64(len(walMagic)), sync: syncEvery}, nil
 }
 
 // openSegmentForAppend opens an existing segment, already verified and
-// tail-repaired by the replay pass, positioned at size for appending.
+// tail-repaired by the replay pass, positioned at size for appending, and
+// opens its read-only handle for the records appended from here on.
 func openSegmentForAppend(path string, size int64, syncEvery bool) (*walWriter, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -231,7 +242,12 @@ func openSegmentForAppend(path string, size int64, syncEvery bool) (*walWriter, 
 		f.Close()
 		return nil, err
 	}
-	return &walWriter{f: f, path: path, off: size, syncedOff: size, sync: syncEvery}, nil
+	r, err := os.Open(path)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &walWriter{f: f, r: r, path: path, off: size, syncedOff: size, sync: syncEvery}, nil
 }
 
 // append frames and writes one record. On a short or failed write it
@@ -242,6 +258,16 @@ func openSegmentForAppend(path string, size int64, syncEvery bool) (*walWriter, 
 // gap would be silently lost).
 func (w *walWriter) append(payload []byte) error {
 	return w.appendFrames(frameRecord(payload))
+}
+
+// frameSpan is the span of the payload of the frame at frame[0:], which
+// sits at offset off of its segment.
+func frameSpan(frame []byte, off int64) span {
+	return span{
+		off: off + walFrameLen,
+		n:   binary.LittleEndian.Uint32(frame[0:4]),
+		crc: binary.LittleEndian.Uint32(frame[4:8]),
+	}
 }
 
 // appendFrames writes one or more pre-framed records as a single write,
@@ -322,6 +348,10 @@ func (w *walWriter) close() error {
 // segmentReplay is the outcome of reading one segment.
 type segmentReplay struct {
 	records []walRecord
+	// spans[i] locates records[i]'s payload in the segment; f, set by
+	// readSegment, is the read-only handle their locators read through.
+	spans []span
+	f     *os.File
 	// goodOff is the offset just past the last intact record; droppedBytes
 	// counts what a torn or corrupt tail cost.
 	goodOff      int64
@@ -362,7 +392,12 @@ func readSegment(path string) (segmentReplay, error) {
 	if err != nil {
 		return segmentReplay{}, err
 	}
-	return scanSegment(path, data)
+	rep, err := scanSegment(path, data)
+	if err != nil {
+		return rep, err
+	}
+	rep.f, err = os.Open(path)
+	return rep, err
 }
 
 // scanSegment is readSegment over a segment image already in memory; path
@@ -390,6 +425,7 @@ func scanSegment(path string, data []byte) (segmentReplay, error) {
 			break // intact bytes, unintelligible record
 		}
 		rep.records = append(rep.records, rec)
+		rep.spans = append(rep.spans, frameSpan(data[off:], off))
 		off = end
 		rep.goodOff = off
 	}
