@@ -6,12 +6,10 @@
 // full API); this binary is flags, lifecycle, and logging.
 //
 // With -data DIR the corpus is durable: every add/remove is appended to a
-// write-ahead log (fsynced per -fsync: "always" syncs each append,
-// "group" batches concurrent appends into one sync with the same
-// no-acknowledged-write-lost guarantee — tune with -group-max-bytes and
-// -group-max-delay — "interval" syncs on a timer, "never" leaves
-// flushing to the OS) before it is acknowledged, and snapshots bound
-// recovery time. Restarting the server on the same directory
+// write-ahead log (fsynced per -fsync: "always" acknowledges no append
+// before an fsync covers it, group-committing concurrent appends into one
+// sync; "interval" syncs on a timer; "never" leaves flushing to the OS)
+// before it is acknowledged, and snapshots bound recovery time. Restarting the server on the same directory
 // reconstructs the corpus exactly — ids, rankings, scores.
 // Without -data the corpus lives in memory only.
 //
@@ -60,10 +58,8 @@ func main() {
 		drain       = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain window")
 		reqTimeout  = flag.Duration("request-timeout", 60*time.Second, "per-request deadline for search/compose/simulate/check (0 disables)")
 		dataDir     = flag.String("data", "", "durable store directory (empty = in-memory corpus, lost on exit)")
-		fsync       = flag.String("fsync", "always", "WAL fsync policy with -data: always | group | interval | never")
+		fsync       = flag.String("fsync", "always", "WAL fsync policy with -data: always (group commit: no acknowledged write lost) | interval | never")
 		compact     = flag.Int64("compact-bytes", 0, "WAL tail size triggering auto-compaction (0 = 8 MiB default, <0 disables)")
-		groupBytes  = flag.Int64("group-max-bytes", 0, "fsync=group: batched bytes forcing an immediate sync (0 = 1 MiB default)")
-		groupDelay  = flag.Duration("group-max-delay", 0, "fsync=group: extra wait to widen a batch (0 = natural batching only)")
 		queryCache  = flag.Int("query-cache", 128, "compiled-query cache entries keyed on raw /v1/search bodies (0 disables)")
 		replicaOf   = flag.String("replica-of", "", "run as a read-only follower of the primary at this base URL (requires -data; mutations answer 403 until POST /v1/promote)")
 		slowRequest = flag.Duration("slow-request", time.Second, "log requests slower than this with their per-stage breakdown (0 disables)")
@@ -116,12 +112,10 @@ func main() {
 	var srv *serve.Server
 	if *dataDir != "" {
 		st, err := sbmlcompose.OpenCorpus(*dataDir, &sbmlcompose.StoreOptions{
-			Corpus:        copts,
-			Fsync:         sbmlcompose.FsyncPolicy(*fsync),
-			CompactBytes:  *compact,
-			GroupMaxBytes: *groupBytes,
-			GroupMaxDelay: *groupDelay,
-			Metrics:       serve.NewStoreMetrics(reg),
+			Corpus:       copts,
+			Fsync:        sbmlcompose.FsyncPolicy(*fsync),
+			CompactBytes: *compact,
+			Metrics:      serve.NewStoreMetrics(reg),
 		})
 		if err != nil {
 			log.Fatalf("sbmlserved: open data dir: %v", err)

@@ -31,12 +31,11 @@ type StoreStatus = store.Status
 // FsyncPolicy selects when WAL appends reach stable storage.
 type FsyncPolicy = store.FsyncPolicy
 
-// The WAL durability policies: sync every append (no acknowledged write
-// is ever lost), batch concurrent appends into one sync (same guarantee,
-// amortized cost), sync on a timer, or leave flushing to the OS.
+// The WAL durability policies: acknowledge no append before an fsync
+// covers it (no acknowledged write is ever lost; concurrent appends share
+// one group-committed sync), sync on a timer, or leave flushing to the OS.
 const (
 	FsyncAlways   = store.FsyncAlways
-	FsyncGroup    = store.FsyncGroup
 	FsyncInterval = store.FsyncInterval
 	FsyncNever    = store.FsyncNever
 )

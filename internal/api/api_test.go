@@ -82,3 +82,30 @@ func TestValidRequestID(t *testing.T) {
 		}
 	}
 }
+
+// FuzzNormalizeWindow holds the window resolver — run over the raw
+// top_k/limit/offset of every /v1/search body, by nodes and gateways
+// alike — to its contract on arbitrary input: it never panics, a window
+// it returns is canonical (Limit -1 or positive, Offset non-negative) and
+// a fixed point, and disagreeing positive top_k and limit are refused.
+func FuzzNormalizeWindow(f *testing.F) {
+	for _, c := range [][3]int{{0, 0, 0}, {3, 0, 0}, {0, 7, 2}, {4, 4, 0}, {3, 7, 0}, {-7, 0, -3}, {-1, -9, 1}, {-1, 5, 0}} {
+		f.Add(c[0], c[1], c[2])
+	}
+	f.Fuzz(func(t *testing.T, topK, limit, offset int) {
+		w, err := NormalizeWindow(topK, limit, offset)
+		if topK > 0 && limit > 0 && topK != limit && err == nil {
+			t.Fatalf("top_k %d and limit %d disagree but normalized to %+v", topK, limit, w)
+		}
+		if err != nil {
+			return
+		}
+		if (w.Limit != -1 && w.Limit <= 0) || w.Offset < 0 {
+			t.Fatalf("NormalizeWindow(%d, %d, %d) = %+v, not canonical", topK, limit, offset, w)
+		}
+		again, err := NormalizeWindow(w.Limit, w.Limit, w.Offset)
+		if err != nil || again != w {
+			t.Fatalf("re-normalizing %+v gave %+v, %v", w, again, err)
+		}
+	})
+}

@@ -553,13 +553,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func NewStoreMetrics(reg *obs.Registry) *sbmlcompose.StoreMetrics {
 	return &sbmlcompose.StoreMetrics{
 		AppendSeconds: reg.Histogram("sbmlstore_wal_append_seconds",
-			"WAL append latency in seconds (including any group-commit wait).",
+			"WAL append latency in seconds (including the fsync=always group-commit wait).",
 			obs.LatencyBuckets()),
 		FsyncSeconds: reg.Histogram("sbmlstore_wal_fsync_seconds",
 			"Physical WAL fsync latency in seconds (all policies and paths).",
 			obs.LatencyBuckets()),
 		GroupBatchRecords: reg.Histogram("sbmlstore_group_batch_records",
-			"Records acknowledged per successful group commit.",
+			"Records acknowledged per successful fsync=always group commit.",
 			obs.ExponentialBuckets(1, 2, 12)),
 		SnapshotSeconds: reg.Histogram("sbmlstore_snapshot_seconds",
 			"Snapshot + WAL compaction duration in seconds.",

@@ -275,7 +275,7 @@ func TestCrashRecoveryFinalRemoveRecord(t *testing.T) {
 }
 
 // TestFsyncFailureRollsBackRecord injects an fsync error into the
-// FsyncAlways append path: the add must fail, and — because the rollback
+// FsyncAlways group commit: the add must fail, and — because the rollback
 // truncation is itself synced — the record must be durably gone, so a
 // crash-and-reopen recovers exactly the prefix and never resurrects a
 // write its caller was told failed.
@@ -292,7 +292,7 @@ func TestFsyncFailureRollsBackRecord(t *testing.T) {
 	s.wal.syncHook = func(f *os.File) error {
 		calls++
 		if calls == 1 {
-			return injected // the append's own sync; the rollback sync succeeds
+			return injected // the commit's sync; the rollback sync succeeds
 		}
 		return f.Sync()
 	}
@@ -324,7 +324,7 @@ func TestFsyncFailureRollsBackRecord(t *testing.T) {
 	s2.Close()
 }
 
-// TestFsyncFailureWithFailedRollbackWedges fails both the append fsync
+// TestFsyncFailureWithFailedRollbackWedges fails both the commit fsync
 // and the rollback's confirming sync: the writer must wedge, and every
 // later append must fail fast — acknowledging records behind an
 // unconfirmed tail would lose them all at the next torn-tail repair.

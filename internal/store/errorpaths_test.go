@@ -34,23 +34,23 @@ func TestDecodeRecordRejectsMalformedPayloads(t *testing.T) {
 
 func TestWriterWedgesAfterUnrepairableFailure(t *testing.T) {
 	dir := t.TempDir()
-	w, err := createSegment(segmentName(dir, 1), false)
+	w, err := createSegment(segmentName(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(encodeRecord(walRecord{op: opRemove, seq: 1, id: "a"})); err != nil {
+	if err := w.appendFrames(appendFrame(nil, walRecord{op: opRemove, seq: 1, id: "a"})); err != nil {
 		t.Fatal(err)
 	}
 	// Closing the fd under the writer makes the next write fail AND the
 	// repair truncate fail — the wedge case.
 	w.f.Close()
-	if err := w.append(encodeRecord(walRecord{op: opRemove, seq: 2, id: "b"})); err == nil {
+	if err := w.appendFrames(appendFrame(nil, walRecord{op: opRemove, seq: 2, id: "b"})); err == nil {
 		t.Fatal("append on closed fd succeeded")
 	}
 	if w.wedged == nil {
 		t.Fatal("writer did not wedge")
 	}
-	if err := w.append(encodeRecord(walRecord{op: opRemove, seq: 3, id: "c"})); err == nil || !strings.Contains(err.Error(), "wedged") {
+	if err := w.appendFrames(appendFrame(nil, walRecord{op: opRemove, seq: 3, id: "c"})); err == nil || !strings.Contains(err.Error(), "wedged") {
 		t.Fatalf("wedged writer accepted an append: %v", err)
 	}
 }
@@ -61,10 +61,10 @@ func TestCreateAndOpenSegmentFailures(t *testing.T) {
 	if err := os.WriteFile(path, []byte("occupied"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := createSegment(path, false); err == nil {
+	if _, err := createSegment(path); err == nil {
 		t.Fatal("createSegment over an existing file succeeded")
 	}
-	if _, err := openSegmentForAppend(segmentName(dir, 2), 8, false); err == nil {
+	if _, err := openSegmentForAppend(segmentName(dir, 2), 8); err == nil {
 		t.Fatal("openSegmentForAppend on a missing file succeeded")
 	}
 }
@@ -96,11 +96,11 @@ func TestOpenRejectsUnparseableSegmentName(t *testing.T) {
 func TestReplayRejectsUnparseableStoredModel(t *testing.T) {
 	writeWAL := func(t *testing.T, rec walRecord) string {
 		dir := t.TempDir()
-		w, err := createSegment(segmentName(dir, 1), false)
+		w, err := createSegment(segmentName(dir, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.append(encodeRecord(rec)); err != nil {
+		if err := w.appendFrames(appendFrame(nil, rec)); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.close(); err != nil {
@@ -174,12 +174,11 @@ func TestAutoCompactionFailureIsReported(t *testing.T) {
 // records across the gap.
 func TestTornTailInNonFinalSegmentRefusesToOpen(t *testing.T) {
 	dir := t.TempDir()
-	w1, err := createSegment(segmentName(dir, 1), false)
+	w1, err := createSegment(segmentName(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := encodeRecord(walRecord{op: opRemove, seq: 1, id: "a"})
-	if err := w1.append(rec); err != nil {
+	if err := w1.appendFrames(appendFrame(nil, walRecord{op: opRemove, seq: 1, id: "a"})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w1.close(); err != nil {
@@ -193,7 +192,7 @@ func TestTornTailInNonFinalSegmentRefusesToOpen(t *testing.T) {
 	if err := os.Truncate(segmentName(dir, 1), fi.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := createSegment(segmentName(dir, 2), false)
+	w2, err := createSegment(segmentName(dir, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

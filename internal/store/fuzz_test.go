@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -48,7 +49,7 @@ func crashSeedRecords(tb testing.TB, seed int64, steps int, keyed bool) []walRec
 func segmentImage(magic string, recs []walRecord) []byte {
 	img := []byte(magic)
 	for _, rec := range recs {
-		img = append(img, frameRecord(encodeRecord(rec))...)
+		img = append(img, appendFrame(nil, rec)...)
 	}
 	return img
 }
@@ -218,6 +219,62 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			if sp != sf.entries[i].core {
 				t.Fatalf("entry %d: encoder span %+v, decoder span %+v", i, sp, sf.entries[i].core)
 			}
+		}
+	})
+}
+
+// FuzzVerifyChunk holds the follower's chunk verifier — which runs over
+// network bytes before anything is applied — to the decoder rule:
+// arbitrary input never panics, and the accepted records are a verified
+// prefix: their seqs strictly increase above from, and re-framed they are
+// byte-for-byte the chunk's first off bytes. It is seeded with real
+// replication-feed chunks.
+func FuzzVerifyChunk(f *testing.F) {
+	opts := testOptions()
+	opts.Fsync = FsyncNever
+	s, err := Open(f.TempDir(), opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Corpus().Add(testModel(i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := s.Corpus().Remove(testModel(1).ID); err != nil {
+		f.Fatal(err)
+	}
+	for _, from := range []uint64{0, 2} {
+		tb, err := s.ReadTail(context.Background(), from, 0, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(tb.Frames, from)
+		f.Add(tb.Frames[:len(tb.Frames)-3], from) // cut mid-frame
+		f.Add(tb.Frames, tb.LastSeq)              // every seq regressed
+		flipped := bytes.Clone(tb.Frames)
+		flipped[len(flipped)/2] ^= 0x20 // CRC path
+		f.Add(flipped, from)
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, frames []byte, from uint64) {
+		recs, off, err := verifyChunk(frames, from)
+		if off < 0 || off > int64(len(frames)) || (err == nil) != (off == int64(len(frames))) {
+			t.Fatalf("verified prefix ends at %d of %d bytes with err = %v", off, len(frames), err)
+		}
+		var again []byte
+		prev := from
+		for i, rec := range recs {
+			if rec.seq <= prev {
+				t.Fatalf("record %d: seq %d not above %d", i, rec.seq, prev)
+			}
+			prev = rec.seq
+			again = appendFrame(again, rec)
+		}
+		if !bytes.Equal(again, frames[:off]) {
+			t.Fatalf("%d accepted records re-frame to %d bytes that differ from the %d-byte verified prefix", len(recs), len(again), off)
 		}
 	})
 }

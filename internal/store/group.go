@@ -1,51 +1,50 @@
 package store
 
-import "time"
-
-// This file implements the FsyncGroup commit loop. Under FsyncAlways
-// every append pays a full fsync; under group commit an append writes
-// its record, enqueues a waiter, and blocks while the loop syncs — one
-// fsync acknowledges every append that landed since the previous one,
-// so N concurrent writers share one sync instead of queueing N. The
-// durability guarantee is unchanged: no append is acknowledged before
-// an fsync covering its bytes returns.
+// This file implements FsyncAlways's group commit (DeWitt et al. 1984,
+// with no added delay). An append writes its records, enqueues a waiter,
+// and blocks while the commit loop syncs: one fsync acknowledges every
+// append that landed since the previous one, so N concurrent writers
+// share one sync instead of queueing N, and a lone writer pays one sync
+// per append. No append is acknowledged before an fsync covering its
+// bytes returns.
 //
-// Correctness hinges on one invariant: every pending waiter's record
-// sits in the writer that will be fsynced for it. Appends enqueue their
-// waiter in the same s.mu critical section that wrote the record, and
-// the two operations that pair waiters with a writer — groupCommit here
-// and segment rotation in SnapshotContext — both run under s.groupMu
-// and capture the waiter list in the same s.mu critical section in
-// which they read (or swap) s.wal. Lock order is groupMu → mu; neither
-// is ever held while taking a corpus shard lock, so a waiter blocking
-// with its shard lock held cannot deadlock the loop.
+// Correctness hinges on one invariant: every pending waiter's records sit
+// in the writer that will be fsynced for it, at or before the offset
+// captured with it. Appends enqueue their waiter in the same s.mu
+// critical section that wrote the records, and the two operations that
+// pair waiters with a writer — groupCommit here and rotate (store.go) —
+// both run under s.groupMu and capture the waiter list and the writer's
+// end offset in the same s.mu critical section in which they read (or
+// swap) s.wal. Lock order is groupMu → mu; neither is ever held while
+// taking a corpus shard lock, so a waiter blocking with its shard lock
+// held cannot deadlock the loop.
 //
-// A failed batch fsync discards the writer's entire unsynced tail
-// (rollbackTo truncates back to the last offset a successful sync
-// covered) and fails every pending waiter, including appends that
-// landed during the failed sync: their records die in the same
-// truncation, and their mutations abort, so the log stays a prefix of
-// memory. If even the rollback cannot be confirmed the writer wedges,
-// exactly like the per-append path.
+// A failed fsync discards the writer's entire unsynced tail (truncating
+// back to the last offset a successful sync covered) and fails every
+// pending waiter, including appends that landed during the failed sync:
+// their records die in the same truncation, and their mutations abort, so
+// the log stays a prefix of memory. If even the rollback cannot be
+// confirmed the writer wedges, and every later append fails fast.
 
-// groupWaiter is one append (or batch) blocked on the fsync that will
-// acknowledge it: the channel its caller waits on and the highest
-// sequence number its records carry, so a successful commit can advance
-// the acknowledged watermark the replication feed ships up to.
+// groupWaiter is one append blocked on the fsync that will acknowledge
+// it: the channel its caller waits on, the sequence number the store had
+// before it (restored if its records are rolled back, so a retry reuses
+// the seqs) and the highest one its records carry (so a successful commit
+// can advance the acknowledged watermark the replication feed ships up
+// to).
 type groupWaiter struct {
-	ch  chan error
-	seq uint64
-	// records counts the WAL records this waiter's append wrote (1 for a
-	// single append, len(recs) for a batch) — the unit the group-commit
-	// batch-size histogram sums over.
+	ch   chan error
+	prev uint64
+	seq  uint64
+	// records counts the WAL records the append wrote — the unit the
+	// group-commit batch-size histogram sums over.
 	records int
 }
 
-// groupLoop waits for the kick that follows each group append, gathers
-// a batch (see gatherBatch), and commits it. On shutdown it takes a
-// final drain: Close sets closing under s.mu before closing done, and
-// group appends fail fast once closing is set, so the drain cannot race
-// with a late enqueue.
+// groupLoop commits a batch after each kick. On shutdown it takes a final
+// drain: Close sets closing under s.mu before closing done, and appends
+// fail fast once closing is set, so the drain cannot race with a late
+// enqueue.
 func (s *Store) groupLoop() {
 	defer s.wg.Done()
 	for {
@@ -54,37 +53,7 @@ func (s *Store) groupLoop() {
 			s.groupCommit()
 			return
 		case <-s.groupCh:
-			if d := s.opts.GroupMaxDelay; d > 0 {
-				s.gatherBatch(d)
-			}
 			s.groupCommit()
-		}
-	}
-}
-
-// gatherBatch lingers after a batch's first append so more appends can
-// join, until d elapses or GroupMaxBytes accumulate. With GroupMaxDelay
-// left at 0 this never runs: batches form naturally from whatever lands
-// while the previous fsync is in flight, which keeps per-append latency
-// at roughly one device sync.
-func (s *Store) gatherBatch(d time.Duration) {
-	deadline := time.NewTimer(d)
-	defer deadline.Stop()
-	for {
-		s.mu.Lock()
-		full := s.groupBytes >= s.opts.GroupMaxBytes
-		s.mu.Unlock()
-		if full {
-			return
-		}
-		select {
-		case <-deadline.C:
-			return
-		case <-s.done:
-			return
-		case <-s.groupCh:
-			// Another append joined; recheck the byte cap. A kick lost to
-			// the channel's capacity merely means waiting out the delay.
 		}
 	}
 }
@@ -97,36 +66,28 @@ func (s *Store) groupCommit() {
 	s.mu.Lock()
 	waiters := s.groupWaiters
 	s.groupWaiters = nil
-	s.groupBytes = 0
-	w := s.wal
+	w, end := s.wal, s.wal.off
 	s.mu.Unlock()
-	s.resolveGroup(w, waiters)
+	s.resolveGroup(w, end, waiters)
 }
 
 // resolveGroup fsyncs w and acknowledges waiters, whose records the
-// caller guarantees are in w. Callers hold groupMu, which is what pins
-// w against rotation for the duration. The fsync runs outside s.mu so
-// new appends keep landing behind the batch — they form the next one.
-func (s *Store) resolveGroup(w *walWriter, waiters []groupWaiter) {
+// caller guarantees lie in w before end. Callers hold groupMu, which is
+// what pins w against rotation for the duration. The fsync runs outside
+// s.mu so new appends keep landing behind the batch — they form the next
+// one.
+func (s *Store) resolveGroup(w *walWriter, end int64, waiters []groupWaiter) {
 	if len(waiters) == 0 {
 		return
 	}
-	s.mu.Lock()
-	end := w.off
-	s.mu.Unlock()
 	err := w.fsync()
 	if err == nil {
-		// Everything up to the captured end is durable (later concurrent
-		// appends may be too, but their own batch will confirm that).
-		if end > w.syncedOff {
-			w.syncedOff = end
-		}
-		// Every captured waiter's records are covered by this sync, so
-		// the replication feed may now ship up to the batch's highest seq.
+		// Everything up to end is durable: the next failed sync rolls back
+		// to here and no further, and the replication feed may now ship up
+		// to the batch's highest seq.
 		s.mu.Lock()
-		for _, gw := range waiters {
-			s.advanceAckedLocked(gw.seq)
-		}
+		w.syncedOff = end
+		s.advanceAckedLocked(waiters[len(waiters)-1].seq)
 		s.mu.Unlock()
 		if m := s.opts.Metrics; m != nil {
 			var n int
@@ -142,23 +103,23 @@ func (s *Store) resolveGroup(w *walWriter, waiters []groupWaiter) {
 	}
 	// Failed sync: discard the whole unsynced tail and fail the batch.
 	s.mu.Lock()
-	late := waiters[len(waiters):]
 	if s.wal == w {
 		// Appends that landed during the failed fsync sit in the same
-		// tail being discarded; they fail with the batch. (When called
-		// from rotation, s.wal has already moved on and any new waiters
-		// belong to the new writer — leave them alone.)
-		late = s.groupWaiters
+		// tail being discarded; they fail with the batch, and the seqs of
+		// every discarded record are surrendered. (When called from
+		// rotation, s.wal has already moved on and any new waiters belong
+		// to the new writer — leave them alone.)
+		waiters = append(waiters, s.groupWaiters...)
 		s.groupWaiters = nil
-		s.groupBytes = 0
 		s.tailBytes -= w.off - w.syncedOff
+		if prev := waiters[0].prev; prev >= s.ackedSeq {
+			s.seq = prev
+		}
 	}
-	w.rollbackTo(w.syncedOff, "group fsync", err)
+	w.off = w.syncedOff
+	w.rollback("group fsync", err)
 	s.mu.Unlock()
 	for _, gw := range waiters {
-		gw.ch <- err
-	}
-	for _, gw := range late {
 		gw.ch <- err
 	}
 }

@@ -9,24 +9,19 @@ import (
 	"time"
 
 	"sbmlcompose/internal/corpus"
+	"sbmlcompose/internal/obs"
 	"sbmlcompose/internal/sbml"
 )
 
-// Tests for the FsyncGroup commit path: batched acknowledgement must
-// keep FsyncAlways's guarantee (an acked write survives, a failed write
-// vanishes) under concurrency, rotation and shutdown.
-
-func groupOptions() Options {
-	opts := testOptions()
-	opts.Fsync = FsyncGroup
-	return opts
-}
+// Tests for FsyncAlways's group commit: batched acknowledgement must
+// keep the guarantee (an acked write survives, a failed write vanishes)
+// under concurrency, rotation and shutdown.
 
 // TestGroupCommitConcurrentWriters hammers the group path from many
 // goroutines and verifies every acknowledged add survives a reopen.
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	opts := groupOptions()
+	opts := testOptions()
 	opts.NoSnapshotOnClose = true // reopen must replay the group-committed WAL
 	s := mustOpen(t, dir, opts)
 	const writers, perWriter = 8, 6
@@ -71,7 +66,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 // crash-and-reopen cannot resurrect a write its caller saw fail.
 func TestGroupCommitFsyncFailure(t *testing.T) {
 	dir := t.TempDir()
-	opts := groupOptions()
+	opts := testOptions()
 	opts.NoSnapshotOnClose = true
 	s := mustOpen(t, dir, opts)
 	mustAdd(t, s.Corpus(), testModel(0))
@@ -109,13 +104,58 @@ func TestGroupCommitFsyncFailure(t *testing.T) {
 	s2.Close()
 }
 
+// TestGroupCommitFsyncFailureSurrendersSeqs: a follower batch whose
+// group commit fails must give its explicit seqs back, or the apply loop's
+// retry of the same chunk is refused forever as "not beyond store seq".
+func TestGroupCommitFsyncFailureSurrendersSeqs(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOptions()
+	opts.NoSnapshotOnClose = true
+	s := mustOpen(t, dir, opts)
+	s.mu.Lock()
+	calls := 0
+	s.wal.syncHook = func(f *os.File) error {
+		calls++
+		if calls == 1 {
+			return errors.New("injected group fsync failure")
+		}
+		return f.Sync()
+	}
+	s.mu.Unlock()
+	batch := func() []BatchRecord {
+		var recs []BatchRecord
+		for i := 0; i < 3; i++ {
+			m := testModel(i)
+			recs = append(recs, BatchRecord{Seq: uint64(i + 1), ID: m.ID, SBML: []byte(sbml.WrapModel(m).String())})
+		}
+		return recs
+	}
+	if err := s.AppendBatch(batch()); !errors.Is(err, corpus.ErrPersist) {
+		t.Fatalf("batch under failing fsync: err = %v, want ErrPersist", err)
+	}
+	if got := s.LastSeq(); got != 0 {
+		t.Fatalf("LastSeq after rolled-back batch = %d, want 0", got)
+	}
+	if err := s.AppendBatch(batch()); err != nil {
+		t.Fatalf("retry of the rolled-back batch: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir, opts)
+	defer s2.Close()
+	if got := s2.Corpus().Len(); got != 3 || s2.LastSeq() != 3 {
+		t.Fatalf("recovered %d models at seq %d, want 3 at 3", got, s2.LastSeq())
+	}
+}
+
 // TestGroupCommitFsyncAndRollbackFailure fails both the batch fsync and
 // the rollback's confirming sync: the writer must wedge and every later
 // append must fail fast rather than acknowledge records behind an
 // unconfirmed tail.
 func TestGroupCommitFsyncAndRollbackFailure(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, groupOptions())
+	s := mustOpen(t, dir, testOptions())
 	boom := errors.New("injected persistent sync failure")
 	s.mu.Lock()
 	s.wal.syncHook = func(*os.File) error { return boom }
@@ -141,7 +181,7 @@ func TestGroupCommitFsyncAndRollbackFailure(t *testing.T) {
 // survive, whichever side of a rotation its record landed on.
 func TestGroupCommitAcrossRotation(t *testing.T) {
 	dir := t.TempDir()
-	opts := groupOptions()
+	opts := testOptions()
 	s := mustOpen(t, dir, opts)
 	const n = 24
 	var wg sync.WaitGroup
@@ -189,7 +229,7 @@ func TestGroupCommitAcrossRotation(t *testing.T) {
 func TestGroupCommitCloseRace(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		dir := t.TempDir()
-		opts := groupOptions()
+		opts := testOptions()
 		opts.NoSnapshotOnClose = true
 		s := mustOpen(t, dir, opts)
 		var wg sync.WaitGroup
@@ -224,42 +264,14 @@ func TestGroupCommitCloseRace(t *testing.T) {
 	}
 }
 
-// TestGroupCommitDelayBatches exercises the GroupMaxDelay/GroupMaxBytes
-// knobs: with a generous delay and a tiny byte cap, a single append must
-// still commit promptly once its bytes exceed the cap.
-func TestGroupCommitDelayBatches(t *testing.T) {
-	dir := t.TempDir()
-	opts := groupOptions()
-	opts.GroupMaxDelay = 30 * time.Second // would time out the test if waited
-	opts.GroupMaxBytes = 1                // any append overflows the cap at once
-	s := mustOpen(t, dir, opts)
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.Corpus().Add(testModel(0))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("append under byte-cap overflow did not commit")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAppendBatchSingleSync pins the replication apply path's fsync
 // economics: one AppendBatch of N records — the follower persisting a
-// whole received chunk — must reach stable storage with exactly one
-// sync, even under FsyncAlways, and every record must survive a crash
+// whole received chunk — must ride one group commit, reaching stable
+// storage with exactly one sync, and every record must survive a crash
 // reopen.
 func TestAppendBatchSingleSync(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOptions()
-	opts.Fsync = FsyncAlways
 	opts.NoSnapshotOnClose = true // reopen must replay the batched WAL
 	s := mustOpen(t, dir, opts)
 
@@ -304,10 +316,17 @@ func TestAppendBatchSingleSync(t *testing.T) {
 	}
 }
 
-// TestAppendBatchGroupPolicySingleSync repeats the pin under FsyncGroup:
-// the whole batch rides one group commit, not one per record.
+// TestAppendBatchGroupPolicySingleSync: a batch under the default
+// group-committing policy is one commit — one sync, and one
+// GroupBatchRecords observation counting every record in it.
 func TestAppendBatchGroupPolicySingleSync(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), groupOptions())
+	hist, err := obs.NewHistogram([]float64{1, 2, 4, 8, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := testOptions()
+	opts.Metrics = &Metrics{GroupBatchRecords: hist}
+	s := mustOpen(t, t.TempDir(), opts)
 	defer s.Close()
 	var syncs int
 	s.mu.Lock()
@@ -330,7 +349,11 @@ func TestAppendBatchGroupPolicySingleSync(t *testing.T) {
 		t.Fatalf("AppendBatch: %v", err)
 	}
 	if syncs != 1 {
-		t.Fatalf("group-policy AppendBatch issued %d syncs, want 1", syncs)
+		t.Fatalf("group-commit AppendBatch issued %d syncs, want 1", syncs)
+	}
+	if hist.Count() != 1 || hist.Sum() != 6 {
+		t.Fatalf("GroupBatchRecords saw %d commits totalling %v records, want 1 of 6",
+			hist.Count(), hist.Sum())
 	}
 }
 

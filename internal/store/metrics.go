@@ -9,14 +9,15 @@ import "sbmlcompose/internal/obs"
 // registry; library users normally leave Options.Metrics nil.
 type Metrics struct {
 	// AppendSeconds observes the full latency of each append call
-	// (PersistAdd/PersistRemove/AppendBatch), including any group-commit
-	// wait — what a writer actually experiences.
+	// (PersistAdd/PersistRemove/AppendBatch), including the group-commit
+	// wait under FsyncAlways — what a writer actually experiences.
 	AppendSeconds *obs.Histogram
 	// FsyncSeconds observes each physical WAL fsync, whichever path
-	// triggered it (per-append, group commit, interval timer, rotation).
+	// triggered it (group commit, rollback, interval timer, rotation).
 	FsyncSeconds *obs.Histogram
-	// GroupBatchRecords observes how many records each successful group
-	// commit acknowledged — the batching the fsync amortizes over.
+	// GroupBatchRecords observes how many records each successful
+	// FsyncAlways group commit acknowledged — the batching the fsync
+	// amortizes over.
 	GroupBatchRecords *obs.Histogram
 	// SnapshotSeconds observes the duration of each successful snapshot
 	// (manual, automatic compaction, and on close).

@@ -406,49 +406,49 @@ func (r *Replica) verifyIdentity(h http.Header) error {
 	return nil
 }
 
-// applyFrames verifies a received chunk frame by frame (CRC + decode,
-// recovery's exact checks) and applies the verified prefix as one batch.
-// Trailing damage — a torn frame from a cut, a CRC mismatch from a
-// flipped bit — discards everything from the first bad frame and returns
-// an error; the loop then re-requests from the new durable seq. Nothing
-// at or past a bad frame is ever applied.
+// applyFrames verifies a received chunk (verifyChunk) and applies the
+// verified prefix as one batch. Trailing damage discards everything from
+// the first bad frame and returns an error; the loop then re-requests from
+// the new durable seq. Nothing at or past a bad frame is ever applied.
 func (r *Replica) applyFrames(frames []byte, from uint64) error {
-	var recs []walRecord
-	off := int64(0)
-	size := int64(len(frames))
 	verifyStart := time.Now()
-	var damaged error
-	for off < size {
-		payload, end, ok := nextFrame(frames, off)
-		if !ok {
-			damaged = fmt.Errorf("apply: torn or corrupt frame at offset %d of %d", off, size)
-			break
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			damaged = fmt.Errorf("apply: undecodable record at offset %d: %w", off, err)
-			break
-		}
-		prev := from
-		if n := len(recs); n > 0 {
-			prev = recs[n-1].seq
-		}
-		if rec.seq <= prev {
-			// A primary never ships non-monotone seqs; treat it like
-			// corruption and refuse everything from here on.
-			damaged = fmt.Errorf("apply: sequence regressed %d -> %d at offset %d", prev, rec.seq, off)
-			break
-		}
-		recs = append(recs, rec)
-		off = end
-	}
-	if m := r.opts.Metrics; m != nil && size > 0 {
+	recs, _, damaged := verifyChunk(frames, from)
+	if m := r.opts.Metrics; m != nil && len(frames) > 0 {
 		m.VerifySeconds.Observe(time.Since(verifyStart).Seconds())
 	}
 	if err := r.applyRecords(recs); err != nil {
 		return err
 	}
 	return damaged
+}
+
+// verifyChunk checks a received chunk frame by frame — CRC and decode,
+// recovery's exact checks, plus strictly increasing seqs above from — and
+// returns the records of the verified prefix, the offset just past it,
+// and, when the prefix stops short of the chunk, what stopped it: a torn
+// frame from a cut, a CRC mismatch from a flipped bit, or a regressed seq.
+func verifyChunk(frames []byte, from uint64) ([]walRecord, int64, error) {
+	var recs []walRecord
+	off, size := int64(0), int64(len(frames))
+	prev := from
+	for off < size {
+		payload, end, ok := nextFrame(frames, off)
+		if !ok {
+			return recs, off, fmt.Errorf("apply: torn or corrupt frame at offset %d of %d", off, size)
+		}
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return recs, off, fmt.Errorf("apply: undecodable record at offset %d: %w", off, err)
+		}
+		if rec.seq <= prev {
+			// A primary never ships non-monotone seqs; treat it like
+			// corruption and refuse everything from here on.
+			return recs, off, fmt.Errorf("apply: sequence regressed %d -> %d at offset %d", prev, rec.seq, off)
+		}
+		recs = append(recs, rec)
+		prev, off = rec.seq, end
+	}
+	return recs, off, nil
 }
 
 // applyRecords resolves the adds' match keys under recovery's trust rule

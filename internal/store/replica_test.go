@@ -193,7 +193,7 @@ func keylessFrames(t *testing.T, frames []byte) []byte {
 		if rec.op == opAddKeys {
 			rec = walRecord{op: opAdd, seq: rec.seq, id: rec.id, sbml: rec.sbml}
 		}
-		out = append(out, frameRecord(encodeRecord(rec))...)
+		out = append(out, appendFrame(nil, rec)...)
 		off = end
 	}
 	return out

@@ -117,15 +117,16 @@
 //
 // # Durability policy
 //
-// FsyncAlways syncs the WAL after every append — an acknowledged
-// mutation survives power loss, at a per-write latency cost.
-// FsyncGroup gives the same guarantee at a fraction of the cost under
-// concurrency: appends are written immediately but acknowledged by a
-// group-commit loop that batches all appends landing while one fsync is
-// in flight into the next (group.go). FsyncInterval syncs on a timer,
-// bounding loss to the interval; FsyncNever leaves flushing to the OS.
-// Snapshots are always written cold-path durable (temp file + fsync +
-// rename + directory sync) regardless of policy.
+// Each policy has one mechanism. FsyncAlways acknowledges an append only
+// once an fsync covering it returns, so an acknowledged mutation survives
+// power loss; the syncs are group commits (group.go): appends are written
+// at once, and one fsync acknowledges every append that landed while the
+// previous one was in flight, so concurrent writers share a sync and a
+// lone writer pays one per append. FsyncInterval syncs on a timer,
+// bounding loss to the interval; a failed timer sync wedges the writer.
+// FsyncNever leaves flushing to the OS. Snapshots are always written
+// cold-path durable (temp file + fsync + rename + directory sync)
+// regardless of policy.
 package store
 
 import (
@@ -145,26 +146,27 @@ import (
 type FsyncPolicy string
 
 const (
-	// FsyncAlways syncs after every append: no acknowledged write is ever
-	// lost. The default.
+	// FsyncAlways acknowledges no append before an fsync covering it
+	// completes: no acknowledged write is ever lost. The syncs are group
+	// commits — one fsync acknowledges every append that landed while the
+	// previous one was in flight — so latency per append stays around one
+	// fsync and aggregate throughput scales with the writer count. The
+	// default.
 	FsyncAlways FsyncPolicy = "always"
-	// FsyncGroup is FsyncAlways's guarantee with batched syncs: an append
-	// is not acknowledged until an fsync covering it completes, but one
-	// fsync acknowledges every append that landed while the previous one
-	// was in flight, so concurrent writers share the sync cost instead of
-	// paying it each. Latency per append stays around one fsync; aggregate
-	// throughput scales with the writer count.
-	FsyncGroup FsyncPolicy = "group"
 	// FsyncInterval syncs on a timer (Options.FsyncEvery): loss after a
-	// crash is bounded by the interval.
+	// crash is bounded by the interval. The replication feed ships a
+	// record only after a timer sync (or a snapshot) covers it. A failed
+	// timer sync wedges the writer, because the kernel may have dropped
+	// the pages it failed on and a later sync would not bring them back:
+	// later appends fail and the feed ships nothing newer.
 	FsyncInterval FsyncPolicy = "interval"
 	// FsyncNever leaves flushing to the operating system. Replication
 	// caveat: with no sync point to gate on, the feed ships records the
 	// moment they are written, so a primary crash can lose records a
 	// follower already holds durably — the follower is then no prefix of
 	// the restarted primary and can never reconcile. Primaries that feed
-	// followers should run FsyncAlways, FsyncGroup or FsyncInterval (all
-	// of which ship only durable records).
+	// followers should run FsyncAlways or FsyncInterval (both of which
+	// ship only durable records).
 	FsyncNever FsyncPolicy = "never"
 )
 
@@ -177,18 +179,6 @@ type Options struct {
 	Fsync FsyncPolicy
 	// FsyncEvery is the FsyncInterval period; 0 defaults to 200ms.
 	FsyncEvery time.Duration
-	// GroupMaxBytes caps how many written-but-unsynced bytes a FsyncGroup
-	// batch accumulates before the loop stops waiting for more company and
-	// syncs; 0 defaults to 1 MiB. Only consulted when GroupMaxDelay > 0
-	// (with no delay, every batch commits as soon as the previous fsync
-	// returns).
-	GroupMaxBytes int64
-	// GroupMaxDelay, when positive, makes the FsyncGroup loop linger that
-	// long after the first append of a batch (or until GroupMaxBytes
-	// accumulate) to gather a larger batch, trading append latency for
-	// fewer syncs. 0 — the default — batches naturally: whatever lands
-	// during one fsync forms the next batch.
-	GroupMaxDelay time.Duration
 	// RecoveryParseOnly makes the store ignore persisted match keys — in
 	// the snapshot, in keyed WAL records, and in replicated records and
 	// snapshot images — and push every model through the parse path, as
@@ -213,15 +203,14 @@ func (o Options) withDefaults() (Options, error) {
 	switch o.Fsync {
 	case "":
 		o.Fsync = FsyncAlways
-	case FsyncAlways, FsyncGroup, FsyncInterval, FsyncNever:
+	case FsyncAlways, FsyncInterval, FsyncNever:
+	case "group":
+		return o, fmt.Errorf(`store: fsync policy "group" is gone: "always" now group-commits with the same guarantee`)
 	default:
-		return o, fmt.Errorf("store: unknown fsync policy %q (want always, group, interval or never)", o.Fsync)
+		return o, fmt.Errorf("store: unknown fsync policy %q (want always, interval or never)", o.Fsync)
 	}
 	if o.FsyncEvery <= 0 {
 		o.FsyncEvery = 200 * time.Millisecond
-	}
-	if o.GroupMaxBytes <= 0 {
-		o.GroupMaxBytes = 1 << 20
 	}
 	if o.CompactBytes == 0 {
 		o.CompactBytes = 8 << 20
@@ -277,7 +266,8 @@ type Status struct {
 
 // Store couples a recovered corpus to its WAL and snapshot files. It is
 // the corpus's Persister: every Add/Remove is logged (and, under
-// FsyncAlways, synced) before the in-memory mutation becomes visible.
+// FsyncAlways, group-committed) before the in-memory mutation becomes
+// visible.
 // All methods are safe for concurrent use.
 type Store struct {
 	dir   string
@@ -302,8 +292,8 @@ type Store struct {
 	gen       uint64
 	seq       uint64
 	tailBytes int64
-	closing   bool // Close has begun: no new Close work, appends still drain
-	closed    bool // WAL closed: appends fail
+	closing   bool // Close has begun: appends fail
+	closed    bool // WAL closed: snapshots and tail reads fail
 
 	// Replication-feed state (tail.go), guarded by mu. ackedSeq is the
 	// highest sequence number whose append has been acknowledged to its
@@ -337,17 +327,15 @@ type Store struct {
 	// path (AppendBatch) is exempt — it is the one legitimate writer.
 	readOnly atomic.Bool
 
-	// Group-commit state (FsyncGroup only; see group.go). groupMu
+	// Group-commit state (FsyncAlways only; see group.go). groupMu
 	// serializes group commits against segment rotation — lock order is
 	// groupMu → mu, and whoever holds groupMu owns the invariant that
 	// every pending waiter's record sits in the current s.wal.
 	// groupWaiters (guarded by mu) are appends written but awaiting the
-	// fsync that acknowledges them; groupBytes counts their frame bytes;
-	// groupCh kicks the loop.
+	// fsync that acknowledges them; groupCh kicks the loop.
 	groupMu      sync.Mutex
 	groupCh      chan struct{}
 	groupWaiters []groupWaiter
-	groupBytes   int64
 
 	// snapMu serializes snapshots (manual, auto-compaction, close).
 	snapMu     sync.Mutex
@@ -473,7 +461,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if len(segs) == 0 {
 		s.gen = 1
-		s.wal, err = createSegment(segmentName(dir, s.gen), opts.Fsync == FsyncAlways)
+		s.wal, err = createSegment(segmentName(dir, s.gen))
 		if err != nil {
 			return nil, err
 		}
@@ -534,14 +522,14 @@ func Open(dir string, opts Options) (*Store, error) {
 
 	s.wg.Add(1)
 	go s.compactLoop()
-	if opts.Fsync == FsyncInterval {
-		s.wg.Add(1)
-		go s.fsyncLoop()
-	}
-	if opts.Fsync == FsyncGroup {
+	switch opts.Fsync {
+	case FsyncAlways:
 		s.groupCh = make(chan struct{}, 1)
 		s.wg.Add(1)
 		go s.groupLoop()
+	case FsyncInterval:
+		s.wg.Add(1)
+		go s.fsyncLoop()
 	}
 	return s, nil
 }
@@ -559,12 +547,11 @@ func (s *Store) openTail(path string, rep segmentReplay) error {
 		return err
 	}
 	s.gen = gen
-	always := s.opts.Fsync == FsyncAlways
 	if rep.goodOff < int64(len(walMagic)) {
 		if err := os.Remove(path); err != nil {
 			return fmt.Errorf("store: recreate %s: %w", path, err)
 		}
-		s.wal, err = createSegment(path, always)
+		s.wal, err = createSegment(path)
 		return err
 	}
 	if rep.droppedBytes > 0 {
@@ -577,13 +564,13 @@ func (s *Store) openTail(path string, rep segmentReplay) error {
 	s.tailBytes = rep.goodOff - int64(len(walMagic))
 	if rep.v1 {
 		s.gen++
-		if s.wal, err = createSegment(segmentName(s.dir, s.gen), always); err != nil {
+		if s.wal, err = createSegment(segmentName(s.dir, s.gen)); err != nil {
 			return err
 		}
 		syncDir(s.dir)
 		return nil
 	}
-	s.wal, err = openSegmentForAppend(path, rep.goodOff, always)
+	s.wal, err = openSegmentForAppend(path, rep.goodOff)
 	return err
 }
 
@@ -626,14 +613,13 @@ func persistErr(op string, err error) error {
 var ErrReadOnly = errors.New("store is a read-only replica")
 
 // PersistAdd implements corpus.Persister: it logs an AddModel record
-// (synced under FsyncAlways) before the corpus applies the mutation.
-// Called under the mutated shard's write lock.
+// (group-committed under FsyncAlways) before the corpus applies the
+// mutation. Called under the mutated shard's write lock.
 func (s *Store) PersistAdd(id string, sbmlBytes []byte) error {
 	if s.readOnly.Load() {
 		return persistErr("wal append add", ErrReadOnly)
 	}
-	_, err := s.appendRecord(walRecord{op: opAdd, id: id, sbml: sbmlBytes}, "wal append add")
-	return err
+	return s.appendBatch("wal append add", []BatchRecord{{ID: id, SBML: sbmlBytes}})
 }
 
 // PersistAddKeys implements corpus.KeyPersister: PersistAdd, except the
@@ -645,12 +631,11 @@ func (s *Store) PersistAddKeys(id string, sbmlBytes []byte, keys []core.Componen
 	if s.readOnly.Load() {
 		return nil, persistErr("wal append add", ErrReadOnly)
 	}
-	rec := walRecord{op: opAddKeys, id: id, sbml: sbmlBytes, fingerprint: s.fingerprint, keys: core.EncodeMatchKeys(keys)}
-	doc, err := s.appendRecord(rec, "wal append add")
-	if err != nil {
+	recs := []BatchRecord{{ID: id, SBML: sbmlBytes, Keys: keys}}
+	if err := s.appendBatch("wal append add", recs); err != nil {
 		return nil, err
 	}
-	return doc, nil
+	return recs[0].Doc, nil
 }
 
 // PersistRemove implements corpus.Persister for removals.
@@ -658,73 +643,7 @@ func (s *Store) PersistRemove(id string) error {
 	if s.readOnly.Load() {
 		return persistErr("wal append remove", ErrReadOnly)
 	}
-	_, err := s.appendRecord(walRecord{op: opRemove, id: id}, "wal append remove")
-	return err
-}
-
-// appendRecord logs one record and returns a locator for it in the
-// segment it landed in.
-func (s *Store) appendRecord(rec walRecord, op string) (*fileDoc, error) {
-	if m := s.opts.Metrics; m != nil {
-		t0 := time.Now()
-		defer func() { m.AppendSeconds.Observe(time.Since(t0).Seconds()) }()
-	}
-	group := s.opts.Fsync == FsyncGroup
-	s.mu.Lock()
-	if s.closed || (group && s.closing) {
-		// Group appends must also stop at closing, not just closed: the
-		// group loop takes its final drain when Close signals done, and a
-		// waiter enqueued after that drain would block forever. closing is
-		// set under mu before done is closed, so this check and the drain
-		// cannot miss the same waiter.
-		s.mu.Unlock()
-		return nil, persistErr(op, fmt.Errorf("store is closed"))
-	}
-	s.seq++
-	rec.seq = s.seq
-	frame := frameRecord(encodeRecord(rec))
-	doc := &fileDoc{f: s.wal.r, span: frameSpan(frame, s.wal.off)}
-	if err := s.wal.appendFrames(frame); err != nil {
-		s.mu.Unlock()
-		return nil, persistErr(op, err)
-	}
-	s.tailBytes += int64(len(frame))
-	if s.opts.CompactBytes > 0 && s.tailBytes >= s.opts.CompactBytes {
-		select {
-		case s.compactCh <- struct{}{}:
-		default:
-		}
-	}
-	if !group {
-		// Under FsyncAlways the append's sync already ran, so the
-		// replication feed may ship it. Under FsyncInterval the record is
-		// not durable until the next timer sync — the fsync loop advances
-		// the watermark then, so a primary crash can never lose a record a
-		// follower durably holds. FsyncNever has no sync point to gate on
-		// and ships immediately (see the policy's replication caveat).
-		if s.opts.Fsync != FsyncInterval {
-			s.advanceAckedLocked(rec.seq)
-		}
-		s.mu.Unlock()
-		return doc, nil
-	}
-	// Group commit: the record is written but not yet durable. Enqueue in
-	// the same critical section as the write — that is what lets both the
-	// group loop and segment rotation pair every waiter with the writer
-	// holding its bytes — then block until an fsync covers it (or fails;
-	// then the record has been rolled back and the mutation must abort).
-	done := make(chan error, 1)
-	s.groupWaiters = append(s.groupWaiters, groupWaiter{ch: done, seq: rec.seq, records: 1})
-	s.groupBytes += int64(len(frame))
-	s.mu.Unlock()
-	select {
-	case s.groupCh <- struct{}{}:
-	default: // loop already kicked; it drains all waiters regardless
-	}
-	if err := <-done; err != nil {
-		return nil, persistErr(op, err)
-	}
-	return doc, nil
+	return s.appendBatch("wal append remove", []BatchRecord{{Remove: true, ID: id}})
 }
 
 // advanceAckedLocked raises the acknowledged-sequence watermark and wakes
@@ -762,29 +681,38 @@ type BatchRecord struct {
 // AppendBatch logs a chunk of records with a single write and at most a
 // single fsync covering the whole chunk — the follower apply path's
 // amortization (a received replication batch of N records costs one sync,
-// not N) and the answer to group commit capping batches at the
-// blocked-writer count. Under FsyncGroup the batch enqueues one waiter,
-// so it joins whatever batch the group loop forms. All records land or
-// none do: a failed write or sync rolls the entire chunk back.
-// On success every add's Doc locates its record.
+// not N). Under FsyncAlways the batch enqueues one waiter, so it joins
+// whatever group commit forms. All records land or none do: a failed
+// write or sync rolls the entire chunk back. On success every add's Doc
+// locates its record.
 func (s *Store) AppendBatch(recs []BatchRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	return s.appendBatch("wal append batch", recs)
+}
+
+// appendBatch is the one append path: it logs recs as one write, labels
+// a failure with op, and returns once the records are acknowledged under
+// the store's policy.
+func (s *Store) appendBatch(op string, recs []BatchRecord) error {
 	if m := s.opts.Metrics; m != nil {
 		t0 := time.Now()
 		defer func() { m.AppendSeconds.Observe(time.Since(t0).Seconds()) }()
 	}
-	group := s.opts.Fsync == FsyncGroup
 	s.mu.Lock()
-	if s.closed || (group && s.closing) {
+	if s.closing {
+		// Appends stop at closing, not just closed: the group loop takes
+		// its final drain when Close signals done, and a waiter enqueued
+		// after that drain would block forever. closing is set under mu
+		// before done is closed, so this check and the drain cannot miss
+		// the same waiter.
 		s.mu.Unlock()
-		return persistErr("wal append batch", fmt.Errorf("store is closed"))
+		return persistErr(op, fmt.Errorf("store is closed"))
 	}
 	seq0 := s.seq
 	var frames []byte
-	spans := make([]span, len(recs))
-	for i, br := range recs {
+	for _, br := range recs {
 		rec := walRecord{op: opAdd, id: br.ID, sbml: br.SBML}
 		switch {
 		case br.Remove:
@@ -794,32 +722,24 @@ func (s *Store) AppendBatch(recs []BatchRecord) error {
 		}
 		if br.Seq == 0 {
 			s.seq++
-			rec.seq = s.seq
+		} else if br.Seq <= s.seq {
+			err := fmt.Errorf("batch seq %d not beyond store seq %d", br.Seq, s.seq)
+			s.seq = seq0
+			s.mu.Unlock()
+			return persistErr(op, err)
 		} else {
-			if br.Seq <= s.seq {
-				err := fmt.Errorf("batch seq %d not beyond store seq %d", br.Seq, s.seq)
-				s.seq = seq0
-				s.mu.Unlock()
-				return persistErr("wal append batch", err)
-			}
 			s.seq = br.Seq
-			rec.seq = br.Seq
 		}
-		frame := frameRecord(encodeRecord(rec))
-		spans[i] = frameSpan(frame, s.wal.off+int64(len(frames)))
-		frames = append(frames, frame...)
+		rec.seq = s.seq
+		frames = appendFrame(frames, rec)
 	}
-	if err := s.wal.appendFrames(frames); err != nil {
+	w, base := s.wal, s.wal.off
+	if err := w.appendFrames(frames); err != nil {
 		// The writer rolled the whole chunk back (or wedged); the seqs it
 		// would have consumed are surrendered too so a retry reuses them.
 		s.seq = seq0
 		s.mu.Unlock()
-		return persistErr("wal append batch", err)
-	}
-	for i := range recs {
-		if !recs[i].Remove {
-			recs[i].Doc = &fileDoc{f: s.wal.r, span: spans[i]}
-		}
+		return persistErr(op, err)
 	}
 	last := s.seq
 	s.tailBytes += int64(len(frames))
@@ -829,25 +749,39 @@ func (s *Store) AppendBatch(recs []BatchRecord) error {
 		default:
 		}
 	}
-	if !group {
-		// Same watermark gating as appendRecord: FsyncInterval records
-		// become shippable at the next timer sync, not on return.
-		if s.opts.Fsync != FsyncInterval {
-			s.advanceAckedLocked(last)
-		}
-		s.mu.Unlock()
-		return nil
+	var done chan error
+	switch s.opts.Fsync {
+	case FsyncAlways:
+		// The records are written but not yet durable. Enqueue in the same
+		// critical section as the write — that is what lets both the group
+		// loop and rotation pair every waiter with the writer holding its
+		// bytes — then block until an fsync covers them (or fails; then the
+		// records have been rolled back and the mutation must abort).
+		done = make(chan error, 1)
+		s.groupWaiters = append(s.groupWaiters, groupWaiter{ch: done, prev: seq0, seq: last, records: len(recs)})
+	case FsyncNever:
+		// No sync point to gate on: the feed ships at once (see the
+		// policy's replication caveat). Under FsyncInterval the fsync loop
+		// advances the watermark at the next timer sync instead, so a
+		// primary crash can never lose a record a follower durably holds.
+		s.advanceAckedLocked(last)
 	}
-	done := make(chan error, 1)
-	s.groupWaiters = append(s.groupWaiters, groupWaiter{ch: done, seq: last, records: len(recs)})
-	s.groupBytes += int64(len(frames))
 	s.mu.Unlock()
-	select {
-	case s.groupCh <- struct{}{}:
-	default:
+	if done != nil {
+		select {
+		case s.groupCh <- struct{}{}:
+		default: // loop already kicked; it drains all waiters regardless
+		}
+		if err := <-done; err != nil {
+			return persistErr(op, err)
+		}
 	}
-	if err := <-done; err != nil {
-		return persistErr("wal append batch", err)
+	for i, off := 0, 0; i < len(recs); i++ {
+		sp := frameSpan(frames[off:], base+int64(off))
+		off += walFrameLen + int(sp.n)
+		if !recs[i].Remove {
+			recs[i].Doc = &fileDoc{f: w.r, span: sp}
+		}
 	}
 	return nil
 }
@@ -885,54 +819,11 @@ func (s *Store) SnapshotContext(ctx context.Context) error {
 	snapStart := time.Now()
 
 	// Rotate: new appends go to a fresh segment so the snapshot write
-	// happens without holding any corpus or WAL lock. Under FsyncGroup the
-	// whole rotation runs inside groupMu: the group loop is locked out, and
-	// any waiters captured in the same critical section as the swap are
-	// exactly the appends whose bytes sit in the outgoing writer — they are
-	// resolved against it (resolveGroup) before anything else happens, so
-	// no waiter is ever left pending on a rotated-out segment.
-	group := s.opts.Fsync == FsyncGroup
-	if group {
-		s.groupMu.Lock()
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		if group {
-			s.groupMu.Unlock()
-		}
-		return fmt.Errorf("store: snapshot: store is closed")
-	}
-	newGen := s.gen + 1
-	w, err := createSegment(segmentName(s.dir, newGen), s.opts.Fsync == FsyncAlways)
+	// happens without holding any corpus or WAL lock.
+	newGen, err := s.rotate(nil)
 	if err != nil {
-		s.mu.Unlock()
-		if group {
-			s.groupMu.Unlock()
-		}
-		return fmt.Errorf("store: snapshot rotate: %w", err)
+		return fmt.Errorf("store: snapshot: %w", err)
 	}
-	w.metrics = s.opts.Metrics
-	old := s.wal
-	s.wal = w
-	s.gen = newGen
-	s.tailBytes = 0
-	var waiters []groupWaiter
-	if group {
-		waiters = s.groupWaiters
-		s.groupWaiters = nil
-		s.groupBytes = 0
-	}
-	s.mu.Unlock()
-	if group {
-		s.resolveGroup(old, waiters)
-		s.groupMu.Unlock()
-	}
-	syncDir(s.dir)
-	// Close (and flush) the rotated-out segment. Its records are about to
-	// be covered by the snapshot; until the snapshot rename lands, the
-	// segment file itself stays on disk, so nothing is lost either way.
-	_ = old.close()
 
 	// Collect a consistent view: every shard read-locked before the first
 	// model is serialized, LastSeq captured under the same locks.
@@ -1006,6 +897,48 @@ func (s *Store) SnapshotContext(ctx context.Context) error {
 	return nil
 }
 
+// rotate moves appends to a fresh segment — compaction's first step, and
+// snapshot-image install's — and returns its generation. check, when
+// non-nil, runs under mu before anything changes and can refuse the
+// rotation. The whole rotation runs inside groupMu: the group loop is
+// locked out, and the waiters captured in the same critical section as the
+// swap are exactly the appends whose bytes sit in the outgoing writer —
+// they are resolved against it before it closes, so no waiter is ever
+// left pending on a rotated-out segment. Closing flushes the outgoing
+// segment; it stays on disk until a snapshot covers it.
+func (s *Store) rotate(check func() error) (uint64, error) {
+	s.groupMu.Lock()
+	defer s.groupMu.Unlock()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return 0, fmt.Errorf("store is closed")
+	}
+	if check != nil {
+		if err := check(); err != nil {
+			s.mu.Unlock()
+			return 0, err
+		}
+	}
+	gen := s.gen + 1
+	w, err := createSegment(segmentName(s.dir, gen))
+	if err != nil {
+		s.mu.Unlock()
+		return 0, fmt.Errorf("rotate: %w", err)
+	}
+	w.metrics = s.opts.Metrics
+	// A wedge outlives rotation: records behind it may not be durable, so
+	// no append or watermark advance may follow them until a restart.
+	w.wedged = s.wal.wedged
+	old, end, waiters := s.wal, s.wal.off, s.groupWaiters
+	s.wal, s.gen, s.tailBytes, s.groupWaiters = w, gen, 0, nil
+	s.mu.Unlock()
+	s.resolveGroup(old, end, waiters)
+	syncDir(s.dir)
+	_ = old.close()
+	return gen, nil
+}
+
 // compactLoop runs automatic compaction when the append path signals
 // that the tail grew past Options.CompactBytes. Compactions run under
 // closeCtx so a shutdown cancels an in-flight one between units of work
@@ -1047,8 +980,14 @@ func (s *Store) fsyncLoop() {
 				// makes them durable and therefore shippable. (Records in
 				// segments rotated out since the last tick were already
 				// synced by the rotation's close.)
+				// A failed sync wedges the writer: the kernel may have
+				// dropped the dirty pages it failed on, so no later sync
+				// makes those records durable, and no later tick may
+				// advance the watermark past them.
 				if err := s.wal.fsync(); err == nil {
 					s.advanceAckedLocked(s.seq)
+				} else if s.wal.wedged == nil {
+					s.wal.wedged = fmt.Errorf("interval fsync failed: %w", err)
 				}
 			}
 			s.mu.Unlock()

@@ -280,6 +280,11 @@ func TestFsyncPolicies(t *testing.T) {
 	if _, err := Open(t.TempDir(), Options{Fsync: "sometimes"}); err == nil {
 		t.Fatal("unknown fsync policy accepted")
 	}
+	// The retired group policy is refused with a pointer to always, which
+	// now group-commits, rather than silently aliased.
+	if _, err := Open(t.TempDir(), Options{Fsync: "group"}); err == nil || !strings.Contains(err.Error(), `"always" now group-commits`) {
+		t.Fatalf("retired fsync policy group: err = %v, want a refusal naming always", err)
+	}
 }
 
 func TestMutationsFailAfterClose(t *testing.T) {
@@ -426,11 +431,11 @@ func TestCanonicalBytesStableAcrossGenerations(t *testing.T) {
 // loudly instead of guessing.
 func TestReplayRejectsInconsistentLog(t *testing.T) {
 	dir := t.TempDir()
-	w, err := createSegment(segmentName(dir, 1), false)
+	w, err := createSegment(segmentName(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(encodeRecord(walRecord{op: opRemove, seq: 1, id: "ghost"})); err != nil {
+	if err := w.appendFrames(appendFrame(nil, walRecord{op: opRemove, seq: 1, id: "ghost"})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {

@@ -335,53 +335,15 @@ func (s *Store) ApplySnapshotImage(image []byte) error {
 	// should be none on a follower, but the invariants don't depend on
 	// that) move to the new writer, pending group waiters resolve against
 	// the old one.
-	group := s.opts.Fsync == FsyncGroup
-	if group {
-		s.groupMu.Lock()
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		if group {
-			s.groupMu.Unlock()
+	newGen, err := s.rotate(func() error {
+		if sf.lastSeq <= s.seq {
+			return fmt.Errorf("image seq %d not beyond local seq %d", sf.lastSeq, s.seq)
 		}
-		return fmt.Errorf("store: apply snapshot image: store is closed")
-	}
-	if sf.lastSeq <= s.seq {
-		cur := s.seq
-		s.mu.Unlock()
-		if group {
-			s.groupMu.Unlock()
-		}
-		return fmt.Errorf("store: apply snapshot image: image seq %d not beyond local seq %d", sf.lastSeq, cur)
-	}
-	newGen := s.gen + 1
-	w, err := createSegment(segmentName(s.dir, newGen), s.opts.Fsync == FsyncAlways)
+		return nil
+	})
 	if err != nil {
-		s.mu.Unlock()
-		if group {
-			s.groupMu.Unlock()
-		}
-		return fmt.Errorf("store: apply snapshot image: rotate: %w", err)
+		return fmt.Errorf("store: apply snapshot image: %w", err)
 	}
-	w.metrics = s.opts.Metrics
-	old := s.wal
-	s.wal = w
-	s.gen = newGen
-	s.tailBytes = 0
-	var waiters []groupWaiter
-	if group {
-		waiters = s.groupWaiters
-		s.groupWaiters = nil
-		s.groupBytes = 0
-	}
-	s.mu.Unlock()
-	if group {
-		s.resolveGroup(old, waiters)
-		s.groupMu.Unlock()
-	}
-	syncDir(s.dir)
-	_ = old.close()
 
 	// Install the image on disk first: after the rename, a crash at any
 	// later point recovers to exactly the primary's snapshotted state

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -614,6 +616,68 @@ func TestReadTailIntervalPolicyShipsOnlyDurableRecords(t *testing.T) {
 			t.Fatalf("fsync loop never made %d records shippable (got %d)", 3, tb.Records)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestReadTailIntervalFsyncFailureWedges: a failed timer sync may drop
+// the dirty pages it failed on, so a later successful sync does not make
+// the records before it durable. The failure must wedge the writer: no
+// later tick may advance the feed's watermark past the records it
+// covered, and later appends fail rather than pile up behind them.
+func TestReadTailIntervalFsyncFailureWedges(t *testing.T) {
+	opts := testOptions()
+	opts.Fsync = FsyncInterval
+	opts.FsyncEvery = 2 * time.Millisecond
+	opts.CompactBytes = -1
+	s := mustOpen(t, t.TempDir(), opts)
+	defer s.Close()
+	for i := 0; i < 3; i++ {
+		mustAdd(t, s.Corpus(), testModel(i))
+	}
+	// Arm a hook that fails the next sync and passes every later one. The
+	// loop syncs under mu, so no tick runs between arming and reading the
+	// watermark the failure must pin.
+	var armed atomic.Bool
+	failed := make(chan struct{})
+	s.mu.Lock()
+	armed.Store(true)
+	s.wal.syncHook = func(f *os.File) error {
+		if armed.CompareAndSwap(true, false) {
+			close(failed)
+			return errors.New("injected interval fsync failure")
+		}
+		return f.Sync()
+	}
+	pre := s.ackedSeq
+	s.mu.Unlock()
+	// This add lands on either side of the failing tick: before it, the
+	// record is covered by the failed sync; after it, the writer is
+	// already wedged and the add fails. Either way it must never ship.
+	_, _ = s.Corpus().Add(testModel(3))
+	select {
+	case <-failed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the interval loop never synced")
+	}
+	time.Sleep(50 * time.Millisecond) // many passing ticks
+	tb, err := s.ReadTail(context.Background(), 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.AckedSeq > pre || tb.LastSeq > pre {
+		t.Fatalf("feed watermark %d (last shipped %d) passed the pre-failure seq %d", tb.AckedSeq, tb.LastSeq, pre)
+	}
+	_, err = s.Corpus().Add(testModel(4))
+	if !errors.Is(err, corpus.ErrPersist) || !strings.Contains(err.Error(), "wedged") {
+		t.Fatalf("add after failed interval sync: err = %v, want a wedged persist error", err)
+	}
+	// A snapshot makes what memory holds durable, but the wedge outlives
+	// its rotation: the store takes no write until it is reopened.
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Corpus().Add(testModel(4)); err == nil || !strings.Contains(err.Error(), "wedged") {
+		t.Fatalf("add after rotating a wedged writer: err = %v, want a wedged persist error", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -66,7 +67,16 @@ type walRecord struct {
 // canonical SBML blob, and for keyed adds the uint64 LE fingerprint
 // followed by the keys blob, which runs to the end of the payload.
 func encodeRecord(rec walRecord) []byte {
-	buf := make([]byte, 0, 1+binary.MaxVarintLen64*3+len(rec.id)+len(rec.sbml)+8+len(rec.keys))
+	return appendPayload(make([]byte, 0, payloadCap(rec)), rec)
+}
+
+// payloadCap bounds the size of rec's encoded payload.
+func payloadCap(rec walRecord) int {
+	return 1 + binary.MaxVarintLen64*3 + len(rec.id) + len(rec.sbml) + 8 + len(rec.keys)
+}
+
+// appendPayload appends rec's encodeRecord payload to buf.
+func appendPayload(buf []byte, rec walRecord) []byte {
 	buf = append(buf, rec.op)
 	buf = binary.AppendUvarint(buf, rec.seq)
 	buf = binary.AppendUvarint(buf, uint64(len(rec.id)))
@@ -135,17 +145,20 @@ func decodeRecord(payload []byte) (walRecord, error) {
 	return rec, nil
 }
 
-// frameRecord renders one framed record: length + CRC header, then the
-// payload. This exact byte layout is also the replication wire format —
-// the primary ships WAL frames verbatim and the follower re-verifies the
-// CRC before applying, so corruption anywhere between the primary's disk
-// and the follower's decoder is caught by the same check recovery uses.
-func frameRecord(payload []byte) []byte {
-	frame := make([]byte, walFrameLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, walCRC))
-	copy(frame[walFrameLen:], payload)
-	return frame
+// appendFrame appends rec to dst as one framed record: length + CRC
+// header, then the payload, encoded in place so the record is copied
+// once. This exact byte layout is also the replication wire format — the
+// primary ships WAL frames verbatim and the follower re-verifies the CRC
+// before applying, so corruption anywhere between the primary's disk and
+// the follower's decoder is caught by the same check recovery uses.
+func appendFrame(dst []byte, rec walRecord) []byte {
+	start := len(dst)
+	dst = slices.Grow(dst, walFrameLen+payloadCap(rec))
+	dst = appendPayload(dst[:start+walFrameLen], rec)
+	payload := dst[start+walFrameLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, walCRC))
+	return dst
 }
 
 // nextFrame scans one frame at data[off:]. ok is false at the first torn
@@ -174,18 +187,16 @@ type walWriter struct {
 	f *os.File
 	// r is the segment's read-only handle, shared by the locators of the
 	// records appended here; it outlives f, which rotation closes.
-	r    *os.File
-	path string
-	off  int64 // current append offset (file size)
-	sync bool  // fsync after every append (FsyncAlways)
+	r   *os.File
+	off int64 // current append offset (file size)
 	// syncedOff is the highest offset known durable, maintained by the
-	// group-commit path as its rollback target; per-append and interval
-	// syncing never consult it.
+	// group commit (group.go) as its rollback target; interval syncing
+	// never consults it.
 	syncedOff int64
 	wedged    error // sticky failure after an unrepairable partial append
 	// syncHook, when non-nil, replaces f.Sync so tests can inject sync
 	// failures (the crash harness's failed-fsync coverage); a closure that
-	// counts its calls can fail the append sync but let the rollback sync
+	// counts its calls can fail the commit sync but let the rollback sync
 	// through, or fail both.
 	syncHook func(*os.File) error
 	// metrics, when non-nil, times every physical sync (Options.Metrics,
@@ -205,9 +216,11 @@ func (w *walWriter) doSync() error {
 	return w.f.Sync()
 }
 
-// createSegment creates a fresh segment with its header written (and
-// optionally synced), and opens its read-only handle.
-func createSegment(path string, syncEvery bool) (*walWriter, error) {
+// createSegment creates a fresh segment with its header written, and
+// opens its read-only handle. The header is not synced here: the first
+// sync of the segment covers it, and a crash before then leaves a segment
+// shorter than its header, which recovery recreates.
+func createSegment(path string) (*walWriter, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, err
@@ -216,24 +229,18 @@ func createSegment(path string, syncEvery bool) (*walWriter, error) {
 		f.Close()
 		return nil, err
 	}
-	if syncEvery {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
 	r, err := os.Open(path)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &walWriter{f: f, r: r, path: path, off: int64(len(walMagic)), syncedOff: int64(len(walMagic)), sync: syncEvery}, nil
+	return &walWriter{f: f, r: r, off: int64(len(walMagic)), syncedOff: int64(len(walMagic))}, nil
 }
 
 // openSegmentForAppend opens an existing segment, already verified and
 // tail-repaired by the replay pass, positioned at size for appending, and
 // opens its read-only handle for the records appended from here on.
-func openSegmentForAppend(path string, size int64, syncEvery bool) (*walWriter, error) {
+func openSegmentForAppend(path string, size int64) (*walWriter, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -247,17 +254,7 @@ func openSegmentForAppend(path string, size int64, syncEvery bool) (*walWriter, 
 		f.Close()
 		return nil, err
 	}
-	return &walWriter{f: f, r: r, path: path, off: size, syncedOff: size, sync: syncEvery}, nil
-}
-
-// append frames and writes one record. On a short or failed write it
-// truncates the file back to the pre-append offset so the segment stays
-// well-formed; if even that fails the writer wedges — every later append
-// fails fast rather than writing acked records after an unreadable gap
-// (replay drops everything from the first bad frame, so records behind a
-// gap would be silently lost).
-func (w *walWriter) append(payload []byte) error {
-	return w.appendFrames(frameRecord(payload))
+	return &walWriter{f: f, r: r, off: size, syncedOff: size}, nil
 }
 
 // frameSpan is the span of the payload of the frame at frame[0:], which
@@ -270,12 +267,13 @@ func frameSpan(frame []byte, off int64) span {
 	}
 }
 
-// appendFrames writes one or more pre-framed records as a single write,
-// followed by at most one fsync (under FsyncAlways) regardless of how
-// many records the buffer holds — the batch-append path's whole point.
-// Failure semantics match append: a failed write or sync rolls the whole
-// buffer back (all its records are unacknowledged), and an unrepairable
-// rollback wedges the writer.
+// appendFrames writes one or more framed records as a single write; it
+// never syncs (under FsyncAlways the group commit does, group.go). On a
+// short or failed write it truncates the file back to the pre-append
+// offset so the segment stays well-formed; if even that fails the writer
+// wedges — every later append fails fast rather than writing acked
+// records after an unreadable gap (replay drops everything from the first
+// bad frame, so records behind a gap would be silently lost).
 func (w *walWriter) appendFrames(frames []byte) error {
 	if w.wedged != nil {
 		return fmt.Errorf("wal wedged by earlier failure: %w", w.wedged)
@@ -285,17 +283,6 @@ func (w *walWriter) appendFrames(frames []byte) error {
 		return err
 	}
 	w.off += int64(len(frames))
-	if w.sync {
-		if err := w.doSync(); err != nil {
-			// The bytes are written but not durable, and the caller will
-			// abort the mutation — the records must not survive in the log
-			// (a later crash would replay writes the client was told
-			// failed), so roll them back like a failed write.
-			w.off -= int64(len(frames))
-			w.rollback("fsync", err)
-			return err
-		}
-	}
 	return nil
 }
 
@@ -319,15 +306,6 @@ func (w *walWriter) rollback(op string, cause error) {
 	if serr := w.doSync(); serr != nil {
 		w.wedged = fmt.Errorf("%s failed (%v) and rollback sync failed (%v)", op, cause, serr)
 	}
-}
-
-// rollbackTo is the group-commit rollback: a failed batch fsync discards
-// every record past the last durable offset (all of them unacknowledged —
-// their waiters get the error) and re-syncs the truncation, restoring the
-// writer to its pre-batch state. The caller serializes against appends.
-func (w *walWriter) rollbackTo(off int64, op string, cause error) {
-	w.off = off
-	w.rollback(op, cause)
 }
 
 func (w *walWriter) fsync() error {
