@@ -33,7 +33,6 @@ import (
 	"sbmlcompose/internal/lru"
 	"sbmlcompose/internal/mc2"
 	"sbmlcompose/internal/sim"
-	"sbmlcompose/internal/synonym"
 )
 
 // SemanticsLevel selects how much meaning the matcher uses; see
@@ -135,12 +134,11 @@ func New(opts ...Option) *Client {
 		o(&cfg)
 	}
 	// The built-in table is a default, not a mandate: an explicit
-	// WithSynonyms(nil) keeps heavy semantics synonym-free. The
-	// WithMatchOptions escape hatch deliberately keeps the legacy
-	// resolveOptions defaulting (a nil table there gets the builtin,
-	// exactly as Compose(a, b, &Options{}) always has).
-	if !cfg.synonymsSet && cfg.match.Synonyms == nil && cfg.match.Semantics == core.HeavySemantics {
-		cfg.match.Synonyms = synonym.Builtin()
+	// WithSynonyms(nil) keeps heavy semantics synonym-free. Otherwise,
+	// WithMatchOptions included, the facade defaulting applies, exactly as
+	// Compose(a, b, &Options{}) always has.
+	if !cfg.synonymsSet {
+		cfg.match = resolveOptions(&cfg.match)
 	}
 	n := cfg.engineCache
 	if n == 0 {

@@ -4,7 +4,6 @@ import (
 	corpuspkg "sbmlcompose/internal/corpus"
 	"sbmlcompose/internal/mc2"
 	"sbmlcompose/internal/sim"
-	"sbmlcompose/internal/synonym"
 )
 
 // This file is the facade over the repository subsystem (internal/corpus):
@@ -65,9 +64,7 @@ func NewCorpus(opts *CorpusOptions) *Corpus {
 	if opts != nil {
 		o = *opts
 	}
-	if o.Match.Synonyms == nil && o.Match.Semantics == HeavySemantics {
-		o.Match.Synonyms = synonym.Builtin()
-	}
+	o.Match = resolveOptions(&o.Match)
 	return corpuspkg.New(o)
 }
 

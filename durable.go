@@ -2,7 +2,6 @@ package sbmlcompose
 
 import (
 	"sbmlcompose/internal/store"
-	"sbmlcompose/internal/synonym"
 )
 
 // This file is the facade over the durable-store subsystem
@@ -106,8 +105,6 @@ func OpenCorpus(dir string, opts *StoreOptions) (*CorpusStore, error) {
 	if opts != nil {
 		o = *opts
 	}
-	if o.Corpus.Match.Synonyms == nil && o.Corpus.Match.Semantics == HeavySemantics {
-		o.Corpus.Match.Synonyms = synonym.Builtin()
-	}
+	o.Corpus.Match = resolveOptions(&o.Corpus.Match)
 	return store.Open(dir, o)
 }

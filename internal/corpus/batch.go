@@ -6,14 +6,17 @@ import (
 	"sbmlcompose/internal/core"
 )
 
-// This file implements the corpus's bulk mutation paths, built for the
-// replication follower: a received chunk of primary WAL records must be
-// applied as one unit — one persister call (one fsync at the store
-// level) covering every record — and a snapshot bootstrap must replace
-// the whole corpus contents atomically. Both operate under every shard's
-// write lock, the same discipline DumpConsistent uses on the read side,
-// so "the durable log is a prefix of the in-memory state" stays true for
-// batches exactly as it does for single mutations.
+// This file implements the corpus's bulk mutation paths, the only way a
+// model read back from disk or from the replication feed is installed. A
+// replication follower applies a received chunk of primary WAL records as
+// one unit — one persister call (one fsync at the store level) covering
+// every record — and a snapshot bootstrap replaces the whole corpus
+// contents atomically. Recovery is the same two steps with no persister
+// attached yet: the durable store loads its snapshot with one ReplaceAll
+// and replays its WAL tail with one ApplyBatch. Both operate under every
+// shard's write lock, the same discipline DumpConsistent uses on the read
+// side, so "the durable log is a prefix of the in-memory state" stays true
+// for batches exactly as it does for single mutations.
 
 // BatchOp is one mutation of an ApplyBatch call: a precompiled add
 // (canonical serialization plus derived keys, like PrecompiledModel) or a
@@ -67,17 +70,17 @@ func (c *Corpus) lockAll() (unlock func()) {
 // only then do the mutations become visible. An error anywhere leaves
 // both the log and the corpus without any of the chunk — the all-or-
 // nothing contract a replication follower needs to stay a prefix of the
-// primary's log.
+// primary's log. Errors about one op name its Seq and model id.
 func (c *Corpus) ApplyBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
 	for i := range ops {
 		if ops[i].ID == "" {
-			return fmt.Errorf("corpus: batch op %d has no id", i)
+			return fmt.Errorf("corpus: batch op %d (seq %d) has no id", i, ops[i].Seq)
 		}
 		if !ops[i].Remove && ops[i].Doc == nil {
-			return fmt.Errorf("corpus: batch add %q has no canonical bytes", ops[i].ID)
+			return fmt.Errorf("corpus: batch seq %d: add of model %q has no canonical bytes", ops[i].Seq, ops[i].ID)
 		}
 	}
 	defer c.lockAll()()
@@ -91,10 +94,10 @@ func (c *Corpus) ApplyBatch(ops []BatchOp) error {
 		}
 		if op.Remove {
 			if !p {
-				return fmt.Errorf("corpus: batch remove of absent model %q: %w", op.ID, ErrNotFound)
+				return fmt.Errorf("corpus: batch seq %d: remove of absent model %q: %w", op.Seq, op.ID, ErrNotFound)
 			}
 		} else if p {
-			return fmt.Errorf("corpus: batch add of model %q: %w", op.ID, ErrDuplicate)
+			return fmt.Errorf("corpus: batch seq %d: add of model %q: %w", op.Seq, op.ID, ErrDuplicate)
 		}
 		present[op.ID] = !op.Remove
 	}
@@ -120,13 +123,14 @@ func (c *Corpus) ApplyBatch(ops []BatchOp) error {
 }
 
 // ReplaceAll atomically replaces the entire corpus contents with models —
-// the snapshot-bootstrap path, used when a follower falls behind the
-// primary's compaction horizon and resynchronizes from a snapshot image.
-// The persister is deliberately bypassed: the caller already holds the
-// durable image the new contents came from. before, if non-nil, runs
-// while every shard write lock is held (the store uses it to reset its
-// sequence state at a point provably consistent with the swap), exactly
-// mirroring DumpConsistent's hook on the read side.
+// the snapshot-load path: the durable store's Open loads its snapshot with
+// it, and a follower that falls behind the primary's compaction horizon
+// resynchronizes from a snapshot image with it. Ownership of each model's
+// Keys passes to the corpus. The persister is deliberately bypassed: the
+// caller already holds the durable image the new contents came from.
+// before, if non-nil, runs while every shard write lock is held (the store
+// uses it to reset its sequence state at a point provably consistent with
+// the swap), exactly mirroring DumpConsistent's hook on the read side.
 func (c *Corpus) ReplaceAll(models []PrecompiledModel, before func()) error {
 	seen := make(map[string]bool, len(models))
 	for i := range models {

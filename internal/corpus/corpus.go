@@ -75,8 +75,8 @@ type Persister interface {
 // KeyPersister is a Persister that can log an addition together with the
 // model's match keys, so recovery installs the model without parsing it,
 // and that keeps the logged bytes readable: the Doc it returns reads them
-// back, so the entry need not hold them. Add and AddPrecompiled use it
-// whenever the attached persister implements it.
+// back, so the entry need not hold them. Add uses it whenever the attached
+// persister implements it.
 type KeyPersister interface {
 	Persister
 	// PersistAddKeys is PersistAdd plus keys, the model's match keys
@@ -102,16 +102,6 @@ type Bytes []byte
 // Bytes returns b.
 func (b Bytes) Bytes() ([]byte, error) { return b, nil }
 
-// persistAdd logs an addition of sbmlBytes through the attached persister,
-// with the entry's keys when the persister can log them, and returns the
-// Doc the entry keeps: the persister's locator, or the bytes themselves.
-func (c *Corpus) persistAdd(e *entry, sbmlBytes []byte) (Doc, error) {
-	if kp, ok := c.persister.(KeyPersister); ok {
-		return kp.PersistAddKeys(e.id, sbmlBytes, e.keys)
-	}
-	return Bytes(sbmlBytes), c.persister.PersistAdd(e.id, sbmlBytes)
-}
-
 // ModelBlob is one stored model in canonical serialized form, the unit of
 // snapshot and replay.
 type ModelBlob struct {
@@ -122,7 +112,7 @@ type ModelBlob struct {
 	Doc Doc
 	// Keys holds the model's derived match keys — the expensive part of
 	// Add — so a snapshot can persist them alongside the canonical bytes
-	// and recovery can skip re-derivation (AddPrecompiled). The slice is
+	// and recovery can skip re-derivation (ReplaceAll). The slice is
 	// shared read-only with the corpus entry; callers must not mutate it.
 	Keys []core.ComponentKey
 }
@@ -213,19 +203,20 @@ type posting struct {
 	i int32
 }
 
-// entry is one stored model: its posted keys, a Doc for its canonical
-// serialization, its compiled form (possibly lazily materialized from the
-// Doc), and a lazily compiled simulation engine.
+// entry is one stored model: its posted keys, either its compiled form or
+// a Doc for its canonical serialization, and a lazily compiled simulation
+// engine.
 //
 // Search needs only the keys — scoring is a pure function of the shared
-// postings (score.go) — so the keys are all an entry keeps resident. An
-// entry of a store-backed corpus holds no SBML: its Doc is the store's
-// locator, which reads the bytes from the WAL segment or snapshot that
-// holds them and re-verifies their CRC on every read. The compiled model
-// is materialized on first structural use (Get, ComposeWith, Simulate,
-// CheckProperty) from the Doc; a Doc that fails its check leaves the
-// entry searchable but structurally unusable, and its bytes are never
-// parsed.
+// postings (score.go). An entry of an in-memory corpus keeps the compiled
+// model Add built and has no Doc. Every other entry — added under a
+// persister, recovered, replicated or bootstrapped — keeps only its Doc,
+// and the compiled model is materialized from it on first structural use
+// (Get, ComposeWith, Simulate, CheckProperty). Under the durable store the
+// Doc is a locator, which reads the bytes from the WAL segment or snapshot
+// that holds them and re-verifies their CRC on every read, so such an
+// entry holds no SBML; a Doc that fails its check leaves the entry
+// searchable but structurally unusable, and its bytes are never parsed.
 type entry struct {
 	id string
 	// keys are the model's match keys, read-only once installed: the
@@ -253,8 +244,8 @@ type entry struct {
 }
 
 // compiled returns the entry's compiled model, materializing it from the
-// stored canonical bytes on first use. Entries added through Add pre-fill
-// cm and never parse here.
+// stored canonical bytes on first use. Entries added to an in-memory corpus
+// pre-fill cm and never parse here.
 func (e *entry) compiled() (*core.CompiledModel, error) {
 	e.cmOnce.Do(func() {
 		if e.cm != nil {
@@ -363,7 +354,10 @@ func (c *Corpus) shardFor(id string) *shard {
 }
 
 // Add compiles the model and stores it under its model id. The input is
-// cloned, never referenced. Empty and duplicate ids are errors.
+// cloned, never referenced. Empty and duplicate ids are errors. With no
+// persister attached the entry keeps the compiled model; with one it keeps
+// only the Doc the persister returns and compiles again on first
+// structural use, as a recovered entry does.
 func (c *Corpus) Add(m *sbml.Model) (string, error) {
 	if m == nil {
 		return "", fmt.Errorf("corpus: Add requires a non-nil model")
@@ -376,12 +370,13 @@ func (c *Corpus) Add(m *sbml.Model) (string, error) {
 		return "", err
 	}
 	e := c.newEntry(m.ID, cm.MatchKeys(), nil)
-	e.cm = cm
 	// Serialize outside the lock: the blob is a pure function of the
 	// compiled (cloned) model, and holding the shard lock across an XML
 	// render would stall that shard's readers for no consistency gain.
 	var blob []byte
-	if c.persister != nil {
+	if c.persister == nil {
+		e.cm = cm
+	} else {
 		blob = canonicalBytes(cm.Model())
 	}
 	sh := c.shardFor(m.ID)
@@ -395,8 +390,14 @@ func (c *Corpus) Add(m *sbml.Model) (string, error) {
 		// the in-memory state without the model. The persisted bytes are
 		// the stored model's exact canonical form, so replay reconstructs
 		// exactly what this corpus stores; the entry keeps the Doc that
-		// reads them back, so snapshots emit them without re-rendering.
-		doc, err := c.persistAdd(e, blob)
+		// reads them back (the persister's locator when it can log keys,
+		// else the bytes), so snapshots emit them without re-rendering.
+		var doc Doc
+		if kp, ok := c.persister.(KeyPersister); ok {
+			doc, err = kp.PersistAddKeys(m.ID, blob, e.keys)
+		} else {
+			doc, err = Bytes(blob), c.persister.PersistAdd(m.ID, blob)
+		}
 		if err != nil {
 			return "", fmt.Errorf("corpus: persist add %q: %w", m.ID, err)
 		}
@@ -423,56 +424,18 @@ func (sh *shard) install(e *entry) {
 	}
 }
 
-// PrecompiledModel is one recovery-path entry for AddPrecompiled: the
-// model's canonical serialization plus the derived state a plain Add would
-// have computed from it. Doc must read back the model's canonical
-// serialization (what a previous Add persisted) and Keys must be its match
-// keys under the corpus's exact match options — the durable store guards
-// both with CRCs and an options fingerprint before trusting them, and its
-// Docs are locators into its files, re-verified on every read. The entry
-// compiles lazily from Doc on first structural use; Search works off Keys
-// alone.
+// PrecompiledModel is one model of a ReplaceAll call: the model's
+// canonical serialization plus the derived state a plain Add would have
+// computed from it. Doc must read back the model's canonical serialization
+// (what a previous Add persisted) and Keys must be its match keys under the
+// corpus's exact match options — the durable store guards both with CRCs
+// and an options fingerprint before trusting them, and its Docs are
+// locators into its files, re-verified on every read. The entry compiles
+// lazily from Doc on first structural use; Search works off Keys alone.
 type PrecompiledModel struct {
 	ID   string
 	Doc  Doc
 	Keys []core.ComponentKey
-}
-
-// AddPrecompiled installs a recovered model without parsing or key
-// derivation — the fast restart path. The caller vouches for the
-// invariants documented on PrecompiledModel; ownership of the Keys slice
-// passes to the corpus. With a persister attached the addition is logged
-// first, exactly like Add, and the entry keeps the Doc the log returns.
-func (c *Corpus) AddPrecompiled(p PrecompiledModel) error {
-	if p.ID == "" {
-		return fmt.Errorf("corpus: precompiled model has no id")
-	}
-	if p.Doc == nil {
-		return fmt.Errorf("corpus: precompiled model %q has no canonical bytes", p.ID)
-	}
-	e := c.newEntry(p.ID, p.Keys, p.Doc)
-	var blob []byte
-	if c.persister != nil {
-		var err error
-		if blob, err = p.Doc.Bytes(); err != nil {
-			return fmt.Errorf("corpus: precompiled model %q: %w", p.ID, err)
-		}
-	}
-	sh := c.shardFor(p.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.entries[p.ID]; dup {
-		return fmt.Errorf("corpus: model %q already present: %w", p.ID, ErrDuplicate)
-	}
-	if c.persister != nil {
-		doc, err := c.persistAdd(e, blob)
-		if err != nil {
-			return fmt.Errorf("corpus: persist add %q: %w", p.ID, err)
-		}
-		e.setDoc(doc)
-	}
-	sh.install(e)
-	return nil
 }
 
 // Remove deletes a model and all its postings; it reports whether the
@@ -622,7 +585,7 @@ func (c *Corpus) Get(id string) (*sbml.Model, bool) {
 	}
 	cm, err := e.compiled()
 	if err != nil {
-		// Unreachable for entries installed through Add. A lazy entry's
+		// Unreachable for entries of an in-memory corpus. A lazy entry's
 		// bytes are canonical output of a previous Add, which re-parses by
 		// construction; what fails here is a Doc whose bytes rotted on
 		// disk and failed their CRC, and a model that cannot be read back

@@ -304,14 +304,16 @@ func FuzzSearchChurn(f *testing.F) {
 		// Pool ids ascend with pool order, so survivors comes out sorted
 		// like IDs.
 		fresh := New(o4)
+		var set []PrecompiledModel
 		var survivors []string
 		for k, p := range present {
 			if p {
-				if err := fresh.AddPrecompiled(ownModels(fx.pre[k : k+1])[0]); err != nil {
-					t.Fatal(err)
-				}
+				set = append(set, fx.pre[k])
 				survivors = append(survivors, fx.models[k].ID)
 			}
+		}
+		if err := fresh.ReplaceAll(ownModels(set), nil); err != nil {
+			t.Fatal(err)
 		}
 		want := rankAll(t, fresh, fx.queries)
 		for _, c := range []*Corpus{c1, c4} {

@@ -66,8 +66,9 @@ func BenchmarkSearchHotPath(b *testing.B) {
 }
 
 // benchPrecompiled generates and compiles n models under the corpus
-// suite's match options, ready for AddPrecompiled: the store-recovery
-// install path with parsing and key derivation already paid.
+// suite's match options, ready for ReplaceAll or ApplyBatch: the
+// store-recovery install path with parsing and key derivation already
+// paid.
 func benchPrecompiled(b *testing.B, opts Options, n int) []PrecompiledModel {
 	b.Helper()
 	pre := make([]PrecompiledModel, n)
@@ -90,39 +91,37 @@ func benchPrecompiled(b *testing.B, opts Options, n int) []PrecompiledModel {
 }
 
 // BenchmarkInstall measures installing 1000 precompiled models into an
-// empty corpus: entry and posting-list construction alone.
+// empty corpus with one ReplaceAll, as a store's snapshot load does:
+// entry and posting-list construction alone.
 func BenchmarkInstall(b *testing.B) {
 	opts := Options{Shards: 4, Match: core.Options{Synonyms: synonym.Builtin()}}
 	pre := benchPrecompiled(b, opts, 1000)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c := New(opts)
-		for _, p := range pre {
-			if err := c.AddPrecompiled(p); err != nil {
-				b.Fatal(err)
-			}
+		if err := New(opts).ReplaceAll(pre, nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkAddRemove installs one precompiled model into a 1000-model
-// corpus and removes it again. Removal filters each of the model's
-// keys' posting lists, and shared unit and synonym keys have long ones.
+// corpus with a one-op ApplyBatch, as a follower applies a one-record
+// chunk, and removes it again. Removal filters each of the model's keys'
+// posting lists, and shared unit and synonym keys have long ones.
 func BenchmarkAddRemove(b *testing.B) {
 	opts := Options{Shards: 4, Match: core.Options{Synonyms: synonym.Builtin()}}
 	pre := benchPrecompiled(b, opts, 1001)
 	c := New(opts)
-	for _, p := range pre[:1000] {
-		if err := c.AddPrecompiled(p); err != nil {
-			b.Fatal(err)
-		}
+	if err := c.ReplaceAll(pre[:1000], nil); err != nil {
+		b.Fatal(err)
 	}
 	extra := pre[1000]
+	add := []BatchOp{{ID: extra.ID, Doc: extra.Doc, Keys: extra.Keys}}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := c.AddPrecompiled(extra); err != nil {
+		if err := c.ApplyBatch(add); err != nil {
 			b.Fatal(err)
 		}
 		if ok, err := c.Remove(extra.ID); !ok || err != nil {

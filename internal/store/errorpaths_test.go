@@ -90,7 +90,7 @@ func TestOpenRejectsUnparseableSegmentName(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsUnparseableStoredModel covers applyAdd's failure
+// TestReplayRejectsUnparseableStoredModel covers the parse path's failure
 // branches: CRC-valid add records whose blob does not parse, parses to
 // no model, or carries a different model id.
 func TestReplayRejectsUnparseableStoredModel(t *testing.T) {

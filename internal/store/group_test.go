@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,6 +222,91 @@ func TestGroupCommitAcrossRotation(t *testing.T) {
 		t.Fatalf("recovered %d models, want %d", got, n)
 	}
 	s2.Close()
+}
+
+// TestRotationResolvesPendingWaiter makes the rotation-with-a-waiter
+// interleaving deterministic. The first group commit is held inside its
+// sync while a second append writes its record and enqueues its waiter;
+// the test takes that append's kick, so the group loop never sees it.
+// Only rotation can then acknowledge the second append, and it must do
+// so against the segment holding its record, which a reopen replays.
+func TestRotationResolvesPendingWaiter(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOptions()
+	opts.CompactBytes = -1
+	opts.NoSnapshotOnClose = true // the reopen must replay the old segment
+	s := mustOpen(t, dir, opts)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	s.mu.Lock()
+	oldGen := s.gen
+	s.wal.syncHook = func(f *os.File) error {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return f.Sync()
+	}
+	s.mu.Unlock()
+	add := func(i int) chan error {
+		errc := make(chan error, 1)
+		go func() { _, err := s.Corpus().Add(testModel(i)); errc <- err }()
+		return errc
+	}
+	wait := func(errc chan error, what string) {
+		t.Helper()
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s was never acknowledged", what)
+		}
+	}
+	first := add(0)
+	<-entered // the group loop holds groupMu inside the first commit's sync
+	second := add(1)
+	// An append kicks the loop after enqueueing its waiter, and the loop is
+	// busy, so taking the kick here both waits for the enqueue and keeps
+	// the loop from ever committing the second append.
+	select {
+	case <-s.groupCh:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the second append never kicked the group loop")
+	}
+	s.mu.Lock()
+	pending := len(s.groupWaiters)
+	s.mu.Unlock()
+	if pending != 1 {
+		t.Fatalf("%d waiters pending behind the held commit, want 1", pending)
+	}
+	close(release)
+	wait(first, "first append")
+	select {
+	case err := <-second:
+		t.Fatalf("second append returned (%v) before any sync covered it", err)
+	default:
+	}
+	if _, err := s.rotate(nil); err != nil {
+		t.Fatal(err)
+	}
+	wait(second, "second append")
+	rep, err := readSegment(segmentName(dir, oldGen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rep.records); n != 2 || rep.records[1].id != testModel(1).ID {
+		t.Fatalf("old segment holds %d records, want both adds", n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir, opts)
+	defer s2.Close()
+	if !s2.Corpus().Has(testModel(1).ID) || s2.Corpus().Len() != 2 {
+		t.Fatalf("reopen recovered %v, want both adds", s2.Corpus().IDs())
+	}
 }
 
 // TestGroupCommitCloseRace races Close against group-mode writers: each

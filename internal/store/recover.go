@@ -7,20 +7,30 @@ import (
 	"sync/atomic"
 
 	"sbmlcompose/internal/core"
+	"sbmlcompose/internal/corpus"
 	"sbmlcompose/internal/sbml"
 )
 
-// This file implements the trust rule for persisted match keys and the
-// recovery parse path it falls back to. Four sites install models read
-// back from disk or the replication feed — Open's snapshot loop, Open's
-// WAL loop, Replica.applyRecords and ApplySnapshotImage — and all of
-// them go through resolveKeys: a model whose persisted keys survived
-// their integrity check and were derived under this store's match
-// options installs with those keys; every other model takes the parse
-// path (XML parse plus core.Compile, only to derive the keys). Either
-// way the entry is installed as {id, locator, keys} and compiles lazily
-// on first structural use; the sbml a persistedModel carries aliases a
-// transient file or chunk image and is read only by the parse path.
+// This file implements the trust rule for persisted match keys, the
+// recovery parse path it falls back to, and the two helpers that turn
+// what was read back into corpus installs. There is one install path per
+// source, each shared by recovery and replication:
+//
+//   - a snapshot (Open's corpus.snap, or a follower's snapshot image)
+//     goes through snapshotModels into one corpus.ReplaceAll;
+//   - WAL records (Open's tail, or a follower's received chunk) go
+//     through batchOps into one corpus.ApplyBatch. Open applies its
+//     batch before it attaches the store as the corpus's persister, so
+//     replay logs nothing; a follower's batch is logged by PersistBatch.
+//
+// Both helpers go through resolveKeys: a model whose persisted keys
+// survived their integrity check and were derived under this store's
+// match options installs with those keys; every other model takes the
+// parse path (XML parse plus core.Compile, only to derive the keys).
+// Either way the entry is installed as {id, Doc, keys} and compiles
+// lazily on first structural use; the sbml a persistedModel carries
+// aliases a transient file or chunk image and is read only by the parse
+// path and, for a follower, by PersistBatch.
 //
 // The parse path is embarrassingly parallel: each model compiles
 // independently, and only the sequential apply step afterwards needs
@@ -43,24 +53,63 @@ type persistedModel struct {
 	fingerprint uint64
 }
 
-// walModel views an add record as a persistedModel.
-func walModel(rec walRecord) persistedModel {
-	return persistedModel{
-		id:          rec.id,
-		sbml:        rec.sbml,
-		hasKeys:     rec.op == opAddKeys,
-		keysBlob:    rec.keys,
-		fingerprint: rec.fingerprint,
-	}
-}
-
-// snapModels views a decoded snapshot's entries as persistedModels.
-func snapModels(sf snapFile) []persistedModel {
+// snapshotModels resolves a decoded snapshot's keys and returns its
+// models for corpus.ReplaceAll, in entry order, without Docs: each caller
+// points models[i] at entry i of the snapshot file it holds, because
+// ApplySnapshotImage resolves keys before it writes that file. parsed
+// counts the models that took the parse path.
+func (s *Store) snapshotModels(sf snapFile) (models []corpus.PrecompiledModel, parsed int, err error) {
 	ms := make([]persistedModel, len(sf.entries))
 	for i, e := range sf.entries {
 		ms[i] = persistedModel{id: e.id, sbml: e.sbml, hasKeys: e.keysOK, keys: e.keys, fingerprint: sf.fingerprint}
 	}
-	return ms
+	models = make([]corpus.PrecompiledModel, len(ms))
+	for i, r := range s.resolveKeys(ms) {
+		if r.err != nil {
+			return nil, 0, fmt.Errorf("model %q: %w", ms[i].id, r.err)
+		}
+		if r.parsed {
+			parsed++
+		}
+		models[i] = corpus.PrecompiledModel{ID: ms[i].id, Keys: r.keys}
+	}
+	return models, parsed, nil
+}
+
+// batchOps turns WAL records into the ops of one corpus.ApplyBatch, in
+// record order, each carrying its record's seq. The adds' keys are
+// resolved with one resolveKeys call, and an add whose keys failed fails
+// the whole conversion, naming its seq. An add's Doc is its record's
+// bytes, which alias the segment image or received chunk: Open swaps in
+// locators into the segments it read, and a follower's PersistBatch swaps
+// in locators into its own WAL. parsed counts the adds that took the parse
+// path.
+func (s *Store) batchOps(recs []walRecord) (ops []corpus.BatchOp, parsed int, err error) {
+	var adds []persistedModel
+	for _, rec := range recs {
+		if rec.op != opRemove {
+			adds = append(adds, persistedModel{id: rec.id, sbml: rec.sbml, hasKeys: rec.op == opAddKeys, keysBlob: rec.keys, fingerprint: rec.fingerprint})
+		}
+	}
+	keys := s.resolveKeys(adds)
+	ops = make([]corpus.BatchOp, len(recs))
+	ai := 0
+	for i, rec := range recs {
+		ops[i] = corpus.BatchOp{Remove: rec.op == opRemove, Seq: rec.seq, ID: rec.id}
+		if ops[i].Remove {
+			continue
+		}
+		k := keys[ai]
+		ai++
+		if k.err != nil {
+			return nil, 0, fmt.Errorf("seq %d: %w", rec.seq, k.err)
+		}
+		if k.parsed {
+			parsed++
+		}
+		ops[i].Doc, ops[i].Keys = corpus.Bytes(rec.sbml), k.keys
+	}
+	return ops, parsed, nil
 }
 
 // keyResult is the outcome for one persistedModel, at the same index.

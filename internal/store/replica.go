@@ -11,8 +11,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"sbmlcompose/internal/corpus"
 )
 
 // This file implements the follower side of replication: a Replica owns
@@ -451,39 +449,19 @@ func verifyChunk(frames []byte, from uint64) ([]walRecord, int64, error) {
 	return recs, off, nil
 }
 
-// applyRecords resolves the adds' match keys under recovery's trust rule
-// (recover.go) — keyed records from a primary with the same match
-// options install without parsing — and applies the whole chunk through
-// corpus.ApplyBatch: validation and the WAL append (one fsync) happen
-// under every shard's write lock, then the mutations become visible in
-// order.
+// applyRecords converts the chunk to batch ops (batchOps, recover.go) —
+// keyed records from a primary with the same match options install
+// without parsing — and applies them through corpus.ApplyBatch:
+// validation and the WAL append (one fsync) happen under every shard's
+// write lock, then the mutations become visible in order.
 func (r *Replica) applyRecords(recs []walRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	applyStart := time.Now()
-	var adds []persistedModel
-	for _, rec := range recs {
-		if rec.op != opRemove {
-			adds = append(adds, walModel(rec))
-		}
-	}
-	keys := r.s.resolveKeys(adds)
-	ops := make([]corpus.BatchOp, 0, len(recs))
-	ai := 0
-	for _, rec := range recs {
-		if rec.op == opRemove {
-			ops = append(ops, corpus.BatchOp{Remove: true, Seq: rec.seq, ID: rec.id})
-			continue
-		}
-		k := keys[ai]
-		ai++
-		if k.err != nil {
-			return fmt.Errorf("apply seq %d: %w", rec.seq, k.err)
-		}
-		// The bytes alias the received chunk only until PersistBatch
-		// swaps in a locator into this store's own WAL.
-		ops = append(ops, corpus.BatchOp{Seq: rec.seq, ID: rec.id, Doc: corpus.Bytes(rec.sbml), Keys: k.keys})
+	ops, _, err := r.s.batchOps(recs)
+	if err != nil {
+		return fmt.Errorf("apply %w", err)
 	}
 	if err := r.s.c.ApplyBatch(ops); err != nil {
 		return err

@@ -124,9 +124,10 @@
 // previous one was in flight, so concurrent writers share a sync and a
 // lone writer pays one per append. FsyncInterval syncs on a timer,
 // bounding loss to the interval; a failed timer sync wedges the writer.
-// FsyncNever leaves flushing to the OS. Snapshots are always written
-// cold-path durable (temp file + fsync + rename + directory sync)
-// regardless of policy.
+// FsyncNever leaves flushing to the OS. Under every policy, rotation syncs
+// the segment it closes, and a failed sync there wedges the writer that
+// replaces it. Snapshots are always written cold-path durable (temp file +
+// fsync + rename + directory sync) regardless of policy.
 package store
 
 import (
@@ -143,6 +144,13 @@ import (
 )
 
 // FsyncPolicy selects when WAL appends are synced to stable storage.
+//
+// Under every policy, rotating to a new segment (compaction's first step)
+// syncs the segment it closes. If that sync fails the new writer wedges,
+// exactly as after a failed FsyncInterval timer sync: records in the old
+// segment may never reach the disk, so no later append is accepted and the
+// replication feed's watermark never passes them until the store is
+// reopened.
 type FsyncPolicy string
 
 const (
@@ -172,8 +180,8 @@ const (
 
 // Options configures Open.
 type Options struct {
-	// Corpus configures the recovered corpus (shards, workers, match
-	// options, query cache).
+	// Corpus configures the recovered corpus (shards, workers and match
+	// options).
 	Corpus corpus.Options
 	// Fsync is the WAL durability policy; empty means FsyncAlways.
 	Fsync FsyncPolicy
@@ -390,22 +398,19 @@ func Open(dir string, opts Options) (*Store, error) {
 		// Entries with trusted keys install directly; the rest take the
 		// parse path, fanned out across workers (recover.go). Either way
 		// the entry keeps a locator into the snapshot, not its bytes.
-		ms := snapModels(sf)
-		for i, r := range s.resolveKeys(ms) {
-			if r.err != nil {
-				return nil, fmt.Errorf("store: snapshot model %q: %w", ms[i].id, r.err)
-			}
-			if r.parsed {
-				s.stats.SnapshotParsed++
-			} else {
-				s.stats.SnapshotPrecompiled++
-			}
-			doc := &fileDoc{f: snapF, span: sf.entries[i].core, snap: true}
-			if err := c.AddPrecompiled(corpus.PrecompiledModel{ID: ms[i].id, Doc: doc, Keys: r.keys}); err != nil {
-				return nil, fmt.Errorf("store: snapshot model %q: %w", ms[i].id, err)
-			}
+		models, parsed, err := s.snapshotModels(sf)
+		if err != nil {
+			return nil, fmt.Errorf("store: snapshot %w", err)
 		}
-		s.stats.SnapshotModels = len(sf.entries)
+		for i := range models {
+			models[i].Doc = &fileDoc{f: snapF, span: sf.entries[i].core, snap: true}
+		}
+		if err := c.ReplaceAll(models, nil); err != nil {
+			return nil, fmt.Errorf("store: snapshot: %w", err)
+		}
+		s.stats.SnapshotModels = len(models)
+		s.stats.SnapshotParsed = parsed
+		s.stats.SnapshotPrecompiled = len(models) - parsed
 		s.stats.SnapshotSeq = sf.lastSeq
 		s.seq = sf.lastSeq
 	}
@@ -416,14 +421,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.stats.WALSegments = len(segs)
 	// Decode every segment sequentially (framing is cheap and ordered),
-	// collecting the records to apply; the expensive parse path for their
-	// adds is then fanned out before the ordered apply below.
-	type walApply struct {
-		rec  walRecord
-		doc  *fileDoc
-		path string
-	}
-	var pending []walApply
+	// collecting the records to apply and a locator for each.
+	var pending []walRecord
+	var docs []corpus.Doc
 	for i, path := range segs {
 		rep, err := readSegment(path)
 		if err != nil {
@@ -451,7 +451,8 @@ func Open(dir string, opts Options) (*Store, error) {
 				s.stats.WALSkipped++
 				continue
 			}
-			pending = append(pending, walApply{rec: rec, doc: &fileDoc{f: rep.f, span: rep.spans[j]}, path: path})
+			pending = append(pending, rec)
+			docs = append(docs, &fileDoc{f: rep.f, span: rep.spans[j]})
 		}
 		if i == len(segs)-1 {
 			if err := s.openTail(path, rep); err != nil {
@@ -469,46 +470,27 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.wal.metrics = opts.Metrics
 
-	// Apply the WAL tail in record order. The adds' keys are resolved
-	// first, with any parse path fanned out (recover.go); the apply itself
-	// stays sequential because removes interleave with adds and duplicate
-	// detection is order-dependent.
-	var adds []persistedModel
-	for _, pa := range pending {
-		if pa.rec.op != opRemove {
-			adds = append(adds, walModel(pa.rec))
-		}
+	// Replay the WAL tail as one batch, before the store is attached as the
+	// persister, so nothing is logged again. The adds' keys are resolved
+	// first, with any parse path fanned out (recover.go); ApplyBatch then
+	// checks every op against the state the ops before it leave, which is
+	// what a sequential replay would check, and installs them in order.
+	ops, parsed, err := s.batchOps(pending)
+	if err != nil {
+		return nil, fmt.Errorf("store: replay %w", err)
 	}
-	keys := s.resolveKeys(adds)
-	ai := 0
-	for _, pa := range pending {
-		switch pa.rec.op {
-		case opAdd, opAddKeys:
-			r := keys[ai]
-			ai++
-			if r.err != nil {
-				return nil, fmt.Errorf("store: replay %s seq %d: %w", pa.path, pa.rec.seq, r.err)
-			}
-			if err := c.AddPrecompiled(corpus.PrecompiledModel{ID: pa.rec.id, Doc: pa.doc, Keys: r.keys}); err != nil {
-				return nil, fmt.Errorf("store: replay %s seq %d: %w", pa.path, pa.rec.seq, err)
-			}
+	for i := range ops {
+		if !ops[i].Remove {
+			ops[i].Doc = docs[i]
 			s.stats.WALAdds++
-			if r.parsed {
-				s.stats.WALParsed++
-			} else {
-				s.stats.WALPrecompiled++
-			}
-		case opRemove:
-			ok, err := c.Remove(pa.rec.id)
-			if err != nil {
-				return nil, fmt.Errorf("store: replay %s seq %d: %w", pa.path, pa.rec.seq, err)
-			}
-			if !ok {
-				return nil, fmt.Errorf("store: replay %s seq %d: remove of absent model %q", pa.path, pa.rec.seq, pa.rec.id)
-			}
-			s.stats.WALRemoves++
 		}
 	}
+	if err := c.ApplyBatch(ops); err != nil {
+		return nil, fmt.Errorf("store: replay: %w", err)
+	}
+	s.stats.WALRemoves = len(ops) - s.stats.WALAdds
+	s.stats.WALParsed = parsed
+	s.stats.WALPrecompiled = s.stats.WALAdds - parsed
 
 	s.c = c
 	c.SetPersister(s)
@@ -935,7 +917,17 @@ func (s *Store) rotate(check func() error) (uint64, error) {
 	s.mu.Unlock()
 	s.resolveGroup(old, end, waiters)
 	syncDir(s.dir)
-	_ = old.close()
+	if err := old.close(); err != nil {
+		// The old segment's last sync failed, so its unsynced records may
+		// be lost while a tick or group commit on the new segment would
+		// acknowledge them: wedge the new writer, as a failed timer sync
+		// wedges its own. groupMu keeps the group loop off w meanwhile.
+		s.mu.Lock()
+		if w.wedged == nil {
+			w.wedged = fmt.Errorf("sync of rotated-out segment failed: %w", err)
+		}
+		s.mu.Unlock()
+	}
 	return gen, nil
 }
 
@@ -973,25 +965,29 @@ func (s *Store) fsyncLoop() {
 		case <-s.done:
 			return
 		case <-t.C:
-			s.mu.Lock()
-			if !s.closed {
-				// Appends hold mu, so every record with seq <= s.seq was
-				// fully written before this sync began; a successful sync
-				// makes them durable and therefore shippable. (Records in
-				// segments rotated out since the last tick were already
-				// synced by the rotation's close.)
-				// A failed sync wedges the writer: the kernel may have
-				// dropped the dirty pages it failed on, so no later sync
-				// makes those records durable, and no later tick may
-				// advance the watermark past them.
-				if err := s.wal.fsync(); err == nil {
-					s.advanceAckedLocked(s.seq)
-				} else if s.wal.wedged == nil {
-					s.wal.wedged = fmt.Errorf("interval fsync failed: %w", err)
-				}
-			}
-			s.mu.Unlock()
+			s.intervalSync()
 		}
+	}
+}
+
+// intervalSync is one FsyncInterval tick. Appends hold mu, so every record
+// with seq <= s.seq was fully written before this sync began; a successful
+// sync makes them durable and therefore shippable. (Records in segments
+// rotated out since the last tick were synced by the rotation's close, or
+// the rotation wedged the live writer.) A failed sync wedges the writer:
+// the kernel may have dropped the dirty pages it failed on, so no later
+// sync makes those records durable, and no later tick may advance the
+// watermark past them.
+func (s *Store) intervalSync() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
+	if err := s.wal.fsync(); err == nil {
+		s.advanceAckedLocked(s.seq)
+	} else if s.wal.wedged == nil {
+		s.wal.wedged = fmt.Errorf("interval fsync failed: %w", err)
 	}
 }
 

@@ -428,7 +428,7 @@ func TestCanonicalBytesStableAcrossGenerations(t *testing.T) {
 
 // TestReplayRejectsInconsistentLog pins that CRC-valid but semantically
 // impossible logs (remove of a model that was never added) fail Open
-// loudly instead of guessing.
+// loudly instead of guessing, naming the record that failed.
 func TestReplayRejectsInconsistentLog(t *testing.T) {
 	dir := t.TempDir()
 	w, err := createSegment(segmentName(dir, 1))
@@ -441,7 +441,7 @@ func TestReplayRejectsInconsistentLog(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, testOptions()); err == nil || !strings.Contains(err.Error(), "absent model") {
-		t.Fatalf("Open with remove-of-absent: %v", err)
+	if _, err := Open(dir, testOptions()); err == nil || !strings.Contains(err.Error(), "absent model") || !strings.Contains(err.Error(), "seq 1") {
+		t.Fatalf("Open with remove-of-absent: %v, want an error naming seq 1", err)
 	}
 }

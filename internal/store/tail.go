@@ -317,15 +317,11 @@ func (s *Store) ApplySnapshotImage(image []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: apply snapshot image: %w", err)
 	}
-	// Prepare the in-memory entries before touching any state, under
-	// recovery's exact trust rule (recover.go).
-	ms := snapModels(sf)
-	models := make([]corpus.PrecompiledModel, len(ms))
-	for i, r := range s.resolveKeys(ms) {
-		if r.err != nil {
-			return fmt.Errorf("store: apply snapshot image: model %q: %w", ms[i].id, r.err)
-		}
-		models[i] = corpus.PrecompiledModel{ID: ms[i].id, Keys: r.keys}
+	// Prepare the in-memory entries before touching any state, exactly as
+	// Open loads a snapshot (recover.go).
+	models, _, err := s.snapshotModels(sf)
+	if err != nil {
+		return fmt.Errorf("store: apply snapshot image: %w", err)
 	}
 
 	s.snapMu.Lock()

@@ -681,6 +681,55 @@ func TestReadTailIntervalFsyncFailureWedges(t *testing.T) {
 	}
 }
 
+// TestRotationCloseSyncFailureWedges: rotation syncs the segment it
+// closes, and when that sync fails the records still unsynced in it may
+// never reach the disk. The failure must wedge the new writer, so a tick
+// on the new segment cannot acknowledge them and later appends fail. The
+// test drives the interval ticks itself, so exactly one sync of the old
+// segment (the rotation's close) runs under the failing hook.
+func TestRotationCloseSyncFailureWedges(t *testing.T) {
+	opts := testOptions()
+	opts.Fsync = FsyncInterval
+	opts.FsyncEvery = time.Hour
+	opts.CompactBytes = -1
+	s := mustOpen(t, t.TempDir(), opts)
+	defer s.Close()
+	for i := 0; i < 3; i++ {
+		mustAdd(t, s.Corpus(), testModel(i))
+	}
+	s.intervalSync()
+	tb, err := s.ReadTail(context.Background(), 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := tb.AckedSeq
+	if pre != 3 {
+		t.Fatalf("acked seq after a tick = %d, want 3", pre)
+	}
+	mustAdd(t, s.Corpus(), testModel(3)) // written, not yet synced
+	ctx, cancel := context.WithCancel(context.Background())
+	s.mu.Lock()
+	s.wal.syncHook = func(*os.File) error {
+		cancel() // the snapshot aborts once the rotation is done
+		return errors.New("injected close-sync failure")
+	}
+	s.mu.Unlock()
+	if err := s.SnapshotContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("snapshot after a failed close-sync: err = %v, want context.Canceled", err)
+	}
+	s.intervalSync()
+	if tb, err = s.ReadTail(context.Background(), 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if tb.AckedSeq > pre {
+		t.Fatalf("a tick after the failed close-sync acked seq %d, past the last synced seq %d", tb.AckedSeq, pre)
+	}
+	_, err = s.Corpus().Add(testModel(4))
+	if !errors.Is(err, corpus.ErrPersist) || !strings.Contains(err.Error(), "wedged") {
+		t.Fatalf("add after a failed close-sync: err = %v, want a wedged persist error", err)
+	}
+}
+
 // TestCloseWakesBlockedTailReaders: a long-polling follower blocked at
 // the tip must observe Close immediately — not after its wait timer —
 // or server shutdown stalls past the drain window.

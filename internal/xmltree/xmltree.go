@@ -303,8 +303,8 @@ func Equal(a, b *Node) bool {
 // WriteTo serializes the subtree rooted at n to w as indented XML.
 // It implements io.WriterTo. The subtree is rendered into one buffer and
 // written with a single Write: serialization is on the hot path of WAL
-// appends, snapshot writes and the corpus query cache, where the old
-// per-node fmt.Fprintf rendering cost more than compiling the model.
+// appends and snapshot writes, where the old per-node fmt.Fprintf
+// rendering cost more than compiling the model.
 func (n *Node) WriteTo(w io.Writer) (int64, error) {
 	nn, err := w.Write(n.appendXML(make([]byte, 0, 1024), 0))
 	return int64(nn), err

@@ -199,7 +199,9 @@ func ComposeAll(models []*Model, opts *Options) (*Result, error) {
 }
 
 // resolveOptions applies the facade defaults: nil means heavy semantics,
-// and heavy semantics without a table gets the built-in synonyms.
+// and heavy semantics without a table gets the built-in synonyms. It is
+// the one place this rule is written; New, NewCorpus and OpenCorpus apply
+// it too.
 func resolveOptions(opts *Options) Options {
 	o := Options{}
 	if opts != nil {
