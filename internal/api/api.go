@@ -1,10 +1,20 @@
-// Package api holds the /v1 wire types and request-normalization rules
-// shared by the node server (internal/serve) and the scatter-gather
-// gateway (internal/cluster). Both ends of the cluster protocol speak
-// these exact shapes: a gateway response must be byte-identical to a
-// single node's response for the same corpus (modulo took_ms), which is
-// only provable when the DTOs and the pagination normalization live in
-// one place and are reused verbatim on both sides.
+// Package api holds the /v1 wire types, the request-normalization rules
+// and the HTTP edge shared by the node server (internal/serve) and the
+// scatter-gather gateway (internal/cluster). Both ends of the cluster
+// protocol speak these exact shapes: a gateway response must be
+// byte-identical to a single node's response for the same corpus
+// (modulo took_ms), which is only provable when the DTOs and the
+// pagination normalization live in one place and are reused verbatim on
+// both sides.
+//
+// The HTTP edge both serve through is written once here (Edge):
+// request ids adopted or minted and echoed in the X-Request-Id header and
+// in the "request_id" of every ErrorResponse, per-route count and latency
+// series under the caller's metric names, one access-log line per
+// request, the in-flight gauge, the 64 MiB body cap, body reading, the
+// metrics handler, and Backoff, the retry pacing of the gateway's node
+// client and the replication puller. The store's replication feed
+// answers errors in the same envelope.
 package api
 
 import (

@@ -1,8 +1,11 @@
 package api
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestNormalizeWindow(t *testing.T) {
@@ -108,4 +111,29 @@ func FuzzNormalizeWindow(f *testing.F) {
 			t.Fatalf("re-normalizing %+v gave %+v, %v", w, again, err)
 		}
 	})
+}
+
+// TestBackoff pins the retry pacing the gateway's node client and the
+// replication puller share: doubling from Min up to Max, back to Min on
+// Reset, and no sleep once the context has ended.
+func TestBackoff(t *testing.T) {
+	b := Backoff{Min: time.Microsecond, Max: 4 * time.Microsecond}
+	for _, want := range []time.Duration{2, 4, 4} {
+		if err := b.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if b.cur != want*time.Microsecond {
+			t.Fatalf("next backoff %v, want %v", b.cur, want*time.Microsecond)
+		}
+	}
+	b.Reset()
+	if err := b.Wait(context.Background()); err != nil || b.cur != 2*time.Microsecond {
+		t.Fatalf("after Reset: next backoff %v, err %v", b.cur, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	slow := Backoff{Min: time.Hour, Max: time.Hour}
+	if err := slow.Wait(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait on a cancelled context: %v", err)
+	}
 }

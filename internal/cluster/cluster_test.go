@@ -542,6 +542,40 @@ func TestClusterRelaysQueryErrors(t *testing.T) {
 	}
 }
 
+// TestClusterForwardedRoutesAnswerLikeANode pins the forwarding
+// contract: the gateway never answers a model-addressed route itself, so
+// a body with no usable id — undecodable, id missing or not a string, or
+// followed by trailing bytes — gets the status, error text and code a
+// single node gives.
+func TestClusterForwardedRoutesAnswerLikeANode(t *testing.T) {
+	gw, _ := newCluster(t, 3, 1)
+	node := serve.New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 1, Workers: 1}), serve.Config{})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/check", `{"formula":"G(((("}`},
+		{"/v1/simulate", `{"method":"bogus"}`},
+		{"/v1/compose", `{"sbml":"<bad"}`},
+		{"/v1/compose", `{"bogus":1}`},
+		{"/v1/simulate", `{"id":"a"} trailing`},
+		{"/v1/check", `{"formula":"G({x >= 0})"}`},
+		{"/v1/check", `{"id":5}`},
+		{"/v1/models", `<bad`},
+	} {
+		answer := func(h http.Handler) (int, string, string) {
+			rec := do(t, h, "POST", tc.path, tc.body)
+			var er struct{ Error, Code string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+				t.Fatalf("POST %s %s: non-JSON answer %q", tc.path, tc.body, rec.Body.String())
+			}
+			return rec.Code, er.Error, er.Code
+		}
+		gs, ge, gc := answer(gw)
+		ns, ne, nc := answer(node)
+		if gs != ns || ge != ne || gc != nc {
+			t.Errorf("POST %s %s: gateway %d %q %q, node %d %q %q", tc.path, tc.body, gs, ge, gc, ns, ne, nc)
+		}
+	}
+}
+
 // --- request-id propagation and retries ---
 
 // recordingProxy forwards to a node while recording the X-Request-Id of

@@ -2,18 +2,13 @@ package cluster
 
 import (
 	"bytes"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sbmlcompose/internal/api"
@@ -21,9 +16,6 @@ import (
 	"sbmlcompose/internal/obs"
 	"sbmlcompose/internal/sbml"
 )
-
-// maxBodyBytes caps gateway request bodies, matching the node servers.
-const maxBodyBytes = 64 << 20
 
 // Options configures a Gateway; see New.
 type Options struct {
@@ -82,30 +74,16 @@ func (o Options) withDefaults() Options {
 type Gateway struct {
 	parts *PartitionMap
 	nodes map[string]*nodeClient
-	opts  Options
-	mux   *http.ServeMux
+	edge  *api.Edge
 	reg   *obs.Registry
 	start time.Time
 	logf  func(format string, args ...any)
 
-	// Request-id minting, same hygiene as the node servers: crypto/rand
-	// prefix, inbound ids adopted only when printable-safe.
-	ridPrefix string
-	ridSeq    atomic.Uint64
-
-	inFlight atomic.Int64
 	// partialServed counts searches answered with an incomplete node set
 	// under allow_partial; degradedTotal counts searches refused 503
 	// because a node was down.
 	partialServed *obs.Counter
 	degradedTotal *obs.Counter
-
-	stats map[string]*routeStat
-}
-
-type routeStat struct {
-	count *obs.Counter
-	lat   *obs.Histogram
 }
 
 // New builds a Gateway over the node set.
@@ -120,24 +98,28 @@ func New(opts Options) (*Gateway, error) {
 		reg = obs.NewRegistry()
 	}
 	g := &Gateway{
-		parts:     parts,
-		nodes:     make(map[string]*nodeClient, len(parts.nodes)),
-		opts:      opts,
-		mux:       http.NewServeMux(),
-		reg:       reg,
-		start:     time.Now(),
-		logf:      opts.Logf,
-		ridPrefix: newRIDPrefix(),
-		stats:     map[string]*routeStat{},
+		parts: parts,
+		nodes: make(map[string]*nodeClient, len(parts.nodes)),
+		edge: api.NewEdge("sbmlgw", opts.Logf, func(label string) api.RouteStat {
+			return api.RouteStat{
+				Count: reg.Counter("sbmlgw_http_requests_total",
+					"Gateway requests served, by route.", obs.L("route", label)),
+				Lat: reg.Histogram("sbmlgw_http_request_seconds",
+					"Gateway request latency in seconds, by route.", obs.LatencyBuckets(),
+					obs.L("route", label)),
+			}
+		}),
+		reg:   reg,
+		start: time.Now(),
+		logf:  opts.Logf,
 	}
 	for _, base := range parts.nodes {
 		g.nodes[base] = &nodeClient{
-			base:       base,
-			hc:         opts.Client,
-			timeout:    opts.NodeTimeout,
-			attempts:   opts.Retries,
-			minBackoff: opts.MinBackoff,
-			maxBackoff: opts.MaxBackoff,
+			base:     base,
+			hc:       opts.Client,
+			timeout:  opts.NodeTimeout,
+			attempts: opts.Retries,
+			backoff:  api.Backoff{Min: opts.MinBackoff, Max: opts.MaxBackoff},
 			requests: reg.Counter("sbmlgw_node_requests_total",
 				"Node requests issued by the gateway, by node.", obs.L("node", base)),
 			errors: reg.Counter("sbmlgw_node_errors_total",
@@ -149,7 +131,7 @@ func New(opts Options) (*Gateway, error) {
 	}
 	g.reg.GaugeFunc("sbmlgw_in_flight_requests",
 		"Gateway requests currently executing.",
-		func() float64 { return float64(g.inFlight.Load()) })
+		func() float64 { return float64(g.edge.InFlight()) })
 	g.reg.Gauge("sbmlgw_nodes",
 		"Configured shard nodes.").Set(int64(len(parts.nodes)))
 	g.partialServed = g.reg.Counter("sbmlgw_partial_searches_total",
@@ -157,15 +139,15 @@ func New(opts Options) (*Gateway, error) {
 	g.degradedTotal = g.reg.Counter("sbmlgw_degraded_refusals_total",
 		"Searches refused 503 because a shard node was unreachable.")
 
-	g.route("POST /v1/models", "add_model", g.handleAddModel)
-	g.route("DELETE /v1/models/{id}", "remove_model", g.handleRemoveModel)
-	g.route("POST /v1/search", "search", g.handleSearch)
-	g.route("POST /v1/compose", "compose", g.forwardByID)
-	g.route("POST /v1/simulate", "simulate", g.forwardByID)
-	g.route("POST /v1/check", "check", g.forwardByID)
-	g.route("GET /v1/healthz", "healthz", g.handleHealthz)
-	g.route("GET /healthz", "healthz_legacy", g.handleHealthz)
-	g.route("GET /v1/metrics", "metrics", g.handleMetrics)
+	g.edge.Route("POST /v1/models", "add_model", g.handleAddModel)
+	g.edge.Route("DELETE /v1/models/{id}", "remove_model", g.handleRemoveModel)
+	g.edge.Route("POST /v1/search", "search", g.handleSearch)
+	g.edge.Route("POST /v1/compose", "compose", g.forwardByID)
+	g.edge.Route("POST /v1/simulate", "simulate", g.forwardByID)
+	g.edge.Route("POST /v1/check", "check", g.forwardByID)
+	g.edge.Route("GET /v1/healthz", "healthz", g.handleHealthz)
+	g.edge.Route("GET /healthz", "healthz_legacy", g.handleHealthz)
+	g.edge.Route("GET /v1/metrics", "metrics", api.MetricsHandler(reg))
 	return g, nil
 }
 
@@ -176,94 +158,26 @@ func (g *Gateway) Partition() *PartitionMap { return g.parts }
 // Registry returns the gateway's metric registry.
 func (g *Gateway) Registry() *obs.Registry { return g.reg }
 
-func newRIDPrefix() string {
-	var b [5]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("t%x", time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
-}
+func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.edge.ServeHTTP(w, r) }
 
-func (g *Gateway) requestID(r *http.Request) string {
-	if rid := r.Header.Get("X-Request-Id"); api.ValidRequestID(rid) {
-		return rid
-	}
-	return g.ridPrefix + "-" + strconv.FormatUint(g.ridSeq.Add(1), 10)
-}
-
-// respWriter carries the request id for error-body echoes and captures
-// the status for logging, like the node server's middleware.
-type respWriter struct {
-	http.ResponseWriter
-	reqID  string
-	status int
-}
-
-func (w *respWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (g *Gateway) route(pattern, label string, h func(http.ResponseWriter, *http.Request)) {
-	st := &routeStat{
-		count: g.reg.Counter("sbmlgw_http_requests_total",
-			"Gateway requests served, by route.", obs.L("route", label)),
-		lat: g.reg.Histogram("sbmlgw_http_request_seconds",
-			"Gateway request latency in seconds, by route.", obs.LatencyBuckets(),
-			obs.L("route", label)),
-	}
-	g.stats[pattern] = st
-	g.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		rid := g.requestID(r)
-		rw := &respWriter{ResponseWriter: w, reqID: rid, status: http.StatusOK}
-		rw.Header().Set("X-Request-Id", rid)
-		h(rw, r)
-		d := time.Since(t0)
-		st.count.Inc()
-		st.lat.Observe(d.Seconds())
+// forward sends the request to the node owning id and relays its answer.
+// An owner that stays unreachable through the retry budget is reported
+// as 502 with the machine-readable "node_unreachable" code, naming the
+// node so the operator knows which shard is down.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, id, method, path, rawQuery string, body []byte) {
+	owner := g.parts.Owner(id)
+	resp, err := g.nodes[owner].do(r.Context(), method, path, rawQuery, body, api.RequestID(w))
+	if err != nil {
 		if g.logf != nil {
-			g.logf("sbmlgw: %s %s status=%d dur=%.3fms rid=%s", r.Method, r.URL.Path, rw.status, float64(d.Nanoseconds())/1e6, rid)
+			g.logf("sbmlgw: node %s unreachable: %v", owner, err)
 		}
-	})
-}
-
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	g.inFlight.Add(1)
-	defer g.inFlight.Add(-1)
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	g.mux.ServeHTTP(w, r)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	if er, isErr := v.(api.ErrorResponse); isErr && er.RequestID == "" {
-		if rw, wrapped := w.(*respWriter); wrapped {
-			er.RequestID = rw.reqID
-			v = er
-		}
+		api.WriteJSON(w, http.StatusBadGateway, api.ErrorResponse{
+			Error: fmt.Sprintf("shard node %s unreachable: %v", owner, err),
+			Code:  "node_unreachable",
+		})
+		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, api.ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeNodeError reports an owning node that stayed unreachable through
-// the retry budget: 502 with the machine-readable "node_unreachable"
-// code, naming the node so the operator knows which shard is down.
-func (g *Gateway) writeNodeError(w http.ResponseWriter, node string, err error) {
-	if g.logf != nil {
-		g.logf("sbmlgw: node %s unreachable: %v", node, err)
-	}
-	writeJSON(w, http.StatusBadGateway, api.ErrorResponse{
-		Error: fmt.Sprintf("shard node %s unreachable: %v", node, err),
-		Code:  "node_unreachable",
-	})
+	relay(w, resp)
 }
 
 // relay copies a node's answer to the client verbatim: status, content
@@ -280,24 +194,6 @@ func relay(w http.ResponseWriter, resp *nodeResponse) {
 	_, _ = w.Write(resp.body)
 }
 
-func reqID(w http.ResponseWriter) string {
-	if rw, ok := w.(*respWriter); ok {
-		return rw.reqID
-	}
-	return ""
-}
-
-// readBody drains the (size-capped) request body, reporting over-limit
-// and transport failures as a 400.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read request body: %v", err)
-		return nil, false
-	}
-	return body, true
-}
-
 // --- write routes ---
 
 // handleAddModel routes POST /v1/models to the owning node. The id comes
@@ -305,87 +201,80 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 // the same precedence the node applies, so the gateway and the node
 // always agree on which id (and therefore which owner) a body lands on.
 func (g *Gateway) handleAddModel(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := api.ReadBody(w, r)
 	if !ok {
 		return
 	}
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		doc, err := sbml.ParseString(string(body))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "parse: %v", err)
-			return
+		// An unparsable body keeps the id "": its owner reports the
+		// parse error.
+		if doc, err := sbml.ParseString(string(body)); err == nil {
+			id = doc.Model.ID
 		}
-		id = doc.Model.ID
 	}
-	owner := g.parts.Owner(id)
-	resp, err := g.nodes[owner].do(r.Context(), http.MethodPost, "/v1/models", r.URL.RawQuery, body, reqID(w))
-	if err != nil {
-		g.writeNodeError(w, owner, err)
-		return
-	}
-	relay(w, resp)
+	g.forward(w, r, id, http.MethodPost, "/v1/models", r.URL.RawQuery, body)
 }
 
 func (g *Gateway) handleRemoveModel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	owner := g.parts.Owner(id)
-	resp, err := g.nodes[owner].do(r.Context(), http.MethodDelete, "/v1/models/"+url.PathEscape(id), "", nil, reqID(w))
-	if err != nil {
-		g.writeNodeError(w, owner, err)
-		return
-	}
-	relay(w, resp)
+	g.forward(w, r, id, http.MethodDelete, "/v1/models/"+url.PathEscape(id), "", nil)
 }
 
 // forwardByID routes the model-addressed JSON routes (/v1/compose,
 // /v1/simulate, /v1/check) to the node owning the "id" field of the
-// request body; the body is forwarded verbatim.
+// request body; the body is forwarded verbatim and the node's answer
+// relayed, whatever the body holds. The id is read the way the node
+// reads it — the first JSON value, trailing bytes ignored — and a body
+// with no string id goes to Owner(""), so a node judges every malformed
+// body by its own rules.
 func (g *Gateway) forwardByID(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := api.ReadBody(w, r)
 	if !ok {
 		return
 	}
 	var probe struct {
 		ID string `json:"id"`
 	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if probe.ID == "" {
-		// No node can own the empty id; answer the node's not-found shape
-		// without a pointless round-trip.
-		writeError(w, http.StatusNotFound, "corpus: no model %q", probe.ID)
-		return
-	}
-	owner := g.parts.Owner(probe.ID)
-	resp, err := g.nodes[owner].do(r.Context(), http.MethodPost, r.URL.Path, "", body, reqID(w))
-	if err != nil {
-		g.writeNodeError(w, owner, err)
-		return
-	}
-	relay(w, resp)
+	// A decode error leaves the id as far as it got; the node reports
+	// the error.
+	_ = json.NewDecoder(bytes.NewReader(body)).Decode(&probe)
+	g.forward(w, r, probe.ID, http.MethodPost, r.URL.Path, "", body)
 }
 
-// --- scatter-gather search ---
+// --- fan-out: search and health ---
 
-// nodeSearchResult is one node's answer to the fanned-out search.
-type nodeSearchResult struct {
+// nodeResult is one node's answer to a fanned-out request.
+type nodeResult struct {
 	node string
 	resp *nodeResponse
 	err  error
+}
+
+// fanOut sends the same request to every node concurrently and returns
+// the answers in partition-map node order.
+func (g *Gateway) fanOut(w http.ResponseWriter, r *http.Request, method, path string, body []byte) []nodeResult {
+	results := make([]nodeResult, len(g.parts.nodes))
+	var wg sync.WaitGroup
+	for i, node := range g.parts.nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := g.nodes[node].do(r.Context(), method, path, "", body, api.RequestID(w))
+			results[i] = nodeResult{node: node, resp: resp, err: err}
+		}()
+	}
+	wg.Wait()
+	return results
 }
 
 // handleSearch is the scatter-gather read path. Every node is asked for
 // the ranking prefix [0, offset+limit) of its own partition — a page
 // deeper in the merged ranking can draw all its hits from one node, so
 // nothing less than the full prefix suffices — and the per-node rankings
-// are merged with the exact comparator corpus.rank uses (score
-// descending, model id ascending). Partitioning assigns each model to
-// exactly one node, so the merge never deduplicates; the window is then
-// cut from the merged ranking exactly as a single node cuts it from its
-// own.
+// are merged and the window cut by corpus.RankWindow, the function a
+// single node cuts its own page with. Partitioning assigns each model to
+// exactly one node, so the merge never deduplicates.
 //
 // Node failures degrade deterministically: by default the search is
 // refused with 503 and the machine-readable "partial" code naming the
@@ -395,7 +284,7 @@ type nodeSearchResult struct {
 // byte-identical to a single-node corpus response (modulo took_ms).
 func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	body, ok := readBody(w, r)
+	body, ok := api.ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -403,12 +292,12 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var req api.SearchRequest
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	win, err := api.NormalizeWindow(req.TopK, req.Limit, req.Offset)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "search: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "search: %v", err)
 		return
 	}
 
@@ -419,25 +308,16 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		SBML: req.SBML, TopK: win.End(), Cutoff: req.Cutoff, MinScore: req.MinScore,
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encode node request: %v", err)
+		api.WriteError(w, http.StatusInternalServerError, "encode node request: %v", err)
 		return
 	}
-	results := make([]nodeSearchResult, len(g.parts.nodes))
-	var wg sync.WaitGroup
-	for i, node := range g.parts.nodes {
-		wg.Add(1)
-		go func(i int, node string) {
-			defer wg.Done()
-			resp, err := g.nodes[node].do(r.Context(), http.MethodPost, "/v1/search", "", nodeReq, reqID(w))
-			results[i] = nodeSearchResult{node: node, resp: resp, err: err}
-		}(i, node)
-	}
-	wg.Wait()
+	results := g.fanOut(w, r, http.MethodPost, "/v1/search", nodeReq)
 
 	var (
-		merged     []nodeSearchBody
+		hits       []corpus.Hit
+		answered   int
 		failed     []string
-		statuses   []nodeSearchResult
+		statuses   []nodeResult
 		allFailed  = true
 		sameStatus = -1
 	)
@@ -454,15 +334,15 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 			}
 		default:
 			allFailed = false
-			var nb nodeSearchBody
-			if err := json.Unmarshal(res.resp.body, &nb.resp); err != nil {
+			var nr api.SearchResponse
+			if err := json.Unmarshal(res.resp.body, &nr); err != nil {
 				// A node answering 200 with an undecodable body is as
 				// unreachable as one not answering at all.
 				failed = append(failed, res.node)
 				continue
 			}
-			nb.node = res.node
-			merged = append(merged, nb)
+			hits = append(hits, nr.Hits...)
+			answered++
 		}
 	}
 
@@ -472,21 +352,21 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// relay the first answer verbatim; disagreement means a heterogeneous
 	// fleet, reported as a gateway fault.
 	if len(statuses) > 0 {
-		if len(merged) == 0 && len(failed) == 0 && sameStatus > 0 {
+		if answered == 0 && len(failed) == 0 && sameStatus > 0 {
 			relay(w, statuses[0].resp)
 			return
 		}
 		for _, res := range statuses {
 			failed = append(failed, res.node)
 		}
-		allFailed = allFailed && len(merged) == 0
+		allFailed = allFailed && answered == 0
 	}
 
 	if len(failed) > 0 {
 		sort.Strings(failed)
 		if allFailed {
 			g.degradedTotal.Inc()
-			writeJSON(w, http.StatusServiceUnavailable, api.ErrorResponse{
+			api.WriteJSON(w, http.StatusServiceUnavailable, api.ErrorResponse{
 				Error: fmt.Sprintf("no shard node reachable (%s)", strings.Join(failed, ", ")),
 				Code:  "partial",
 			})
@@ -497,7 +377,7 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 			if g.logf != nil {
 				g.logf("sbmlgw: search degraded, nodes down: %s", strings.Join(failed, ", "))
 			}
-			writeJSON(w, http.StatusServiceUnavailable, api.ErrorResponse{
+			api.WriteJSON(w, http.StatusServiceUnavailable, api.ErrorResponse{
 				Error: fmt.Sprintf("shard nodes unreachable: %s; retry, or set allow_partial for an incomplete ranking", strings.Join(failed, ", ")),
 				Code:  "partial",
 			})
@@ -506,7 +386,10 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		g.partialServed.Inc()
 	}
 
-	hits := mergeRankings(merged, win)
+	hits = corpus.RankWindow(hits, win.Offset, win.Limit)
+	if hits == nil {
+		hits = []corpus.Hit{}
+	}
 	resp := api.SearchResponse{
 		Hits:     hits,
 		Offset:   win.Offset,
@@ -518,43 +401,7 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		resp.Partial = true
 		resp.FailedNodes = failed
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// nodeSearchBody pairs a node with its decoded search response.
-type nodeSearchBody struct {
-	node string
-	resp api.SearchResponse
-}
-
-// mergeRankings merges per-node rankings into the global window. The
-// comparator is exactly corpus.rank's: score descending, model id
-// ascending — the same deterministic merge already proven identical at
-// every shard and worker count inside one corpus, applied across nodes.
-func mergeRankings(bodies []nodeSearchBody, win api.Window) []corpus.Hit {
-	var all []corpus.Hit
-	for _, b := range bodies {
-		all = append(all, b.resp.Hits...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		return all[i].ModelID < all[j].ModelID
-	})
-	if win.Offset > 0 {
-		if win.Offset >= len(all) {
-			return []corpus.Hit{}
-		}
-		all = all[win.Offset:]
-	}
-	if win.Limit >= 0 && len(all) > win.Limit {
-		all = all[:win.Limit]
-	}
-	if all == nil {
-		all = []corpus.Hit{}
-	}
-	return all
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- health and metrics ---
@@ -584,39 +431,32 @@ type gatewayHealth struct {
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rows := make([]nodeHealth, len(g.parts.nodes))
-	var wg sync.WaitGroup
-	for i, node := range g.parts.nodes {
-		wg.Add(1)
-		go func(i int, node string) {
-			defer wg.Done()
-			row := nodeHealth{URL: node, Status: "down"}
-			resp, err := g.nodes[node].do(r.Context(), http.MethodGet, "/v1/healthz", "", nil, reqID(w))
-			switch {
-			case err != nil:
-				row.Error = err.Error()
-			case resp.status != http.StatusOK:
-				row.Error = fmt.Sprintf("healthz answered %d", resp.status)
-			default:
-				var nh struct {
-					Models int `json:"models"`
-				}
-				if err := json.Unmarshal(resp.body, &nh); err != nil {
-					row.Error = fmt.Sprintf("healthz undecodable: %v", err)
-				} else {
-					row.Status = "ok"
-					row.Models = nh.Models
-				}
+	results := g.fanOut(w, r, http.MethodGet, "/v1/healthz", nil)
+	rows := make([]nodeHealth, len(results))
+	for i, res := range results {
+		rows[i] = nodeHealth{URL: res.node, Status: "down"}
+		switch {
+		case res.err != nil:
+			rows[i].Error = res.err.Error()
+		case res.resp.status != http.StatusOK:
+			rows[i].Error = fmt.Sprintf("healthz answered %d", res.resp.status)
+		default:
+			var nh struct {
+				Models int `json:"models"`
 			}
-			rows[i] = row
-		}(i, node)
+			if err := json.Unmarshal(res.resp.body, &nh); err != nil {
+				rows[i].Error = fmt.Sprintf("healthz undecodable: %v", err)
+			} else {
+				rows[i].Status = "ok"
+				rows[i].Models = nh.Models
+			}
+		}
 	}
-	wg.Wait()
 	payload := gatewayHealth{
 		Status:   "ok",
 		Role:     "gateway",
 		Nodes:    rows,
-		InFlight: g.inFlight.Load(),
+		InFlight: g.edge.InFlight(),
 		UptimeS:  time.Since(g.start).Seconds(),
 	}
 	for _, row := range rows {
@@ -626,10 +466,5 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		payload.Models += row.Models
 	}
-	writeJSON(w, http.StatusOK, payload)
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = g.reg.WriteText(w)
+	api.WriteJSON(w, http.StatusOK, payload)
 }

@@ -5,17 +5,17 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"time"
 
+	"sbmlcompose/internal/api"
 	"sbmlcompose/internal/obs"
 )
 
 // nodeClient issues requests to one shard node with a per-request
 // timeout and capped exponential backoff with jitter between transport
-// failures — the same retry discipline the replication puller in
-// store/replica.go uses, for the same reason: a node restart or a
+// failures — api.Backoff, the pacing the replication puller in
+// store/replica.go uses too, for the same reason: a node restart or a
 // dropped connection should cost one jittered retry, not a failed user
 // request, while an HTTP status from the node is its answer and is never
 // retried (retrying a 409 duplicate-add would not make it less
@@ -23,11 +23,11 @@ import (
 type nodeClient struct {
 	base string
 	hc   *http.Client
-	// timeout caps each attempt; attempts bounds the transport retries.
-	timeout    time.Duration
-	attempts   int
-	minBackoff time.Duration
-	maxBackoff time.Duration
+	// timeout caps each attempt; attempts bounds the transport retries,
+	// paced by a copy of backoff per request.
+	timeout  time.Duration
+	attempts int
+	backoff  api.Backoff
 	// Per-node fan-out series: every request, every transport failure,
 	// and the latency of successful round-trips.
 	requests *obs.Counter
@@ -48,21 +48,12 @@ type nodeResponse struct {
 // budget. The request context bounds the whole exchange: a cancelled
 // inbound request stops retrying immediately.
 func (n *nodeClient) do(ctx context.Context, method, path, rawQuery string, body []byte, reqID string) (*nodeResponse, error) {
-	backoff := n.minBackoff
+	backoff := n.backoff
 	var lastErr error
 	for attempt := 0; attempt < n.attempts; attempt++ {
 		if attempt > 0 {
-			// Capped exponential backoff with jitter: a uniformly random
-			// wait in [backoff/2, backoff), so a fleet of gateway requests
-			// hitting a briefly-down node does not retry in lockstep.
-			d := backoff/2 + rand.N(backoff/2+1)
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(d):
-			}
-			if backoff *= 2; backoff > n.maxBackoff {
-				backoff = n.maxBackoff
+			if err := backoff.Wait(ctx); err != nil {
+				return nil, err
 			}
 		}
 		resp, err := n.once(ctx, method, path, rawQuery, body, reqID)

@@ -9,14 +9,23 @@
 // state, and adding or removing one node reassigns only the ids that
 // node gains or loses (~1/n of the corpus), never reshuffling the rest.
 //
-// Write routes (add/remove/compose/simulate/check) forward to the one
-// node that owns the model id. /v1/search fans out to every node for the
-// ranking prefix [0, offset+limit) and merges with the exact comparator
-// the corpus ranking uses (score descending, model id ascending), so a
-// cluster ranking is byte-identical to a single-node corpus holding the
-// same models — the determinism already proven at every shard and worker
-// count, applied one level up. See gateway.go for the degraded-mode
-// semantics when a node is down.
+// The forwarding contract: for the model-addressed routes
+// (add/remove/compose/simulate/check) the gateway only picks the owner
+// of the model id and relays that node's answer. It never answers such a
+// route itself; a body without a usable id goes to Owner(""), so every
+// malformed request gets exactly the answer a single node gives.
+// /v1/search fans out to every node for the ranking prefix [0,
+// offset+limit) and merges with corpus.RankWindow, the function the
+// corpus ranking cuts its own pages with, so a cluster ranking is
+// byte-identical to a single-node corpus holding the same models — the
+// determinism already proven at every shard and worker count, applied
+// one level up. See gateway.go for the degraded-mode semantics when a
+// node is down.
+//
+// The gateway serves through the same HTTP edge as a node (api.Edge):
+// request ids, the error envelope, per-route metrics (sbmlgw_*), the
+// in-flight gauge and the body cap. What remains here is routing,
+// fan-out and the node client.
 package cluster
 
 import (

@@ -872,10 +872,8 @@ func (c *Corpus) rank(ctx context.Context, qkeys []core.ComponentKey, denom int,
 		return nil, err
 	}
 
-	// Deterministic global merge: drop empty/sub-threshold hits, rank by
-	// score then id, then cut the pagination window out of the full
-	// ranking — Offset models skipped here, inside the merge, so a page is
-	// exactly the corresponding slice of the unpaginated ranking.
+	// Deterministic global merge: drop empty/sub-threshold hits, then
+	// rank and cut the pagination window.
 	defer obs.FromContext(ctx).Start("merge").End()
 	ranked := hits[:0]
 	for _, h := range hits {
@@ -884,20 +882,30 @@ func (c *Corpus) rank(ctx context.Context, qkeys []core.ComponentKey, denom int,
 		}
 		ranked = append(ranked, h)
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Score != ranked[j].Score {
-			return ranked[i].Score > ranked[j].Score
+	return append([]Hit(nil), RankWindow(ranked, opts.Offset, opts.TopK)...), nil
+}
+
+// RankWindow sorts hits in place into the global ranking order — score
+// descending, model id ascending, a total order since ids are unique —
+// and returns the page [offset, offset+limit) of it, nil when empty; a
+// negative limit means unbounded. A corpus and the cluster gateway both
+// cut their pages here, so the same hits give the same page whatever
+// shard, worker or node produced them.
+func RankWindow(hits []Hit, offset, limit int) []Hit {
+	sort.Slice(hits, func(i, j int) bool {
+		if hits[i].Score != hits[j].Score {
+			return hits[i].Score > hits[j].Score
 		}
-		return ranked[i].ModelID < ranked[j].ModelID
+		return hits[i].ModelID < hits[j].ModelID
 	})
-	if opts.Offset > 0 {
-		if opts.Offset >= len(ranked) {
-			return nil, nil
+	if offset > 0 {
+		if offset >= len(hits) {
+			return nil
 		}
-		ranked = ranked[opts.Offset:]
+		hits = hits[offset:]
 	}
-	if opts.TopK >= 0 && len(ranked) > opts.TopK {
-		ranked = ranked[:opts.TopK]
+	if limit >= 0 && len(hits) > limit {
+		hits = hits[:limit]
 	}
-	return append([]Hit(nil), ranked...), nil
+	return hits
 }

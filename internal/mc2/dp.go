@@ -116,9 +116,9 @@ func (p *prepared) check(tr *trace.Trace) (bool, error) {
 		stack: make([]float64, p.maxStack),
 		time:  p.timeSlot,
 	}
-	sat, err := ev.vec(p.root)
-	if err != nil {
-		return false, err
+	sat, errs := ev.vec(p.root)
+	if errs != nil && errs[0] != nil {
+		return false, errs[0]
 	}
 	return sat[0], nil
 }
@@ -131,9 +131,13 @@ type dpEval struct {
 	time  int
 }
 
-// vec computes the node's satisfaction vector: out[i] reports satisfaction
-// at sample index i. Child slices are reused in place where possible.
-func (ev *dpEval) vec(nd *pnode) ([]bool, error) {
+// vec computes the node's satisfaction vector: sat[i] reports
+// satisfaction at sample index i. errs is nil when evaluation succeeds at
+// every index; otherwise errs[i] is the error the recursive evaluator
+// meets at index i (nil where it meets none), so an atom failing on a
+// sample only fails the start indexes whose evaluation reaches it. Child
+// slices are reused in place where possible.
+func (ev *dpEval) vec(nd *pnode) (sat []bool, errs []error) {
 	tr := ev.tr
 	n := tr.Len()
 	switch nd.kind {
@@ -144,103 +148,126 @@ func (ev *dpEval) vec(nd *pnode) ([]bool, error) {
 			ev.state[ev.time] = tr.Times[i]
 			v, err := nd.prog.Eval(ev.state, ev.stack, nil)
 			if err != nil {
-				return nil, fmt.Errorf("mc2: atom %q: %w", nd.src, err)
+				if errs == nil {
+					errs = make([]error, n)
+				}
+				errs[i] = fmt.Errorf("mc2: atom %q: %w", nd.src, err)
 			}
 			out[i] = v != 0
 		}
-		return out, nil
+		return out, errs
 	case '!':
-		out, err := ev.vec(nd.l)
-		if err != nil {
-			return nil, err
-		}
+		out, errs := ev.vec(nd.l)
 		for i := range out {
 			out[i] = !out[i]
 		}
-		return out, nil
+		return out, errs
 	case '&', '|', '>':
-		l, err := ev.vec(nd.l)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ev.vec(nd.r)
-		if err != nil {
-			return nil, err
-		}
+		l, lerrs := ev.vec(nd.l)
+		r, rerrs := ev.vec(nd.r)
+		// Short-circuit exactly where the recursive evaluator does: the
+		// right operand, and its error, counts only when the left one
+		// neither errs nor decides.
 		for i := range l {
-			switch nd.kind {
-			case '&':
-				l[i] = l[i] && r[i]
-			case '|':
-				l[i] = l[i] || r[i]
+			switch {
+			case at(lerrs, i) != nil:
+			case nd.kind == '&' && !l[i]:
+			case nd.kind == '|' && l[i]:
+			case nd.kind == '>' && !l[i]:
+				l[i] = true
 			default:
-				l[i] = !l[i] || r[i]
+				l[i] = r[i]
+				lerrs = ev.setErr(lerrs, i, at(rerrs, i))
 			}
 		}
-		return l, nil
+		return l, lerrs
 	case 'U':
-		l, err := ev.vec(nd.l)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ev.vec(nd.r)
-		if err != nil {
-			return nil, err
-		}
+		l, lerrs := ev.vec(nd.l)
+		r, rerrs := ev.vec(nd.r)
 		// φ U ψ at i ⇔ ψ at i, or φ at i and φ U ψ at i+1 — the backward
-		// recurrence of the recursive scan.
-		for i := n - 2; i >= 0; i-- {
-			r[i] = r[i] || (l[i] && r[i+1])
+		// recurrence of the recursive scan, which tests ψ before φ.
+		for i := n - 1; i >= 0; i-- {
+			switch {
+			case at(rerrs, i) != nil || r[i]:
+			case at(lerrs, i) != nil:
+				rerrs = ev.setErr(rerrs, i, at(lerrs, i))
+			case l[i] && i+1 < n:
+				r[i] = r[i+1]
+				rerrs = ev.setErr(rerrs, i, at(rerrs, i+1))
+			}
 		}
-		return r, nil
+		return r, rerrs
 	case 'X':
-		out, err := ev.vec(nd.l)
-		if err != nil {
-			return nil, err
-		}
+		out, errs := ev.vec(nd.l)
 		copy(out, out[1:])
 		out[n-1] = false
-		return out, nil
+		if errs != nil {
+			copy(errs, errs[1:])
+			errs[n-1] = nil
+		}
+		return out, errs
 	case 'G', 'F':
-		child, err := ev.vec(nd.l)
-		if err != nil {
-			return nil, err
+		child, errs := ev.vec(nd.l)
+		if nd.bounded {
+			return ev.boundedWindow(nd, child, errs)
 		}
-		if !nd.bounded {
-			// Suffix conjunction / disjunction.
-			for i := n - 2; i >= 0; i-- {
-				if nd.kind == 'G' {
-					child[i] = child[i] && child[i+1]
-				} else {
-					child[i] = child[i] || child[i+1]
-				}
+		// Suffix conjunction / disjunction: a start index takes the
+		// verdict of its first sample that fails (G), holds (F) or errs.
+		for i := n - 2; i >= 0; i-- {
+			if at(errs, i) == nil && child[i] == (nd.kind == 'G') {
+				child[i] = child[i+1]
+				errs = ev.setErr(errs, i, at(errs, i+1))
 			}
-			return child, nil
 		}
-		return ev.boundedWindow(nd, child), nil
+		return child, errs
 	}
-	return nil, fmt.Errorf("mc2: unknown prepared node %q", nd.kind)
+	panic(fmt.Sprintf("mc2: unknown prepared node %q", nd.kind))
 }
 
-// boundedWindow evaluates G[a,b]/F[a,b] for every start index with a
-// prefix-sum count over a monotone sample window. The window of start i is
-// the reference scan's: samples j ≥ i with Times[i]+lo ≤ Times[j] ≤
-// Times[i]+hi; both endpoints only move forward as i grows because sample
-// times are strictly increasing. F needs a true in the window; G needs no
-// false and a non-empty window (an entirely out-of-trace bound fails, as in
-// the reference).
-func (ev *dpEval) boundedWindow(nd *pnode, child []bool) []bool {
+// at returns errs[i], treating a nil errs as all nil.
+func at(errs []error, i int) error {
+	if errs == nil {
+		return nil
+	}
+	return errs[i]
+}
+
+// setErr stores err at index i of a node's error vector, allocating the
+// vector on its first non-nil error.
+func (ev *dpEval) setErr(errs []error, i int, err error) []error {
+	if errs == nil {
+		if err == nil {
+			return nil
+		}
+		errs = make([]error, ev.tr.Len())
+	}
+	errs[i] = err
+	return errs
+}
+
+// boundedWindow evaluates G[a,b]/F[a,b] for every start index over a
+// monotone sample window. The window of start i is the reference scan's:
+// samples j ≥ i with Times[i]+lo ≤ Times[j] ≤ Times[i]+hi; both endpoints
+// only move forward as i grows because sample times are strictly
+// increasing. The scan stops at the window's first sample that decides
+// (false for G, true for F) or errs, and takes its verdict; a window with
+// none gives F false and G true when non-empty (an entirely out-of-trace
+// bound fails, as in the reference).
+func (ev *dpEval) boundedWindow(nd *pnode, child []bool, errs []error) ([]bool, []error) {
 	tr := ev.tr
 	n := len(child)
-	// pre[j] counts true child samples in [0, j).
-	pre := make([]int, n+1)
-	for i, v := range child {
-		pre[i+1] = pre[i]
-		if v {
-			pre[i+1]++
+	decisive := nd.kind == 'F'
+	// stop[j] is the first k ≥ j whose sample decides or errs, n if none.
+	stop := make([]int, n+1)
+	stop[n] = n
+	for j := n - 1; j >= 0; j-- {
+		stop[j] = stop[j+1]
+		if at(errs, j) != nil || child[j] == decisive {
+			stop[j] = j
 		}
 	}
 	out := make([]bool, n)
+	var outErrs []error
 	a, b := 0, 0 // first j with Times[j] ≥ lo_i; first j with Times[j] > hi_i
 	for i := 0; i < n; i++ {
 		lo, hi := tr.Times[i]+nd.lo, tr.Times[i]+nd.hi
@@ -254,16 +281,12 @@ func (ev *dpEval) boundedWindow(nd *pnode, child []bool) []bool {
 		if start < i {
 			start = i // the scan never looks before its own start index
 		}
-		if end < start {
-			end = start
-		}
-		trues := pre[end] - pre[start]
-		if nd.kind == 'F' {
-			out[i] = trues > 0
+		if k := stop[start]; k < end {
+			out[i] = child[k]
+			outErrs = ev.setErr(outErrs, i, at(errs, k))
 		} else {
-			size := end - start
-			out[i] = size > 0 && trues == size
+			out[i] = !decisive && end > start
 		}
 	}
-	return out
+	return out, outErrs
 }

@@ -72,9 +72,9 @@ func TestDPMatchesRecursiveHolds(t *testing.T) {
 			t.Fatalf("trial %d: prepare(%s): %v", trial, f, err)
 		}
 		ev := &dpEval{tr: tr, state: make([]float64, p.nCols+1), stack: make([]float64, p.maxStack), time: p.timeSlot}
-		sat, err := ev.vec(p.root)
-		if err != nil {
-			t.Fatalf("trial %d: dp(%s): %v", trial, f, err)
+		sat, errs := ev.vec(p.root)
+		if errs != nil {
+			t.Fatalf("trial %d: dp(%s): %v", trial, f, errs)
 		}
 		for i := 0; i < tr.Len(); i++ {
 			want, err := f.holds(tr, i)

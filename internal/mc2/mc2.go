@@ -24,9 +24,12 @@
 // (bounded variants use monotone window endpoints over the strictly
 // increasing sample times) instead of the naive recursion's O(trace²)
 // suffix rescans. The recursive evaluator is retained as the semantic
-// reference and pinned against the DP by tests. One visible difference:
-// preparation resolves every atom eagerly, so a formula naming an unknown
-// species fails even when lazy connective evaluation would have skipped it.
+// reference and pinned against the DP by tests and FuzzCheckDP. One
+// visible difference: preparation resolves every atom eagerly, so a
+// formula naming an unknown species fails even when lazy connective
+// evaluation would have skipped it. Errors an atom meets on a sample
+// (division by zero, ...) follow the reference exactly: the check fails
+// only if the reference's evaluation from the first sample reaches one.
 //
 // Probability estimation compiles the model once (sim.Compile) and fans the
 // stochastic runs out across a worker pool (sim.Options.Workers, default

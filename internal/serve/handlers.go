@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -17,34 +16,6 @@ import (
 
 // --- response helpers ---
 
-// errorResponse is the uniform JSON error body (internal/api): Code is
-// machine-readable and set for context terminations ("deadline_exceeded",
-// "client_closed_request"); RequestID echoes the X-Request-Id header so
-// one string ties the failure a client saw to the server's log line for
-// it. The type lives in internal/api so the cluster gateway answers the
-// exact same shape.
-type errorResponse = api.ErrorResponse
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	// Error bodies pick up the request id from the middleware's writer;
-	// handlers never thread it explicitly.
-	if er, isErr := v.(errorResponse); isErr && er.RequestID == "" {
-		if rw, wrapped := w.(*respWriter); wrapped {
-			er.RequestID = rw.reqID
-			v = er
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
 // writeCtxError reports a context termination: 408 when the server-side
 // deadline expired, 499 when the client went away (the write is then
 // best-effort, but the status still lands in the endpoint stats).
@@ -52,13 +23,13 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 func writeCtxError(w http.ResponseWriter, err error) bool {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusRequestTimeout, errorResponse{
+		api.WriteJSON(w, http.StatusRequestTimeout, api.ErrorResponse{
 			Error: "request timed out server-side: " + err.Error(),
 			Code:  "deadline_exceeded",
 		})
 		return true
 	case errors.Is(err, context.Canceled):
-		writeJSON(w, statusClientClosedRequest, errorResponse{
+		api.WriteJSON(w, statusClientClosedRequest, api.ErrorResponse{
 			Error: "client closed request: " + err.Error(),
 			Code:  "client_closed_request",
 		})
@@ -74,7 +45,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	err := dec.Decode(v)
 	sp.End()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
 	return true
@@ -85,13 +56,13 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 // but the operation failed on it).
 func modelError(w http.ResponseWriter, err error) {
 	if errors.Is(err, sbmlcompose.ErrModelNotFound) {
-		writeError(w, http.StatusNotFound, "%v", err)
+		api.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	if writeCtxError(w, err) {
 		return
 	}
-	writeError(w, http.StatusUnprocessableEntity, "%v", err)
+	api.WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 }
 
 // --- typed request/response DTOs ---
@@ -220,7 +191,7 @@ func (s *Server) handleAddModel(w http.ResponseWriter, r *http.Request) {
 	m, err := sbmlcompose.ParseModel(r.Body)
 	sp.End()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "parse: %v", err)
 		return
 	}
 	if id := r.URL.Query().Get("id"); id != "" {
@@ -238,10 +209,10 @@ func (s *Server) handleAddModel(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, sbmlcompose.ErrDuplicateModel) {
 			status = http.StatusConflict
 		}
-		writeError(w, status, "%v", err)
+		api.WriteError(w, status, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, addModelResponse{
+	api.WriteJSON(w, http.StatusCreated, addModelResponse{
 		ID:         id,
 		Components: m.ComponentCount(),
 		Models:     s.corpus.Len(),
@@ -262,11 +233,11 @@ func (s *Server) handleRemoveModel(w http.ResponseWriter, r *http.Request) {
 			s.writeReadOnlyError(w)
 			return
 		}
-		writeError(w, persistStatus(err), "%v", err)
+		api.WriteError(w, persistStatus(err), "%v", err)
 		return
 	}
 	if !ok {
-		writeError(w, http.StatusNotFound, "corpus: no model %q", id)
+		api.WriteError(w, http.StatusNotFound, "corpus: no model %q", id)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -298,7 +269,7 @@ func (s *Server) followerMode() bool {
 // toward sbmlserved_readonly_rejections_total.
 func (s *Server) writeReadOnlyError(w http.ResponseWriter) {
 	s.readOnlyRejected.Inc()
-	writeJSON(w, http.StatusForbidden, errorResponse{
+	api.WriteJSON(w, http.StatusForbidden, api.ErrorResponse{
 		Error: "this node is a read-only replica; send writes to the primary or promote this node",
 		Code:  "read_only",
 	})
@@ -323,7 +294,7 @@ func (s *Server) setLagHeader(w http.ResponseWriter) {
 // 200 again; a server that never was a replica answers 409.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if s.replica == nil {
-		writeError(w, http.StatusConflict, "this server is not a replica; nothing to promote")
+		api.WriteError(w, http.StatusConflict, "this server is not a replica; nothing to promote")
 		return
 	}
 	perr := s.replica.Promote()
@@ -345,14 +316,13 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 			s.logf("sbmlserved: promote: %v", perr)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.setLagHeader(w)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read request body: %v", err)
+	body, ok := api.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	req, cq, ok := s.searchQuery(r.Context(), w, body)
@@ -367,7 +337,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// one rather than silently resolved.
 	win, err := api.NormalizeWindow(req.TopK, req.Limit, req.Offset)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "search: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "search: %v", err)
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -380,13 +350,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		if writeCtxError(w, err) {
 			return
 		}
-		writeError(w, http.StatusUnprocessableEntity, "search: %v", err)
+		api.WriteError(w, http.StatusUnprocessableEntity, "search: %v", err)
 		return
 	}
 	if hits == nil {
 		hits = []sbmlcompose.Hit{}
 	}
-	writeJSON(w, http.StatusOK, searchResponse{
+	api.WriteJSON(w, http.StatusOK, searchResponse{
 		Hits:     hits,
 		Offset:   win.Offset,
 		Limit:    win.Limit,
@@ -423,21 +393,21 @@ func (s *Server) searchQuery(ctx context.Context, w http.ResponseWriter, body []
 	err := dec.Decode(&req)
 	sp.End()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return req, nil, false
 	}
 	sp = tr.Start("parse")
 	query, err := sbmlcompose.ParseModelString(req.SBML)
 	sp.End()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse query: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "parse query: %v", err)
 		return req, nil, false
 	}
 	sp = tr.Start("compile")
 	cq, err = s.corpus.CompileQuery(query)
 	sp.End()
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "search: %v", err)
+		api.WriteError(w, http.StatusUnprocessableEntity, "search: %v", err)
 		return req, nil, false
 	}
 	if cacheable {
@@ -456,7 +426,7 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 	query, err := sbmlcompose.ParseModelString(req.SBML)
 	sp.End()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse query: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "parse query: %v", err)
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -470,7 +440,7 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 	for i, warn := range res.Warnings {
 		warnings[i] = warn.String()
 	}
-	writeJSON(w, http.StatusOK, composeResponse{
+	api.WriteJSON(w, http.StatusOK, composeResponse{
 		SBML:     sbmlcompose.ModelToString(res.Model),
 		Warnings: warnings,
 		Stats: composeStats{
@@ -507,14 +477,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	case "ssa":
 		tr, err = s.corpus.SimulateSSAContext(ctx, req.ID, req.simOptions())
 	default:
-		writeError(w, http.StatusBadRequest, "method must be \"ode\" or \"ssa\"")
+		api.WriteError(w, http.StatusBadRequest, "method must be \"ode\" or \"ssa\"")
 		return
 	}
 	if err != nil {
 		modelError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, simulateResponse{
+	api.WriteJSON(w, http.StatusOK, simulateResponse{
 		Names:  tr.Names,
 		Times:  tr.Times,
 		Values: tr.Values,
@@ -536,7 +506,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		modelError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, checkResponse{Satisfied: sat})
+	api.WriteJSON(w, http.StatusOK, checkResponse{Satisfied: sat})
 }
 
 // handleSnapshot forces a snapshot + WAL compaction: the admin lever for
@@ -546,7 +516,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 // between models rather than writing a snapshot nobody waits for.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
-		writeError(w, http.StatusConflict, "server is running without -data; nothing to snapshot")
+		api.WriteError(w, http.StatusConflict, "server is running without -data; nothing to snapshot")
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -555,17 +525,17 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		if writeCtxError(w, err) {
 			return
 		}
-		writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
+		api.WriteError(w, http.StatusInternalServerError, "snapshot: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, snapshotResponse{Status: "ok", Store: s.store.Status()})
+	api.WriteJSON(w, http.StatusOK, snapshotResponse{Status: "ok", Store: s.store.Status()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	payload := healthzResponse{
 		Status:         "ok",
 		Models:         s.corpus.Len(),
-		InFlight:       s.inFlight.Load(),
+		InFlight:       s.edge.InFlight(),
 		UptimeS:        time.Since(s.start).Seconds(),
 		Endpoints:      s.endpointReport(),
 		QueryCacheHits: s.searchCacheHits.Load(),
@@ -586,5 +556,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		payload.Reconnects = rs.Reconnects
 		payload.Replica = &rs
 	}
-	writeJSON(w, http.StatusOK, payload)
+	api.WriteJSON(w, http.StatusOK, payload)
 }

@@ -19,11 +19,11 @@ var generatedRID = regexp.MustCompile(`^[0-9a-f]{10}-[0-9]+$`)
 // have probability 2^-40; a flake here means the generator is broken.
 func TestRequestIDPrefixIsRandom(t *testing.T) {
 	a, b := testServer(), testServer()
-	if !generatedRID.MatchString(a.ridPrefix + "-1") {
-		t.Fatalf("prefix %q is not 10 lowercase hex chars", a.ridPrefix)
+	if !generatedRID.MatchString(a.edge.RIDPrefix() + "-1") {
+		t.Fatalf("prefix %q is not 10 lowercase hex chars", a.edge.RIDPrefix())
 	}
-	if a.ridPrefix == b.ridPrefix {
-		t.Fatalf("two servers minted the same request-id prefix %q", a.ridPrefix)
+	if a.edge.RIDPrefix() == b.edge.RIDPrefix() {
+		t.Fatalf("two servers minted the same request-id prefix %q", a.edge.RIDPrefix())
 	}
 }
 
@@ -74,21 +74,39 @@ func TestRequestIDInboundHygiene(t *testing.T) {
 }
 
 // TestRequestIDEchoedInErrorBody pins that a rejected unsafe id is also
-// replaced in the JSON error body, not just the header.
+// replaced in the JSON error body, not just the header — on the /v1
+// handlers and on the replication feed the store serves.
 func TestRequestIDEchoedInErrorBody(t *testing.T) {
-	s := testServer()
-	req := httptest.NewRequest("POST", "/v1/search", strings.NewReader("{bad json"))
-	req.Header.Set("X-Request-Id", "evil\x00\"id")
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("bad body: %d", rec.Code)
+	// A closed store makes the snapshot route fail with a 500; the
+	// replicate route rejects its from parameter before touching it.
+	st := openTestStore(t, t.TempDir())
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
-	body := rec.Body.String()
-	if strings.Contains(body, "evil") {
-		t.Fatalf("error body reflected the unsafe inbound id: %s", body)
-	}
-	if !strings.Contains(body, `"request_id":"`) {
-		t.Fatalf("error body lost the request id echo: %s", body)
+	persistent := newPersistentServer(st)
+	for _, tc := range []struct {
+		s            *Server
+		method, path string
+		body         string
+		want         int
+	}{
+		{testServer(), "POST", "/v1/search", "{bad json", http.StatusBadRequest},
+		{persistent, "GET", "/v1/replicate?from=abc", "", http.StatusBadRequest},
+		{persistent, "GET", "/v1/replicate/snapshot", "", http.StatusInternalServerError},
+	} {
+		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
+		req.Header.Set("X-Request-Id", "evil\x00\"id")
+		rec := httptest.NewRecorder()
+		tc.s.ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Fatalf("%s %s: %d, want %d", tc.method, tc.path, rec.Code, tc.want)
+		}
+		body := rec.Body.String()
+		if strings.Contains(body, "evil") {
+			t.Fatalf("%s: error body reflected the unsafe inbound id: %s", tc.path, body)
+		}
+		if !strings.Contains(body, `"request_id":"`+rec.Header().Get("X-Request-Id")+`"`) {
+			t.Fatalf("%s: error body lost the request id echo: %s", tc.path, body)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package serve implements the sbmlserved HTTP server: the corpus
 // subsystem (sharded storage, inverted-index top-K matching, cached
 // simulation engines) exposed as a versioned JSON query service, with
-// per-route latency histograms, stage tracing, request IDs, and
-// Prometheus text exposition at GET /v1/metrics. It lives as a library
+// per-request stage tracing and Prometheus text exposition at GET
+// /v1/metrics. It lives as a library
 // rather than inside cmd/sbmlserved so the gateway tests and
 // cmd/sbmlbench can run fully wired servers in-process, measuring
 // exactly what production serves.
@@ -28,32 +28,31 @@
 //	                         registered series (HTTP routes, pipeline
 //	                         stages, WAL/fsync, replication).
 //
-// Every response carries an X-Request-Id header (the inbound value when
-// the client sent one, a generated id otherwise), and JSON error bodies
-// echo the same id as "request_id", so one string ties a client-observed
-// failure to the server's log line for it. Requests slower than the
-// configured slow-request threshold log their id plus a per-stage span
-// breakdown (decode, cache lookup, parse, compile, retrieval, scoring,
-// merge, ...), so one line explains where a slow search went.
+// Every route is served through the HTTP edge the gateway shares
+// (api.Edge): request ids echoed in the X-Request-Id header and in JSON
+// error bodies, per-route count and latency series, the in-flight gauge,
+// the 64 MiB body cap and one access-log line per request. On top of it
+// the node records a per-request stage trace into the stage histograms,
+// and requests slower than the configured slow-request threshold log
+// their id plus a per-stage span breakdown (decode, cache lookup, parse,
+// compile, retrieval, scoring, merge, ...), so one line explains where a
+// slow search went.
 //
 // The one unversioned route is GET /healthz, identical to GET
 // /v1/healthz, for liveness probes.
 //
 // Request handlers run under the request context capped by
 // Config.RequestTimeout; context terminations map to 408 (server-side
-// deadline) or 499 (client closed request). Bodies cap at 64 MiB.
+// deadline) or 499 (client closed request).
 // /v1/search is accelerated by a raw-body query cache; see Config.
 package serve
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,9 +67,6 @@ import (
 // disconnected before the response was written. There is no standard
 // status for it; 499 is what fleet dashboards already aggregate.
 const statusClientClosedRequest = 499
-
-// maxBodyBytes caps request bodies (models can legitimately be large).
-const maxBodyBytes = 64 << 20
 
 // defaultQueryCache is the query-cache default: how many compiled search
 // queries the server remembers, keyed on the raw request body.
@@ -119,13 +115,6 @@ type Config struct {
 	Pprof bool
 }
 
-// routeStat is one route's metric pair, kept alongside the registry so
-// /v1/healthz and the shutdown stats render without a registry scrape.
-type routeStat struct {
-	count *obs.Counter
-	lat   *obs.Histogram
-}
-
 // Server routes requests to the corpus and records per-route histograms.
 type Server struct {
 	corpus *sbmlcompose.Corpus
@@ -135,22 +124,17 @@ type Server struct {
 	// the store converged. Its Status feeds /healthz and the
 	// X-Replica-Lag-Seq header; POST /v1/promote stops it.
 	replica *sbmlcompose.Replica
-	mux     *http.ServeMux
-	start   time.Time
-	reg     *obs.Registry
-	stats   map[string]*routeStat // route pattern → metrics, fixed at construction
+	// edge is the shared HTTP middleware; its route table also feeds
+	// /v1/healthz and the shutdown stats without a registry scrape.
+	edge  *api.Edge
+	start time.Time
+	reg   *obs.Registry
 	// timeout caps each request handler's context; 0 leaves only the
 	// client-disconnect cancellation of r.Context().
 	timeout time.Duration
 	// slowRequest is the slow-request log threshold; 0 disables.
 	slowRequest time.Duration
 	logf        func(format string, args ...any)
-	// ridPrefix + ridSeq generate request ids for requests that arrive
-	// without an X-Request-Id header.
-	ridPrefix string
-	ridSeq    atomic.Uint64
-	// inFlight gauges currently executing requests, served by /healthz.
-	inFlight atomic.Int64
 	// searchCache maps raw /v1/search bodies to their decoded request and
 	// compiled query; nil disables caching. Byte-for-byte repeat searches
 	// skip JSON decoding, SBML parsing and match-key derivation.
@@ -179,15 +163,21 @@ func New(c *sbmlcompose.Corpus, cfg Config) *Server {
 		reg = obs.NewRegistry()
 	}
 	s := &Server{
-		corpus:      c,
-		mux:         http.NewServeMux(),
+		corpus: c,
+		edge: api.NewEdge("sbmlserved", cfg.Logf, func(label string) api.RouteStat {
+			return api.RouteStat{
+				Count: reg.Counter("sbmlserved_http_requests_total",
+					"Requests served, by route.", obs.L("route", label)),
+				Lat: reg.Histogram("sbmlserved_http_request_seconds",
+					"Request latency in seconds, by route.", obs.LatencyBuckets(),
+					obs.L("route", label)),
+			}
+		}),
 		start:       time.Now(),
 		reg:         reg,
-		stats:       map[string]*routeStat{},
 		timeout:     cfg.RequestTimeout,
 		slowRequest: cfg.SlowRequest,
 		logf:        cfg.Logf,
-		ridPrefix:   newRIDPrefix(),
 		closing:     make(chan struct{}),
 	}
 	s.stages.init(reg)
@@ -204,7 +194,7 @@ func New(c *sbmlcompose.Corpus, cfg Config) *Server {
 	}
 	s.reg.GaugeFunc("sbmlserved_in_flight_requests",
 		"Requests currently executing.",
-		func() float64 { return float64(s.inFlight.Load()) })
+		func() float64 { return float64(s.edge.InFlight()) })
 	s.reg.CounterFunc("sbmlserved_query_cache_hits_total",
 		"/v1/search requests answered from the raw-body compiled-query cache.",
 		func() float64 { return float64(s.searchCacheHits.Load()) })
@@ -221,17 +211,17 @@ func New(c *sbmlcompose.Corpus, cfg Config) *Server {
 	s.route("POST /v1/check", "check", s.handleCheck)
 	s.route("POST /v1/snapshot", "snapshot", s.handleSnapshot)
 	s.route("GET /v1/healthz", "healthz", s.handleHealthz)
-	s.route("GET /v1/metrics", "metrics", s.handleMetrics)
+	s.route("GET /v1/metrics", "metrics", api.MetricsHandler(s.reg))
 
 	// Liveness probes poll the unversioned /healthz.
 	s.route("GET /healthz", "healthz_legacy", s.handleHealthz)
 
 	if cfg.Pprof {
-		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		s.edge.Mount("GET /debug/pprof/", pprof.Index)
+		s.edge.Mount("GET /debug/pprof/cmdline", pprof.Cmdline)
+		s.edge.Mount("GET /debug/pprof/profile", pprof.Profile)
+		s.edge.Mount("GET /debug/pprof/symbol", pprof.Symbol)
+		s.edge.Mount("GET /debug/pprof/trace", pprof.Trace)
 	}
 	return s
 }
@@ -310,82 +300,23 @@ func (s *Server) Store() *sbmlcompose.CorpusStore { return s.store }
 // otherwise.
 func (s *Server) ReplicaHandle() *sbmlcompose.Replica { return s.replica }
 
-// respWriter captures the response status and carries the request id so
-// error bodies can echo it without threading it through every handler.
-type respWriter struct {
-	http.ResponseWriter
-	reqID  string
-	status int
+// route registers a handler behind the shared edge (api.Edge.Route),
+// wrapped in the node's per-request stage trace.
+func (s *Server) route(pattern, label string, h http.HandlerFunc) {
+	s.edge.Route(pattern, label, s.traced(h))
 }
 
-func (w *respWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *respWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// newRIDPrefix mints the per-server request-id prefix from crypto/rand:
-// 40 random bits, so two nodes started in the same instant — the normal
-// case when a cluster boots — cannot mint colliding ids the way the old
-// truncated wall-clock prefix did. Cross-node request correlation through
-// the gateway depends on ids being unique fleet-wide.
-func newRIDPrefix() string {
-	var b [5]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// Only reachable when the system's randomness is broken; a
-		// time-derived prefix is strictly better than no server identity.
-		return fmt.Sprintf("t%x", time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// requestID returns the inbound X-Request-Id when the client sent a safe
-// one — printable-safe charset, bounded length (api.ValidRequestID) —
-// else a fresh "<server-prefix>-<seq>" id. Arbitrary inbound bytes are
-// never adopted: the id is echoed into response headers, JSON error
-// bodies and log lines, so control bytes or quotes would let a client
-// corrupt logs and break error-body parsing.
-func (s *Server) requestID(r *http.Request) string {
-	if rid := r.Header.Get("X-Request-Id"); api.ValidRequestID(rid) {
-		return rid
-	}
-	return s.ridPrefix + "-" + strconv.FormatUint(s.ridSeq.Add(1), 10)
-}
-
-// route registers a handler wrapped in the serving middleware: request-id
-// assignment, a per-request stage trace, per-route count + latency
-// histogram, per-stage histograms, structured request logging, and the
-// slow-request breakdown log.
-func (s *Server) route(pattern, label string, h func(http.ResponseWriter, *http.Request)) {
-	st := &routeStat{
-		count: s.reg.Counter("sbmlserved_http_requests_total",
-			"Requests served, by route.", obs.L("route", label)),
-		lat: s.reg.Histogram("sbmlserved_http_request_seconds",
-			"Request latency in seconds, by route.", obs.LatencyBuckets(),
-			obs.L("route", label)),
-	}
-	s.stats[pattern] = st
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+// traced runs h under a fresh stage trace, then feeds every recorded
+// stage into the sbmlserved_stage_seconds histograms and, past the
+// slow-request threshold, logs the request's id and stage breakdown.
+func (s *Server) traced(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		rid := s.requestID(r)
-		rw := &respWriter{ResponseWriter: w, reqID: rid, status: http.StatusOK}
-		rw.Header().Set("X-Request-Id", rid)
 		tr := obs.NewTrace()
-		r = r.WithContext(obs.NewContext(r.Context(), tr))
-		h(rw, r)
+		h(w, r.WithContext(obs.NewContext(r.Context(), tr)))
 		d := time.Since(t0)
-		st.count.Inc()
-		st.lat.Observe(d.Seconds())
 		for _, stage := range tr.StageDurations() {
 			s.stages.get(stage.Name).Observe(stage.Duration.Seconds())
-		}
-		if s.logf != nil {
-			s.logf("sbmlserved: %s %s status=%d dur=%.3fms rid=%s", r.Method, r.URL.Path, rw.status, float64(d.Nanoseconds())/1e6, rid)
 		}
 		if s.slowRequest > 0 && d >= s.slowRequest {
 			s.slowTotal.Inc()
@@ -394,10 +325,10 @@ func (s *Server) route(pattern, label string, h func(http.ResponseWriter, *http.
 				if bd == "" {
 					bd = "(no stages recorded)"
 				}
-				s.logf("sbmlserved: SLOW %s %s status=%d dur=%.3fms rid=%s stages: %s", r.Method, r.URL.Path, rw.status, float64(d.Nanoseconds())/1e6, rid, bd)
+				s.logf("sbmlserved: SLOW %s %s status=%d dur=%.3fms rid=%s stages: %s", r.Method, r.URL.Path, w.(*api.ResponseWriter).Status(), float64(d.Nanoseconds())/1e6, api.RequestID(w), bd)
 			}
 		}
-	})
+	}
 }
 
 // knownStageNames enumerates every stage span the pipeline records today
@@ -477,12 +408,7 @@ func (s *Server) cancelOnShutdown(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	s.mux.ServeHTTP(w, r)
-}
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.edge.ServeHTTP(w, r) }
 
 // requestCtx derives the handler context: the request's own context (so a
 // client disconnect cancels in-flight work) capped by the configured
@@ -524,11 +450,12 @@ type endpointReport struct {
 }
 
 func (s *Server) endpointReport() map[string]endpointReport {
-	out := make(map[string]endpointReport, len(s.stats))
-	for pattern, st := range s.stats {
-		h := st.lat
+	routes := s.edge.Routes()
+	out := make(map[string]endpointReport, len(routes))
+	for pattern, st := range routes {
+		h := st.Lat
 		out[pattern] = endpointReport{
-			Count:  int64(st.count.Value()),
+			Count:  int64(st.Count.Value()),
 			MeanMs: h.Mean() * 1e3,
 			P50Ms:  h.Quantile(0.50) * 1e3,
 			P95Ms:  h.Quantile(0.95) * 1e3,
@@ -537,13 +464,6 @@ func (s *Server) endpointReport() map[string]endpointReport {
 		}
 	}
 	return out
-}
-
-// handleMetrics serves the Prometheus text exposition of every series in
-// the server's registry.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WriteText(w)
 }
 
 // NewStoreMetrics registers the store durability series against reg and

@@ -191,12 +191,12 @@ func TestDroppedConnectionFreesWorker(t *testing.T) {
 	// finished honestly.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.inFlight.Load() == 0 {
+		if s.edge.InFlight() == 0 {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("in-flight stuck at %d after client disconnect", s.inFlight.Load())
+	t.Fatalf("in-flight stuck at %d after client disconnect", s.edge.InFlight())
 }
 
 func TestHealthzReportsInFlight(t *testing.T) {
@@ -209,8 +209,8 @@ func TestHealthzReportsInFlight(t *testing.T) {
 	if payload["in_flight"].(float64) != 1 {
 		t.Fatalf("in_flight = %v, want 1 (the healthz request itself)", payload["in_flight"])
 	}
-	if s.inFlight.Load() != 0 {
-		t.Fatalf("gauge left at %d after request finished", s.inFlight.Load())
+	if s.edge.InFlight() != 0 {
+		t.Fatalf("gauge left at %d after request finished", s.edge.InFlight())
 	}
 	// /v1/healthz and /healthz serve the same payload shape.
 	rec2, payload2 := do(t, s, "GET", "/healthz", "")

@@ -5,12 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"sbmlcompose/internal/api"
 )
 
 // This file implements the follower side of replication: a Replica owns
@@ -252,11 +253,11 @@ func (r *Replica) Promote() error {
 // failure, resync from a snapshot when the primary's horizon passed us.
 func (r *Replica) run(ctx context.Context) {
 	defer close(r.done)
-	backoff := r.opts.MinBackoff
+	backoff := api.Backoff{Min: r.opts.MinBackoff, Max: r.opts.MaxBackoff}
 	for ctx.Err() == nil {
 		err := r.pullOnce(ctx)
 		if err == nil {
-			backoff = r.opts.MinBackoff
+			backoff.Reset()
 			continue
 		}
 		if ctx.Err() != nil {
@@ -264,7 +265,7 @@ func (r *Replica) run(ctx context.Context) {
 		}
 		if errors.Is(err, errFeedCompacted) {
 			if rerr := r.resync(ctx); rerr == nil {
-				backoff = r.opts.MinBackoff
+				backoff.Reset()
 				continue
 			} else if ctx.Err() == nil {
 				r.noteFailure(rerr)
@@ -272,17 +273,8 @@ func (r *Replica) run(ctx context.Context) {
 		} else {
 			r.noteFailure(err)
 		}
-		// Capped exponential backoff with jitter: sleep a uniformly random
-		// duration in [backoff/2, backoff), so a fleet of followers that
-		// lost the same primary does not reconnect in lockstep.
-		d := backoff/2 + rand.N(backoff/2+1)
-		select {
-		case <-ctx.Done():
+		if backoff.Wait(ctx) != nil {
 			return
-		case <-time.After(d):
-		}
-		if backoff *= 2; backoff > r.opts.MaxBackoff {
-			backoff = r.opts.MaxBackoff
 		}
 	}
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -11,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"sbmlcompose/internal/api"
 	"sbmlcompose/internal/corpus"
 )
 
@@ -392,20 +392,8 @@ func (s *Store) ApplySnapshotImage(image []byte) error {
 
 // Replication feed HTTP surface. The handlers live on Store (rather than
 // in the server binary) so the fault-injection tests can drive a real
-// primary with httptest and the server merely mounts them.
-
-// replicateError is the feed's JSON error body, shape-compatible with
-// the server's error envelope.
-type replicateError struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-}
-
-func writeReplicateError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(replicateError{Error: msg, Code: code})
-}
+// primary with httptest and the server merely mounts them. Errors answer
+// in the /v1 error envelope (api.WriteJSON), request id included.
 
 // Feed header and query-parameter names, shared by primary and follower.
 const (
@@ -433,7 +421,7 @@ func (s *Store) ServeReplicate(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("from"); v != "" {
 		var err error
 		if from, err = strconv.ParseUint(v, 10, 64); err != nil {
-			writeReplicateError(w, http.StatusBadRequest, "bad_request", "from must be an unsigned integer")
+			api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "from must be an unsigned integer", Code: "bad_request"})
 			return
 		}
 	}
@@ -441,7 +429,7 @@ func (s *Store) ServeReplicate(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("max_bytes"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			writeReplicateError(w, http.StatusBadRequest, "bad_request", "max_bytes must be a positive integer")
+			api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "max_bytes must be a positive integer", Code: "bad_request"})
 			return
 		}
 		if n > 8<<20 {
@@ -453,7 +441,7 @@ func (s *Store) ServeReplicate(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("wait_ms"); v != "" {
 		ms, err := strconv.Atoi(v)
 		if err != nil || ms < 0 {
-			writeReplicateError(w, http.StatusBadRequest, "bad_request", "wait_ms must be a non-negative integer")
+			api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "wait_ms must be a non-negative integer", Code: "bad_request"})
 			return
 		}
 		wait = time.Duration(ms) * time.Millisecond
@@ -463,7 +451,7 @@ func (s *Store) ServeReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	ident, err := s.ensureIdentity()
 	if err != nil {
-		writeReplicateError(w, http.StatusInternalServerError, "internal", err.Error())
+		api.WriteJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: err.Error(), Code: "internal"})
 		return
 	}
 	w.Header().Set(hdrReplicationCluster, ident.ClusterID)
@@ -471,13 +459,15 @@ func (s *Store) ServeReplicate(w http.ResponseWriter, r *http.Request) {
 	tb, err := s.ReadTail(r.Context(), from, maxBytes, wait)
 	switch {
 	case errors.Is(err, ErrCompacted):
-		writeReplicateError(w, http.StatusGone, "compacted",
-			fmt.Sprintf("records after seq %d are compacted; bootstrap from /v1/replicate/snapshot", from))
+		api.WriteJSON(w, http.StatusGone, api.ErrorResponse{
+			Error: fmt.Sprintf("records after seq %d are compacted; bootstrap from /v1/replicate/snapshot", from),
+			Code:  "compacted",
+		})
 		return
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return // client went away; nothing to say
 	case err != nil:
-		writeReplicateError(w, http.StatusInternalServerError, "internal", err.Error())
+		api.WriteJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: err.Error(), Code: "internal"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -500,7 +490,7 @@ func (s *Store) ServeReplicate(w http.ResponseWriter, r *http.Request) {
 func (s *Store) ServeReplicateSnapshot(w http.ResponseWriter, r *http.Request) {
 	ident, err := s.ensureIdentity()
 	if err != nil {
-		writeReplicateError(w, http.StatusInternalServerError, "internal", err.Error())
+		api.WriteJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: err.Error(), Code: "internal"})
 		return
 	}
 	image, seq, err := s.SnapshotImage(r.Context())
@@ -508,7 +498,7 @@ func (s *Store) ServeReplicateSnapshot(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return
 		}
-		writeReplicateError(w, http.StatusInternalServerError, "internal", err.Error())
+		api.WriteJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: err.Error(), Code: "internal"})
 		return
 	}
 	w.Header().Set(hdrReplicationCluster, ident.ClusterID)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"sbmlcompose/internal/api"
 	"sbmlcompose/internal/corpus"
 	"sbmlcompose/internal/sbml"
 )
@@ -813,10 +814,10 @@ func TestReadTailCursorResumesAcrossRotationAndInterleaving(t *testing.T) {
 func TestReplicaResyncFailureSurfacesInStatus(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/replicate", func(w http.ResponseWriter, r *http.Request) {
-		writeReplicateError(w, http.StatusGone, "compacted", "bootstrap from snapshot")
+		api.WriteJSON(w, http.StatusGone, api.ErrorResponse{Error: "bootstrap from snapshot", Code: "compacted"})
 	})
 	mux.HandleFunc("GET /v1/replicate/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		writeReplicateError(w, http.StatusInternalServerError, "internal", "disk on fire")
+		api.WriteJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: "disk on fire", Code: "internal"})
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
