@@ -531,12 +531,8 @@ func benchStore(r *recorder) error {
 	copts := corpus.Options{Shards: 4, Workers: 4, Match: core.Options{Synonyms: synonym.Builtin()}}
 	walModel := benchModel("walblob", 12, 16, 555)
 	blob := []byte(sbml.WrapModel(walModel).String())
-	cm, err := core.Compile(walModel, copts.Match)
-	if err != nil {
-		return err
-	}
 	// Appends log keyed records, as every corpus add does.
-	keys := cm.MatchKeys()
+	keys := core.MatchKeys(walModel, copts.Match)
 
 	// Under interval an append returns at once; its sync comes on the
 	// timer (the 200 ms default here), so the row shows what deferring the

@@ -45,11 +45,12 @@ func EncodeMatchKeys(keys []ComponentKey) []byte {
 }
 
 // DecodeMatchKeys parses an EncodeMatchKeys blob. Any structural problem
-// — truncation, over-long lengths, a non-minimal varint, an out-of-range
-// tier, trailing bytes — is an error; callers treat a failed decode as "no
-// precompiled keys" and re-derive from the model. The decoded keys share
-// strings the way MatchKeys' do: a known kind is its Kind constant, and
-// consecutive keys of one component share one Component string.
+// — truncation, over-long lengths, a non-minimal varint, a kind that is
+// not a Kind constant, an out-of-range tier, trailing bytes — is an error;
+// callers treat a failed decode as "no precompiled keys" and re-derive
+// from the model. The decoded keys share strings the way MatchKeys' do: a
+// kind is its Kind constant, and consecutive keys of one component share
+// one Component string.
 func DecodeMatchKeys(data []byte) ([]ComponentKey, error) {
 	count, n := Uvarint(data)
 	if n <= 0 {
@@ -87,7 +88,11 @@ func DecodeMatchKeys(data []byte) ([]ComponentKey, error) {
 		if tier > uint64(TierUnit) {
 			return nil, fmt.Errorf("core: match keys: tier %d out of range", tier)
 		}
-		k := ComponentKey{Component: string(comp), Kind: internKind(kind), Key: string(key), Tier: KeyTier(tier)}
+		code, ok := KindCode(string(kind))
+		if !ok {
+			return nil, fmt.Errorf("core: match keys: unknown kind %q", kind)
+		}
+		k := ComponentKey{Component: string(comp), Kind: KindName(code), Key: string(key), Tier: KeyTier(tier)}
 		if last := len(keys) - 1; last >= 0 && keys[last].Component == string(comp) {
 			k.Component = keys[last].Component
 		}
@@ -97,24 +102,6 @@ func DecodeMatchKeys(data []byte) ([]ComponentKey, error) {
 		return nil, fmt.Errorf("core: match keys: %d trailing bytes", len(data))
 	}
 	return keys, nil
-}
-
-// internKind returns the Kind constant spelled by b, or a fresh string
-// for a kind this build does not know.
-func internKind(b []byte) string {
-	switch string(b) {
-	case KindCompartment:
-		return KindCompartment
-	case KindSpecies:
-		return KindSpecies
-	case KindFunction:
-		return KindFunction
-	case KindUnitDef:
-		return KindUnitDef
-	case KindReaction:
-		return KindReaction
-	}
-	return string(b)
 }
 
 // Uvarint is binary.Uvarint restricted to minimal encodings: a value

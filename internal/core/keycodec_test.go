@@ -31,10 +31,7 @@ func TestMatchKeyCodecRoundTrip(t *testing.T) {
 				VocabularySize: 15 + i,
 				Decorate:       i%2 == 0,
 			})
-			keys, err := MatchKeysFor(m, opts)
-			if err != nil {
-				t.Fatalf("sem=%v model %d: %v", sem, i, err)
-			}
+			keys := MatchKeys(m, opts)
 			got, err := DecodeMatchKeys(EncodeMatchKeys(keys))
 			if err != nil {
 				t.Fatalf("sem=%v model %d: decode: %v", sem, i, err)
@@ -53,12 +50,9 @@ func TestMatchKeyCodecRoundTrip(t *testing.T) {
 }
 
 func TestMatchKeyCodecRejectsCorruption(t *testing.T) {
-	keys, err := MatchKeysFor(biomodels.Generate(biomodels.Config{
+	keys := MatchKeys(biomodels.Generate(biomodels.Config{
 		ID: "corrupt", Nodes: 5, Edges: 6, Seed: 77, VocabularySize: 20, Decorate: true,
 	}), Options{Synonyms: synonym.Builtin()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	blob := EncodeMatchKeys(keys)
 	// Every truncation point must error, never decode a short key set
 	// silently (the count prefix pins the expected cardinality).
@@ -75,6 +69,11 @@ func TestMatchKeyCodecRejectsCorruption(t *testing.T) {
 	if _, err := DecodeMatchKeys(bad); err == nil {
 		t.Fatal("out-of-range tier not rejected")
 	}
+	// A kind that is not a Kind constant must error: no build emits it,
+	// and the corpus's one-byte kind has no value for it.
+	if _, err := DecodeMatchKeys(unknownKindBlob); err == nil {
+		t.Fatal("unknown kind not rejected")
+	}
 	// A padded varint (0 written as 0x80 0x00) must error: accepting it
 	// would let a blob decode to keys that re-encode to other bytes.
 	one := EncodeMatchKeys([]ComponentKey{{Component: "x", Kind: KindSpecies, Key: "s|id:x@c", Tier: TierExactID}})
@@ -88,12 +87,9 @@ func TestMatchKeyCodecRejectsCorruption(t *testing.T) {
 // decoded key's kind is the Kind constant itself, and consecutive keys of
 // one component share one Component string, as MatchKeys' keys do.
 func TestDecodeMatchKeysSharesStrings(t *testing.T) {
-	keys, err := MatchKeysFor(biomodels.Generate(biomodels.Config{
+	keys := MatchKeys(biomodels.Generate(biomodels.Config{
 		ID: "share", Nodes: 6, Edges: 8, Seed: 78, VocabularySize: 20, Decorate: true,
 	}), Options{Synonyms: synonym.Builtin()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := DecodeMatchKeys(EncodeMatchKeys(keys))
 	if err != nil {
 		t.Fatal(err)
@@ -141,15 +137,19 @@ func TestMatchKeyFingerprint(t *testing.T) {
 	}
 }
 
+// unknownKindBlob encodes one well-formed key whose kind no build emits.
+var unknownKindBlob = EncodeMatchKeys([]ComponentKey{{Component: "x", Kind: "gene", Key: "s|id:x@c", Tier: TierExactID}})
+
 // FuzzDecodeMatchKeys holds the match-keys codec — the bytes of sbsnap-2
 // keys sections, keyed WAL records and replication chunks — to the
 // decoder rule: arbitrary blobs never panic, an accepted blob stops being
-// accepted once a byte is appended, whatever decodes re-encodes to the
-// same keys, and keys built from any input round-trip exactly. It is
-// seeded with the encoded keys of generated models.
+// accepted once a byte is appended, every accepted key has a Kind
+// constant for its kind, whatever decodes re-encodes to the same keys, and
+// keys built from any input round-trip exactly. It is seeded with the
+// encoded keys of generated models and with a key of an unknown kind.
 func FuzzDecodeMatchKeys(f *testing.F) {
 	for i := 0; i < 4; i++ {
-		keys, err := MatchKeysFor(biomodels.Generate(biomodels.Config{
+		keys := MatchKeys(biomodels.Generate(biomodels.Config{
 			ID:             fmt.Sprintf("fz%d", i),
 			Nodes:          2 + 3*i,
 			Edges:          1 + 4*i,
@@ -157,14 +157,12 @@ func FuzzDecodeMatchKeys(f *testing.F) {
 			VocabularySize: 20,
 			Decorate:       i%2 == 0,
 		}), Options{Synonyms: synonym.Builtin()})
-		if err != nil {
-			f.Fatal(err)
-		}
 		blob := EncodeMatchKeys(keys)
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2])
 	}
 	f.Add(EncodeMatchKeys(nil))
+	f.Add(unknownKindBlob)
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		built := keysFromBytes(blob)
 		again, err := DecodeMatchKeys(EncodeMatchKeys(built))
@@ -186,6 +184,9 @@ func FuzzDecodeMatchKeys(f *testing.F) {
 			if k.Tier < TierExactID || k.Tier > TierUnit {
 				t.Fatalf("accepted out-of-range tier %d", k.Tier)
 			}
+			if _, ok := KindCode(k.Kind); !ok {
+				t.Fatalf("accepted unknown kind %q", k.Kind)
+			}
 		}
 		enc := EncodeMatchKeys(keys)
 		if len(enc) > len(blob) {
@@ -202,16 +203,16 @@ func FuzzDecodeMatchKeys(f *testing.F) {
 }
 
 // keysFromBytes builds a key set from arbitrary bytes: NUL-separated
-// fields taken three at a time as component, kind and key, with the tier
-// drawn from the component's length.
+// fields taken two at a time as component and key, with the kind drawn
+// from the key's length and the tier from the component's.
 func keysFromBytes(b []byte) []ComponentKey {
 	fields := bytes.Split(b, []byte{0})
 	var keys []ComponentKey
-	for i := 0; i+2 < len(fields); i += 3 {
+	for i := 0; i+1 < len(fields); i += 2 {
 		keys = append(keys, ComponentKey{
 			Component: string(fields[i]),
-			Kind:      string(fields[i+1]),
-			Key:       string(fields[i+2]),
+			Kind:      KindName(uint8(len(fields[i+1]) % 5)),
+			Key:       string(fields[i+1]),
 			Tier:      KeyTier(len(fields[i]) % int(TierUnit+1)),
 		})
 	}

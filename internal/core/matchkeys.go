@@ -8,7 +8,7 @@ import "sbmlcompose/internal/sbml"
 // up in the other model's indexes; a model repository inverts that
 // relationship, posting every model's keys into corpus-wide indexes so a
 // query retrieves candidates by key instead of scanning all models
-// pairwise. MatchKeys re-derives keys with the very functions the composer
+// pairwise. MatchKeys derives keys with the very functions the composer
 // uses (speciesKeysFor, mathKeyFor, unitKey, reactionStructureKey), so
 // corpus retrieval and pairwise composition provably agree on what matches.
 
@@ -68,9 +68,9 @@ func (t KeyTier) Weight() float64 {
 }
 
 // The component kinds, the values of ComponentKey.Kind. MatchKeys emits
-// only these, and DecodeMatchKeys hands back these very strings for them,
-// so installed keys share five kind strings instead of holding one copy
-// each.
+// only these, and DecodeMatchKeys accepts only these and hands back these
+// very strings, so decoded keys share five kind strings instead of holding
+// one copy each.
 const (
 	KindCompartment = "compartment"
 	KindSpecies     = "species"
@@ -78,6 +78,29 @@ const (
 	KindUnitDef     = "unitdef"
 	KindReaction    = "reaction"
 )
+
+// kindNames lists the component kinds by KindCode.
+var kindNames = [...]string{KindCompartment, KindSpecies, KindFunction, KindUnitDef, KindReaction}
+
+// KindName returns the Kind constant whose KindCode is code, and "" for a
+// code that names no kind.
+func KindName(code uint8) string {
+	if int(code) < len(kindNames) {
+		return kindNames[code]
+	}
+	return ""
+}
+
+// KindCode returns a one-byte name for kind, and false for a string that
+// is not a Kind constant. KindName inverts it.
+func KindCode(kind string) (uint8, bool) {
+	for code, name := range kindNames {
+		if kind == name {
+			return uint8(code), true
+		}
+	}
+	return 0, false
+}
 
 // ComponentKey is one match key of one model component, namespaced by
 // component kind so a species name never collides with a math pattern in a
@@ -94,14 +117,13 @@ type ComponentKey struct {
 	Tier KeyTier
 }
 
-// MatchKeys returns every match key of every matchable component, in
-// deterministic model order. Key derivation is shared with the composer's
-// index maintenance, so two models share a key here exactly when the
-// pairwise composer would identify the corresponding components through an
-// index hit of that tier.
-func (cm *CompiledModel) MatchKeys() []ComponentKey {
-	m := cm.model
-	opts := cm.opts
+// MatchKeys returns every match key of every matchable component of m
+// under opts, in deterministic model order. Key derivation is shared with
+// the composer's index maintenance, so two models share a key here exactly
+// when the pairwise composer would identify the corresponding components
+// through an index hit of that tier. It reads m and opts only: no model is
+// compiled or cloned.
+func MatchKeys(m *sbml.Model, opts Options) []ComponentKey {
 	keys := make([]ComponentKey, 0, 3*len(m.Species)+2*len(m.Reactions)+len(m.FunctionDefinitions)+len(m.UnitDefinitions)+2*len(m.Compartments))
 	for _, comp := range m.Compartments {
 		keys = append(keys, ComponentKey{comp.ID, KindCompartment, "c|id:" + comp.ID, TierExactID})
@@ -137,18 +159,6 @@ func (cm *CompiledModel) MatchKeys() []ComponentKey {
 
 // MatchableComponents counts the components MatchKeys emits keys for — the
 // denominator of a repository hit's coverage ratio.
-func (cm *CompiledModel) MatchableComponents() int {
-	m := cm.model
+func MatchableComponents(m *sbml.Model) int {
 	return len(m.Compartments) + len(m.Species) + len(m.FunctionDefinitions) + len(m.UnitDefinitions) + len(m.Reactions)
-}
-
-// MatchKeysFor compiles m under opts and returns its match keys; the
-// one-shot form of CompiledModel.MatchKeys for callers that do not keep the
-// compiled model.
-func MatchKeysFor(m *sbml.Model, opts Options) ([]ComponentKey, error) {
-	cm, err := Compile(m, opts)
-	if err != nil {
-		return nil, err
-	}
-	return cm.MatchKeys(), nil
 }

@@ -17,14 +17,8 @@ func TestMatchKeysAgreeWithComposer(t *testing.T) {
 	a := biomodels.Generate(biomodels.Config{ID: "mk_a", Nodes: 14, Edges: 18, Seed: 71, VocabularySize: 60, Decorate: true})
 	b := biomodels.Generate(biomodels.Config{ID: "mk_b", Nodes: 14, Edges: 18, Seed: 72, VocabularySize: 60, Decorate: true})
 
-	ka, err := MatchKeysFor(a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := MatchKeysFor(b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ka := MatchKeys(a, opts)
+	kb := MatchKeys(b, opts)
 	// Shared keys → set of (aComp, bComp) pairs they support.
 	byKey := make(map[string][]ComponentKey)
 	for _, k := range ka {
@@ -92,16 +86,12 @@ func TestKeyTierOrdering(t *testing.T) {
 // to the keyed component families.
 func TestMatchableComponentsCountsKeyedFamilies(t *testing.T) {
 	m := biomodels.Generate(biomodels.Config{ID: "mk_c", Nodes: 9, Edges: 12, Seed: 9, Decorate: true})
-	cm, err := Compile(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := len(m.Compartments) + len(m.Species) + len(m.FunctionDefinitions) + len(m.UnitDefinitions) + len(m.Reactions)
-	if got := cm.MatchableComponents(); got != want {
+	if got := MatchableComponents(m); got != want {
 		t.Fatalf("MatchableComponents = %d, want %d", got, want)
 	}
 	seen := make(map[string]bool)
-	for _, k := range cm.MatchKeys() {
+	for _, k := range MatchKeys(m, Options{}) {
 		seen[k.Component] = true
 	}
 	if len(seen) != want {

@@ -31,8 +31,8 @@ type BatchOp struct {
 	// persister replaces it with a Doc that reads the logged copy back.
 	Doc Doc
 	// Keys are the match keys derived from Doc under the corpus's match
-	// options; ownership passes to the corpus. The entry compiles lazily
-	// on first structural use.
+	// options; the corpus stores them in its own compact form. The entry
+	// parses Doc lazily on first structural use.
 	Keys []core.ComponentKey
 }
 
@@ -117,7 +117,7 @@ func (c *Corpus) ApplyBatch(ops []BatchOp) error {
 			sh.removeLocked(op.ID)
 			continue
 		}
-		sh.install(c.newEntry(op.ID, op.Keys, op.Doc))
+		sh.install(newEntry(op.ID, op.Doc), op.Keys)
 	}
 	return nil
 }
@@ -125,9 +125,9 @@ func (c *Corpus) ApplyBatch(ops []BatchOp) error {
 // ReplaceAll atomically replaces the entire corpus contents with models —
 // the snapshot-load path: the durable store's Open loads its snapshot with
 // it, and a follower that falls behind the primary's compaction horizon
-// resynchronizes from a snapshot image with it. Ownership of each model's
-// Keys passes to the corpus. The persister is deliberately bypassed: the
-// caller already holds the durable image the new contents came from.
+// resynchronizes from a snapshot image with it. The persister is
+// deliberately bypassed: the caller already holds the durable image the
+// new contents came from.
 // before, if non-nil, runs while every shard write lock is held (the store
 // uses it to reset its sequence state at a point provably consistent with
 // the swap), exactly mirroring DumpConsistent's hook on the read side.
@@ -150,12 +150,11 @@ func (c *Corpus) ReplaceAll(models []PrecompiledModel, before func()) error {
 		before()
 	}
 	for _, sh := range c.shards {
-		sh.entries = make(map[string]*entry)
-		sh.inv = make(map[string][]posting)
+		sh.reset()
 	}
 	for i := range models {
 		p := &models[i]
-		c.shardFor(p.ID).install(c.newEntry(p.ID, p.Keys, p.Doc))
+		c.shardFor(p.ID).install(newEntry(p.ID, p.Doc), p.Keys)
 	}
 	return nil
 }

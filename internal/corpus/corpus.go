@@ -4,19 +4,22 @@
 // (BioModels-style) to find composition partners, industrialized for
 // serving.
 //
-// Each added model is compiled once (core.Compile) and its match keys —
-// canonical-synonym ids, Figure 7 MathML patterns, reduced unit vectors —
-// are posted into per-shard inverted indexes: one flat posting list per
-// key, each posting a pointer into the owning entry's read-only key slice,
-// so the index copies no component, kind or tier. Retrieval for a query model
-// is then a posting-list walk over the query's own keys instead of an
-// O(corpus) pairwise composition scan: only models sharing at least one
-// key are ever scored. Scoring builds a sparse component score matrix from
-// the shared keys (exact id > synonym-canonical > math-pattern >
-// unit-compatible, see core.KeyTier) and runs a greedy maximum-weight
-// bipartite assignment with a cutoff, the score-matrix + cutoff workflow
-// of repository-scale matchers. Results are ranked top-K Hits with
-// per-component evidence.
+// Each added model's match keys — canonical-synonym ids, Figure 7 MathML
+// patterns, reduced unit vectors (core.MatchKeys) — are posted into
+// per-shard inverted indexes. The resident index holds no pointers: each
+// shard keeps a dictionary giving every distinct key string a uint32
+// ordinal, entries live in a slab addressed by uint32 slots, a posting is
+// the 8-byte pair (slot, key index), and an entry's keys are 12-byte
+// (ordinal, component index, kind, tier) records. The collector has
+// nothing to scan in postings or keys, and an ordinal or slot freed by a
+// removal is reused. Retrieval for a query model is then a posting-list
+// walk over the query's own keys instead of an O(corpus) pairwise
+// composition scan: only models sharing at least one key are ever scored.
+// Scoring builds a sparse component score matrix from the shared keys
+// (exact id > synonym-canonical > math-pattern > unit-compatible, see
+// core.KeyTier) and runs a greedy maximum-weight bipartite assignment with
+// a cutoff, the score-matrix + cutoff workflow of repository-scale
+// matchers. Results are ranked top-K Hits with per-component evidence.
 //
 // Sharding and the search worker pool are pure throughput mechanisms:
 // a model's score depends only on the query and that model, and the final
@@ -112,8 +115,8 @@ type ModelBlob struct {
 	Doc Doc
 	// Keys holds the model's derived match keys — the expensive part of
 	// Add — so a snapshot can persist them alongside the canonical bytes
-	// and recovery can skip re-derivation (ReplaceAll). The slice is
-	// shared read-only with the corpus entry; callers must not mutate it.
+	// and recovery can skip re-derivation (ReplaceAll). The dump builds
+	// them from the entry's compact keys; the caller owns the slice.
 	Keys []core.ComponentKey
 }
 
@@ -195,75 +198,96 @@ type Hit struct {
 	Evidence []Evidence `json:"evidence"`
 }
 
-// posting is one inverted-index posting: e.keys[i], a component of a
-// corpus model reachable under that key. It aliases the entry's key slice
-// rather than copying component, kind and tier out of it.
+// posting is one inverted-index posting: key i of the entry in slab slot
+// slot. It holds no pointer, so the collector never scans a posting list
+// and appending to or filtering one takes no write barrier.
 type posting struct {
-	e *entry
-	i int32
+	slot uint32
+	i    uint32
 }
 
-// entry is one stored model: its posted keys, either its compiled form or
-// a Doc for its canonical serialization, and a lazily compiled simulation
-// engine.
+// keyRef is one installed match key of an entry: ord names the key string
+// in the shard's dictionary, comp the component in the entry's component
+// table, kind is the key's core.KindCode and tier its core.KeyTier.
+type keyRef struct {
+	ord, comp  uint32
+	kind, tier uint8
+}
+
+// entry is one stored model: its compact keys and component ids, either
+// its model or a Doc for its canonical serialization, and a lazily
+// compiled simulation engine.
 //
-// Search needs only the keys — scoring is a pure function of the shared
-// postings (score.go). An entry of an in-memory corpus keeps the compiled
-// model Add built and has no Doc. Every other entry — added under a
-// persister, recovered, replicated or bootstrapped — keeps only its Doc,
-// and the compiled model is materialized from it on first structural use
-// (Get, ComposeWith, Simulate, CheckProperty). Under the durable store the
-// Doc is a locator, which reads the bytes from the WAL segment or snapshot
-// that holds them and re-verifies their CRC on every read, so such an
-// entry holds no SBML; a Doc that fails its check leaves the entry
-// searchable but structurally unusable, and its bytes are never parsed.
+// Search needs only the keys and component ids — scoring is a pure
+// function of the shared postings (score.go). An entry of an in-memory
+// corpus keeps a clone of the model Add was given and has no Doc. Every
+// other entry — added under a persister, recovered, replicated or
+// bootstrapped — keeps only its Doc, and the model is parsed from it on
+// first structural use (Get, ComposeWith, Simulate, CheckProperty). Under
+// the durable store the Doc is a locator, which reads the bytes from the
+// WAL segment or snapshot that holds them and re-verifies their CRC on
+// every read, so such an entry holds no SBML; a Doc that fails its check
+// leaves the entry searchable but structurally unusable, and its bytes are
+// never parsed.
 type entry struct {
 	id string
-	// keys are the model's match keys, read-only once installed: the
-	// shard's postings point into this slice by index.
-	keys []core.ComponentKey
+	// keys are the model's match keys in their installed order, read-only
+	// once installed: the shard's postings name them by index.
+	keys []keyRef
+	// comps holds the entry's distinct component ids, concatenated in the
+	// order the keys first name them; compEnd[c] is the end offset of
+	// component c (see comp).
+	comps   string
+	compEnd []uint32
 	// doc is the canonical serialization: nil for an entry added with no
-	// persister attached (it keeps cm instead), Bytes under a plain
-	// Persister, otherwise the store's locator. It backs the lazy compile
+	// persister attached (it keeps model instead), Bytes under a plain
+	// Persister, otherwise the store's locator. It backs the lazy parse
 	// and DumpConsistent — canonical bytes are pinned stable under
 	// write→parse→write, so emitting them verbatim is byte-identical to
 	// re-rendering the parsed model. Relocate swaps it while readers run,
 	// hence the atomic; see loadDoc.
 	doc atomic.Pointer[Doc]
-	// match holds the corpus match options the keys were derived under,
-	// needed to compile lazily with identical semantics.
-	match core.Options
 
-	cmOnce sync.Once
-	cm     *core.CompiledModel
-	cmErr  error
+	modelOnce sync.Once
+	model     *sbml.Model
+	modelErr  error
 
 	engOnce sync.Once
 	eng     *sim.Engine
 	engErr  error
 }
 
-// compiled returns the entry's compiled model, materializing it from the
-// stored canonical bytes on first use. Entries added to an in-memory corpus
-// pre-fill cm and never parse here.
-func (e *entry) compiled() (*core.CompiledModel, error) {
-	e.cmOnce.Do(func() {
-		if e.cm != nil {
+// comp returns the id of the entry's component c.
+func (e *entry) comp(c uint32) string {
+	lo := uint32(0)
+	if c > 0 {
+		lo = e.compEnd[c-1]
+	}
+	return e.comps[lo:e.compEnd[c]]
+}
+
+// loadModel returns the entry's model, parsing it from the stored
+// canonical bytes on first use. Entries added to an in-memory corpus
+// pre-fill model and never parse here. The model is shared: callers read
+// it and never mutate it.
+func (e *entry) loadModel() (*sbml.Model, error) {
+	e.modelOnce.Do(func() {
+		if e.model != nil {
 			return
 		}
 		b, err := e.loadDoc().Bytes()
 		if err != nil {
-			e.cmErr = fmt.Errorf("corpus: lazy compile %q: %w", e.id, err)
+			e.modelErr = fmt.Errorf("corpus: lazy parse %q: %w", e.id, err)
 			return
 		}
 		doc, err := sbml.ParseString(string(b))
 		if err != nil {
-			e.cmErr = fmt.Errorf("corpus: lazy compile %q: parse stored bytes: %w", e.id, err)
+			e.modelErr = fmt.Errorf("corpus: lazy parse %q: parse stored bytes: %w", e.id, err)
 			return
 		}
-		e.cm, e.cmErr = core.Compile(doc.Model, e.match)
+		e.model = doc.Model
 	})
-	return e.cm, e.cmErr
+	return e.model, e.modelErr
 }
 
 // loadDoc returns the entry's Doc, nil if it has none.
@@ -281,9 +305,9 @@ func (e *entry) setDoc(d Doc) {
 	}
 }
 
-// newEntry returns an uninstalled entry under the corpus's match options.
-func (c *Corpus) newEntry(id string, keys []core.ComponentKey, doc Doc) *entry {
-	e := &entry{id: id, keys: keys, match: c.opts.Match}
+// newEntry returns an uninstalled entry.
+func newEntry(id string, doc Doc) *entry {
+	e := &entry{id: id}
 	e.setDoc(doc)
 	return e
 }
@@ -293,24 +317,58 @@ func (c *Corpus) newEntry(id string, keys []core.ComponentKey, doc Doc) *entry {
 // or model-checking request on this model reuses it; compilation is paid
 // once per corpus entry, not once per request.
 func (e *entry) engine() (*sim.Engine, error) {
-	cm, err := e.compiled()
+	m, err := e.loadModel()
 	if err != nil {
 		return nil, err
 	}
-	e.engOnce.Do(func() { e.eng, e.engErr = sim.Compile(cm.Model()) })
+	e.engOnce.Do(func() { e.eng, e.engErr = sim.Compile(m) })
 	return e.eng, e.engErr
 }
 
 // shard is one lock domain of the repository: a slice of the entries plus
 // the inverted index over their match keys.
 type shard struct {
-	mu      sync.RWMutex
-	entries map[string]*entry
-	// inv maps a match key to the postings of every model in this shard
-	// that emits it. A model's postings under one key are contiguous and
-	// in its key order (install appends them together); lists are never
-	// empty (removeLocked deletes a list it empties).
-	inv map[string][]posting
+	mu sync.RWMutex
+	// entries maps a model id to its slot in slab; slab holds nil at the
+	// free slots listed in freeSlots.
+	entries   map[string]uint32
+	slab      []*entry
+	freeSlots []uint32
+	// The key dictionary: ords maps every key some entry of this shard
+	// emits to its ordinal, keyStr maps the ordinal back, and lists[ord]
+	// holds the key's postings. A model's postings under one key are
+	// contiguous and in its key order (install appends them together). A
+	// list is never empty: the removal that empties it frees its ordinal
+	// onto freeOrds, with keyStr "" and lists nil there, so the dictionary
+	// never outgrows the shard's live distinct keys.
+	ords     map[string]uint32
+	keyStr   []string
+	lists    [][]posting
+	freeOrds []uint32
+	// compIdx is install's scratch map from component id to index.
+	compIdx map[string]uint32
+}
+
+func newShard() *shard {
+	sh := &shard{}
+	sh.reset()
+	return sh
+}
+
+// reset empties the shard; the caller holds its write lock (or owns it).
+func (sh *shard) reset() {
+	sh.entries, sh.slab, sh.freeSlots = make(map[string]uint32), nil, nil
+	sh.ords, sh.keyStr, sh.lists, sh.freeOrds = make(map[string]uint32), nil, nil, nil
+	sh.compIdx = make(map[string]uint32)
+}
+
+// get returns the entry stored under id; the caller holds the shard lock.
+func (sh *shard) get(id string) (*entry, bool) {
+	slot, ok := sh.entries[id]
+	if !ok {
+		return nil, false
+	}
+	return sh.slab[slot], true
 }
 
 // Corpus is the sharded repository. All methods are safe for concurrent
@@ -328,10 +386,7 @@ func New(opts Options) *Corpus {
 	opts = opts.withDefaults()
 	c := &Corpus{opts: opts, shards: make([]*shard, opts.Shards)}
 	for i := range c.shards {
-		c.shards[i] = &shard{
-			entries: make(map[string]*entry),
-			inv:     make(map[string][]posting),
-		}
+		c.shards[i] = newShard()
 	}
 	return c
 }
@@ -353,11 +408,11 @@ func (c *Corpus) shardFor(id string) *shard {
 	return c.shards[h.Sum32()%uint32(len(c.shards))]
 }
 
-// Add compiles the model and stores it under its model id. The input is
-// cloned, never referenced. Empty and duplicate ids are errors. With no
-// persister attached the entry keeps the compiled model; with one it keeps
-// only the Doc the persister returns and compiles again on first
-// structural use, as a recovered entry does.
+// Add derives the model's match keys and stores it under its model id.
+// The input is never referenced after Add returns. Empty and duplicate ids
+// are errors. With no persister attached the entry keeps a clone of the
+// model; with one it keeps only the Doc the persister returns and parses
+// it again on first structural use, as a recovered entry does.
 func (c *Corpus) Add(m *sbml.Model) (string, error) {
 	if m == nil {
 		return "", fmt.Errorf("corpus: Add requires a non-nil model")
@@ -365,19 +420,16 @@ func (c *Corpus) Add(m *sbml.Model) (string, error) {
 	if m.ID == "" {
 		return "", fmt.Errorf("corpus: model has no id")
 	}
-	cm, err := core.Compile(m, c.opts.Match)
-	if err != nil {
-		return "", err
-	}
-	e := c.newEntry(m.ID, cm.MatchKeys(), nil)
-	// Serialize outside the lock: the blob is a pure function of the
-	// compiled (cloned) model, and holding the shard lock across an XML
-	// render would stall that shard's readers for no consistency gain.
+	keys := core.MatchKeys(m, c.opts.Match)
+	e := newEntry(m.ID, nil)
+	// Clone or serialize outside the lock: both are pure functions of the
+	// model, and holding the shard lock across an XML render would stall
+	// that shard's readers for no consistency gain.
 	var blob []byte
 	if c.persister == nil {
-		e.cm = cm
+		e.model = m.Clone()
 	} else {
-		blob = canonicalBytes(cm.Model())
+		blob = canonicalBytes(m)
 	}
 	sh := c.shardFor(m.ID)
 	sh.mu.Lock()
@@ -388,13 +440,14 @@ func (c *Corpus) Add(m *sbml.Model) (string, error) {
 	if c.persister != nil {
 		// Log before applying: an append failure leaves both the log and
 		// the in-memory state without the model. The persisted bytes are
-		// the stored model's exact canonical form, so replay reconstructs
-		// exactly what this corpus stores; the entry keeps the Doc that
-		// reads them back (the persister's locator when it can log keys,
-		// else the bytes), so snapshots emit them without re-rendering.
+		// the model's exact canonical form, so replay reconstructs exactly
+		// what this corpus stores; the entry keeps the Doc that reads them
+		// back (the persister's locator when it can log keys, else the
+		// bytes), so snapshots emit them without re-rendering.
 		var doc Doc
+		var err error
 		if kp, ok := c.persister.(KeyPersister); ok {
-			doc, err = kp.PersistAddKeys(m.ID, blob, e.keys)
+			doc, err = kp.PersistAddKeys(m.ID, blob, keys)
 		} else {
 			doc, err = Bytes(blob), c.persister.PersistAdd(m.ID, blob)
 		}
@@ -403,25 +456,74 @@ func (c *Corpus) Add(m *sbml.Model) (string, error) {
 		}
 		e.setDoc(doc)
 	}
-	sh.install(e)
+	sh.install(e, keys)
 	return m.ID, nil
 }
 
-// install publishes an entry and its inverted-index postings; the caller
-// holds the shard write lock. Each key string the shard already posts is
-// swapped for the copy its posting list holds, so the shard keeps one
-// string per distinct key however many entries emit it. The entry's keys
-// are still private here: installing is what makes them read-only.
-func (sh *shard) install(e *entry) {
-	sh.entries[e.id] = e
-	for i := range e.keys {
-		k := &e.keys[i]
-		list := sh.inv[k.Key]
-		if len(list) > 0 {
-			k.Key = list[0].e.keys[list[0].i].Key
-		}
-		sh.inv[k.Key] = append(list, posting{e: e, i: int32(i)})
+// install publishes an entry and its inverted-index postings, converting
+// keys to the entry's compact form; the caller holds the shard write lock.
+// Every kind is a core Kind constant and every tier in range, as
+// MatchKeys and DecodeMatchKeys guarantee. The entry keeps no reference
+// into keys, and each key string enters the shard's dictionary once,
+// however many entries emit it.
+func (sh *shard) install(e *entry, keys []core.ComponentKey) {
+	var slot uint32
+	if n := len(sh.freeSlots); n > 0 {
+		slot = sh.freeSlots[n-1]
+		sh.freeSlots = sh.freeSlots[:n-1]
+		sh.slab[slot] = e
+	} else {
+		slot = uint32(len(sh.slab))
+		sh.slab = append(sh.slab, e)
 	}
+	sh.entries[e.id] = slot
+
+	e.keys = make([]keyRef, len(keys))
+	buf, ends := make([]byte, 0, 512), make([]uint32, 0, 64)
+	for i, k := range keys {
+		// MatchKeys emits a component's keys together, so the map is
+		// consulted once per component; it also joins the keys of an id
+		// that two component families share, as the score matrix does.
+		var comp uint32
+		if i > 0 && k.Component == keys[i-1].Component {
+			comp = e.keys[i-1].comp
+		} else if c, seen := sh.compIdx[k.Component]; seen {
+			comp = c
+		} else {
+			comp = uint32(len(ends))
+			sh.compIdx[k.Component] = comp
+			buf = append(buf, k.Component...)
+			ends = append(ends, uint32(len(buf)))
+		}
+		ord, ok := sh.ords[k.Key]
+		if !ok {
+			if n := len(sh.freeOrds); n > 0 {
+				ord = sh.freeOrds[n-1]
+				sh.freeOrds = sh.freeOrds[:n-1]
+				sh.keyStr[ord] = k.Key
+			} else {
+				ord = uint32(len(sh.keyStr))
+				sh.keyStr = append(sh.keyStr, k.Key)
+				sh.lists = append(sh.lists, nil)
+			}
+			sh.ords[k.Key] = ord
+		}
+		kind, _ := core.KindCode(k.Kind)
+		e.keys[i] = keyRef{ord: ord, comp: comp, kind: kind, tier: uint8(k.Tier)}
+		sh.lists[ord] = append(sh.lists[ord], posting{slot: slot, i: uint32(i)})
+	}
+	clear(sh.compIdx)
+	e.comps, e.compEnd = string(buf), slices.Clone(ends)
+}
+
+// componentKeys rebuilds the keys e was installed with; the caller holds
+// the shard lock.
+func (sh *shard) componentKeys(e *entry) []core.ComponentKey {
+	keys := make([]core.ComponentKey, len(e.keys))
+	for i, k := range e.keys {
+		keys[i] = core.ComponentKey{Component: e.comp(k.comp), Kind: core.KindName(k.kind), Key: sh.keyStr[k.ord], Tier: core.KeyTier(k.tier)}
+	}
+	return keys
 }
 
 // PrecompiledModel is one model of a ReplaceAll call: the model's
@@ -430,8 +532,8 @@ func (sh *shard) install(e *entry) {
 // (what a previous Add persisted) and Keys must be its match keys under the
 // corpus's exact match options — the durable store guards both with CRCs
 // and an options fingerprint before trusting them, and its Docs are
-// locators into its files, re-verified on every read. The entry compiles
-// lazily from Doc on first structural use; Search works off Keys alone.
+// locators into its files, re-verified on every read. The entry parses
+// Doc lazily on first structural use; Search works off Keys alone.
 type PrecompiledModel struct {
 	ID   string
 	Doc  Doc
@@ -460,20 +562,32 @@ func (c *Corpus) Remove(id string) (bool, error) {
 
 // removeLocked deletes an entry, if present, and its postings; the caller
 // holds the shard write lock. Filtering keeps the other models' postings
-// in order, and a list left empty is deleted.
+// in order. A list left empty frees its ordinal and the entry frees its
+// slot, each for the next install to reuse.
 func (sh *shard) removeLocked(id string) {
-	e, ok := sh.entries[id]
+	slot, ok := sh.entries[id]
 	if !ok {
 		return
 	}
+	e := sh.slab[slot]
 	delete(sh.entries, id)
+	sh.slab[slot] = nil
+	sh.freeSlots = append(sh.freeSlots, slot)
 	for _, k := range e.keys {
-		list := slices.DeleteFunc(sh.inv[k.Key], func(p posting) bool { return p.e == e })
+		list := sh.lists[k.ord]
 		if len(list) == 0 {
-			delete(sh.inv, k.Key)
-		} else {
-			sh.inv[k.Key] = list
+			// An earlier key of e with the same ordinal emptied the list.
+			continue
 		}
+		list = slices.DeleteFunc(list, func(p posting) bool { return p.slot == slot })
+		if len(list) > 0 {
+			sh.lists[k.ord] = list
+			continue
+		}
+		delete(sh.ords, sh.keyStr[k.ord])
+		sh.keyStr[k.ord] = ""
+		sh.lists[k.ord] = nil
+		sh.freeOrds = append(sh.freeOrds, k.ord)
 	}
 }
 
@@ -510,17 +624,18 @@ func (c *Corpus) DumpConsistentContext(ctx context.Context, before func()) ([]Mo
 	}
 	var blobs []ModelBlob
 	for _, sh := range c.shards {
-		for id, e := range sh.entries {
+		for id, slot := range sh.entries {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			// Entries with a Doc (persisted adds, recovered entries) dump
 			// it as is — byte-identical to a re-render by the
 			// canonical-bytes stability invariant; the dump reads no
-			// bytes, and never forces a lazy entry to compile.
-			blob := ModelBlob{ID: id, Doc: e.loadDoc(), Keys: e.keys}
+			// bytes, and never forces a lazy entry to parse.
+			e := sh.slab[slot]
+			blob := ModelBlob{ID: id, Doc: e.loadDoc(), Keys: sh.componentKeys(e)}
 			if blob.Doc == nil {
-				blob.Doc = Bytes(canonicalBytes(e.cm.Model()))
+				blob.Doc = Bytes(canonicalBytes(e.model))
 			}
 			blobs = append(blobs, blob)
 		}
@@ -535,7 +650,7 @@ func (c *Corpus) DumpConsistentContext(ctx context.Context, before func()) ([]Mo
 // under blobs[i].ID switches to docs[i] if it still holds blobs[i].Doc (a
 // model removed or replaced since the dump keeps what it has). In-memory
 // Bytes are not relocated: they read from no file. Each shard is
-// write-locked while its entries are swapped; a lazy compile already
+// write-locked while its entries are swapped; a lazy parse already
 // reading an old Doc finishes on it.
 func (c *Corpus) Relocate(blobs []ModelBlob, docs []Doc) {
 	for i, b := range blobs {
@@ -544,7 +659,7 @@ func (c *Corpus) Relocate(blobs []ModelBlob, docs []Doc) {
 		}
 		sh := c.shardFor(b.ID)
 		sh.mu.Lock()
-		if e, ok := sh.entries[b.ID]; ok && e.loadDoc() == b.Doc {
+		if e, ok := sh.get(b.ID); ok && e.loadDoc() == b.Doc {
 			e.setDoc(docs[i])
 		}
 		sh.mu.Unlock()
@@ -583,7 +698,7 @@ func (c *Corpus) Get(id string) (*sbml.Model, bool) {
 	if !ok {
 		return nil, false
 	}
-	cm, err := e.compiled()
+	m, err := e.loadModel()
 	if err != nil {
 		// Unreachable for entries of an in-memory corpus. A lazy entry's
 		// bytes are canonical output of a previous Add, which re-parses by
@@ -592,7 +707,7 @@ func (c *Corpus) Get(id string) (*sbml.Model, bool) {
 		// is reported absent.
 		return nil, false
 	}
-	return cm.Snapshot(), true
+	return m.Clone(), true
 }
 
 // Has reports whether a model is stored under id.
@@ -605,8 +720,7 @@ func (c *Corpus) lookup(id string) (*entry, bool) {
 	sh := c.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	e, ok := sh.entries[id]
-	return e, ok
+	return sh.get(id)
 }
 
 // ComposeWith merges the query model into a copy of the stored model under
@@ -625,12 +739,12 @@ func (c *Corpus) ComposeWithContext(ctx context.Context, id string, query *sbml.
 	if !ok {
 		return nil, fmt.Errorf("corpus: no model %q: %w", id, ErrNotFound)
 	}
-	cm, err := e.compiled()
+	m, err := e.loadModel()
 	if err != nil {
 		return nil, err
 	}
 	sp := obs.FromContext(ctx).Start("compose")
-	res, err := core.ComposeContext(ctx, cm.Model(), query, c.opts.Match)
+	res, err := core.ComposeContext(ctx, m, query, c.opts.Match)
 	sp.End()
 	return res, err
 }
@@ -715,10 +829,22 @@ func (c *Corpus) CheckPropertyContext(ctx context.Context, id string, formula st
 // keys and the matchable-component denominator, everything ranking
 // consumes. It is immutable and safe to share across concurrent
 // SearchCompiled calls, and valid only against the corpus that compiled
-// it (the keys depend on its match options).
+// it (the keys depend on its match options). It holds key strings, not
+// dictionary ordinals, so it also finds keys that later Adds introduce.
 type CompiledQuery struct {
-	keys  []core.ComponentKey
+	keys []queryKey
+	// comps holds the query's distinct component ids, sorted, so the
+	// order of component indexes is the order of ids.
+	comps []string
 	denom int
+}
+
+// queryKey is one match key of a compiled query, naming its component by
+// index into CompiledQuery.comps.
+type queryKey struct {
+	key  string
+	comp uint32
+	tier uint8
 }
 
 // CompileQuery compiles a query model for SearchCompiled. Callers that
@@ -729,11 +855,23 @@ func (c *Corpus) CompileQuery(query *sbml.Model) (*CompiledQuery, error) {
 	if query == nil {
 		return nil, fmt.Errorf("corpus: CompileQuery requires a non-nil query")
 	}
-	qcm, err := core.Compile(query, c.opts.Match)
-	if err != nil {
-		return nil, err
+	keys := core.MatchKeys(query, c.opts.Match)
+	cq := &CompiledQuery{keys: make([]queryKey, len(keys)), denom: core.MatchableComponents(query)}
+	idx := make(map[string]uint32)
+	for _, k := range keys {
+		if _, ok := idx[k.Component]; !ok {
+			idx[k.Component] = 0
+			cq.comps = append(cq.comps, k.Component)
+		}
 	}
-	return &CompiledQuery{keys: qcm.MatchKeys(), denom: qcm.MatchableComponents()}, nil
+	sort.Strings(cq.comps)
+	for i, id := range cq.comps {
+		idx[id] = uint32(i)
+	}
+	for i, k := range keys {
+		cq.keys[i] = queryKey{key: k.Key, comp: idx[k.Component], tier: uint8(k.Tier)}
+	}
+	return cq, nil
 }
 
 // SearchCompiled ranks the corpus against an already compiled query; see
@@ -752,7 +890,7 @@ func (c *Corpus) SearchCompiledContext(ctx context.Context, cq *CompiledQuery, o
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return c.rank(ctx, cq.keys, cq.denom, opts)
+	return c.rank(ctx, cq, opts)
 }
 
 // Search ranks the corpus models against the query. Candidate retrieval
@@ -786,14 +924,13 @@ func (c *Corpus) SearchContext(ctx context.Context, query *sbml.Model, opts Sear
 	if err != nil {
 		return nil, err
 	}
-	return c.rank(ctx, cq.keys, cq.denom, opts)
+	return c.rank(ctx, cq, opts)
 }
 
 // rank is the shared post-compile body of SearchContext and
 // SearchCompiledContext: retrieval, concurrent scoring and the
-// deterministic global merge, all a pure function of the query's keys and
-// denominator.
-func (c *Corpus) rank(ctx context.Context, qkeys []core.ComponentKey, denom int, opts SearchOptions) ([]Hit, error) {
+// deterministic global merge, all a pure function of the compiled query.
+func (c *Corpus) rank(ctx context.Context, cq *CompiledQuery, opts SearchOptions) ([]Hit, error) {
 	if opts.TopK == 0 {
 		opts.TopK = 5
 	}
@@ -802,67 +939,65 @@ func (c *Corpus) rank(ctx context.Context, qkeys []core.ComponentKey, denom int,
 	}
 
 	// Retrieval: accumulate, per candidate model, the score-matrix cells
-	// its postings share with the query. The per-model cell set is the
-	// union over all shards of that model's postings, so shard layout
-	// cannot influence it.
+	// its postings share with the query. A model lives in one shard, so
+	// its cells are its own postings under the query's keys, in query-key
+	// then posting order, whatever the shard layout.
 	retrieveSpan := obs.FromContext(ctx).Start("retrieve")
-	cells := make(map[string]*candidate)
+	var cands []candidate
 	for _, sh := range c.shards {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		sh.mu.RLock()
-		for _, qk := range qkeys {
-			if qk.Tier.Weight() < opts.Cutoff {
+		// at[slot] is 1 + the index in cands of the slot's candidate.
+		at := make([]int32, len(sh.slab))
+		for _, qk := range cq.keys {
+			if core.KeyTier(qk.tier).Weight() < opts.Cutoff {
 				continue
 			}
-			var last *entry
+			ord, ok := sh.ords[qk.key]
+			if !ok {
+				continue
+			}
 			var cand *candidate
-			for _, p := range sh.inv[qk.Key] {
-				if p.e != last {
-					last = p.e
-					cand = cells[p.e.id]
-					if cand == nil {
-						cand = &candidate{modelID: p.e.id}
-						cells[p.e.id] = cand
+			for _, p := range sh.lists[ord] {
+				if cand == nil || cand.slot != p.slot {
+					if at[p.slot] == 0 {
+						cands = append(cands, candidate{e: sh.slab[p.slot], slot: p.slot})
+						at[p.slot] = int32(len(cands))
 					}
+					cand = &cands[at[p.slot]-1]
 				}
-				cand.add(qk, p.e.keys[p.i])
+				tk := cand.e.keys[p.i]
+				cand.cells = append(cand.cells, cell{q: qk.comp, t: tk.comp, tier: max(qk.tier, tk.tier), kind: tk.kind})
 			}
 		}
 		sh.mu.RUnlock()
 	}
 	retrieveSpan.End()
-	if len(cells) == 0 {
+	if len(cands) == 0 {
 		return nil, nil
 	}
 
-	// Scoring: fan the candidates out across the worker pool. Candidates
-	// are ordered by id first so the result slice layout is deterministic;
-	// each score depends only on the candidate's own cells. Workers check
-	// ctx between candidates and bail early when it fires; the partial
-	// hits slice is then discarded.
+	// Scoring: fan the candidates out across the worker pool; each score
+	// depends only on the candidate's own cells, and the merge below
+	// orders hits totally, so the layout of hits does not matter. Workers
+	// check ctx between candidates and bail early when it fires; the
+	// partial hits slice is then discarded.
 	scoreSpan := obs.FromContext(ctx).Start("score")
-	cands := make([]*candidate, 0, len(cells))
-	for _, cand := range cells {
-		cands = append(cands, cand)
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].modelID < cands[j].modelID })
 	hits := make([]Hit, len(cands))
-	workers := c.opts.Workers
-	if workers > len(cands) {
-		workers = len(cands)
-	}
+	workers := min(c.opts.Workers, len(cands))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			s := newScorer(cq)
 			for i := w; i < len(cands); i += workers {
 				if ctx.Err() != nil {
 					return
 				}
-				hits[i] = cands[i].assign(denom, opts.Cutoff)
+				hits[i] = s.assign(&cands[i], opts.Cutoff)
 			}
 		}(w)
 	}

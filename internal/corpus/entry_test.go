@@ -11,8 +11,8 @@ import (
 	"sbmlcompose/internal/sbml"
 )
 
-// Tests for the entry shape: an entry holds either its compiled model (an
-// in-memory corpus) or its Doc (a corpus with a persister), never both.
+// Tests for the entry shape: an entry holds either its model (an in-memory
+// corpus) or its Doc (a corpus with a persister), never both.
 
 // keyLog is a KeyPersister that keeps each logged add's bytes behind a
 // Doc counting its reads, standing in for the durable store's locators.
@@ -47,8 +47,8 @@ func TestPersistedAddKeepsOnlyItsDoc(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := c.lookup(m.ID)
-	if e.cm != nil || e.loadDoc() == nil {
-		t.Fatalf("persisted add holds cm=%v doc=%v, want its Doc only", e.cm != nil, e.loadDoc() != nil)
+	if e.model != nil || e.loadDoc() == nil {
+		t.Fatalf("persisted add holds model=%v doc=%v, want its Doc only", e.model != nil, e.loadDoc() != nil)
 	}
 	if n := log.reads.Load(); n != 0 {
 		t.Fatalf("Add read its Doc %d times, want 0", n)
@@ -68,23 +68,26 @@ func TestPersistedAddKeepsOnlyItsDoc(t *testing.T) {
 	}
 }
 
-func TestInMemoryAddKeepsItsCompiledModel(t *testing.T) {
+func TestInMemoryAddKeepsItsModel(t *testing.T) {
 	m := testModels(1)[0]
 	c := New(testOptions(2, 1))
 	if _, err := c.Add(m); err != nil {
 		t.Fatal(err)
 	}
 	e, _ := c.lookup(m.ID)
-	if e.cm == nil || e.loadDoc() != nil {
-		t.Fatalf("in-memory add holds cm=%v doc=%v, want its compiled model only", e.cm != nil, e.loadDoc() != nil)
+	if e.model == nil || e.loadDoc() != nil {
+		t.Fatalf("in-memory add holds model=%v doc=%v, want its model only", e.model != nil, e.loadDoc() != nil)
 	}
-	cm := e.cm
+	if e.model == m {
+		t.Fatal("in-memory add keeps the caller's model, not a clone")
+	}
+	kept := e.model
 	got, ok := c.Get(m.ID)
 	if !ok || canonical(got) != canonical(m) {
 		t.Fatal("Get of an in-memory add lost the model")
 	}
-	if e.cm != cm {
-		t.Fatal("Get of an in-memory add compiled the model again")
+	if got == kept || e.model != kept {
+		t.Fatal("Get of an in-memory add returned the kept model or replaced it")
 	}
 }
 

@@ -4,20 +4,25 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"sbmlcompose/internal/core"
 	"sbmlcompose/internal/sbml"
 )
 
-// checkIndex verifies a corpus's inverted index against its entries:
-// every list is non-empty; every posting points at an installed entry's
-// key under that key; each entry's postings under a key form one
-// contiguous run in its key order; every posting's key shares the list's
-// one key string; and every key of every entry is posted exactly once.
+// checkIndex verifies a corpus's resident index against its entries:
+//   - the slab and the id map agree, and the free slots are exactly the
+//     empty ones;
+//   - the dictionary maps each live key to an ordinal and back, every
+//     live ordinal's list is non-empty, and every free ordinal has no key
+//     and no list;
+//   - every posting names a live entry whose key at its index resolves
+//     through the dictionary to the list's key, each entry's postings
+//     under a key form one contiguous run in its key order, and every key
+//     of every entry is posted exactly once;
+//   - every entry's keys name components, kinds and tiers that exist, and
+//     its component table holds distinct ids.
 func checkIndex(c *Corpus) error {
 	for si, sh := range c.shards {
 		sh.mu.RLock()
@@ -31,43 +36,142 @@ func checkIndex(c *Corpus) error {
 }
 
 func checkShard(sh *shard) error {
-	total := 0
-	for _, e := range sh.entries {
+	live, total := 0, 0
+	for slot, e := range sh.slab {
+		if e == nil {
+			continue
+		}
+		live++
 		total += len(e.keys)
+		if got, ok := sh.entries[e.id]; !ok || got != uint32(slot) {
+			return fmt.Errorf("slot %d holds %q, which the id map sends to slot %d (present %v)", slot, e.id, got, ok)
+		}
+		if err := checkEntry(e); err != nil {
+			return fmt.Errorf("model %q: %w", e.id, err)
+		}
 	}
-	posted := 0
-	for key, list := range sh.inv {
-		if len(list) == 0 {
+	if live != len(sh.entries) {
+		return fmt.Errorf("%d live slots for %d ids", live, len(sh.entries))
+	}
+	if live+len(sh.freeSlots) != len(sh.slab) {
+		return fmt.Errorf("%d live and %d free slots in a slab of %d", live, len(sh.freeSlots), len(sh.slab))
+	}
+	for _, slot := range sh.freeSlots {
+		if sh.slab[slot] != nil {
+			return fmt.Errorf("free slot %d holds %q", slot, sh.slab[slot].id)
+		}
+	}
+
+	if len(sh.keyStr) != len(sh.lists) {
+		return fmt.Errorf("%d dictionary keys for %d posting lists", len(sh.keyStr), len(sh.lists))
+	}
+	if len(sh.ords)+len(sh.freeOrds) != len(sh.keyStr) {
+		return fmt.Errorf("%d live and %d free ordinals in a dictionary of %d", len(sh.ords), len(sh.freeOrds), len(sh.keyStr))
+	}
+	for key, ord := range sh.ords {
+		if int(ord) >= len(sh.keyStr) || sh.keyStr[ord] != key {
+			return fmt.Errorf("key %q: ordinal %d does not map back to it", key, ord)
+		}
+		if len(sh.lists[ord]) == 0 {
 			return fmt.Errorf("key %q: empty posting list", key)
 		}
+	}
+	for _, ord := range sh.freeOrds {
+		if sh.keyStr[ord] != "" || sh.lists[ord] != nil {
+			return fmt.Errorf("free ordinal %d keeps key %q and %d postings", ord, sh.keyStr[ord], len(sh.lists[ord]))
+		}
+	}
+
+	posted := 0
+	for ord, list := range sh.lists {
+		key := sh.keyStr[ord]
 		posted += len(list)
-		done := make(map[*entry]bool)
+		done := make(map[uint32]bool)
 		for j, p := range list {
-			if sh.entries[p.e.id] != p.e {
-				return fmt.Errorf("key %q: posting %d points at uninstalled model %q", key, j, p.e.id)
+			if int(p.slot) >= len(sh.slab) || sh.slab[p.slot] == nil {
+				return fmt.Errorf("key %q: posting %d names free slot %d", key, j, p.slot)
 			}
-			if got := p.e.keys[p.i].Key; got != key {
-				return fmt.Errorf("key %q: posting %d aliases %q's key %d, which is %q", key, j, p.e.id, p.i, got)
+			e := sh.slab[p.slot]
+			if int(p.i) >= len(e.keys) {
+				return fmt.Errorf("key %q: posting %d names key %d of %q, which has %d", key, j, p.i, e.id, len(e.keys))
 			}
-			if unsafe.StringData(p.e.keys[p.i].Key) != unsafe.StringData(list[0].e.keys[list[0].i].Key) {
-				return fmt.Errorf("key %q: posting %d (%q's key %d) holds its own copy of the key string", key, j, p.e.id, p.i)
+			if got := sh.keyStr[e.keys[p.i].ord]; got != key {
+				return fmt.Errorf("key %q: posting %d names %q's key %d, which is %q", key, j, e.id, p.i, got)
 			}
-			if j > 0 && list[j-1].e == p.e {
+			if j > 0 && list[j-1].slot == p.slot {
 				if list[j-1].i >= p.i {
-					return fmt.Errorf("key %q: %q's postings out of key order at %d", key, p.e.id, j)
+					return fmt.Errorf("key %q: %q's postings out of key order at %d", key, e.id, j)
 				}
 				continue
 			}
-			if done[p.e] {
-				return fmt.Errorf("key %q: %q's postings are not contiguous", key, p.e.id)
+			if done[p.slot] {
+				return fmt.Errorf("key %q: %q's postings are not contiguous", key, e.id)
 			}
-			done[p.e] = true
+			done[p.slot] = true
 		}
 	}
 	// Postings are valid and distinct (in key order within a run), so
 	// equal counts mean every key is posted.
 	if posted != total {
 		return fmt.Errorf("%d postings for %d keys", posted, total)
+	}
+	return nil
+}
+
+// checkEntry verifies an entry's compact keys and component table.
+func checkEntry(e *entry) error {
+	prev := uint32(0)
+	seen := make(map[string]bool)
+	for c, end := range e.compEnd {
+		if end < prev || int(end) > len(e.comps) {
+			return fmt.Errorf("component %d ends at %d after %d in %d bytes", c, end, prev, len(e.comps))
+		}
+		prev = end
+		if id := e.comp(uint32(c)); seen[id] {
+			return fmt.Errorf("component %q appears twice", id)
+		} else {
+			seen[id] = true
+		}
+	}
+	if int(prev) != len(e.comps) {
+		return fmt.Errorf("components end at %d of %d bytes", prev, len(e.comps))
+	}
+	for i, k := range e.keys {
+		if int(k.comp) >= len(e.compEnd) || core.KindName(k.kind) == "" || core.KeyTier(k.tier) > core.TierUnit {
+			return fmt.Errorf("key %d is %+v, past %d components", i, k, len(e.compEnd))
+		}
+	}
+	return nil
+}
+
+// checkEmpty reports any model, dictionary key, posting or live slot a
+// corpus keeps once every model is gone.
+func checkEmpty(c *Corpus) error {
+	for si, sh := range c.shards {
+		postings := 0
+		for _, list := range sh.lists {
+			postings += len(list)
+		}
+		slots := len(sh.slab) - len(sh.freeSlots)
+		if len(sh.entries) != 0 || len(sh.ords) != 0 || postings != 0 || slots != 0 {
+			return fmt.Errorf("shard %d keeps %d models, %d dictionary keys, %d postings and %d live slots after removing every model",
+				si, len(sh.entries), len(sh.ords), postings, slots)
+		}
+	}
+	return nil
+}
+
+// checkDump verifies that DumpConsistent gives back, for every model,
+// exactly the keys it was installed with: want maps an id to them.
+func checkDump(c *Corpus, want map[string][]core.ComponentKey) error {
+	blobs := c.DumpConsistent(nil)
+	if len(blobs) != len(want) {
+		return fmt.Errorf("dump holds %d models, want %d", len(blobs), len(want))
+	}
+	for _, b := range blobs {
+		if !reflect.DeepEqual(b.Keys, want[b.ID]) {
+			return fmt.Errorf("dump of %q: keys differ from the installed ones:\n got %+v\nwant %+v", b.ID, b.Keys, want[b.ID])
+		}
 	}
 	return nil
 }
@@ -113,8 +217,8 @@ func TestRemoveDropsEveryPosting(t *testing.T) {
 	}
 	shared := false
 	for _, sh := range c.shards {
-		for _, list := range sh.inv {
-			shared = shared || list[0].e != list[len(list)-1].e
+		for _, list := range sh.lists {
+			shared = shared || (len(list) > 0 && list[0].slot != list[len(list)-1].slot)
 		}
 	}
 	if !shared {
@@ -144,11 +248,97 @@ func TestRemoveDropsEveryPosting(t *testing.T) {
 			t.Fatalf("after removing %s: rankings differ from a fresh corpus:\n got %+v\nwant %+v", id, got, want)
 		}
 	}
-	for si, sh := range c.shards {
-		if len(sh.inv) != 0 || len(sh.entries) != 0 {
-			t.Fatalf("shard %d keeps %d posting lists and %d entries after removing every model", si, len(sh.inv), len(sh.entries))
+	if err := checkEmpty(c); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChurnReusesOrdinalsAndSlots: a second add-and-remove cycle over the
+// same models, in another order and through ApplyBatch, leaves each
+// shard's dictionary and slab no larger than the first cycle did, so
+// removal frees ordinals and slots for reuse.
+func TestChurnReusesOrdinalsAndSlots(t *testing.T) {
+	models := testModels(10)
+	c := New(testOptions(2, 1))
+	fill(t, c, models)
+	for _, m := range models {
+		if _, err := c.Remove(m.ID); err != nil {
+			t.Fatal(err)
 		}
 	}
+	if err := checkEmpty(c); err != nil {
+		t.Fatal(err)
+	}
+	keys, slots := make([]int, len(c.shards)), make([]int, len(c.shards))
+	for si, sh := range c.shards {
+		keys[si], slots[si] = len(sh.keyStr), len(sh.slab)
+		if keys[si] == 0 || slots[si] == 0 {
+			t.Fatalf("shard %d held no keys or no models; the test exercises nothing", si)
+		}
+	}
+	var ops []BatchOp
+	for i := len(models) - 1; i >= 0; i-- {
+		m := models[i]
+		ops = append(ops, BatchOp{ID: m.ID, Doc: Bytes(canonicalBytes(m)), Keys: core.MatchKeys(m, c.opts.Match)})
+	}
+	if err := c.ApplyBatch(ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkIndex(c); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range models {
+		if _, err := c.Remove(m.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := checkEmpty(c); err != nil {
+		t.Fatal(err)
+	}
+	for si, sh := range c.shards {
+		if len(sh.keyStr) > keys[si] || len(sh.slab) > slots[si] {
+			t.Fatalf("shard %d: second cycle grew the dictionary %d -> %d and the slab %d -> %d",
+				si, keys[si], len(sh.keyStr), slots[si], len(sh.slab))
+		}
+	}
+}
+
+// TestCompactIndexHoldsNoPointers pins what makes the resident index free
+// for the collector: postings and entry keys hold no pointers, at 8 and
+// 12 bytes.
+func TestCompactIndexHoldsNoPointers(t *testing.T) {
+	for _, tc := range []struct {
+		typ  reflect.Type
+		size uintptr
+	}{{reflect.TypeFor[posting](), 8}, {reflect.TypeFor[keyRef](), 12}} {
+		if hasPointers(tc.typ) {
+			t.Errorf("%s holds a pointer", tc.typ)
+		}
+		if tc.typ.Size() != tc.size {
+			t.Errorf("%s is %d bytes, want %d", tc.typ, tc.typ.Size(), tc.size)
+		}
+	}
+}
+
+// hasPointers reports whether a value of type t holds anything the
+// collector must scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // churnPoolSize models make up FuzzSearchChurn's pool, so a one-byte mask
@@ -180,11 +370,7 @@ func churnPool(t testing.TB) *churnFixture {
 		churn.opts = testOptions(1, 2)
 		churn.models = testModels(churnPoolSize)
 		for _, m := range churn.models {
-			cm, err := core.Compile(m, churn.opts.Match)
-			if err != nil {
-				panic(err)
-			}
-			churn.pre = append(churn.pre, PrecompiledModel{ID: m.ID, Doc: Bytes(canonicalBytes(cm.Model())), Keys: cm.MatchKeys()})
+			churn.pre = append(churn.pre, PrecompiledModel{ID: m.ID, Doc: Bytes(canonicalBytes(m)), Keys: core.MatchKeys(m, churn.opts.Match)})
 		}
 		churn.queries = compileQueries(t, churn.opts, churn.models)
 		for _, q := range churn.models {
@@ -206,10 +392,11 @@ func churnPool(t testing.TB) *churnFixture {
 
 // FuzzSearchChurn drives corpora at 1 and 4 shards through the same
 // byte-chosen sequence of Add, Remove, ApplyBatch and ReplaceAll calls
-// over a pool of generated models, then checks the index invariants,
-// that both rank exactly like a corpus freshly built from the surviving
-// models, that every model SearchAllPairs matches is retrieved, and that
-// removing every survivor leaves no posting list behind.
+// over a pool of generated models, then checks the index invariants, that
+// both dump every survivor with the keys it was installed with, that both
+// rank exactly like a corpus freshly built from the surviving models, that
+// every model SearchAllPairs matches is retrieved, and that removing every
+// survivor leaves no dictionary key, posting or live slot behind.
 func FuzzSearchChurn(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 0})
 	f.Add([]byte{3, 0xff, 1, 2, 0, 2, 2, 3, 0x12, 0x34, 0x56})
@@ -280,7 +467,7 @@ func FuzzSearchChurn(f *testing.F) {
 				if bad {
 					ops = append(ops, batchToggle(fx, j, !after[j]))
 				}
-				err := both(func(c *Corpus) error { return c.ApplyBatch(ownBatch(ops)) })
+				err := both(func(c *Corpus) error { return c.ApplyBatch(ops) })
 				if bad != (err != nil) {
 					t.Fatalf("ApplyBatch(%d ops, invalid=%v): %v", len(ops), bad, err)
 				}
@@ -295,7 +482,7 @@ func FuzzSearchChurn(f *testing.F) {
 						set = append(set, fx.pre[k])
 					}
 				}
-				if err := both(func(c *Corpus) error { return c.ReplaceAll(ownModels(set), nil) }); err != nil {
+				if err := both(func(c *Corpus) error { return c.ReplaceAll(set, nil) }); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -306,13 +493,15 @@ func FuzzSearchChurn(f *testing.F) {
 		fresh := New(o4)
 		var set []PrecompiledModel
 		var survivors []string
+		installed := make(map[string][]core.ComponentKey)
 		for k, p := range present {
 			if p {
 				set = append(set, fx.pre[k])
 				survivors = append(survivors, fx.models[k].ID)
+				installed[fx.models[k].ID] = fx.pre[k].Keys
 			}
 		}
-		if err := fresh.ReplaceAll(ownModels(set), nil); err != nil {
+		if err := fresh.ReplaceAll(set, nil); err != nil {
 			t.Fatal(err)
 		}
 		want := rankAll(t, fresh, fx.queries)
@@ -322,6 +511,9 @@ func FuzzSearchChurn(f *testing.F) {
 			}
 			if ids := c.IDs(); !reflect.DeepEqual(ids, survivors) {
 				t.Fatalf("%d shards: ids %v, want %v", len(c.shards), ids, survivors)
+			}
+			if err := checkDump(c, installed); err != nil {
+				t.Fatalf("%d shards: %v", len(c.shards), err)
 			}
 			got := rankAll(t, c, fx.queries)
 			if !reflect.DeepEqual(got, want) {
@@ -344,32 +536,11 @@ func FuzzSearchChurn(f *testing.F) {
 			both(func(c *Corpus) error { _, err := c.Remove(id); return err })
 		}
 		for _, c := range []*Corpus{c1, c4} {
-			for si, sh := range c.shards {
-				if len(sh.inv) != 0 || len(sh.entries) != 0 {
-					t.Fatalf("%d shards: shard %d keeps %d posting lists and %d entries after removing every model", len(c.shards), si, len(sh.inv), len(sh.entries))
-				}
+			if err := checkEmpty(c); err != nil {
+				t.Fatalf("%d shards: %v", len(c.shards), err)
 			}
 		}
 	})
-}
-
-// ownModels and ownBatch copy pool models' keys for one corpus: an
-// install takes ownership of the keys it is handed (it swaps their key
-// strings for the shard's), so no two corpora may share a pool slice.
-func ownModels(set []PrecompiledModel) []PrecompiledModel {
-	own := slices.Clone(set)
-	for i := range own {
-		own[i].Keys = slices.Clone(own[i].Keys)
-	}
-	return own
-}
-
-func ownBatch(ops []BatchOp) []BatchOp {
-	own := slices.Clone(ops)
-	for i := range own {
-		own[i].Keys = slices.Clone(own[i].Keys)
-	}
-	return own
 }
 
 // batchToggle returns the batch op that removes pool model k when

@@ -1,7 +1,9 @@
 package corpus
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"sbmlcompose/internal/core"
 )
@@ -14,97 +16,100 @@ import (
 // deterministic given a total order on cells, which the weight/id sort
 // below provides.
 
-// cellKey addresses one score-matrix cell: a (query component, candidate
-// component) pair.
-type cellKey struct {
-	q, t string
+// cell is one shared key between the query and a candidate: query
+// component q (an index into CompiledQuery.comps) against the candidate's
+// component t (an index into its entry's component table), on the weaker
+// of the two keys' tiers, through a key of the candidate's kind.
+type cell struct {
+	q, t       uint32
+	tier, kind uint8
 }
 
-// cellVal is the cell's best evidence so far.
-type cellVal struct {
-	tier core.KeyTier
-	kind string
-}
-
-// candidate is one corpus model retrieved for the query, with its sparse
-// score matrix.
+// candidate is one corpus model retrieved for the query, with the cells
+// its postings share with the query in retrieval order. One (q, t) pair
+// may appear in several cells; the matrix cell is the strongest of them,
+// the first retrieved on a tie.
 type candidate struct {
-	modelID string
-	cells   map[cellKey]cellVal
+	e     *entry
+	slot  uint32
+	cells []cell
 }
 
-// add folds one shared key into the matrix, keeping the strongest tier per
-// cell: qk is the query's key, tk the candidate's posted key. The
-// effective tier is the weaker of the two (they agree for symmetric keys;
-// the max guards asymmetric ones).
-func (c *candidate) add(qk, tk core.ComponentKey) {
-	tier := max(qk.Tier, tk.Tier)
-	k := cellKey{q: qk.Component, t: tk.Component}
-	if c.cells == nil {
-		c.cells = make(map[cellKey]cellVal)
-	}
-	if v, ok := c.cells[k]; !ok || tier < v.tier {
-		c.cells[k] = cellVal{tier: tier, kind: tk.Kind}
-	}
+// scorer is one scoring worker's scratch space, reused across candidates.
+type scorer struct {
+	cq           *CompiledQuery
+	usedQ, usedT []bool
+	picked       []cell
+}
+
+func newScorer(cq *CompiledQuery) *scorer {
+	return &scorer{cq: cq, usedQ: make([]bool, len(cq.comps))}
 }
 
 // assign runs the greedy maximum-weight one-to-one assignment over the
-// matrix and returns the candidate's Hit. Cells are visited in a total
-// order — weight descending, then query id, then target id — so the
-// assignment (and therefore every search ranking built on it) is a pure
-// function of the matrix, independent of shard layout, worker count and
-// map iteration order. Cells below cutoff are dropped, the score-matrix
+// candidate's matrix and returns its Hit. Cells are visited in a total
+// order — weight descending, then query id, then target id, then
+// retrieval order — so the assignment (and therefore every search ranking
+// built on it) is a pure function of the matrix, independent of shard
+// layout, worker count and map iteration order. Visiting a pair's cells
+// strongest first means its first cell is the matrix cell and the rest
+// find the pair used. Cells below cutoff are dropped, the score-matrix
 // cutoff of repository matchers.
-func (c *candidate) assign(queryComponents int, cutoff float64) Hit {
-	type cell struct {
-		key    cellKey
-		val    cellVal
-		weight float64
-	}
-	cells := make([]cell, 0, len(c.cells))
-	for k, v := range c.cells {
-		w := v.tier.Weight()
-		if w < cutoff {
-			continue
+func (s *scorer) assign(c *candidate, cutoff float64) Hit {
+	e := c.e
+	cells := slices.DeleteFunc(c.cells, func(cl cell) bool { return core.KeyTier(cl.tier).Weight() < cutoff })
+	// Tiers ascend as weights descend, and query indexes ascend with
+	// query ids.
+	slices.SortStableFunc(cells, func(a, b cell) int {
+		if a.tier != b.tier {
+			return cmp.Compare(a.tier, b.tier)
 		}
-		cells = append(cells, cell{key: k, val: v, weight: w})
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].weight != cells[j].weight {
-			return cells[i].weight > cells[j].weight
+		if a.q != b.q {
+			return cmp.Compare(a.q, b.q)
 		}
-		if cells[i].key.q != cells[j].key.q {
-			return cells[i].key.q < cells[j].key.q
+		if a.t == b.t {
+			return 0
 		}
-		return cells[i].key.t < cells[j].key.t
+		return strings.Compare(e.comp(a.t), e.comp(b.t))
 	})
-	usedQ := make(map[string]bool, len(cells))
-	usedT := make(map[string]bool, len(cells))
-	h := Hit{ModelID: c.modelID}
+	if n := len(e.compEnd); cap(s.usedT) < n {
+		s.usedT = make([]bool, n)
+	} else {
+		s.usedT = s.usedT[:n]
+	}
+	h := Hit{ModelID: e.id}
+	picked := s.picked[:0]
 	for _, cl := range cells {
-		if usedQ[cl.key.q] || usedT[cl.key.t] {
+		if s.usedQ[cl.q] || s.usedT[cl.t] {
 			continue
 		}
-		usedQ[cl.key.q] = true
-		usedT[cl.key.t] = true
-		h.Score += cl.weight
-		h.Matched++
-		h.Evidence = append(h.Evidence, Evidence{
-			Query:  cl.key.q,
-			Target: cl.key.t,
-			Kind:   cl.val.kind,
-			Tier:   cl.val.tier.String(),
-			Score:  cl.weight,
-		})
+		s.usedQ[cl.q] = true
+		s.usedT[cl.t] = true
+		h.Score += core.KeyTier(cl.tier).Weight()
+		picked = append(picked, cl)
 	}
-	if queryComponents > 0 {
-		h.Coverage = float64(h.Matched) / float64(queryComponents)
+	h.Matched = len(picked)
+	if q := s.cq.denom; q > 0 {
+		h.Coverage = float64(h.Matched) / float64(q)
 	}
-	sort.Slice(h.Evidence, func(i, j int) bool {
-		if h.Evidence[i].Query != h.Evidence[j].Query {
-			return h.Evidence[i].Query < h.Evidence[j].Query
+	// Each query component is assigned at most once, so query index
+	// order is the evidence order: query id, then target id.
+	slices.SortFunc(picked, func(a, b cell) int { return cmp.Compare(a.q, b.q) })
+	if len(picked) > 0 {
+		h.Evidence = make([]Evidence, len(picked))
+	}
+	for i, cl := range picked {
+		tier := core.KeyTier(cl.tier)
+		h.Evidence[i] = Evidence{
+			Query:  s.cq.comps[cl.q],
+			Target: e.comp(cl.t),
+			Kind:   core.KindName(cl.kind),
+			Tier:   tier.String(),
+			Score:  tier.Weight(),
 		}
-		return h.Evidence[i].Target < h.Evidence[j].Target
-	})
+		s.usedQ[cl.q] = false
+		s.usedT[cl.t] = false
+	}
+	s.picked = picked
 	return h
 }

@@ -3,6 +3,9 @@ package corpus
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"runtime/metrics"
+	"strings"
 	"testing"
 
 	"sbmlcompose/internal/biomodels"
@@ -65,8 +68,8 @@ func BenchmarkSearchHotPath(b *testing.B) {
 	}
 }
 
-// benchPrecompiled generates and compiles n models under the corpus
-// suite's match options, ready for ReplaceAll or ApplyBatch: the
+// benchPrecompiled generates n models and derives their keys under the
+// corpus suite's match options, ready for ReplaceAll or ApplyBatch: the
 // store-recovery install path with parsing and key derivation already
 // paid.
 func benchPrecompiled(b *testing.B, opts Options, n int) []PrecompiledModel {
@@ -81,18 +84,19 @@ func benchPrecompiled(b *testing.B, opts Options, n int) []PrecompiledModel {
 			VocabularySize: 300,
 			Decorate:       true,
 		})
-		cm, err := core.Compile(m, opts.Match)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pre[i] = PrecompiledModel{ID: m.ID, Doc: Bytes(canonicalBytes(cm.Model())), Keys: cm.MatchKeys()}
+		pre[i] = PrecompiledModel{ID: m.ID, Doc: Bytes(canonicalBytes(m)), Keys: core.MatchKeys(m, opts.Match)}
 	}
 	return pre
 }
 
 // BenchmarkInstall measures installing 1000 precompiled models into an
 // empty corpus with one ReplaceAll, as a store's snapshot load does:
-// entry and posting-list construction alone.
+// entry and posting-list construction alone. It reports live-B/model, the
+// live heap an installed corpus holds per model: keys, postings,
+// dictionary and entries. The installed keys are fresh copies, as a
+// store's decoded keys are, so every key string the corpus keeps is
+// counted; the Docs are shared with the input, as a store's small file
+// locators would be.
 func BenchmarkInstall(b *testing.B) {
 	opts := Options{Shards: 4, Match: core.Options{Synonyms: synonym.Builtin()}}
 	pre := benchPrecompiled(b, opts, 1000)
@@ -103,6 +107,38 @@ func BenchmarkInstall(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	before := liveHeapBytes()
+	c := New(opts)
+	if err := c.ReplaceAll(copyKeys(pre), nil); err != nil {
+		b.Fatal(err)
+	}
+	after := liveHeapBytes()
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(pre)
+	b.ReportMetric(float64(int64(after)-int64(before))/float64(len(pre)), "live-B/model")
+}
+
+// liveHeapBytes runs a full collection and returns the heap it marked
+// live.
+func liveHeapBytes() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// copyKeys returns pre with every key's strings copied.
+func copyKeys(pre []PrecompiledModel) []PrecompiledModel {
+	out := make([]PrecompiledModel, len(pre))
+	for i, p := range pre {
+		keys := make([]core.ComponentKey, len(p.Keys))
+		for j, k := range p.Keys {
+			keys[j] = core.ComponentKey{Component: strings.Clone(k.Component), Kind: k.Kind, Key: strings.Clone(k.Key), Tier: k.Tier}
+		}
+		out[i] = PrecompiledModel{ID: strings.Clone(p.ID), Doc: p.Doc, Keys: keys}
+	}
+	return out
 }
 
 // BenchmarkAddRemove installs one precompiled model into a 1000-model

@@ -30,11 +30,7 @@ func corpusKeys(t *testing.T, n int) [][]string {
 			ID: fmt.Sprintf("sw%02d", i), Nodes: 6 + i%5, Edges: 8 + i%7,
 			Seed: int64(7100 + 31*i), VocabularySize: 80, Decorate: true,
 		})
-		keys, err := core.MatchKeysFor(m, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range keys {
+		for _, k := range core.MatchKeys(m, opts) {
 			all[i] = append(all[i], k.Key)
 		}
 	}

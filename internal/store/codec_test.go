@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"sbmlcompose/internal/core"
+	"sbmlcompose/internal/corpus"
 	"sbmlcompose/internal/sbml"
 )
 
@@ -92,6 +94,68 @@ func TestBinarySnapshotKeysDamageFallsBack(t *testing.T) {
 	assertCorporaEquivalent(t, s.Corpus(), buildReference(t, testOptions().Corpus, adds, nil),
 		[]*sbml.Model{testModel(1)})
 	s.Close()
+}
+
+// TestSnapshotRecompactsByteIdentical reopens a store from its snapshot,
+// through the persisted keys and through the parse path, and compacts it
+// again: the new snapshot must equal the old one byte for byte, so the
+// corpus gives back exactly the keys it installed.
+func TestSnapshotRecompactsByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	buildSnapshotDir(t, dir, 12)
+	want, err := os.ReadFile(snapPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parseOnly := range []bool{false, true} {
+		opts := testOptions()
+		opts.RecoveryParseOnly = parseOnly
+		s := mustOpen(t, dir, opts)
+		if err := s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(snapPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("parse only %v: recompacted snapshot differs (%d bytes, want %d)", parseOnly, len(got), len(want))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSnapshotUnknownKeyKindReparses writes a snapshot whose keys section
+// for one model is CRC-valid but names a kind no build emits: that model
+// takes the parse path, the others install from their keys, and rankings
+// match a never-restarted corpus.
+func TestSnapshotUnknownKeyKindReparses(t *testing.T) {
+	dir := t.TempDir()
+	match := testOptions().Corpus.Match
+	adds := []*sbml.Model{testModel(1), testModel(2), testModel(3)}
+	var blobs []corpus.ModelBlob
+	for i, m := range adds {
+		keys := core.MatchKeys(m, match)
+		if i == 1 {
+			keys[0].Kind = "gene"
+		}
+		blobs = append(blobs, corpus.ModelBlob{ID: m.ID, Doc: corpus.Bytes(sbml.WrapModel(m).String()), Keys: keys})
+	}
+	image, _, err := encodeSnapshotV2(0, match.MatchKeyFingerprint(), blobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapPath(dir), image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir, testOptions())
+	defer s.Close()
+	if st := s.Stats(); st.SnapshotParsed != 1 || st.SnapshotPrecompiled != 2 {
+		t.Fatalf("stats %+v, want 1 parsed / 2 precompiled", st)
+	}
+	assertCorporaEquivalent(t, s.Corpus(), buildReference(t, testOptions().Corpus, adds, nil), []*sbml.Model{adds[1]})
 }
 
 // TestBinarySnapshotTruncationRefusesToOpen sweeps every truncation

@@ -31,13 +31,9 @@ func crashSeedRecords(tb testing.TB, seed int64, steps int, keyed bool) []walRec
 	for i, step := range makeWorkload(tb, seed, steps, seed%2 == 0) {
 		rec := walRecord{op: opRemove, seq: uint64(i + 1), id: step.id}
 		if !step.remove {
-			cm, err := core.Compile(step.m, match)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			rec = walRecord{op: opAdd, seq: uint64(i + 1), id: step.m.ID, sbml: []byte(sbml.WrapModel(cm.Model()).String())}
+			rec = walRecord{op: opAdd, seq: uint64(i + 1), id: step.m.ID, sbml: []byte(sbml.WrapModel(step.m).String())}
 			if keyed {
-				rec.op, rec.fingerprint, rec.keys = opAddKeys, match.MatchKeyFingerprint(), core.EncodeMatchKeys(cm.MatchKeys())
+				rec.op, rec.fingerprint, rec.keys = opAddKeys, match.MatchKeyFingerprint(), core.EncodeMatchKeys(core.MatchKeys(step.m, match))
 			}
 		}
 		recs = append(recs, rec)
@@ -167,11 +163,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 				ID: fmt.Sprintf("fz%d", i), Nodes: 2 + 2*i, Edges: 1 + 2*i,
 				Seed: int64(800 + i), VocabularySize: 20, Decorate: i%2 == 0,
 			})
-			cm, err := core.Compile(m, match)
-			if err != nil {
-				f.Fatal(err)
-			}
-			blobs = append(blobs, corpus.ModelBlob{ID: m.ID, Doc: corpus.Bytes(sbml.WrapModel(cm.Model()).String()), Keys: cm.MatchKeys()})
+			blobs = append(blobs, corpus.ModelBlob{ID: m.ID, Doc: corpus.Bytes(sbml.WrapModel(m).String()), Keys: core.MatchKeys(m, match)})
 		}
 		image, _, err := encodeSnapshotV2(uint64(7*n), match.MatchKeyFingerprint(), blobs)
 		if err != nil {

@@ -26,13 +26,13 @@ import (
 // Both helpers go through resolveKeys: a model whose persisted keys
 // survived their integrity check and were derived under this store's
 // match options installs with those keys; every other model takes the
-// parse path (XML parse plus core.Compile, only to derive the keys).
-// Either way the entry is installed as {id, Doc, keys} and compiles
+// parse path (XML parse plus core.MatchKeys).
+// Either way the entry is installed as {id, Doc, keys} and parses its Doc
 // lazily on first structural use; the sbml a persistedModel carries
 // aliases a transient file or chunk image and is read only by the parse
 // path and, for a follower, by PersistBatch.
 //
-// The parse path is embarrassingly parallel: each model compiles
+// The parse path is embarrassingly parallel: each model parses
 // independently, and only the sequential apply step afterwards needs
 // the results in order. resolveKeys fans the parses out across
 // GOMAXPROCS workers and returns results positionally, so callers apply
@@ -186,8 +186,8 @@ func (s *Store) resolveKeys(ms []persistedModel) []keyResult {
 
 // parseKeys runs the parse path for one model: parse the canonical
 // bytes, cross-check the id the containing record claims, and derive the
-// match keys. The compiled model is dropped; the corpus entry compiles
-// again lazily if a structural use ever needs it.
+// match keys. The parsed model is dropped; the corpus entry parses again
+// lazily if a structural use ever needs it.
 func parseKeys(id string, sbmlBytes []byte, match core.Options) ([]core.ComponentKey, error) {
 	doc, err := sbml.ParseString(string(sbmlBytes))
 	if err != nil {
@@ -198,9 +198,5 @@ func parseKeys(id string, sbmlBytes []byte, match core.Options) ([]core.Componen
 	if doc.Model.ID != id {
 		return nil, fmt.Errorf("stored bytes carry id %q, record says %q", doc.Model.ID, id)
 	}
-	cm, err := core.Compile(doc.Model, match)
-	if err != nil {
-		return nil, err
-	}
-	return cm.MatchKeys(), nil
+	return core.MatchKeys(doc.Model, match), nil
 }

@@ -76,7 +76,7 @@
 // Otherwise the model takes the parse path, fanned out across GOMAXPROCS
 // workers and applied in record order; a keys blob that fails to decode
 // never cuts the log. Either way the entry is installed with keys and a
-// locator only, and compiles on first structural use; the recovered
+// locator only, and parses on first structural use; the recovered
 // corpus is search-identical to a never-restarted one. The snapshot
 // image and segment images read at Open are transient: nothing installed
 // keeps a reference into them. The retired sbsnap-1 gob format is
