@@ -10,12 +10,13 @@ import (
 )
 
 // ctxPackages is the set of package basenames the context-plumbing
-// invariant applies to: the long-running core of the system, where PR 5
-// threaded cancellation end-to-end. Fixture packages use the same bare
-// names, so the rule is testable outside the real tree.
+// invariant applies to: the long-running core of the system, which
+// threads cancellation end to end, and par, the fan-out those packages
+// run their batches on. Fixture packages use the same bare names, so the
+// rule is testable outside the real tree.
 var ctxPackages = map[string]bool{
 	"core": true, "sim": true, "mc2": true,
-	"corpus": true, "store": true, "cluster": true,
+	"corpus": true, "store": true, "cluster": true, "par": true,
 }
 
 // CtxFirst enforces the PR 5 context conventions in the core packages:

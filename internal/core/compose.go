@@ -83,7 +83,7 @@ type Options struct {
 	// unspecified; the Result's Warnings stay deterministic.
 	Log io.Writer
 	// Parallel switches ComposeAll from the sequential incremental fold to
-	// a balanced-binary-reduction merge executed by a worker pool. The
+	// a balanced-binary-reduction merge fanned out with par.Do. The
 	// merge tree depends only on the input order, so results are
 	// reproducible regardless of scheduling. Because components meet in a
 	// different order than under the left fold, results can differ from
@@ -94,7 +94,8 @@ type Options struct {
 	// fold). On batches whose models don't fight over ids the two modes
 	// agree byte for byte.
 	Parallel bool
-	// Workers caps the parallel worker pool; 0 or less means GOMAXPROCS.
+	// Workers is the parallel mode's par.Do worker count; 0 or less means
+	// GOMAXPROCS.
 	Workers int
 }
 

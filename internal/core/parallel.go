@@ -3,16 +3,15 @@ package core
 import (
 	"context"
 	"io"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"sbmlcompose/internal/par"
 	"sbmlcompose/internal/sbml"
 )
 
 // Parallel batch composition: a balanced binary reduction over the input
-// models, executed level by level with a bounded worker pool. Treating a
+// models, executed level by level, each level one par.Do fan-out. Treating a
 // batch of biochemical networks as independently mergeable subnetworks is
 // standard (Holme et al., "Subnetwork hierarchies of biochemical
 // pathways"); here it buys multi-core scaling for order-insensitive
@@ -35,16 +34,13 @@ type reduceNode struct {
 
 // composeAllParallel reduces the models pairwise until one result remains.
 // Callers guarantee len(models) >= 2 and no nil entries. Cancellation is
-// checked by every worker between tree nodes (and between component
-// families inside a node): a cancelled call drains its pool, discards all
-// partial accumulators — none of which are reachable by the caller — and
-// returns ctx's error.
+// checked by par.Do before each tree node (and between component families
+// inside a node): a cancelled call waits for the nodes already running,
+// discards all partial accumulators — none of which are reachable by the
+// caller — and returns ctx's error. Nodes fail only on cancellation, so no
+// other error policy is needed.
 func composeAllParallel(ctx context.Context, models []*sbml.Model, opts Options) (*Result, error) {
 	start := time.Now()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if opts.Log != nil {
 		// Merge nodes run concurrently; serialize their warning lines.
 		opts.Log = &syncWriter{w: opts.Log}
@@ -52,9 +48,9 @@ func composeAllParallel(ctx context.Context, models []*sbml.Model, opts Options)
 
 	// Leaf compilation is itself the per-model key precomputation
 	// (synonym expansion, math patterns, unit vectors), so spread it over
-	// the pool too.
+	// the workers too.
 	level := make([]*reduceNode, len(models))
-	err := runLimited(ctx, workers, len(models), func(i int) error {
+	err := par.Do(ctx, len(models), opts.Workers, func(_, i int) error {
 		start := time.Now()
 		acc := compile(models[i].Clone(), opts)
 		res := &Result{Model: acc.model, Mappings: map[string]string{}, Renames: map[string]string{}}
@@ -69,7 +65,7 @@ func composeAllParallel(ctx context.Context, models []*sbml.Model, opts Options)
 	for len(level) > 1 {
 		pairs := len(level) / 2
 		next := make([]*reduceNode, pairs, pairs+1)
-		err := runLimited(ctx, workers, pairs, func(i int) error {
+		err := par.Do(ctx, pairs, opts.Workers, func(_, i int) error {
 			node, err := mergeReduceNodes(ctx, level[2*i], level[2*i+1])
 			if err != nil {
 				return err
@@ -91,55 +87,6 @@ func composeAllParallel(ctx context.Context, models []*sbml.Model, opts Options)
 	// wall clock instead.
 	res.Stats.Duration = time.Since(start)
 	return res, nil
-}
-
-// runLimited executes fn(0..n-1) across at most `workers` goroutines.
-// Which worker runs which index is scheduling-dependent, but fn(i) writes
-// only slot i, so results don't depend on the assignment. Workers check
-// ctx before claiming each unit and stop claiming once it is done or any
-// fn fails; every started fn runs to completion (or its own internal ctx
-// check), the pool always drains, and the first error observed in claim
-// order is returned. Errors arise only from cancellation here, so which
-// unit reports it doesn't affect determinism of successful runs.
-func runLimited(ctx context.Context, workers, n int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var failed atomic.Bool
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if failed.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					failed.Store(true)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
 }
 
 // mergeReduceNodes folds the right subtree's model into the left subtree's

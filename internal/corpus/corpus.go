@@ -21,10 +21,11 @@
 // a cutoff, the score-matrix + cutoff workflow of repository-scale
 // matchers. Results are ranked top-K Hits with per-component evidence.
 //
-// Sharding and the search worker pool are pure throughput mechanisms:
-// a model's score depends only on the query and that model, and the final
-// ranking sorts globally, so Search returns identical results at any shard
-// or worker count (pinned by the determinism tests).
+// Sharding and the par.Do fan-out that scores candidates are pure
+// throughput mechanisms: a model's score depends only on the query and
+// that model, and the final ranking sorts globally, so Search returns
+// identical results at any shard or worker count (pinned by the
+// determinism tests).
 package corpus
 
 import (
@@ -41,6 +42,7 @@ import (
 	"sbmlcompose/internal/core"
 	"sbmlcompose/internal/mc2"
 	"sbmlcompose/internal/obs"
+	"sbmlcompose/internal/par"
 	"sbmlcompose/internal/sbml"
 	"sbmlcompose/internal/sim"
 	"sbmlcompose/internal/trace"
@@ -132,7 +134,8 @@ type Options struct {
 	// Shards is the number of repository shards; 0 defaults to 4. More
 	// shards reduce lock contention between concurrent Adds and Searches.
 	Shards int
-	// Workers caps the Search scoring pool; 0 or less means GOMAXPROCS.
+	// Workers is the par.Do worker count that scores Search candidates;
+	// 0 or less means GOMAXPROCS.
 	Workers int
 	// Match configures compilation and matching (semantics level, synonym
 	// table, index kind) for every model in the corpus.
@@ -979,31 +982,25 @@ func (c *Corpus) rank(ctx context.Context, cq *CompiledQuery, opts SearchOptions
 		return nil, nil
 	}
 
-	// Scoring: fan the candidates out across the worker pool; each score
-	// depends only on the candidate's own cells, and the merge below
-	// orders hits totally, so the layout of hits does not matter. Workers
-	// check ctx between candidates and bail early when it fires; the
-	// partial hits slice is then discarded.
+	// Scoring: fan the candidates out with par.Do, each worker reusing its
+	// own scorer; each score depends only on the candidate's own cells,
+	// and the merge below orders hits totally, so the layout of hits does
+	// not matter. A cancelled search discards the partial hits slice.
 	scoreSpan := obs.FromContext(ctx).Start("score")
 	hits := make([]Hit, len(cands))
 	workers := min(c.opts.Workers, len(cands))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := newScorer(cq)
-			for i := w; i < len(cands); i += workers {
-				if ctx.Err() != nil {
-					return
-				}
-				hits[i] = s.assign(&cands[i], opts.Cutoff)
-			}
-		}(w)
-	}
-	wg.Wait()
+	// Each worker allocates its own scorer: scorers packed into one slice
+	// would share cache lines that every candidate writes.
+	scorers := make([]*scorer, workers)
+	err := par.Do(ctx, len(cands), workers, func(w, i int) error {
+		if scorers[w] == nil {
+			scorers[w] = newScorer(cq)
+		}
+		hits[i] = scorers[w].assign(&cands[i], opts.Cutoff)
+		return nil
+	})
 	scoreSpan.End()
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 

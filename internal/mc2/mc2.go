@@ -32,7 +32,7 @@
 // only if the reference's evaluation from the first sample reaches one.
 //
 // Probability estimation compiles the model once (sim.Compile) and fans the
-// stochastic runs out across a worker pool (sim.Options.Workers, default
+// stochastic runs out with par.Do (sim.Options.Workers workers, default
 // GOMAXPROCS) with the same consecutive per-run seeds as the serial order,
 // so the estimate is bit-identical for every worker count. Its confidence
 // interval is a 95% Wilson score interval, which stays honest at p̂ = 0 or 1
@@ -47,6 +47,7 @@ import (
 	"strings"
 
 	"sbmlcompose/internal/mathml"
+	"sbmlcompose/internal/par"
 	"sbmlcompose/internal/sbml"
 	"sbmlcompose/internal/sim"
 	"sbmlcompose/internal/trace"
@@ -480,7 +481,7 @@ func newEstimate(satisfied, runs int) Estimate {
 // `runs` SSA simulations with consecutive seeds starting at opts.Seed, each
 // checked against the formula. This is the MC2 procedure used to compare
 // composed and expected model behaviour. The model is compiled once and the
-// runs execute on a pool of opts.Workers workers (default GOMAXPROCS); the
+// runs execute on opts.Workers par.Do workers (default GOMAXPROCS); the
 // per-run seeds are those of the serial order, so the estimate is identical
 // for every worker count.
 func Probability(m *sbml.Model, f Formula, runs int, opts sim.Options) (Estimate, error) {
@@ -488,8 +489,8 @@ func Probability(m *sbml.Model, f Formula, runs int, opts sim.Options) (Estimate
 }
 
 // ProbabilityContext is Probability honoring cancellation: ctx is checked
-// between runs by the worker pool and inside each SSA event loop, the pool
-// drains before the call returns, and a cancelled estimate returns ctx's
+// before each run by par.Do and inside each SSA event loop, every run has
+// returned before the call does, and a cancelled estimate returns ctx's
 // error (never a partial fraction). An uncancelled context yields an
 // estimate bit-identical to Probability at every worker count.
 func ProbabilityContext(ctx context.Context, m *sbml.Model, f Formula, runs int, opts sim.Options) (Estimate, error) {
@@ -509,8 +510,9 @@ func ProbabilityContext(ctx context.Context, m *sbml.Model, f Formula, runs int,
 // ProbabilityEngine is ProbabilityContext over an already-compiled engine —
 // the repeated-request form: callers holding a model's engine (the facade
 // client's LRU, the corpus's per-entry cache) amortize compilation across
-// estimates. The estimate is bit-identical to Probability's for the same
-// model, seeds and runs.
+// estimates. The runs fan out with par.Do; run i writes only its own
+// verdict slot, so the estimate is bit-identical to Probability's for the
+// same model, seeds and runs, whatever the worker count.
 func ProbabilityEngine(ctx context.Context, eng *sim.Engine, f Formula, runs int, opts sim.Options) (Estimate, error) {
 	if runs <= 0 {
 		return Estimate{}, fmt.Errorf("mc2: runs must be positive")
@@ -520,7 +522,7 @@ func ProbabilityEngine(ctx context.Context, eng *sim.Engine, f Formula, runs int
 		return Estimate{}, err
 	}
 	sat := make([]bool, runs)
-	err = sim.RunParallelCtx(ctx, runs, opts.Workers, func(i int) error {
+	err = par.Do(ctx, runs, opts.Workers, func(_, i int) error {
 		runOpts := opts
 		runOpts.Seed = opts.Seed + int64(i)
 		tr, err := eng.SSACtx(ctx, runOpts)

@@ -30,7 +30,7 @@ func openTestStore(t *testing.T, dir string) *sbmlcompose.CorpusStore {
 func TestServerStateSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir)
-	s := newPersistentServer(st)
+	s := NewPersistent(st, Config{})
 
 	for i := 0; i < 6; i++ {
 		xml := modelXML(string(rune('a'+i))+"_dur", int64(500+i))
@@ -63,7 +63,7 @@ func TestServerStateSurvivesRestart(t *testing.T) {
 	if rs := st2.Stats(); rs.SnapshotModels != 5 {
 		t.Fatalf("recovered snapshot models = %d, want 5 (stats %+v)", rs.SnapshotModels, rs)
 	}
-	s2 := newPersistentServer(st2)
+	s2 := NewPersistent(st2, Config{})
 
 	recS2, _ := do(t, s2, "POST", "/v1/search", searchBody)
 	recC2, _ := do(t, s2, "POST", "/v1/compose", composeBody)
@@ -106,7 +106,7 @@ func TestHealthzReportsKeyedWALReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newPersistentServer(st)
+	s := NewPersistent(st, Config{})
 	for i := 0; i < 3; i++ {
 		if rec, _ := do(t, s, "POST", "/v1/models", modelXML(string(rune('a'+i))+"_wal", int64(600+i))); rec.Code != http.StatusCreated {
 			t.Fatalf("POST /models #%d: %d", i, rec.Code)
@@ -123,7 +123,7 @@ func TestHealthzReportsKeyedWALReplay(t *testing.T) {
 	if rs := st2.Stats(); rs.WALAdds != 3 || rs.WALPrecompiled != 3 || rs.WALParsed != 0 {
 		t.Fatalf("recovery stats %+v, want 3 WAL adds, all precompiled", rs)
 	}
-	_, payload := do(t, newPersistentServer(st2), "GET", "/v1/healthz", "")
+	_, payload := do(t, NewPersistent(st2, Config{}), "GET", "/v1/healthz", "")
 	storeInfo, _ := payload["store"].(map[string]any)
 	recovery, _ := storeInfo["recovery"].(map[string]any)
 	if recovery["wal_precompiled"] != float64(3) || recovery["wal_parsed"] != float64(0) {
@@ -194,7 +194,7 @@ func TestFailureModeStatusCodes(t *testing.T) {
 	t.Run("snapshot success is 200 with store status", func(t *testing.T) {
 		st := openTestStore(t, t.TempDir())
 		defer st.Close()
-		s := newPersistentServer(st)
+		s := NewPersistent(st, Config{})
 		do(t, s, "POST", "/v1/models", modelXML("snapme", 42))
 		rec, payload := do(t, s, "POST", "/v1/snapshot", "")
 		if rec.Code != http.StatusOK {
@@ -209,7 +209,7 @@ func TestFailureModeStatusCodes(t *testing.T) {
 		dir := t.TempDir()
 		st := openTestStore(t, dir)
 		defer st.Close()
-		s := newPersistentServer(st)
+		s := NewPersistent(st, Config{})
 		do(t, s, "POST", "/v1/models", modelXML("doomed", 43))
 		// Yank the directory out from under the store: the snapshot's
 		// segment rotation and temp-file write have nowhere to go.
@@ -227,7 +227,7 @@ func TestFailureModeStatusCodes(t *testing.T) {
 
 	t.Run("persist failure makes mutations 500", func(t *testing.T) {
 		st := openTestStore(t, t.TempDir())
-		s := newPersistentServer(st)
+		s := NewPersistent(st, Config{})
 		do(t, s, "POST", "/v1/models", modelXML("pinned", 44))
 		// A closed store is the cleanest reproducible WAL-append failure
 		// (the same mapping covers disk-full and I/O errors).

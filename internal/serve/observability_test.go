@@ -177,13 +177,13 @@ func TestHealthzPercentiles(t *testing.T) {
 		t.Fatalf("p99 %v < p50 %v", hz["p99_ms"], hz["p50_ms"])
 	}
 	found := false
-	for _, line := range s.statsLines() {
+	for _, line := range s.StatsLines() {
 		if strings.Contains(line, "GET /v1/healthz") && strings.Contains(line, "p99") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("stats lines missing healthz percentiles: %v", s.statsLines())
+		t.Fatalf("stats lines missing healthz percentiles: %v", s.StatsLines())
 	}
 }
 
@@ -234,7 +234,7 @@ func TestSlowRequestLogging(t *testing.T) {
 func TestReplicationLagBytesHeader(t *testing.T) {
 	st := openTestStore(t, t.TempDir())
 	defer st.Close()
-	s := newPersistentServer(st)
+	s := NewPersistent(st, Config{})
 	for i := 0; i < 4; i++ {
 		if rec, _ := do(t, s, "POST", "/v1/models", modelXML(fmt.Sprintf("lag_%d", i), int64(320+i))); rec.Code != http.StatusCreated {
 			t.Fatalf("seed POST #%d: %d", i, rec.Code)
@@ -271,7 +271,7 @@ func TestReplicationLagBytesHeader(t *testing.T) {
 func TestDisconnectedFollowerStalenessGrows(t *testing.T) {
 	primaryStore := openTestStore(t, t.TempDir())
 	defer primaryStore.Close()
-	primary := newPersistentServer(primaryStore)
+	primary := NewPersistent(primaryStore, Config{})
 	for i := 0; i < 3; i++ {
 		if rec, _ := do(t, primary, "POST", "/v1/models", modelXML(fmt.Sprintf("st_%d", i), int64(330+i))); rec.Code != http.StatusCreated {
 			t.Fatalf("seed POST #%d: %d", i, rec.Code)

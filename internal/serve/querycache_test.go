@@ -32,8 +32,8 @@ func stripTook(t *testing.T, body []byte) string {
 
 func TestSearchCacheHitsAreByteIdentical(t *testing.T) {
 	corpus := sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 2, Workers: 2})
-	cached := newServer(corpus)
-	uncached := newServer(corpus)
+	cached := New(corpus, Config{})
+	uncached := New(corpus, Config{})
 	uncached.searchCache = nil
 	for i := 0; i < 6; i++ {
 		if _, err := corpus.Add(mustParse(t, modelXML("qc"+string(rune('a'+i)), int64(i)))); err != nil {

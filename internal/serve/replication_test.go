@@ -31,7 +31,7 @@ func TestReplicationFollowerServer(t *testing.T) {
 	// listener for the follower to pull from.
 	primaryStore := openTestStore(t, t.TempDir())
 	defer primaryStore.Close()
-	primary := newPersistentServer(primaryStore)
+	primary := NewPersistent(primaryStore, Config{})
 	for i := 0; i < 4; i++ {
 		xml := modelXML(string(rune('a'+i))+"_rep", int64(900+i))
 		if rec, _ := do(t, primary, "POST", "/v1/models", xml); rec.Code != http.StatusCreated {
@@ -54,7 +54,7 @@ func TestReplicationFollowerServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rep.Stop()
-	follower := newPersistentServer(followerStore)
+	follower := NewPersistent(followerStore, Config{})
 	follower.replica = rep
 	waitForSeq(t, followerStore, primaryStore.LastSeq())
 
@@ -121,12 +121,12 @@ func TestReplicationFollowerServer(t *testing.T) {
 }
 
 // A replication long-poll parked at the tip must not stall graceful
-// shutdown: beginShutdown cancels it promptly instead of letting it sit
+// shutdown: BeginShutdown cancels it promptly instead of letting it sit
 // out its full wait_ms inside the drain window.
 func TestShutdownWakesReplicationLongPoll(t *testing.T) {
 	st := openTestStore(t, t.TempDir())
 	defer st.Close()
-	srv := newPersistentServer(st)
+	srv := NewPersistent(st, Config{})
 	if rec, _ := do(t, srv, "POST", "/v1/models", modelXML("lp_shut", 901)); rec.Code != http.StatusCreated {
 		t.Fatalf("seed POST: %d", rec.Code)
 	}
@@ -143,12 +143,12 @@ func TestShutdownWakesReplicationLongPoll(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(200 * time.Millisecond) // let the poll reach the wait
-	srv.beginShutdown()
+	srv.BeginShutdown()
 	select {
 	case <-done:
 		// Cut or empty response — either way the handler returned and the
 		// drain can complete. The follower's pull loop re-requests.
 	case <-time.After(5 * time.Second):
-		t.Fatal("long-poll still parked 5s after beginShutdown")
+		t.Fatal("long-poll still parked 5s after BeginShutdown")
 	}
 }

@@ -83,7 +83,7 @@ func TestRequestIDEchoedInErrorBody(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	persistent := newPersistentServer(st)
+	persistent := NewPersistent(st, Config{})
 	for _, tc := range []struct {
 		s            *Server
 		method, path string

@@ -245,11 +245,6 @@ func NewPersistent(st *sbmlcompose.CorpusStore, cfg Config) *Server {
 	return s
 }
 
-// newServer and newPersistentServer are the zero-config constructors the
-// package tests use.
-func newServer(c *sbmlcompose.Corpus) *Server                 { return New(c, Config{}) }
-func newPersistentServer(st *sbmlcompose.CorpusStore) *Server { return NewPersistent(st, Config{}) }
-
 // SetReplica attaches the replication puller whose Status feeds /healthz,
 // the lag headers, and the replication gauges. Call once, before serving.
 func (s *Server) SetReplica(rep *sbmlcompose.Replica) {
@@ -386,9 +381,6 @@ func (s *Server) BeginShutdown() {
 	s.closeOnce.Do(func() { close(s.closing) })
 }
 
-// beginShutdown is the test-facing alias.
-func (s *Server) beginShutdown() { s.BeginShutdown() }
-
 // cancelOnShutdown derives the request context so it is cancelled when
 // graceful shutdown begins. A follower whose poll is cut this way sees a
 // transient fetch error and re-requests from its durable seq — exactly
@@ -433,9 +425,6 @@ func (s *Server) StatsLines() []string {
 	sort.Strings(out)
 	return out
 }
-
-// statsLines is the test-facing alias.
-func (s *Server) statsLines() []string { return s.StatsLines() }
 
 // endpointReport is one route's latency summary: the request count, the
 // mean (kept for compatibility with pre-histogram clients), and the

@@ -26,7 +26,7 @@ func TestStatsLinesSorted(t *testing.T) {
 	if rec, _ := do(t, s, "POST", "/v1/search", jsonBody(t, map[string]any{"sbml": modelXML("stat0", 900), "top_k": 2})); rec.Code != http.StatusOK {
 		t.Fatalf("search: %d", rec.Code)
 	}
-	lines := s.statsLines()
+	lines := s.StatsLines()
 	if len(lines) < 3 {
 		t.Fatalf("want >= 3 endpoint lines, got %d: %v", len(lines), lines)
 	}

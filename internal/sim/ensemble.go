@@ -1,112 +1,18 @@
 package sim
 
 // Parallel multi-run driver. The engine compiles a model once; an ensemble
-// then fans independent SSA trajectories out across a worker pool, each
-// with its own runState and a consecutively-seeded RNG, so the result is
-// identical for every worker count — the same scheme mc2.Probability uses.
+// then fans independent SSA trajectories out with par.Do, each with its
+// own runState and a consecutively-seeded RNG, so the result is identical
+// for every worker count — the same scheme mc2.Probability uses.
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"sbmlcompose/internal/par"
 	"sbmlcompose/internal/sbml"
 	"sbmlcompose/internal/trace"
 )
-
-// workerCount resolves Options.Workers against runs.
-func workerCount(workers, runs int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > runs {
-		workers = runs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// RunParallel executes fn(run) for run ∈ [0, runs) on a worker pool of the
-// given size (≤0 means GOMAXPROCS) and returns the lowest-run-index error,
-// so failures are as deterministic as the results themselves. It is the
-// fan-out primitive shared by EnsembleSSA and mc2.Probability; fn must be
-// safe for concurrent invocation across distinct run indexes.
-func RunParallel(runs, workers int, fn func(run int) error) error {
-	return RunParallelCtx(context.Background(), runs, workers, fn)
-}
-
-// RunParallelCtx is RunParallel honoring cancellation: workers check ctx
-// before claiming each run and stop claiming once it is done, the pool
-// always drains (no goroutine outlives the call), and a cancelled call
-// returns ctx's error. Cancellation takes precedence over per-run errors —
-// with runs above the first failure skipped, the serial-order error may
-// not have been computed when the context fired. fn should itself pass ctx
-// into long single runs (e.g. Engine.SSACtx) so cancellation lands inside
-// a run, not just between runs. An uncancelled context behaves exactly
-// like RunParallel.
-func RunParallelCtx(ctx context.Context, runs, workers int, fn func(run int) error) error {
-	errs := make([]error, runs)
-	if workers = workerCount(workers, runs); workers == 1 {
-		for i := 0; i < runs; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var next atomic.Int64
-	// firstErr tracks the lowest run index that has failed so far. Runs
-	// beyond it are skipped — once a failure is final, their results can't
-	// matter — but runs below it still execute, so the error returned is
-	// the serial order's regardless of scheduling.
-	var firstErr atomic.Int64
-	firstErr.Store(int64(runs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := next.Add(1) - 1
-				if i >= int64(runs) {
-					return
-				}
-				if i > firstErr.Load() {
-					continue
-				}
-				if err := fn(int(i)); err != nil {
-					errs[i] = err
-					for {
-						cur := firstErr.Load()
-						if i >= cur || firstErr.CompareAndSwap(cur, i) {
-							break
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // EnsembleSSA runs `runs` stochastic simulations with consecutive seeds
 // starting at opts.Seed — in parallel across opts.Workers workers — and
@@ -135,8 +41,8 @@ func (e *Engine) EnsembleSSA(runs int, opts Options) (*trace.Trace, error) {
 }
 
 // EnsembleSSACtx is EnsembleSSA honoring cancellation: ctx is checked
-// between runs by the worker pool and inside each run's event loop, the
-// pool drains before the call returns, and a cancelled ensemble returns
+// before each run by par.Do and inside each run's event loop, every run
+// has returned before the call does, and a cancelled ensemble returns
 // ctx's error with no partial mean. An uncancelled context produces a mean
 // bit-identical to EnsembleSSA at every worker count.
 func (e *Engine) EnsembleSSACtx(ctx context.Context, runs int, opts Options) (*trace.Trace, error) {
@@ -144,7 +50,7 @@ func (e *Engine) EnsembleSSACtx(ctx context.Context, runs int, opts Options) (*t
 		return nil, fmt.Errorf("sim: ensemble runs must be positive")
 	}
 	traces := make([]*trace.Trace, runs)
-	err := RunParallelCtx(ctx, runs, opts.Workers, func(i int) error {
+	err := par.Do(ctx, runs, opts.Workers, func(_, i int) error {
 		runOpts := opts
 		runOpts.Seed = opts.Seed + int64(i)
 		tr, err := e.SSACtx(ctx, runOpts)

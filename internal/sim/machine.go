@@ -17,7 +17,8 @@ package sim
 // An Engine is immutable after Compile and safe for concurrent use: all
 // mutable run state (the slot vector, scratch stacks, integrator buffers,
 // the event queue) lives in a per-run runState, which is what lets
-// mc2.Probability fan one compiled model out across a worker pool.
+// EnsembleSSA and mc2.Probability run one compiled model on par.Do's
+// concurrent workers.
 
 import (
 	"context"

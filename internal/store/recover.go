@@ -1,13 +1,12 @@
 package store
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"sbmlcompose/internal/core"
 	"sbmlcompose/internal/corpus"
+	"sbmlcompose/internal/par"
 	"sbmlcompose/internal/sbml"
 )
 
@@ -34,8 +33,9 @@ import (
 //
 // The parse path is embarrassingly parallel: each model parses
 // independently, and only the sequential apply step afterwards needs
-// the results in order. resolveKeys fans the parses out across
-// GOMAXPROCS workers and returns results positionally, so callers apply
+// the results in order. resolveKeys fans the parses out with par.Do over
+// GOMAXPROCS workers, which claim models in chunks so no worker idles
+// behind a heavy one, and returns results positionally, so callers apply
 // them in exactly the order a sequential recovery would have.
 
 // persistedModel is one model as a snapshot entry or WAL record carries
@@ -151,36 +151,14 @@ func (s *Store) resolveKeys(ms []persistedModel) []keyResult {
 		jobs = append(jobs, i)
 	}
 	s.parseJobs.Add(int64(len(jobs)))
-	parse := func(k int) {
+	// Recovery takes no context, so nothing cancels the fan-out and fn
+	// never fails: a parse error is that model's result.
+	_ = par.Do(context.TODO(), len(jobs), 0, func(_, k int) error {
 		i := jobs[k]
 		keys, err := parseKeys(ms[i].id, ms[i].sbml, s.opts.Corpus.Match)
 		results[i] = keyResult{keys: keys, parsed: true, err: err}
-	}
-	workers := min(runtime.GOMAXPROCS(0), len(jobs))
-	if workers <= 1 {
-		for k := range jobs {
-			parse(k)
-		}
-		return results
-	}
-	// Work-stealing by atomic counter: model sizes vary, so static
-	// striping would leave workers idle behind one heavy stripe.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(jobs) {
-					return
-				}
-				parse(k)
-			}
-		}()
-	}
-	wg.Wait()
+		return nil
+	})
 	return results
 }
 

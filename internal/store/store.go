@@ -73,11 +73,11 @@
 // records and snapshot images alike: persisted keys are used only when
 // their CRC holds, they decode, the recorded match-options fingerprint
 // equals the opening corpus's, and Options.RecoveryParseOnly is off.
-// Otherwise the model takes the parse path, fanned out across GOMAXPROCS
-// workers and applied in record order; a keys blob that fails to decode
-// never cuts the log. Either way the entry is installed with keys and a
-// locator only, and parses on first structural use; the recovered
-// corpus is search-identical to a never-restarted one. The snapshot
+// Otherwise the model takes the parse path, fanned out with par.Do over
+// GOMAXPROCS workers and applied in record order; a keys blob that fails
+// to decode never cuts the log. Either way the entry is installed with
+// keys and a locator only, and parses on first structural use; the
+// recovered corpus is search-identical to a never-restarted one. The snapshot
 // image and segment images read at Open are transient: nothing installed
 // keeps a reference into them. The retired sbsnap-1 gob format is
 // refused with ErrCorruptSnapshot; an older build upgrades such a store
