@@ -14,6 +14,7 @@ import (
 	"net/url"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"sbmlcompose"
 	"sbmlcompose/internal/biomodels"
 	"sbmlcompose/internal/cluster"
+	"sbmlcompose/internal/sbml"
 	"sbmlcompose/internal/serve"
 )
 
@@ -34,7 +36,7 @@ func modelXML(id string, seed int64) string {
 
 // newNode starts one shard node: a real serve.Server over a corpus with
 // the given shard count, behind a real TCP listener.
-func newNode(t *testing.T, shards int) *httptest.Server {
+func newNode(t testing.TB, shards int) *httptest.Server {
 	t.Helper()
 	srv := serve.New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: shards, Workers: 2}), serve.Config{})
 	ts := httptest.NewServer(srv)
@@ -44,7 +46,7 @@ func newNode(t *testing.T, shards int) *httptest.Server {
 
 // newCluster starts `partitions` nodes (each corpus with `shards`
 // shards) and a gateway over them, with test-speed retry bounds.
-func newCluster(t *testing.T, partitions, shards int) (*cluster.Gateway, []*httptest.Server) {
+func newCluster(t testing.TB, partitions, shards int) (*cluster.Gateway, []*httptest.Server) {
 	t.Helper()
 	nodes := make([]*httptest.Server, partitions)
 	urls := make([]string, partitions)
@@ -341,6 +343,42 @@ func TestClusterWriteRoutesToOwner(t *testing.T) {
 	if rec.Code != http.StatusCreated || !strings.Contains(rec.Body.String(), `"renamed"`) {
 		t.Fatalf("add with ?id= via gateway: %d %s", rec.Code, rec.Body.String())
 	}
+	// A body whose id only a namespace-aware read or entity decoding
+	// gives lands on that id's owner and is removable through the gateway.
+	nsBody := modelXML("ns_model", 602)
+	nsBody = strings.Replace(nsBody, "<sbml ", `<s:sbml xmlns:s="`+sbml.Namespace+`" `, 1)
+	nsBody = strings.Replace(nsBody, "</sbml>", "</s:sbml>", 1)
+	nsBody = strings.Replace(nsBody, `<model id="ns_model"`, `<s:model id="ns_model"`, 1)
+	nsBody = strings.Replace(nsBody, "</model>", "</s:model>", 1)
+	entBody := strings.Replace(modelXML("ent_model", 603), `<model id="ent_model"`, `<model id="ent&#95;m&#x6F;del"`, 1)
+	for _, tc := range []struct{ id, body string }{{"ns_model", nsBody}, {"ent_model", entBody}} {
+		if strings.Contains(tc.body, `<model id="`+tc.id+`"`) {
+			t.Fatalf("%s: body rewrite did not apply", tc.id)
+		}
+		owner := parts.Owner(tc.id)
+		before := map[string]int{}
+		for _, ts := range nodes {
+			before[ts.URL] = nodeModels(ts)
+		}
+		rec := do(t, gw, "POST", "/v1/models", tc.body)
+		if rec.Code != http.StatusCreated || !strings.Contains(rec.Body.String(), `"`+tc.id+`"`) {
+			t.Fatalf("add %s via gateway: %d %s", tc.id, rec.Code, rec.Body.String())
+		}
+		for _, ts := range nodes {
+			want := before[ts.URL]
+			if ts.URL == owner {
+				want++
+			}
+			if n := nodeModels(ts); n != want {
+				t.Errorf("add %s: node %s holds %d models, want %d (owner %s)", tc.id, ts.URL, n, want, owner)
+			}
+		}
+		rec = do(t, gw, "DELETE", "/v1/models/"+tc.id, "")
+		if rec.Code != http.StatusNoContent {
+			t.Fatalf("delete %s via gateway: %d %s", tc.id, rec.Code, rec.Body.String())
+		}
+	}
+
 	// Model-addressed routes reach the owner: simulate works for every id
 	// through the same gateway URL regardless of which node holds it.
 	for _, id := range ids {
@@ -545,8 +583,8 @@ func TestClusterRelaysQueryErrors(t *testing.T) {
 // TestClusterForwardedRoutesAnswerLikeANode pins the forwarding
 // contract: the gateway never answers a model-addressed route itself, so
 // a body with no usable id — undecodable, id missing or not a string, or
-// followed by trailing bytes — gets the status, error text and code a
-// single node gives.
+// followed by trailing bytes — and an add whose id names no storable
+// model get the status, error text and code a single node gives.
 func TestClusterForwardedRoutesAnswerLikeANode(t *testing.T) {
 	gw, _ := newCluster(t, 3, 1)
 	node := serve.New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 1, Workers: 1}), serve.Config{})
@@ -559,6 +597,13 @@ func TestClusterForwardedRoutesAnswerLikeANode(t *testing.T) {
 		{"/v1/check", `{"formula":"G({x >= 0})"}`},
 		{"/v1/check", `{"id":5}`},
 		{"/v1/models", `<bad`},
+		// Adds whose prefix names an id the rest of the body does not
+		// back up: the gateway routes them to that id's owner, which
+		// rejects them as any node would.
+		{"/v1/models", `<sbml><model id="x">`},
+		{"/v1/models", `<notsbml><model id="x"/></notsbml>`},
+		{"/v1/models", `<sbml level="two"><model id="x"/></sbml>`},
+		{"/v1/models?id=x", `<bad`},
 	} {
 		answer := func(h http.Handler) (int, string, string) {
 			rec := do(t, h, "POST", tc.path, tc.body)
@@ -715,5 +760,40 @@ func TestOpenGatewayFacade(t *testing.T) {
 	}
 	if _, err := sbmlcompose.New().OpenGateway(nil, nil); err == nil {
 		t.Fatal("OpenGateway with no nodes accepted")
+	}
+}
+
+// BenchmarkGatewayAdd measures POST /v1/models through a gateway over 3
+// in-process nodes of 4 shards: the gateway's routing and node hop plus
+// the owner's parse, compile and insert. Each op adds a fresh id; the
+// bodies follow sbmlbench's genModel size schedule (6–24 species).
+func BenchmarkGatewayAdd(b *testing.B) {
+	gw, _ := newCluster(b, 3, 4)
+	const tmplID = "gwadd_tmpl"
+	type split struct{ head, tail string }
+	bodies := make([]split, 19)
+	for i := range bodies {
+		nodes := 6 + i*7%19
+		body := sbmlcompose.ModelToString(biomodels.Generate(biomodels.Config{
+			ID: tmplID, Nodes: nodes, Edges: nodes + i*11%(nodes+1), Seed: int64(i + 1),
+			VocabularySize: 300, Decorate: true,
+		}))
+		tag := `<model id="` + tmplID + `"`
+		k := strings.Index(body, tag)
+		if k < 0 {
+			b.Fatalf("template %d has no %s", i, tag)
+		}
+		bodies[i] = split{body[:k] + `<model id="`, `"` + body[k+len(tag):]}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := bodies[i%len(bodies)]
+		req := httptest.NewRequest("POST", "/v1/models", strings.NewReader(t.head+"gwadd_"+strconv.Itoa(i)+t.tail))
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, req)
+		if rec.Code != http.StatusCreated {
+			b.Fatalf("add %d: %d %s", i, rec.Code, rec.Body.String())
+		}
 	}
 }

@@ -197,9 +197,13 @@ func relay(w http.ResponseWriter, resp *nodeResponse) {
 // --- write routes ---
 
 // handleAddModel routes POST /v1/models to the owning node. The id comes
-// from the ?id= override when present, else from parsing the SBML body —
-// the same precedence the node applies, so the gateway and the node
-// always agree on which id (and therefore which owner) a body lands on.
+// from the ?id= override when present, else from sbml.ModelID, which reads
+// the body only up to the model's start tag — the same precedence the node
+// applies, so for every body a node stores the gateway routes it to the
+// owner of the id it is stored under. The gateway never parses a model;
+// the owner does, once. A body the node rejects goes to whichever owner
+// its ?id= or prefix names (Owner("") when neither gives one), and every
+// node rejects it with the same answer.
 func (g *Gateway) handleAddModel(w http.ResponseWriter, r *http.Request) {
 	body, ok := api.ReadBody(w, r)
 	if !ok {
@@ -207,11 +211,7 @@ func (g *Gateway) handleAddModel(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		// An unparsable body keeps the id "": its owner reports the
-		// parse error.
-		if doc, err := sbml.ParseString(string(body)); err == nil {
-			id = doc.Model.ID
-		}
+		id = sbml.ModelID(string(body))
 	}
 	g.forward(w, r, id, http.MethodPost, "/v1/models", r.URL.RawQuery, body)
 }

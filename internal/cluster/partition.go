@@ -12,8 +12,13 @@
 // The forwarding contract: for the model-addressed routes
 // (add/remove/compose/simulate/check) the gateway only picks the owner
 // of the model id and relays that node's answer. It never answers such a
-// route itself; a body without a usable id goes to Owner(""), so every
-// malformed request gets exactly the answer a single node gives.
+// route itself and never parses a model. An add is routed by its ?id=
+// override, else by the id on the body's <model> start tag
+// (sbml.ModelID), which is the id the node stores it under; a JSON route
+// by its body's "id" field. A body without a usable id goes to
+// Owner(""), and a body the nodes reject gets the same answer from
+// whichever node it reaches, so every malformed request gets exactly the
+// answer a single node gives.
 // /v1/search fans out to every node for the ranking prefix [0,
 // offset+limit) and merges with corpus.RankWindow, the function the
 // corpus ranking cuts its own pages with, so a cluster ranking is

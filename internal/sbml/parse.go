@@ -23,6 +23,20 @@ func ParseString(s string) (*Document, error) {
 	return fromTree(xmltree.ParseString(s))
 }
 
+// ModelID returns the id ParseString(s) gives the document's model,
+// reading s only as far as the model's start tag: the id attribute of the
+// first <model> child of an <sbml> root. It is "" when that prefix does
+// not parse, the root is not <sbml> or has no <model> child, or the model
+// has no id. Past the prefix nothing is checked,
+// so a document ParseString rejects can still have a non-empty ModelID.
+func ModelID(s string) string {
+	root, model, err := xmltree.ParseUntil(s, "model")
+	if err != nil || root.Name != "sbml" || model == nil {
+		return ""
+	}
+	return model.Attr("id")
+}
+
 func fromTree(root *xmltree.Node, err error) (*Document, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sbml: %w", err)

@@ -27,6 +27,22 @@ func ParseString(s string) (*Node, error) {
 	return p.document()
 }
 
+// ParseUntil runs ParseString's scanner over s only as far as the start
+// tag of the root element's first child element named name, and returns
+// the root and that child as they stand there: names and attributes
+// resolved exactly as ParseString resolves them, including the child
+// tag's own namespace declarations, and no children. Nothing past that
+// start tag is read. When the root has no such child the whole document
+// is parsed and child is nil. An error means the scanned prefix is not
+// well-formed, or, with no such child, that s is not.
+func ParseUntil(s, name string) (root, child *Node, err error) {
+	p := parser{s: s, until: name}
+	if root, err = p.document(); err != nil {
+		return nil, nil, err
+	}
+	return root, p.first, nil
+}
+
 // parser is one pass of the scanner over a whole document. Everything it
 // holds that points into s is transient; strings stored in the tree are
 // copies or constants.
@@ -44,6 +60,10 @@ type parser struct {
 	// "xmlns", and those shadowing such a binding.
 	ns  []nsDecl
 	buf []byte // scratch for text that needs rewriting
+	// until, when set, stops the scan at the start tag of the root's
+	// first child element of that name, which is kept in first.
+	until string
+	first *Node
 }
 
 // frame is one open element.
@@ -67,7 +87,7 @@ func (p *parser) errorf(at int, format string, args ...any) error {
 func (p *parser) eof() error { return p.errorf(len(p.s), "unexpected EOF") }
 
 func (p *parser) document() (*Node, error) {
-	for p.pos < len(p.s) {
+	for p.pos < len(p.s) && p.first == nil {
 		var err error
 		if p.s[p.pos] != '<' {
 			err = p.text()
@@ -88,6 +108,9 @@ func (p *parser) document() (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	if p.first != nil {
+		return p.root, nil
 	}
 	if len(p.open) > 0 {
 		return nil, p.errorf(len(p.s), "unexpected EOF: element <%s> not closed", p.open[len(p.open)-1].raw)
@@ -232,6 +255,9 @@ func (p *parser) openElement(raw string, nsStart int, empty bool) error {
 		p.root = n
 	} else {
 		p.kids = append(p.kids, n)
+		if len(p.open) == 1 && n.Name == p.until {
+			p.first = n
+		}
 	}
 	if empty {
 		p.ns = p.ns[:nsStart]

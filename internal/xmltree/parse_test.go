@@ -173,6 +173,43 @@ func TestParseReader(t *testing.T) {
 	}
 }
 
+// TestParseUntilMatchesParseString pins ParseUntil to the full parse:
+// wherever ParseString accepts a document, ParseUntil gives the same root
+// name and attributes and the root's first child of each name, with the
+// same name and attributes and no children, or nil when there is none.
+func TestParseUntilMatchesParseString(t *testing.T) {
+	docs := append(append([]string{xmltree.Sample}, edgeDocs...), generatedDocs()...)
+	docs = append(docs,
+		`<r><x:b xmlns:x="xmlns" id="own"/><b id="real"><c/></b><b id="second"/></r>`,
+		`<r><a><b id="deep"/></a><b xmlns:p="xmlns" p:id="shadow" id="real"/></r>`)
+	for _, d := range docs {
+		want, err := xmltree.ParseString(d)
+		if err != nil {
+			continue
+		}
+		for _, name := range []string{"b", "s", "model", "listOfSpecies", "nothing"} {
+			root, child, err := xmltree.ParseUntil(d, name)
+			if err != nil {
+				t.Fatalf("ParseUntil(%q, %q): %v", d, name, err)
+			}
+			if root.Name != want.Name || !reflect.DeepEqual(root.Attrs, want.Attrs) {
+				t.Fatalf("ParseUntil(%q, %q) root %s, ParseString %s", d, name, dump(root), dump(want))
+			}
+			wantChild := want.Child(name)
+			if wantChild == nil {
+				if child != nil {
+					t.Fatalf("ParseUntil(%q, %q) found %s, ParseString has no such child", d, name, dump(child))
+				}
+				continue
+			}
+			if child == nil || child.Name != wantChild.Name || !reflect.DeepEqual(child.Attrs, wantChild.Attrs) ||
+				child.Children != nil || root.Children != nil {
+				t.Fatalf("ParseUntil(%q, %q) root %s child %v, want child %s", d, name, dump(root), child, dump(wantChild))
+			}
+		}
+	}
+}
+
 // TestParseCopiesStrings pins that no string in a parsed tree points into
 // the input. Trees outlive their input (served models keep their strings
 // through Model.Clone), so an aliasing substring would keep a whole

@@ -37,6 +37,10 @@
 //
 // Every string in a parsed tree is a copy or a constant, never a substring
 // of the input, so a tree kept alive does not keep its input alive.
+//
+// ParseUntil is the same scanner stopped early, at the start tag of the
+// root's first child element of a given name; it reads a document's
+// header (an SBML model's id, say) without building the rest.
 package xmltree
 
 import (
