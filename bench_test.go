@@ -16,7 +16,9 @@ package sbmlcompose
 //	BenchmarkMathPatternVsExact   — Figure 7 pattern matching vs exact tree
 //	                                equality on commuted kinetic laws
 //
-// cmd/benchfig regenerates the actual figure series (log10 time vs size).
+// cmd/benchfig regenerates the actual figure series (log10 time vs size);
+// the engine rows of the BENCH_*.json files are benchmarks in the packages
+// they measure (internal/core, sim, mc2, corpus and store).
 
 import (
 	"fmt"
@@ -220,95 +222,10 @@ func BenchmarkGenericVsSemantic(b *testing.B) {
 	})
 }
 
-// BenchmarkComposeAllIncremental measures the incremental assembly workflow
-// over ten corpus parts.
-func BenchmarkComposeAllIncremental(b *testing.B) {
-	models := corpus()[40:50]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.ComposeAll(models, core.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// composeAllBatch builds an order-insensitive batch for the engine
-// comparison: no merge order ever triggers a rename, so all three
-// strategies must produce byte-identical models.
+// composeAllBatch builds an order-insensitive batch: no merge order ever
+// triggers a rename.
 func composeAllBatch(n, nodes, edges int) []*sbml.Model {
 	return biomodels.NamespacedBatch(n, nodes, edges, 9100)
-}
-
-// seedLeftFold is the pre-engine ComposeAll: re-Compose the accumulator
-// from scratch at every step, re-cloning it and rebuilding every index,
-// synonym expansion, math pattern and unit vector each time. Kept inline as
-// the benchmark baseline the compiled engine is measured against.
-func seedLeftFold(models []*sbml.Model, opts core.Options) (*sbml.Model, error) {
-	acc := models[0].Clone()
-	for _, m := range models[1:] {
-		res, err := core.Compose(acc, m, opts)
-		if err != nil {
-			return nil, err
-		}
-		acc = res.Model
-	}
-	return acc, nil
-}
-
-// BenchmarkComposeAll compares batch-assembly strategies on 12 mid-size
-// synthetic models: the seed's left fold, the compiled-accumulator
-// incremental fold, and the parallel balanced binary reduction. The three
-// must agree byte for byte before timing starts.
-func BenchmarkComposeAll(b *testing.B) {
-	models := composeAllBatch(12, 60, 90)
-	opts := core.Options{Synonyms: BuiltinSynonyms()}
-	par := opts
-	par.Parallel = true
-
-	seedModel, err := seedLeftFold(models, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	incRes, err := core.ComposeAll(models, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	parRes, err := core.ComposeAll(models, par)
-	if err != nil {
-		b.Fatal(err)
-	}
-	want := CanonicalXML(seedModel)
-	if CanonicalXML(incRes.Model) != want {
-		b.Fatal("incremental fold diverged from seed left fold")
-	}
-	if CanonicalXML(parRes.Model) != want {
-		b.Fatal("parallel reduction diverged from seed left fold")
-	}
-
-	b.Run("seed-left-fold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := seedLeftFold(models, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ComposeAll(models, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ComposeAll(models, par); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkComposerStreaming isolates the marginal cost of folding one more

@@ -14,15 +14,12 @@ import (
 	"sbmlcompose/internal/synonym"
 )
 
-// benchCorpus100 builds the same 100-model repository the benchfig
-// corpus suite measures (CorpusSearch/size=100), so this benchmark's
-// numbers are directly comparable with BENCH_corpus.json rows.
-func benchCorpus100(b *testing.B) (*Corpus, *sbml.Model) {
-	b.Helper()
-	c := New(Options{Shards: 4, Workers: 4, Match: core.Options{Synonyms: synonym.Builtin()}})
-	var query *sbml.Model
-	for i := 0; i < 100; i++ {
-		m := biomodels.Generate(biomodels.Config{
+// corpusModels generates a repository workload: n small models over a
+// shared vocabulary, so queries hit realistic overlap everywhere.
+func corpusModels(n int) []*sbml.Model {
+	models := make([]*sbml.Model, n)
+	for i := range models {
+		models[i] = biomodels.Generate(biomodels.Config{
 			ID:             fmt.Sprintf("bm%04d", i),
 			Nodes:          10 + i%9,
 			Edges:          14 + i%11,
@@ -30,63 +27,78 @@ func benchCorpus100(b *testing.B) (*Corpus, *sbml.Model) {
 			VocabularySize: 300,
 			Decorate:       true,
 		})
-		if _, err := c.Add(m); err != nil {
-			b.Fatal(err)
-		}
-		if i == 50 {
-			query = m.Clone()
-		}
 	}
-	return c, query
+	return models
 }
 
-// BenchmarkSearchHotPath is the serving hot path exactly as an untraced
-// caller runs it: compiled query, context carrying no obs.Trace, so
-// every stage-span site in SearchCompiledContext and rank takes its
-// no-op branch. Compare against CorpusSearch/size=100 in
-// BENCH_corpus.json — the delta is the instrumentation overhead, bounded
-// well under 2% (each no-op span costs ~4ns; see BenchmarkNoOpSpan in
-// internal/obs).
-func BenchmarkSearchHotPath(b *testing.B) {
-	c, query := benchCorpus100(b)
-	cq, err := c.CompileQuery(query)
-	if err != nil {
-		b.Fatal(err)
+// benchOptions are the corpus options of BENCH_corpus.json's rows.
+var benchOptions = Options{Shards: 4, Workers: 4, Match: core.Options{Synonyms: synonym.Builtin()}}
+
+// BenchmarkCorpusBuild adds a whole repository to an empty corpus, across
+// the size ladder.
+func BenchmarkCorpusBuild(b *testing.B) {
+	for _, size := range []int{10, 100, 1000} {
+		models := corpusModels(size)
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c := New(benchOptions)
+				for _, m := range models {
+					if _, err := c.Add(m); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
-	ctx := context.Background()
+}
+
+// BenchmarkCorpusSearch measures top-5 search latency across the size
+// ladder: through the sharded inverted indexes (engine=inverted), and
+// through the naive baseline that composes the query with every stored
+// model (engine=allpairs), which is what serving would cost without the
+// corpus subsystem. At size 100, query=large shows a medium (60-node)
+// query's compile cost, and query=compiled is the serving hot path: a
+// precompiled query under a context that carries no obs.Trace, so every
+// stage-span site takes its no-op branch.
+func BenchmarkCorpusSearch(b *testing.B) {
 	opts := SearchOptions{TopK: 5}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		hits, err := c.SearchCompiledContext(ctx, cq, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(hits) == 0 || hits[0].ModelID != query.ID {
-			b.Fatalf("search lost the planted hit: %v", hits)
-		}
-	}
-}
-
-// benchPrecompiled generates n models and derives their keys under the
-// corpus suite's match options, ready for ReplaceAll or ApplyBatch: the
-// store-recovery install path with parsing and key derivation already
-// paid.
-func benchPrecompiled(b *testing.B, opts Options, n int) []PrecompiledModel {
-	b.Helper()
-	pre := make([]PrecompiledModel, n)
-	for i := range pre {
-		m := biomodels.Generate(biomodels.Config{
-			ID:             fmt.Sprintf("bm%04d", i),
-			Nodes:          10 + i%9,
-			Edges:          14 + i%11,
-			Seed:           int64(40000 + 23*i),
-			VocabularySize: 300,
-			Decorate:       true,
+	row := func(name string, search func() ([]Hit, error), want string) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				hits, err := search()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if want != "" && (len(hits) == 0 || hits[0].ModelID != want) {
+					b.Fatalf("search lost the planted hit %s: %v", want, hits)
+				}
+			}
 		})
-		pre[i] = PrecompiledModel{ID: m.ID, Doc: Bytes(canonicalBytes(m)), Keys: core.MatchKeys(m, opts.Match)}
 	}
-	return pre
+	for _, size := range []int{10, 100, 1000} {
+		models := corpusModels(size)
+		query := models[size/2].Clone()
+		c := New(benchOptions)
+		for _, m := range models {
+			if _, err := c.Add(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		row(fmt.Sprintf("size=%d/engine=inverted", size), func() ([]Hit, error) { return c.Search(query, opts) }, query.ID)
+		if size == 100 {
+			big := biomodels.Generate(biomodels.Config{ID: "bigquery", Nodes: 60, Edges: 90, Seed: 4242, VocabularySize: 150, Decorate: true})
+			row("size=100/query=large/engine=inverted", func() ([]Hit, error) { return c.Search(big, opts) }, "")
+			cq, err := c.CompileQuery(query)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			row("size=100/query=compiled/engine=inverted", func() ([]Hit, error) { return c.SearchCompiledContext(ctx, cq, opts) }, query.ID)
+		}
+		row(fmt.Sprintf("size=%d/engine=allpairs", size), func() ([]Hit, error) {
+			return SearchAllPairs(models, query, benchOptions.Match, 5)
+		}, query.ID)
+	}
 }
 
 // BenchmarkInstall measures installing 1000 precompiled models into an
@@ -99,7 +111,7 @@ func benchPrecompiled(b *testing.B, opts Options, n int) []PrecompiledModel {
 // locators would be.
 func BenchmarkInstall(b *testing.B) {
 	opts := Options{Shards: 4, Match: core.Options{Synonyms: synonym.Builtin()}}
-	pre := benchPrecompiled(b, opts, 1000)
+	pre := benchPrecompiled(opts, 1000)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -117,6 +129,17 @@ func BenchmarkInstall(b *testing.B) {
 	runtime.KeepAlive(c)
 	runtime.KeepAlive(pre)
 	b.ReportMetric(float64(int64(after)-int64(before))/float64(len(pre)), "live-B/model")
+}
+
+// benchPrecompiled derives the keys of corpusModels(n) under opts, ready
+// for ReplaceAll or ApplyBatch: the store-recovery install path with
+// parsing and key derivation already paid.
+func benchPrecompiled(opts Options, n int) []PrecompiledModel {
+	pre := make([]PrecompiledModel, n)
+	for i, m := range corpusModels(n) {
+		pre[i] = PrecompiledModel{ID: m.ID, Doc: Bytes(canonicalBytes(m)), Keys: core.MatchKeys(m, opts.Match)}
+	}
+	return pre
 }
 
 // liveHeapBytes runs a full collection and returns the heap it marked
@@ -147,7 +170,7 @@ func copyKeys(pre []PrecompiledModel) []PrecompiledModel {
 // posting lists, and shared unit and synonym keys have long ones.
 func BenchmarkAddRemove(b *testing.B) {
 	opts := Options{Shards: 4, Match: core.Options{Synonyms: synonym.Builtin()}}
-	pre := benchPrecompiled(b, opts, 1001)
+	pre := benchPrecompiled(opts, 1001)
 	c := New(opts)
 	if err := c.ReplaceAll(pre[:1000], nil); err != nil {
 		b.Fatal(err)

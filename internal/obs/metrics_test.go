@@ -319,7 +319,8 @@ func TestContextRoundTrip(t *testing.T) {
 
 // The no-op path — untraced context, nil metrics — must be
 // allocation-free: this is what keeps library instrumentation free for
-// non-server users, and what the <2% BENCH_corpus overhead bound rests on.
+// non-server users, and what the <2% overhead bound of corpus search
+// (CorpusSearch/size=100/query=compiled/engine=inverted) rests on.
 func TestNoOpPathAllocationFree(t *testing.T) {
 	ctx := context.Background()
 	var h *Histogram

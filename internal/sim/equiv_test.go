@@ -335,29 +335,3 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 	}
 	tracesIdentical(t, "engine reuse", first, second)
 }
-
-func BenchmarkODECompiled(b *testing.B) {
-	m := biomodels.Generate(biomodels.Config{ID: "bench", Nodes: 40, Edges: 70, Seed: 5, VocabularySize: 100, Decorate: true})
-	e, err := Compile(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := Options{T0: 0, T1: 1, Step: 0.01}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.ODE(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkODEReference(b *testing.B) {
-	m := biomodels.Generate(biomodels.Config{ID: "bench", Nodes: 40, Edges: 70, Seed: 5, VocabularySize: 100, Decorate: true})
-	opts := Options{T0: 0, T1: 1, Step: 0.01}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReferenceODE(m, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -27,8 +27,8 @@
 // amortize compilation across many runs (the model checker does exactly
 // that). The historical tree-walking evaluator is retained as ReferenceODE
 // and ReferenceSSA; the engine's trajectories are pinned bitwise to it by
-// the randomized equivalence tests, and benchfig measures both so the
-// speedup stays visible in BENCH_sim.json.
+// the randomized equivalence tests and FuzzSimEquiv, and the package's
+// benchmarks measure both so the speedup stays visible in BENCH_sim.json.
 //
 // Unlike the original evaluator, failures to evaluate an initial assignment
 // or assignment rule are simulation errors rather than silently skipped

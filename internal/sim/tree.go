@@ -5,11 +5,11 @@ package sim
 // a map-backed environment rebuilt at every evaluation point. It is kept —
 // verbatim in its arithmetic — for two jobs: the randomized equivalence
 // harness pins the compiled engine's trajectories bitwise against it, and
-// cmd/benchfig measures both so BENCH_sim.json records the speedup. The one
-// deliberate behavioural change, mirrored in the engine: evaluation errors
-// in initial assignments and assignment rules propagate as simulation
-// errors instead of being silently discarded (initial assignments still get
-// a best-effort first pass so chains can resolve).
+// the package's benchmarks measure both so BENCH_sim.json records the
+// speedup. The one deliberate behavioural change, mirrored in the engine:
+// evaluation errors in initial assignments and assignment rules propagate
+// as simulation errors instead of being silently discarded (initial
+// assignments still get a best-effort first pass so chains can resolve).
 
 import (
 	"fmt"
