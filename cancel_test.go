@@ -68,7 +68,7 @@ func cancelMidFlight(t *testing.T, attempts int, delay time.Duration, op func(ct
 
 func TestCancelComposeAllMidFlight(t *testing.T) {
 	models := biomodels.NamespacedBatch(40, 60, 90, 8101)
-	cli := New(WithParallel(4))
+	cli := New()
 	before := runtime.NumGoroutine()
 	cancelMidFlight(t, 100, 2*time.Millisecond, func(ctx context.Context) error {
 		res, err := cli.ComposeAll(ctx, models)
@@ -85,7 +85,7 @@ func TestCancelComposeAllMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := New(WithParallel(4)).ComposeAll(context.Background(), models)
+	ref, err := New().ComposeAll(context.Background(), models)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,19 +9,19 @@ package sbmlcompose
 //
 //	cli := sbmlcompose.New(
 //		sbmlcompose.WithSynonyms(table),
-//		sbmlcompose.WithParallel(8),
+//		sbmlcompose.WithLog(os.Stderr),
 //	)
 //	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 //	defer cancel()
 //	res, err := cli.ComposeAll(ctx, models)
 //
 // Cancellation is honored at loop granularity end-to-end: composition
-// checks between component families and reduction-tree nodes, simulation
-// between integrator steps and stochastic events, probability estimation
-// between and inside runs. A cancelled call drains any worker pool it
-// started, returns the context's error, and never exposes a half-mutated
-// result. An uncancelled context always produces results byte-identical
-// to the legacy package-level functions, which remain supported as thin
+// checks between component families, simulation between integrator steps
+// and stochastic events, probability estimation between and inside runs.
+// A cancelled call drains any worker pool it started, returns the
+// context's error, and never exposes a half-mutated result. An uncancelled
+// context always produces results byte-identical to the legacy
+// package-level functions, which remain supported as thin
 // context.Background() wrappers over a default client.
 
 import (
@@ -65,22 +65,6 @@ func WithSynonyms(t *SynonymTable) Option {
 		c.match.Synonyms = t
 		c.synonymsSet = true
 	}
-}
-
-// WithParallel switches ComposeAll to the balanced-binary-reduction merge
-// on a pool of `workers` goroutines (0 or less means GOMAXPROCS). See
-// Options.Parallel for the determinism contract.
-func WithParallel(workers int) Option {
-	return func(c *clientConfig) {
-		c.match.Parallel = true
-		c.match.Workers = workers
-	}
-}
-
-// WithWorkers caps worker pools without enabling the parallel composition
-// mode (it sizes Options.Workers only).
-func WithWorkers(n int) Option {
-	return func(c *clientConfig) { c.match.Workers = n }
 }
 
 // WithLog mirrors composition warnings to w as they are produced.
@@ -188,11 +172,9 @@ func (c *Client) Compose(ctx context.Context, a, b *Model) (*Result, error) {
 	return core.ComposeContext(ctx, a, b, c.opts)
 }
 
-// ComposeAll batch-composes the models — the sequential incremental fold,
-// or the deterministic parallel reduction when the client was built
-// WithParallel. ctx is checked between component families of every fold
-// step and between reduction-tree nodes; a cancelled call drains its
-// worker pool and returns ctx's error with no partial model.
+// ComposeAll batch-composes the models by the incremental fold. ctx is
+// checked between component families of every fold step; a cancelled call
+// returns ctx's error with no partial model.
 func (c *Client) ComposeAll(ctx context.Context, models []*Model) (*Result, error) {
 	return core.ComposeAllContext(ctx, models, c.opts)
 }

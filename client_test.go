@@ -7,6 +7,7 @@ package sbmlcompose
 
 import (
 	"context"
+	"io"
 	"reflect"
 	"testing"
 
@@ -42,10 +43,6 @@ func TestFunctionalOptionsResolveDefaults(t *testing.T) {
 	if opts := New(WithSemantics(LightSemantics)).Options(); opts.Synonyms != nil || opts.Semantics != LightSemantics {
 		t.Fatalf("WithSemantics(light) resolved to %+v", opts)
 	}
-	// WithParallel sets both the mode and the pool.
-	if opts := New(WithParallel(3)).Options(); !opts.Parallel || opts.Workers != 3 {
-		t.Fatalf("WithParallel(3) resolved to %+v", opts)
-	}
 	// An explicit table wins over the builtin.
 	tab := NewSynonymTable()
 	if opts := New(WithSynonyms(tab)).Options(); opts.Synonyms != tab {
@@ -63,8 +60,8 @@ func TestFunctionalOptionsResolveDefaults(t *testing.T) {
 	}
 	// WithMatchOptions is the escape hatch; later options layer on top.
 	base := Options{Semantics: NoSemantics}
-	if opts := New(WithMatchOptions(base), WithWorkers(5)).Options(); opts.Semantics != NoSemantics || opts.Workers != 5 {
-		t.Fatalf("WithMatchOptions+WithWorkers resolved to %+v", opts)
+	if opts := New(WithMatchOptions(base), WithLog(io.Discard)).Options(); opts.Semantics != NoSemantics || opts.Log != io.Discard {
+		t.Fatalf("WithMatchOptions+WithLog resolved to %+v", opts)
 	}
 }
 
@@ -107,19 +104,6 @@ func TestClientComposeMatchesLegacy(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotMatches, legacyMatches) {
 		t.Fatal("Client.MatchModels diverges from package MatchModels")
-	}
-
-	// Parallel client against parallel legacy options.
-	pLegacy, err := ComposeAll(models, &Options{Parallel: true, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pGot, err := New(WithParallel(4)).ComposeAll(ctx, models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ModelToString(pGot.Model) != ModelToString(pLegacy.Model) {
-		t.Fatal("parallel Client.ComposeAll diverges from legacy parallel mode")
 	}
 }
 

@@ -19,8 +19,12 @@
 // (BENCH_sim.json: ./internal/sim ./internal/mc2; BENCH_corpus.json:
 // ./internal/corpus; BENCH_store.json: ./internal/store). A row is named
 // as its benchmark without the "Benchmark" prefix and the "-N" GOMAXPROCS
-// suffix, which goes to the header with the commit, dirty flag and Go
-// version. Serving-level load is measured by cmd/sbmlbench.
+// suffix, which goes to the header with the commit, dirty flag, Go
+// version and source_sha256, a hash of the tracked Go sources and go.mod
+// as they stood when the file was written (see sourceHash). A commit
+// stamp cannot name the commit that adds the file; the source hash can be
+// compared with any later tree. Serving-level load is measured by
+// cmd/sbmlbench.
 //
 // Figure output is one whitespace-separated row per composition (ready for
 // gnuplot); a summary — the numbers EXPERIMENTS.md records — goes to
@@ -32,6 +36,8 @@ package main
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -113,12 +119,13 @@ type benchResult struct {
 
 // benchReport is the BENCH_*.json schema.
 type benchReport struct {
-	Commit     string        `json:"commit"`
-	Dirty      bool          `json:"dirty"`
-	GoVersion  string        `json:"go_version"`
-	GoMaxProcs int           `json:"go_maxprocs"`
-	Unix       int64         `json:"generated_unix"`
-	Results    []benchResult `json:"results"`
+	Commit       string        `json:"commit"`
+	Dirty        bool          `json:"dirty"`
+	SourceSHA256 string        `json:"source_sha256,omitempty"` // see sourceStamp
+	GoVersion    string        `json:"go_version"`
+	GoMaxProcs   int           `json:"go_maxprocs"`
+	Unix         int64         `json:"generated_unix"`
+	Results      []benchResult `json:"results"`
 }
 
 // parseBench reads go test -bench -benchmem output. It refuses output
@@ -215,6 +222,9 @@ func writeJSON(in io.Reader, outPath string) error {
 		return err
 	}
 	rep.Commit, rep.Dirty = commitStamp()
+	if rep.SourceSHA256, err = sourceStamp(); err != nil {
+		return err
+	}
 	rep.GoVersion = runtime.Version()
 	rep.Unix = time.Now().Unix()
 	f, err := os.CreateTemp(filepath.Dir(outPath), filepath.Base(outPath)+".tmp*")
@@ -247,6 +257,42 @@ func commitStamp() (string, bool) {
 	}
 	status, err := exec.Command("git", "status", "--porcelain").Output()
 	return strings.TrimSpace(string(out)), err == nil && len(strings.TrimSpace(string(status))) > 0
+}
+
+// sourceStamp is sourceHash over the checkout's tracked *.go files and
+// go.mod; empty outside a git checkout.
+func sourceStamp() (string, error) {
+	top, err := exec.Command("git", "rev-parse", "--show-toplevel").Output()
+	if err != nil {
+		return "", nil
+	}
+	root := strings.TrimSpace(string(top))
+	ls := exec.Command("git", "ls-files", "-z", "--", "*.go", "go.mod")
+	ls.Dir = root
+	out, err := ls.Output()
+	if err != nil {
+		return "", err
+	}
+	return sourceHash(root, strings.Split(strings.TrimRight(string(out), "\x00"), "\x00"))
+}
+
+// sourceHash is the SHA-256 over the named files under root, taken in
+// sorted path order so the listing order does not matter: for each file
+// its slash-separated path, a NUL byte, then its contents.
+func sourceHash(root string, paths []string) (string, error) {
+	paths = append([]string(nil), paths...)
+	sort.Strings(paths)
+	h := sha256.New()
+	for _, p := range paths {
+		b, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(p)))
+		if err != nil {
+			return "", err
+		}
+		h.Write([]byte(p))
+		h.Write([]byte{0})
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // timeCompose returns the minimum wall-clock seconds over reps runs.
@@ -318,8 +364,10 @@ func figure8(ctx context.Context, stride, reps int) error {
 		fmt.Printf("%d %d %d %d %.4f %.3f\n",
 			idx, a.Size()+b.Size(), a.Size(), b.Size(), secs*1000, log10ms(secs))
 	}
-	// Shape summary: smallest and largest quartile means show the O(nm)
-	// growth the paper's Figure 8 plots.
+	// Shape summary: the last-to-first quartile ratio of mean compose time
+	// over the size-ordered sweep. It is a growth ratio, not an exponent: a
+	// log-log fit over a stride-8 sweep's non-empty pairs gave slope 1.16
+	// against combined size a+b, close to linear under the hash index.
 	q := len(times) / 4
 	fmt.Fprintf(os.Stderr, "first-quartile mean %.4f ms, last-quartile mean %.4f ms (growth ×%.1f)\n",
 		mean(times[:q])*1000, mean(times[len(times)-q:])*1000,

@@ -68,3 +68,40 @@ func TestWriteJSONRefusesBrokenRuns(t *testing.T) {
 		t.Errorf("converted file lacks its header or metrics:\n%s", b)
 	}
 }
+
+func TestSourceHash(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{"go.mod": "module m\n", "a.go": "package a\n", "sub/b.go": "package b\n"}
+	for p, body := range files {
+		if err := os.MkdirAll(filepath.Join(root, filepath.Dir(p)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, p), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h1, err := sourceHash(root, []string{"sub/b.go", "go.mod", "a.go"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, err := sourceHash(root, []string{"a.go", "go.mod", "sub/b.go"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h1 != h2 {
+		t.Errorf("hash depends on listing order: %s vs %s", h1, h2)
+	}
+	if err := os.WriteFile(filepath.Join(root, "sub/b.go"), []byte("package c\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h3, err := sourceHash(root, []string{"a.go", "go.mod", "sub/b.go"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h3 == h1 {
+		t.Error("hash unchanged after a one-byte edit")
+	}
+	if _, err := sourceHash(root, []string{"missing.go"}); err == nil {
+		t.Error("hashed a missing file")
+	}
+}

@@ -13,13 +13,11 @@
 //	-semantics s   heavy | light | none (default heavy)
 //	-synonyms file extra synonym classes, one per line, tab-separated
 //	-index s       hash | linear | sorted | suffixtree (default hash)
-//	-parallel      batch-merge via balanced binary reduction (deterministic)
-//	-workers n     parallel worker pool size (default GOMAXPROCS)
 //	-stats         print merge statistics to stderr
 //
-// Without -parallel the models are streamed through an incremental
-// Composer: each file is parsed and folded into one persistent compiled
-// accumulator, so only one input model is resident at a time.
+// The models are streamed through an incremental Composer: each file is
+// parsed and folded into one persistent compiled accumulator, so only one
+// input model is resident at a time.
 //
 // Ctrl-C (SIGINT) or SIGTERM cancels the in-flight composition at its
 // next loop-granular check, prints partial progress statistics to stderr,
@@ -66,8 +64,6 @@ func run(ctx context.Context) error {
 		semantics = flag.String("semantics", "heavy", "matching depth: heavy | light | none")
 		synPath   = flag.String("synonyms", "", "extra synonym table file")
 		indexKind = flag.String("index", "hash", "component index: hash | linear | sorted | suffixtree")
-		parallel  = flag.Bool("parallel", false, "batch-merge via balanced binary reduction")
-		workers   = flag.Int("workers", 0, "parallel worker pool size (0 = GOMAXPROCS)")
 		stats     = flag.Bool("stats", false, "print merge statistics to stderr")
 	)
 	flag.Parse()
@@ -129,59 +125,25 @@ func run(ctx context.Context) error {
 	// point of signal-aware cancellation is dying informatively instead of
 	// mid-write.
 	folded := 0
-	partialStats := func(phase string, err error) error {
-		fmt.Fprintf(os.Stderr, "sbmlcompose: cancelled %s after folding %d/%d models in %s; no output written\n",
-			phase, folded, flag.NArg(), time.Since(start).Round(time.Millisecond))
-		return err
-	}
-
-	if *parallel {
-		opts.Parallel = true
-		opts.Workers = *workers
-	}
 	cli := sbmlcompose.New(sbmlcompose.WithMatchOptions(opts))
-	var res *sbmlcompose.Result
-	if *parallel {
-		models := make([]*sbmlcompose.Model, 0, flag.NArg())
-		for _, path := range flag.Args() {
-			if err := ctx.Err(); err != nil {
-				return partialStats("while parsing inputs", err)
-			}
-			m, err := sbmlcompose.ParseModelFile(path)
-			if err != nil {
-				return err
-			}
-			models = append(models, m)
-		}
-		var err error
-		res, err = cli.ComposeAll(ctx, models)
+	// Stream: parse and fold one file at a time into the compiled
+	// accumulator.
+	comp := cli.NewComposer()
+	for _, path := range flag.Args() {
+		m, err := sbmlcompose.ParseModelFile(path)
 		if err != nil {
+			return err
+		}
+		if err := comp.AddContext(ctx, m); err != nil {
 			if errors.Is(err, context.Canceled) {
-				// A cancelled reduction discards all partial merge work,
-				// so zero models were folded into a surviving result.
-				return partialStats("during the parallel reduction", err)
+				fmt.Fprintf(os.Stderr, "sbmlcompose: cancelled mid-fold after folding %d/%d models in %s; no output written\n",
+					folded, flag.NArg(), time.Since(start).Round(time.Millisecond))
 			}
 			return err
 		}
-	} else {
-		// Stream: parse and fold one file at a time into the compiled
-		// accumulator.
-		comp := cli.NewComposer()
-		for _, path := range flag.Args() {
-			m, err := sbmlcompose.ParseModelFile(path)
-			if err != nil {
-				return err
-			}
-			if err := comp.AddContext(ctx, m); err != nil {
-				if errors.Is(err, context.Canceled) {
-					return partialStats("mid-fold", err)
-				}
-				return err
-			}
-			folded++
-		}
-		res = comp.Result()
+		folded++
 	}
+	res := comp.Result()
 	if err := sbmlcompose.Validate(res.Model); err != nil {
 		fmt.Fprintf(logW, "warning: composed model failed validation: %v\n", err)
 	}

@@ -1,8 +1,7 @@
 package sbmlcompose
 
-// Facade coverage for the compiled-model engine: Compile, the streaming
-// Composer, and the parallel ComposeAll mode, all with the facade's
-// default-synonym resolution.
+// Facade coverage for the compiled-model engine: Compile and the
+// streaming Composer, with the facade's default-synonym resolution.
 
 import (
 	"testing"
@@ -65,33 +64,5 @@ func TestFacadeCompileSeedsComposer(t *testing.T) {
 	}
 	if CanonicalXML(c.Model()) != CanonicalXML(want.Model) {
 		t.Error("Compile+Composer diverged from ComposeAll")
-	}
-}
-
-func TestFacadeParallelComposeAll(t *testing.T) {
-	models := facadeBatch(6)
-	seq, err := ComposeAll(models, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ComposeAll(models, &Options{Parallel: true, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(par.Model); err != nil {
-		t.Fatalf("parallel model invalid: %v", err)
-	}
-	// Generated models share species and reaction structures; whatever the
-	// merge order, the same duplicates must collapse.
-	if seq.Model.ComponentCount() != par.Model.ComponentCount() {
-		t.Errorf("component counts differ: sequential %d, parallel %d",
-			seq.Model.ComponentCount(), par.Model.ComponentCount())
-	}
-	res2, err := ComposeAll(models, &Options{Parallel: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if CanonicalXML(res2.Model) != CanonicalXML(par.Model) {
-		t.Error("parallel composition not deterministic across worker counts")
 	}
 }

@@ -115,12 +115,10 @@ func ExampleClient() {
 }
 
 // ExampleNew configures a client with functional options: light
-// semantics (no synonym table, no unit conversion) and the parallel
-// batch-composition mode on four workers.
+// semantics (no synonym table, no unit conversion).
 func ExampleNew() {
 	cli := sbmlcompose.New(
 		sbmlcompose.WithSemantics(sbmlcompose.LightSemantics),
-		sbmlcompose.WithParallel(4),
 	)
 	a, _ := cli.ParseModelString(chainAB)
 	b, _ := cli.ParseModelString(chainBC)

@@ -46,23 +46,19 @@ func BenchmarkCompose(b *testing.B) {
 
 // BenchmarkComposeAll measures batch assembly strategies across batch
 // sizes under the hash and sorted indexes: the compiled-accumulator
-// sequential fold, the parallel balanced reduction, and the seed's
-// recompose-every-step left fold they replaced. FuzzComposeFold pins the
-// sequential fold to the seed fold and the parallel one across widths.
+// sequential fold and the seed's recompose-every-step left fold it
+// replaced. FuzzComposeFold pins the two to the same answer.
 func BenchmarkComposeAll(b *testing.B) {
 	tab := synonym.Builtin()
 	for _, n := range []int{8, 16} {
 		models := biomodels.NamespacedBatch(n, 60, 90, 880)
 		for _, kind := range []index.Kind{index.Hash, index.Sorted} {
 			opts := Options{Index: kind, Synonyms: tab}
-			popts := opts
-			popts.Parallel = true
 			for _, s := range []struct {
 				name string
 				run  func(b *testing.B) error
 			}{
 				{"sequential", func(*testing.B) error { _, err := ComposeAll(models, opts); return err }},
-				{"parallel", func(*testing.B) error { _, err := ComposeAll(models, popts); return err }},
 				{"seed-left-fold", func(b *testing.B) error { seedFold(b, models, opts); return nil }},
 			} {
 				b.Run(fmt.Sprintf("n=%d/index=%s/%s", n, kind, s.name), func(b *testing.B) {

@@ -1,15 +1,14 @@
 package core
 
 // Cancellation tests for the context plumbing: the step pipeline's
-// family-boundary checks, Composer poisoning semantics, and the parallel
-// reduction's worker drain. A countingCtx cancels after an exact number of
-// Err() observations, which makes "cancelled between family 3 and 4 of
-// step 5" reproducible instead of a wall-clock race.
+// family-boundary checks and Composer poisoning semantics. A countingCtx
+// cancels after an exact number of Err() observations, which makes
+// "cancelled between family 3 and 4 of step 5" reproducible instead of a
+// wall-clock race.
 
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,10 +18,8 @@ import (
 
 // countingCtx reports Canceled from the (n+1)-th Err() call on. The
 // composition code only polls Err(), so Done returning a never-closed
-// channel is fine; the mutex makes it safe for the parallel reduction's
-// workers.
+// channel is fine.
 type countingCtx struct {
-	mu        sync.Mutex
 	remaining int
 	done      chan struct{}
 }
@@ -36,8 +33,6 @@ func (c *countingCtx) Done() <-chan struct{}       { return c.done }
 func (c *countingCtx) Value(any) any               { return nil }
 
 func (c *countingCtx) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.remaining <= 0 {
 		return context.Canceled
 	}
@@ -131,42 +126,6 @@ func TestAddContextPoisonSweep(t *testing.T) {
 	}
 	if !sawPoison || !sawClean {
 		t.Fatalf("sweep did not exercise both outcomes (poison=%v clean=%v)", sawPoison, sawClean)
-	}
-}
-
-// TestComposeAllContextParallelCancelSweep lands cancellation at every
-// Err() observation point of a parallel reduction: every outcome must be
-// either context.Canceled with no result, or a result byte-identical to
-// the uncancelled run — scheduling may vary, results may not.
-func TestComposeAllContextParallelCancelSweep(t *testing.T) {
-	models := cancelBatch(t, 8)
-	opts := Options{Parallel: true, Workers: 4}
-	ref, err := ComposeAll(models, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sbml.WrapModel(ref.Model).String()
-
-	sawCancel := false
-	for budget := 0; ; budget++ {
-		res, err := ComposeAllContext(newCountingCtx(budget), models, opts)
-		if err != nil {
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("budget %d: unexpected error %v", budget, err)
-			}
-			if res != nil {
-				t.Fatalf("budget %d: cancelled ComposeAll returned a result", budget)
-			}
-			sawCancel = true
-			continue
-		}
-		if got := sbml.WrapModel(res.Model).String(); got != want {
-			t.Fatalf("budget %d: result diverged from uncancelled run", budget)
-		}
-		break // a budget that survived the full reduction; done
-	}
-	if !sawCancel {
-		t.Fatal("sweep never observed a cancellation")
 	}
 }
 

@@ -78,25 +78,8 @@ type Options struct {
 	// map; others exist for the index ablation).
 	Index index.Kind
 	// Log receives warning lines as they are produced; nil discards them.
-	// Warnings are also collected on the Result. In parallel mode writes
-	// are serialized but their interleaving across merge nodes is
-	// unspecified; the Result's Warnings stay deterministic.
+	// Warnings are also collected on the Result.
 	Log io.Writer
-	// Parallel switches ComposeAll from the sequential incremental fold to
-	// a balanced-binary-reduction merge fanned out with par.Do. The
-	// merge tree depends only on the input order, so results are
-	// reproducible regardless of scheduling. Because components meet in a
-	// different order than under the left fold, results can differ from
-	// the sequential mode's on conflicting inputs: fresh-name choices,
-	// conflict resolutions, and even which duplicates merge (e.g. two
-	// equal-valued parameters that each conflict with an earlier model's
-	// may merge with each other in the tree but be renamed apart by the
-	// fold). On batches whose models don't fight over ids the two modes
-	// agree byte for byte.
-	Parallel bool
-	// Workers is the parallel mode's par.Do worker count; 0 or less means
-	// GOMAXPROCS.
-	Workers int
 }
 
 // Warning records a decision the composer took on the user's behalf, such as
@@ -343,21 +326,18 @@ func MatchModelsContext(ctx context.Context, a, b *sbml.Model, opts Options) ([]
 // group of modelers be creating a large new model … it is not possible for
 // the model to be built incrementally").
 //
-// By default it folds left-to-right through one persistent compiled
+// It folds left-to-right through one persistent compiled
 // accumulator, so each input model is matched against indexes that are
-// updated in place rather than rebuilt every step. With opts.Parallel it
-// switches to a deterministic balanced-binary-reduction merge across a
-// worker pool (see Options.Parallel).
+// updated in place rather than rebuilt every step.
 func ComposeAll(models []*sbml.Model, opts Options) (*Result, error) {
 	return ComposeAllContext(context.Background(), models, opts)
 }
 
-// ComposeAllContext is ComposeAll honoring cancellation: the sequential
-// fold checks ctx between component families of every Add, and the parallel
-// reduction's workers check it between tree nodes. A cancelled call returns
-// ctx's error and no model; all accumulators are private to the call, so
+// ComposeAllContext is ComposeAll honoring cancellation: the fold checks
+// ctx between component families of every Add. A cancelled call returns
+// ctx's error and no model; the accumulator is private to the call, so
 // nothing half-mutated escapes. An uncancelled context yields results
-// byte-identical to ComposeAll at every worker count.
+// byte-identical to ComposeAll.
 func ComposeAllContext(ctx context.Context, models []*sbml.Model, opts Options) (*Result, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("core: ComposeAll requires at least one model")
@@ -366,9 +346,6 @@ func ComposeAllContext(ctx context.Context, models []*sbml.Model, opts Options) 
 		if m == nil {
 			return nil, fmt.Errorf("core: ComposeAll model %d is nil", i)
 		}
-	}
-	if opts.Parallel && len(models) > 1 {
-		return composeAllParallel(ctx, models, opts)
 	}
 	c := NewComposer(opts)
 	for _, m := range models {

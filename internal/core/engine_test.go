@@ -3,8 +3,7 @@ package core
 // Tests for the compiled-model engine: the incremental fold must behave
 // exactly like the seed's re-compose-from-scratch left fold, the compiled
 // accumulator's in-place index updates must match a from-scratch rebuild
-// after renames, and the parallel balanced-binary reduction must be
-// deterministic for any worker count.
+// after renames.
 
 import (
 	"reflect"
@@ -14,7 +13,6 @@ import (
 	"sbmlcompose/internal/index"
 	"sbmlcompose/internal/mathml"
 	"sbmlcompose/internal/sbml"
-	"sbmlcompose/internal/synonym"
 )
 
 // renameHeavyBatch generates synthetic models whose global parameters all
@@ -32,23 +30,6 @@ func renameHeavyBatch(t testing.TB, n int) []*sbml.Model {
 			VocabularySize: 60,
 			Decorate:       true,
 		})
-	}
-	return models
-}
-
-// cleanBatch generates models with per-model parameter namespaces, so batch
-// composition is order-insensitive: no id ever needs a rename, and the left
-// fold and the balanced reduction must agree byte for byte.
-func cleanBatch(t testing.TB, n int) []*sbml.Model {
-	t.Helper()
-	models := renameHeavyBatch(t, n)
-	for i, m := range models {
-		ren := make(map[string]string, len(m.Parameters))
-		for _, p := range m.Parameters {
-			ren[p.ID] = m.ID + "_" + p.ID
-		}
-		m.RenameSymbols(ren)
-		models[i] = m
 	}
 	return models
 }
@@ -294,55 +275,6 @@ func compareCompiled(t *testing.T, inc, fresh *CompiledModel) {
 	}
 }
 
-// TestComposeAllParallelDeterministic runs the balanced reduction with
-// different worker counts over rename-heavy input; scheduling must not leak
-// into any part of the Result.
-func TestComposeAllParallelDeterministic(t *testing.T) {
-	models := renameHeavyBatch(t, 7) // odd count exercises the carry-over leaf
-	var ref *Result
-	for _, workers := range []int{1, 2, 3, 8} {
-		res, err := ComposeAll(models, Options{Parallel: true, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sbml.Check(res.Model); err != nil {
-			t.Fatalf("workers=%d: invalid model: %v", workers, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		equalResults(t, "workers", res, ref)
-	}
-}
-
-// TestComposeAllParallelMatchesSequential checks the acceptance property:
-// on an order-insensitive batch (no cross-model id fights), the sequential
-// incremental fold and the parallel balanced reduction produce byte-
-// identical composed models and identical merge statistics.
-func TestComposeAllParallelMatchesSequential(t *testing.T) {
-	models := cleanBatch(t, 8)
-	seq, err := ComposeAll(models, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ComposeAll(models, Options{Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Stats.Renamed != 0 || par.Stats.Renamed != 0 {
-		t.Fatalf("clean batch should not rename (seq=%d par=%d)", seq.Stats.Renamed, par.Stats.Renamed)
-	}
-	if got, want := modelBytes(par.Model), modelBytes(seq.Model); got != want {
-		t.Error("parallel reduction and sequential fold disagree on a clean batch")
-	}
-	ss, sp := seq.Stats, par.Stats
-	ss.Duration, sp.Duration = 0, 0
-	if ss != sp {
-		t.Errorf("stats differ: sequential %+v vs parallel %+v", ss, sp)
-	}
-}
-
 // TestComposerFigure5EmptyCases covers the streaming equivalents of Figure
 // 5 lines 1-2: empty accumulators and empty inputs short-circuit.
 func TestComposerFigure5EmptyCases(t *testing.T) {
@@ -384,13 +316,6 @@ func TestComposerFigure5EmptyCases(t *testing.T) {
 	}
 	if res2.Model.ID != "e2" {
 		t.Errorf("empty+empty fold kept %q, want e2", res2.Model.ID)
-	}
-	par, err := ComposeAll([]*sbml.Model{e1, e2}, Options{Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Model.ID != "e2" {
-		t.Errorf("empty+empty parallel kept %q, want e2", par.Model.ID)
 	}
 }
 
@@ -462,16 +387,6 @@ func TestRekeyAfterMidStepRename(t *testing.T) {
 		t.Fatalf("seed fold should merge to 1 constraint, got %d", len(want.Model.Constraints))
 	}
 	equalResults(t, "mid-step rename rekey", got, want)
-
-	// Parallel reduction reuses accumulators across tree levels, so it
-	// must re-key too: ((m1+m2)+m3) hits the same stale-key shape.
-	par, err := ComposeAll(models, Options{Parallel: true, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par.Model.Constraints) != 1 {
-		t.Errorf("parallel reduction kept %d constraints, want 1", len(par.Model.Constraints))
-	}
 }
 
 // TestAdoptedLawParamsClaimed pins the id bookkeeping for kinetic-law
@@ -515,26 +430,4 @@ func TestAdoptedLawParamsClaimed(t *testing.T) {
 		t.Fatalf("seed fold renamed P to %q, expected P_m3 (test setup drifted)", want.Renames["P"])
 	}
 	equalResults(t, "adopted-law params", got, want)
-}
-
-// TestComposeAllParallelWithSynonyms shares one synonym table across the
-// parallel workers — under -race this catches any unsynchronized table
-// access (Canonical and Match path-compress, i.e. write, on lookup).
-func TestComposeAllParallelWithSynonyms(t *testing.T) {
-	models := renameHeavyBatch(t, 8)
-	tab := synonym.Builtin()
-	par, err := ComposeAll(models, Options{Parallel: true, Workers: 4, Synonyms: tab})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := ComposeAll(models, Options{Synonyms: tab})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Model.ComponentCount() == 0 || seq.Model.ComponentCount() == 0 {
-		t.Fatal("empty composition")
-	}
-	if err := sbml.Check(par.Model); err != nil {
-		t.Errorf("parallel model invalid: %v", err)
-	}
 }

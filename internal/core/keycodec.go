@@ -117,8 +117,8 @@ func Uvarint(b []byte) (uint64, int) {
 
 // MatchKeyFingerprint hashes the parts of the options that key derivation
 // depends on: the semantics level and the synonym table's equivalence
-// classes (canonicalNameFor consults both; the index kind, logging and
-// parallelism knobs cannot change a key). Two option sets with equal
+// classes (canonicalNameFor consults both; the index kind and logging
+// cannot change a key). Two option sets with equal
 // fingerprints derive identical keys for any model, so a snapshot's
 // precompiled keys are reusable exactly when its recorded fingerprint
 // matches the opening corpus's.

@@ -123,20 +123,3 @@ func TestComposerValuesAssignmentOnlyStep(t *testing.T) {
 		t.Errorf("values[k] = %g, want 5 (assignment-only step must refresh the overlay)", v)
 	}
 }
-
-// TestParallelFoldValuesMatchScan checks the balanced-reduction path keeps
-// every surviving accumulator's values settled too.
-func TestParallelFoldValuesMatchScan(t *testing.T) {
-	models := cleanBatch(t, 7)
-	res, err := ComposeAll(models, Options{Parallel: true, Workers: 3, Synonyms: synonym.Builtin()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := ComposeAll(models, Options{Synonyms: synonym.Builtin()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if modelBytes(res.Model) != modelBytes(seq.Model) {
-		t.Fatal("clean batch should compose identically in both modes")
-	}
-}

@@ -1,6 +1,6 @@
 // Package par is the bounded fan-out behind every parallel batch in the
-// system: SSA ensembles and Monte Carlo model checking, the balanced
-// ComposeAll reduction, store recovery's parse path and corpus scoring.
+// system: SSA ensembles and Monte Carlo model checking, store recovery's
+// parse path and corpus scoring.
 // Each of those is n independent units of work whose results land in
 // per-index slots, so the schedule never changes the answer.
 package par

@@ -335,3 +335,69 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 	}
 	tracesIdentical(t, "engine reuse", first, second)
 }
+
+// TestSSAClampsNaNPropensity pins the NaN clamp both evaluators apply to
+// propensities: R2's law ln(q) with q = -1 is NaN, so R2 must never fire,
+// while R1 (S -> P at k*S) runs normally. Without the clamp a NaN enters
+// the propensity total and the event draw.
+func TestSSAClampsNaNPropensity(t *testing.T) {
+	m := sbml.NewModel("nanprop")
+	m.Compartments = append(m.Compartments, &sbml.Compartment{ID: "cell", SpatialDimensions: 3, Size: 1, HasSize: true, Constant: true})
+	for _, s := range []struct {
+		id   string
+		init float64
+	}{{"S", 1000}, {"P", 0}, {"X", 0}} {
+		m.Species = append(m.Species, &sbml.Species{ID: s.id, Compartment: "cell", InitialAmount: s.init, HasInitialAmount: true})
+	}
+	m.Parameters = append(m.Parameters,
+		&sbml.Parameter{ID: "k", Value: 1, HasValue: true, Constant: true},
+		&sbml.Parameter{ID: "q", Value: -1, HasValue: true, Constant: true},
+	)
+	m.Reactions = append(m.Reactions,
+		&sbml.Reaction{
+			ID:         "R1",
+			Reactants:  []*sbml.SpeciesReference{{Species: "S", Stoichiometry: 1}},
+			Products:   []*sbml.SpeciesReference{{Species: "P", Stoichiometry: 1}},
+			KineticLaw: &sbml.KineticLaw{Math: mathml.MustParseInfix("k*S")},
+		},
+		&sbml.Reaction{
+			ID:         "R2",
+			Reactants:  []*sbml.SpeciesReference{{Species: "S", Stoichiometry: 1}},
+			Products:   []*sbml.SpeciesReference{{Species: "X", Stoichiometry: 1}},
+			KineticLaw: &sbml.KineticLaw{Math: mathml.MustParseInfix("ln(q)")},
+		},
+	)
+	opts := Options{T0: 0, T1: 1, Step: 0.25, Seed: 7}
+	e, err := Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := e.SSA(opts)
+	if err != nil {
+		t.Fatalf("Engine.SSA: %v", err)
+	}
+	ref, err := ReferenceSSA(m, opts)
+	if err != nil {
+		t.Fatalf("ReferenceSSA: %v", err)
+	}
+	for _, run := range []struct {
+		label string
+		tr    *trace.Trace
+	}{{"engine", eng}, {"reference", ref}} {
+		label, tr := run.label, run.tr
+		last := tr.Len() - 1
+		if tr.Times[last] != opts.T1 {
+			t.Fatalf("%s: trace ends at t=%v, want %v", label, tr.Times[last], opts.T1)
+		}
+		x, p := tr.Column("X"), tr.Column("P")
+		for i := range tr.Times {
+			if v := tr.Values[i][x]; v != 0 {
+				t.Fatalf("%s: X = %v at t=%v; the NaN-propensity reaction fired", label, v, tr.Times[i])
+			}
+		}
+		if v := tr.Values[last][p]; !(v > 0) {
+			t.Fatalf("%s: P ends at %v, want > 0", label, v)
+		}
+	}
+	tracesIdentical(t, "nan-propensity", ref, eng)
+}

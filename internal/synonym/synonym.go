@@ -25,7 +25,7 @@ import (
 // The zero value is not usable; call NewTable. A Table is safe for
 // concurrent use: even read-style queries (Match, Canonical) mutate the
 // underlying union-find forest through path compression, so all access is
-// serialized — parallel composition shares one table across its workers.
+// serialized — concurrent searches and compositions share one table.
 type Table struct {
 	mu     sync.Mutex
 	parent map[string]string // union-find forest over normalized names

@@ -25,17 +25,15 @@
 // Batch and streaming assembly run on the compiled-model engine: Compile
 // precomputes a model's match keys and component indexes, Composer folds
 // models one at a time into a persistent compiled accumulator whose indexes
-// update in place, and a client built WithParallel batch-merges via a
-// deterministic balanced binary reduction across a worker pool:
+// update in place, and ComposeAll is that fold over a batch:
 //
-//	cli := sbmlcompose.New(sbmlcompose.WithParallel(8))
 //	res, err := cli.ComposeAll(ctx, models)
 //
 // Cancellation is honored at loop granularity everywhere — between
-// composition stages and reduction-tree nodes, between integrator steps,
-// inside stochastic event loops, between Monte Carlo runs — and a
-// cancelled operation drains its worker pools and returns the context's
-// error without exposing partial state. Uncancelled results are
+// composition stages, between integrator steps, inside stochastic event
+// loops, between Monte Carlo runs — and a cancelled operation drains its
+// worker pools and returns the context's error without exposing partial
+// state. Uncancelled results are
 // byte-identical to the legacy API's.
 //
 // Beyond composition the package exposes the paper's full evaluation
@@ -190,10 +188,8 @@ func Compose(a, b *Model, opts *Options) (*Result, error) {
 	return core.Compose(a, b, resolveOptions(opts))
 }
 
-// ComposeAll batch-composes the models: by default an incremental left
-// fold through one persistent compiled accumulator; with opts.Parallel a
-// deterministic balanced-binary-reduction merge across a worker pool
-// (opts.Workers, defaulting to GOMAXPROCS).
+// ComposeAll batch-composes the models: an incremental left fold through
+// one persistent compiled accumulator.
 func ComposeAll(models []*Model, opts *Options) (*Result, error) {
 	return core.ComposeAll(models, resolveOptions(opts))
 }
