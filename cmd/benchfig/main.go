@@ -21,10 +21,11 @@
 // as its benchmark without the "Benchmark" prefix and the "-N" GOMAXPROCS
 // suffix, which goes to the header with the commit, dirty flag, Go
 // version and source_sha256, a hash of the tracked Go sources and go.mod
-// as they stood when the file was written (see sourceHash). A commit
-// stamp cannot name the commit that adds the file; the source hash can be
-// compared with any later tree. Serving-level load is measured by
-// cmd/sbmlbench.
+// as they stood when the file was written (see sourceHash). The rows a
+// go test -count N run prints for one name fold into one row of medians
+// that records N as its runs. A commit stamp cannot name the commit that
+// adds the file; the source hash can be compared with any later tree.
+// Serving-level load is measured by cmd/sbmlbench.
 //
 // Figure output is one whitespace-separated row per composition (ready for
 // gnuplot); a summary — the numbers EXPERIMENTS.md records — goes to
@@ -115,6 +116,9 @@ type benchResult struct {
 	LiveHeapMB float64 `json:"live_heap_mb,omitempty"`
 	// Metrics holds any other b.ReportMetric units by name.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Runs counts the runs the row folds (go test -count); every value
+	// above is their median.
+	Runs int `json:"runs"`
 }
 
 // benchReport is the BENCH_*.json schema.
@@ -130,7 +134,8 @@ type benchReport struct {
 
 // parseBench reads go test -bench -benchmem output. It refuses output
 // with a FAIL line or a package without its ok line, so a broken run
-// never becomes a snapshot.
+// never becomes a snapshot. The rows go test -count N prints for one name
+// fold into one (see fold).
 func parseBench(in io.Reader) (*benchReport, error) {
 	rep := &benchReport{GoMaxProcs: -1}
 	var pkgs []string
@@ -171,7 +176,72 @@ func parseBench(in io.Reader) (*benchReport, error) {
 			return nil, fmt.Errorf("package %s has no ok line", p)
 		}
 	}
+	rep.Results = fold(rep.Results)
 	return rep, nil
+}
+
+// fold merges the rows of each name into one, in the order names first
+// appear: each value is the median over the name's rows, and Runs counts
+// them. A metric unit is the median over the rows that report it.
+func fold(rows []benchResult) []benchResult {
+	var names []string
+	byName := map[string][]benchResult{}
+	for _, r := range rows {
+		if _, seen := byName[r.Name]; !seen {
+			names = append(names, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]benchResult, len(names))
+	for i, name := range names {
+		runs := byName[name]
+		med := func(v func(benchResult) float64) float64 {
+			xs := make([]float64, len(runs))
+			for j, r := range runs {
+				xs[j] = v(r)
+			}
+			return median(xs)
+		}
+		r := benchResult{
+			Name:        name,
+			Iterations:  int(math.Round(med(func(r benchResult) float64 { return float64(r.Iterations) }))),
+			NsPerOp:     med(func(r benchResult) float64 { return r.NsPerOp }),
+			AllocsPerOp: int64(math.Round(med(func(r benchResult) float64 { return float64(r.AllocsPerOp) }))),
+			BytesPerOp:  int64(math.Round(med(func(r benchResult) float64 { return float64(r.BytesPerOp) }))),
+			LiveHeapMB:  med(func(r benchResult) float64 { return r.LiveHeapMB }),
+			Runs:        len(runs),
+		}
+		for _, run := range runs {
+			for unit := range run.Metrics {
+				if _, done := r.Metrics[unit]; done {
+					continue
+				}
+				var xs []float64
+				for _, o := range runs {
+					if x, ok := o.Metrics[unit]; ok {
+						xs = append(xs, x)
+					}
+				}
+				if r.Metrics == nil {
+					r.Metrics = map[string]float64{}
+				}
+				r.Metrics[unit] = median(xs)
+			}
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// median returns the median of xs, the mean of the middle two for an
+// even count; xs is sorted in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // parseRow parses one result line: name, iterations, then value-unit

@@ -29,9 +29,9 @@ func TestParseBench(t *testing.T) {
 		t.Errorf("GOMAXPROCS = %d, want 2 from the -2 suffix", rep.GoMaxProcs)
 	}
 	want := []benchResult{
-		{Name: "WALAppend/fsync=never", Iterations: 60398, NsPerOp: 17000, BytesPerOp: 19000, AllocsPerOp: 6},
-		{Name: "StoreRecovery/models=1000/source=wal", Iterations: 12, NsPerOp: 113560977, BytesPerOp: 54062024, AllocsPerOp: 329233, LiveHeapMB: 4.974},
-		{Name: "Install", Iterations: 1, NsPerOp: 24344333, BytesPerOp: 6909888, AllocsPerOp: 40297, Metrics: map[string]float64{"live-B/model": 4906}},
+		{Name: "WALAppend/fsync=never", Iterations: 60398, NsPerOp: 17000, BytesPerOp: 19000, AllocsPerOp: 6, Runs: 1},
+		{Name: "StoreRecovery/models=1000/source=wal", Iterations: 12, NsPerOp: 113560977, BytesPerOp: 54062024, AllocsPerOp: 329233, LiveHeapMB: 4.974, Runs: 1},
+		{Name: "Install", Iterations: 1, NsPerOp: 24344333, BytesPerOp: 6909888, AllocsPerOp: 40297, Metrics: map[string]float64{"live-B/model": 4906}, Runs: 1},
 	}
 	if !reflect.DeepEqual(rep.Results, want) {
 		t.Errorf("rows:\n got %+v\nwant %+v", rep.Results, want)
@@ -40,6 +40,33 @@ func TestParseBench(t *testing.T) {
 	one, err := parseBench(strings.NewReader("pkg: p\nBenchmarkX 5 10 ns/op\nok  \tp\t1s\n"))
 	if err != nil || one.GoMaxProcs != 1 {
 		t.Errorf("unsuffixed row: GOMAXPROCS %v, err %v; want 1", one, err)
+	}
+}
+
+// TestParseBenchFoldsRepeatedRows: the rows go test -count N prints for
+// one name become one row of per-value medians that counts its runs, in
+// the order names first appear.
+func TestParseBenchFoldsRepeatedRows(t *testing.T) {
+	in := `pkg: sbmlcompose/internal/corpus
+BenchmarkAdd-2   	2	 300 ns/op	 5000 live-B/model	 70 B/op	 7 allocs/op
+BenchmarkInstall-2	1	  50 ns/op	 4900 live-B/model	 10 B/op	 1 allocs/op
+BenchmarkAdd-2   	1	 100 ns/op	 1000 live-B/model	 90 B/op	 9 allocs/op
+BenchmarkInstall-2	3	  70 ns/op	 4800 live-B/model	 30 B/op	 3 allocs/op
+BenchmarkAdd-2   	4	 200 ns/op	 3000 live-B/model	 80 B/op	 8 allocs/op
+BenchmarkRecover-2	5	  10 ns/op	 1.5 live_heap_mb	  1 B/op	 1 allocs/op
+ok  	sbmlcompose/internal/corpus	1s
+`
+	rep, err := parseBench(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []benchResult{
+		{Name: "Add", Iterations: 2, NsPerOp: 200, BytesPerOp: 80, AllocsPerOp: 8, Metrics: map[string]float64{"live-B/model": 3000}, Runs: 3},
+		{Name: "Install", Iterations: 2, NsPerOp: 60, BytesPerOp: 20, AllocsPerOp: 2, Metrics: map[string]float64{"live-B/model": 4850}, Runs: 2},
+		{Name: "Recover", Iterations: 5, NsPerOp: 10, BytesPerOp: 1, AllocsPerOp: 1, LiveHeapMB: 1.5, Runs: 1},
+	}
+	if !reflect.DeepEqual(rep.Results, want) {
+		t.Errorf("folded rows:\n got %+v\nwant %+v", rep.Results, want)
 	}
 }
 

@@ -1,12 +1,12 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	crand "crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/http"
 	"strconv"
@@ -178,16 +178,28 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyPresize caps the buffer ReadBody allocates on a request's
+// declared Content-Length before any byte arrives, so a false header
+// cannot make the server allocate what it never receives.
+const maxBodyPresize = 1 << 20
+
 // ReadBody drains the (size-capped) request body, reporting over-limit
 // and transport failures as a 400. On failure the response has been
-// written and the bool is false.
+// written and the bool is false. The buffer is presized from the
+// declared Content-Length, up to maxBodyPresize, so a body of declared
+// length is read without regrowing; MinRead spare bytes let the read
+// see the end of the body without growing the buffer.
 func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
+	var size int64
+	if r.ContentLength > 0 {
+		size = min(r.ContentLength, maxBodyPresize) + bytes.MinRead
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := buf.ReadFrom(r.Body); err != nil {
 		WriteError(w, http.StatusBadRequest, "read request body: %v", err)
 		return nil, false
 	}
-	return body, true
+	return buf.Bytes(), true
 }
 
 // MetricsHandler serves the Prometheus text exposition of every series

@@ -21,6 +21,12 @@
 // a cutoff, the score-matrix + cutoff workflow of repository-scale
 // matchers. Results are ranked top-K Hits with per-component evidence.
 //
+// Postings stay resident, documents do not. An entry holds no model, only
+// a Doc for the model's canonical serialization: a locator into the
+// durable store's files for a store-backed corpus, the bytes deflated in
+// memory otherwise. The model is parsed from the Doc on first structural
+// use (Get, ComposeWith, Simulate, CheckProperty); Search never parses.
+//
 // Sharding and the par.Do fan-out that scores candidates are pure
 // throughput mechanisms: a model's score depends only on the query and
 // that model, and the final ranking sorts globally, so Search returns
@@ -29,10 +35,13 @@
 package corpus
 
 import (
+	"bytes"
+	"compress/flate"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"runtime"
 	"slices"
 	"sort"
@@ -70,8 +79,8 @@ var (
 // must be safe for concurrent calls from different shards.
 type Persister interface {
 	// PersistAdd logs the addition of a model. sbmlBytes is the canonical
-	// serialization of the model exactly as stored (post-clone), so
-	// replaying the record reconstructs an identical corpus entry.
+	// serialization of the model exactly as stored, so replaying the
+	// record reconstructs an identical corpus entry.
 	PersistAdd(id string, sbmlBytes []byte) error
 	// PersistRemove logs the removal of a stored model.
 	PersistRemove(id string) error
@@ -100,20 +109,68 @@ type Doc interface {
 	Bytes() ([]byte, error)
 }
 
-// Bytes is a Doc held in memory. It backs the entries of a corpus with no
-// persister or with a plain Persister, which cannot read its log back.
+// Bytes is a Doc held in memory as is. It backs the entries added under a
+// plain Persister, which cannot read its log back, and those the durable
+// store recovers from log records that carry their SBML.
 type Bytes []byte
 
 // Bytes returns b.
 func (b Bytes) Bytes() ([]byte, error) { return b, nil }
 
+// deflated is the Doc of a model added with no persister: its canonical
+// serialization deflated at BestSpeed, several times smaller than the
+// bytes, and n, their length, so Bytes inflates into an exact-size buffer.
+type deflated struct {
+	n int
+	z []byte
+}
+
+// deflater is a pooled flate writer and the buffer it writes to:
+// flate.NewWriter allocates about 1.2 MB.
+type deflater struct {
+	w   *flate.Writer
+	buf bytes.Buffer
+}
+
+var deflaters = sync.Pool{New: func() any {
+	d := &deflater{}
+	d.w, _ = flate.NewWriter(&d.buf, flate.BestSpeed) // BestSpeed is a valid level
+	return d
+}}
+
+// deflate renders m's canonical serialization straight into a pooled
+// flate writer and returns it as a deflated Doc.
+func deflate(m *sbml.Model) *deflated {
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	d.buf.Reset()
+	d.w.Reset(&d.buf)
+	n := writeCanonical(d.w, m)
+	d.w.Close()
+	return &deflated{n: n, z: bytes.Clone(d.buf.Bytes())}
+}
+
+// Bytes inflates d. A stream that is corrupt, or that does not hold
+// exactly the recorded length, is an error.
+func (d *deflated) Bytes() ([]byte, error) {
+	r := flate.NewReader(bytes.NewReader(d.z))
+	defer r.Close()
+	b := make([]byte, d.n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, fmt.Errorf("corpus: inflate document: %w", err)
+	}
+	if k, err := r.Read(make([]byte, 1)); k != 0 || err != io.EOF {
+		return nil, fmt.Errorf("corpus: inflate document: stream does not end at its %d bytes (%v)", d.n, err)
+	}
+	return b, nil
+}
+
 // ModelBlob is one stored model in canonical serialized form, the unit of
 // snapshot and replay.
 type ModelBlob struct {
 	ID string
-	// Doc is the model's canonical serialization: the entry's own Doc
-	// (for a store-backed corpus, a locator into the store's files), or
-	// Bytes rendered for the dump when the entry kept none.
+	// Doc is the model's canonical serialization: the entry's own Doc,
+	// for a store-backed corpus a locator into the store's files.
 	Doc Doc
 	// Keys holds the model's derived match keys — the expensive part of
 	// Add — so a snapshot can persist them alongside the canonical bytes
@@ -126,7 +183,17 @@ type ModelBlob struct {
 // It must be stable under write→parse→write so a recovered corpus
 // re-persists byte-identical records.
 func canonicalBytes(m *sbml.Model) []byte {
-	return []byte(sbml.WrapModel(m).String())
+	var b bytes.Buffer
+	writeCanonical(&b, m)
+	return b.Bytes()
+}
+
+// writeCanonical writes m's canonical serialization to w, a bytes.Buffer
+// or a flate writer over one, neither of which can fail, and returns its
+// length.
+func writeCanonical(w io.Writer, m *sbml.Model) int {
+	n, _ := sbml.WrapModel(m).WriteTo(w)
+	return int(n)
 }
 
 // Options configures a Corpus.
@@ -217,21 +284,20 @@ type keyRef struct {
 	kind, tier uint8
 }
 
-// entry is one stored model: its compact keys and component ids, either
-// its model or a Doc for its canonical serialization, and a lazily
-// compiled simulation engine.
+// entry is one stored model: its compact keys and component ids, a Doc
+// for its canonical serialization, and the model and simulation engine,
+// each built on first use.
 //
 // Search needs only the keys and component ids — scoring is a pure
-// function of the shared postings (score.go). An entry of an in-memory
-// corpus keeps a clone of the model Add was given and has no Doc. Every
-// other entry — added under a persister, recovered, replicated or
-// bootstrapped — keeps only its Doc, and the model is parsed from it on
-// first structural use (Get, ComposeWith, Simulate, CheckProperty). Under
-// the durable store the Doc is a locator, which reads the bytes from the
-// WAL segment or snapshot that holds them and re-verifies their CRC on
-// every read, so such an entry holds no SBML; a Doc that fails its check
-// leaves the entry searchable but structurally unusable, and its bytes are
-// never parsed.
+// function of the shared postings (score.go). Every entry, whether added,
+// recovered, replicated or bootstrapped, keeps only its Doc until a
+// structural use (Get, ComposeWith, Simulate, CheckProperty) parses the
+// model from it. With no persister the Doc is the bytes deflated in
+// memory. Under the durable store it is a locator, which reads the bytes
+// from the WAL segment or snapshot that holds them and re-verifies their
+// CRC on every read, so such an entry holds no SBML. A Doc that cannot be
+// read back leaves the entry searchable but structurally unusable, and
+// its bytes are never parsed.
 type entry struct {
 	id string
 	// keys are the model's match keys in their installed order, read-only
@@ -242,13 +308,12 @@ type entry struct {
 	// component c (see comp).
 	comps   string
 	compEnd []uint32
-	// doc is the canonical serialization: nil for an entry added with no
-	// persister attached (it keeps model instead), Bytes under a plain
-	// Persister, otherwise the store's locator. It backs the lazy parse
-	// and DumpConsistent — canonical bytes are pinned stable under
-	// write→parse→write, so emitting them verbatim is byte-identical to
-	// re-rendering the parsed model. Relocate swaps it while readers run,
-	// hence the atomic; see loadDoc.
+	// doc is the canonical serialization: deflated with no persister
+	// attached, Bytes under a plain Persister, otherwise the store's
+	// locator. It backs the lazy parse and DumpConsistent — canonical
+	// bytes are pinned stable under write→parse→write, so emitting them
+	// verbatim is byte-identical to re-rendering the parsed model.
+	// Relocate swaps it while readers run, hence the atomic; see loadDoc.
 	doc atomic.Pointer[Doc]
 
 	modelOnce sync.Once
@@ -270,14 +335,10 @@ func (e *entry) comp(c uint32) string {
 }
 
 // loadModel returns the entry's model, parsing it from the stored
-// canonical bytes on first use. Entries added to an in-memory corpus
-// pre-fill model and never parse here. The model is shared: callers read
-// it and never mutate it.
+// canonical bytes on first use. The model is shared: callers read it and
+// never mutate it.
 func (e *entry) loadModel() (*sbml.Model, error) {
 	e.modelOnce.Do(func() {
-		if e.model != nil {
-			return
-		}
 		b, err := e.loadDoc().Bytes()
 		if err != nil {
 			e.modelErr = fmt.Errorf("corpus: lazy parse %q: %w", e.id, err)
@@ -413,9 +474,10 @@ func (c *Corpus) shardFor(id string) *shard {
 
 // Add derives the model's match keys and stores it under its model id.
 // The input is never referenced after Add returns. Empty and duplicate ids
-// are errors. With no persister attached the entry keeps a clone of the
-// model; with one it keeps only the Doc the persister returns and parses
-// it again on first structural use, as a recovered entry does.
+// are errors. The entry keeps only a Doc for the model's canonical bytes,
+// deflated in memory with no persister attached, else the Doc the
+// persister returns, and parses it again on first structural use, as a
+// recovered entry does.
 func (c *Corpus) Add(m *sbml.Model) (string, error) {
 	if m == nil {
 		return "", fmt.Errorf("corpus: Add requires a non-nil model")
@@ -424,13 +486,13 @@ func (c *Corpus) Add(m *sbml.Model) (string, error) {
 		return "", fmt.Errorf("corpus: model has no id")
 	}
 	keys := core.MatchKeys(m, c.opts.Match)
-	e := newEntry(m.ID, nil)
-	// Clone or serialize outside the lock: both are pure functions of the
-	// model, and holding the shard lock across an XML render would stall
-	// that shard's readers for no consistency gain.
+	// Serialize outside the lock: it is a pure function of the model, and
+	// holding the shard lock across an XML render would stall that
+	// shard's readers for no consistency gain.
+	var doc Doc
 	var blob []byte
 	if c.persister == nil {
-		e.model = m.Clone()
+		doc = deflate(m)
 	} else {
 		blob = canonicalBytes(m)
 	}
@@ -447,7 +509,6 @@ func (c *Corpus) Add(m *sbml.Model) (string, error) {
 		// what this corpus stores; the entry keeps the Doc that reads them
 		// back (the persister's locator when it can log keys, else the
 		// bytes), so snapshots emit them without re-rendering.
-		var doc Doc
 		var err error
 		if kp, ok := c.persister.(KeyPersister); ok {
 			doc, err = kp.PersistAddKeys(m.ID, blob, keys)
@@ -457,9 +518,8 @@ func (c *Corpus) Add(m *sbml.Model) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("corpus: persist add %q: %w", m.ID, err)
 		}
-		e.setDoc(doc)
 	}
-	sh.install(e, keys)
+	sh.install(newEntry(m.ID, doc), keys)
 	return m.ID, nil
 }
 
@@ -631,16 +691,11 @@ func (c *Corpus) DumpConsistentContext(ctx context.Context, before func()) ([]Mo
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			// Entries with a Doc (persisted adds, recovered entries) dump
-			// it as is — byte-identical to a re-render by the
-			// canonical-bytes stability invariant; the dump reads no
-			// bytes, and never forces a lazy entry to parse.
+			// Every entry dumps its Doc as is — byte-identical to a
+			// re-render by the canonical-bytes stability invariant; the
+			// dump reads no bytes, and never forces an entry to parse.
 			e := sh.slab[slot]
-			blob := ModelBlob{ID: id, Doc: e.loadDoc(), Keys: sh.componentKeys(e)}
-			if blob.Doc == nil {
-				blob.Doc = Bytes(canonicalBytes(e.model))
-			}
-			blobs = append(blobs, blob)
+			blobs = append(blobs, ModelBlob{ID: id, Doc: e.loadDoc(), Keys: sh.componentKeys(e)})
 		}
 	}
 	sort.Slice(blobs, func(i, j int) bool { return blobs[i].ID < blobs[j].ID })
@@ -651,13 +706,14 @@ func (c *Corpus) DumpConsistentContext(ctx context.Context, before func()) ([]Mo
 // durable store calls it after compaction writes a snapshot, before it
 // deletes the files the old Docs read from. For each i, the entry stored
 // under blobs[i].ID switches to docs[i] if it still holds blobs[i].Doc (a
-// model removed or replaced since the dump keeps what it has). In-memory
-// Bytes are not relocated: they read from no file. Each shard is
-// write-locked while its entries are swapped; a lazy parse already
-// reading an old Doc finishes on it.
+// model removed or replaced since the dump keeps what it has). Docs held
+// in memory, as is or deflated, are not relocated: they read from no
+// file. Each shard is write-locked while its entries are swapped; a lazy
+// parse already reading an old Doc finishes on it.
 func (c *Corpus) Relocate(blobs []ModelBlob, docs []Doc) {
 	for i, b := range blobs {
-		if _, inMemory := b.Doc.(Bytes); inMemory {
+		switch b.Doc.(type) {
+		case Bytes, *deflated:
 			continue
 		}
 		sh := c.shardFor(b.ID)
@@ -703,11 +759,10 @@ func (c *Corpus) Get(id string) (*sbml.Model, bool) {
 	}
 	m, err := e.loadModel()
 	if err != nil {
-		// Unreachable for entries of an in-memory corpus. A lazy entry's
-		// bytes are canonical output of a previous Add, which re-parses by
-		// construction; what fails here is a Doc whose bytes rotted on
-		// disk and failed their CRC, and a model that cannot be read back
-		// is reported absent.
+		// An entry's bytes are canonical output of a previous Add, which
+		// re-parses by construction; what fails here is a Doc that cannot
+		// be read back (bytes that rotted on disk and failed their CRC, a
+		// corrupt deflate stream), and such a model is reported absent.
 		return nil, false
 	}
 	return m.Clone(), true

@@ -42,8 +42,9 @@ func TestSearchDeterministicAcrossShardsAndWorkers(t *testing.T) {
 }
 
 // TestConcurrentAddSearchRemove hammers one corpus from many goroutines so
-// the race detector can see the shard locking. Results are not asserted
-// beyond basic sanity — the point is concurrent safety.
+// the race detector can see the shard locking, the pooled deflaters of Add
+// and the lazy parse of Get. Results are not asserted beyond basic sanity
+// — the point is concurrent safety.
 func TestConcurrentAddSearchRemove(t *testing.T) {
 	models := testModels(24)
 	c := New(testOptions(4, 4))
@@ -63,6 +64,11 @@ func TestConcurrentAddSearchRemove(t *testing.T) {
 				}
 				if _, err := c.Search(models[g], SearchOptions{TopK: 3}); err != nil {
 					t.Error(err)
+					return
+				}
+				seed := models[(g+i)%8]
+				if got, ok := c.Get(seed.ID); !ok || canonical(got) != canonical(seed) {
+					t.Errorf("Get %s lost the seed model", seed.ID)
 					return
 				}
 				if i%2 == 1 {

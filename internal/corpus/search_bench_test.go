@@ -131,6 +131,37 @@ func BenchmarkInstall(b *testing.B) {
 	b.ReportMetric(float64(int64(after)-int64(before))/float64(len(pre)), "live-B/model")
 }
 
+// BenchmarkAdd adds corpusModels(1000) to an empty in-memory corpus, as a
+// cluster node's ingest does: key derivation, canonical rendering,
+// deflating and install. It reports live-B/model as BenchmarkInstall
+// does: what the corpus holds per model, keys, postings, dictionary,
+// entries and deflated Docs, with the input models not counted.
+func BenchmarkAdd(b *testing.B) {
+	opts := Options{Shards: 4, Match: core.Options{Synonyms: synonym.Builtin()}}
+	models := corpusModels(1000)
+	add := func() *Corpus {
+		c := New(opts)
+		for _, m := range models {
+			if _, err := c.Add(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return c
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		add()
+	}
+	b.StopTimer()
+	before := liveHeapBytes()
+	c := add()
+	after := liveHeapBytes()
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(models)
+	b.ReportMetric(float64(int64(after)-int64(before))/float64(len(models)), "live-B/model")
+}
+
 // benchPrecompiled derives the keys of corpusModels(n) under opts, ready
 // for ReplaceAll or ApplyBatch: the store-recovery install path with
 // parsing and key derivation already paid.

@@ -187,8 +187,12 @@ func (s *Server) handleAddModel(w http.ResponseWriter, r *http.Request) {
 		s.writeReadOnlyError(w)
 		return
 	}
+	body, ok := api.ReadBody(w, r)
+	if !ok {
+		return
+	}
 	sp := obs.FromContext(r.Context()).Start("parse")
-	m, err := sbmlcompose.ParseModel(r.Body)
+	m, err := sbmlcompose.ParseModelString(string(body))
 	sp.End()
 	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, "parse: %v", err)

@@ -48,6 +48,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Kind discriminates the node variants stored in a tree.
@@ -307,12 +308,25 @@ func Equal(a, b *Node) bool {
 // WriteTo serializes the subtree rooted at n to w as indented XML.
 // It implements io.WriterTo. The subtree is rendered into one buffer and
 // written with a single Write: serialization is on the hot path of WAL
-// appends and snapshot writes, where the old per-node fmt.Fprintf
-// rendering cost more than compiling the model.
+// appends, snapshot writes and corpus adds, where the old per-node
+// fmt.Fprintf rendering cost more than compiling the model. A Write must
+// not retain its argument, so the buffer is reused by the next WriteTo.
 func (n *Node) WriteTo(w io.Writer) (int64, error) {
-	nn, err := w.Write(n.appendXML(make([]byte, 0, 1024), 0))
+	bp := renderBufs.Get().(*[]byte)
+	buf := n.appendXML((*bp)[:0], 0)
+	nn, err := w.Write(buf)
+	if cap(buf) <= maxPooledRender {
+		*bp = buf
+		renderBufs.Put(bp)
+	}
 	return int64(nn), err
 }
+
+// renderBufs holds WriteTo's render buffers. A buffer that grew past
+// maxPooledRender is left to the collector instead of being pinned.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledRender = 256 << 10
 
 // String returns the indented XML serialization of the subtree rooted at n.
 func (n *Node) String() string {
