@@ -1,9 +1,11 @@
 package corpus
 
 import (
+	"context"
 	"fmt"
 
 	"sbmlcompose/internal/core"
+	"sbmlcompose/internal/par"
 )
 
 // This file implements the corpus's bulk mutation paths, the only way a
@@ -17,6 +19,10 @@ import (
 // shard's write lock, the same discipline DumpConsistent uses on the read
 // side, so "the durable log is a prefix of the in-memory state" stays true
 // for batches exactly as it does for single mutations.
+//
+// Validation, the before hook and the persister call run serially; the
+// installs then fan out across shards, each shard installing its own ops
+// in batch order on its own worker (installByShard).
 
 // BatchOp is one mutation of an ApplyBatch call: a precompiled add
 // (canonical serialization plus derived keys, like PrecompiledModel) or a
@@ -110,15 +116,14 @@ func (c *Corpus) ApplyBatch(ops []BatchOp) error {
 			return fmt.Errorf("corpus: persist batch: %w", err)
 		}
 	}
-	for i := range ops {
+	c.installByShard(len(ops), func(i int) string { return ops[i].ID }, func(sh *shard, i int) {
 		op := &ops[i]
-		sh := c.shardFor(op.ID)
 		if op.Remove {
 			sh.removeLocked(op.ID)
-			continue
+			return
 		}
 		sh.install(newEntry(op.ID, op.Doc), op.Keys)
-	}
+	})
 	return nil
 }
 
@@ -152,9 +157,30 @@ func (c *Corpus) ReplaceAll(models []PrecompiledModel, before func()) error {
 	for _, sh := range c.shards {
 		sh.reset()
 	}
-	for i := range models {
+	c.installByShard(len(models), func(i int) string { return models[i].ID }, func(sh *shard, i int) {
 		p := &models[i]
-		c.shardFor(p.ID).install(newEntry(p.ID, p.Doc), p.Keys)
-	}
+		sh.install(newEntry(p.ID, p.Doc), p.Keys)
+	})
 	return nil
+}
+
+// installByShard groups the op indexes [0, n) by the home shard of id(i),
+// keeping their order, and then runs apply(sh, i) over each shard's group
+// in order, one shard per par.Do unit. A shard therefore sees exactly the
+// sequence of ops a serial loop would give it, so its slots, dictionary
+// ordinals and postings come out the same at any worker count; shards
+// share no install state. The caller holds every shard's write lock.
+func (c *Corpus) installByShard(n int, id func(i int) string, apply func(sh *shard, i int)) {
+	groups := make([][]int, len(c.shards))
+	for i := 0; i < n; i++ {
+		s := c.shardIndex(id(i))
+		groups[s] = append(groups[s], i)
+	}
+	// Nothing cancels an install and apply never fails.
+	_ = par.Do(context.TODO(), len(c.shards), 0, func(_, s int) error {
+		for _, i := range groups[s] {
+			apply(c.shards[s], i)
+		}
+		return nil
+	})
 }

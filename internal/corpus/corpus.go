@@ -466,10 +466,13 @@ func (c *Corpus) Options() Options { return c.opts }
 
 // shardFor maps a model id to its home shard. The assignment affects only
 // lock distribution, never results.
-func (c *Corpus) shardFor(id string) *shard {
+func (c *Corpus) shardFor(id string) *shard { return c.shards[c.shardIndex(id)] }
+
+// shardIndex is the index in c.shards of id's home shard.
+func (c *Corpus) shardIndex(id string) int {
 	h := fnv.New32a()
 	h.Write([]byte(id))
-	return c.shards[h.Sum32()%uint32(len(c.shards))]
+	return int(h.Sum32() % uint32(len(c.shards)))
 }
 
 // Add derives the model's match keys and stores it under its model id.

@@ -3,6 +3,7 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 
 	"sbmlcompose/internal/core"
 	"sbmlcompose/internal/corpus"
+	"sbmlcompose/internal/par"
 )
 
 // This file implements the snapshot file: the binary codec (format
@@ -162,6 +164,11 @@ func corruptf(format string, args ...any) error {
 // decodeSnapshotV2 parses a full snapshot file image. Damage to canonical
 // data is a hard error; damage confined to a keys section only clears
 // that entry's keysOK. The entries alias data.
+//
+// A serial pass frames the entries by their lengths; the CRC checks and
+// decodes of the framed entries then fan out with par.Do, each writing its
+// own slot. The error is the one a serial decode meets first: the lowest
+// failing framed entry, else the framing error, else trailing bytes.
 func decodeSnapshotV2(data []byte) (snapFile, error) {
 	var sf snapFile
 	if len(data) < len(snapMagicV2) {
@@ -191,54 +198,80 @@ func decodeSnapshotV2(data []byte) (snapFile, error) {
 		// byte count is corruption, not an allocation request.
 		return sf, corruptf("entry count %d exceeds file size", count)
 	}
-	sf.entries = make([]snapEntry, 0, count)
+	// frames[i] is the image offset of entry i's bytes after its entryLen
+	// field, and their end.
+	frames := make([][2]int, 0, count)
+	var frameErr error
 	for i := uint32(0); i < count; i++ {
 		if len(rest) < 4 {
-			return sf, corruptf("entry %d: truncated frame", i)
+			frameErr = corruptf("entry %d: truncated frame", i)
+			break
 		}
 		entryLen := binary.LittleEndian.Uint32(rest)
 		rest = rest[4:]
 		if uint64(entryLen) > uint64(len(rest)) || entryLen < 16 {
-			return sf, corruptf("entry %d: implausible length %d", i, entryLen)
+			frameErr = corruptf("entry %d: implausible length %d", i, entryLen)
+			break
 		}
-		eb := rest[:entryLen]
+		off := len(data) - len(rest)
+		frames = append(frames, [2]int{off, off + int(entryLen)})
 		rest = rest[entryLen:]
-
-		coreLen := binary.LittleEndian.Uint32(eb[0:4])
-		coreCRC := binary.LittleEndian.Uint32(eb[4:8])
-		if uint64(coreLen) > uint64(len(eb))-16 {
-			return sf, corruptf("entry %d: core section overruns entry", i)
-		}
-		coreBytes := eb[8 : 8+coreLen]
-		if crc32.ChecksumIEEE(coreBytes) != coreCRC {
-			return sf, corruptf("entry %d: core CRC mismatch", i)
-		}
-		e, err := decodeSnapCore(coreBytes)
-		if err != nil {
-			return sf, corruptf("entry %d: %v", i, err)
-		}
-		e.core = span{off: int64(len(data) - len(rest) - len(eb) + 8), n: coreLen, crc: coreCRC}
-
-		// Keys section: any inconsistency here downgrades the entry to
-		// the parse path instead of failing the load — the canonical
-		// bytes above are intact and re-derivation is always correct.
-		keysFrame := eb[8+coreLen:]
-		if len(keysFrame) >= 8 {
-			keysLen := binary.LittleEndian.Uint32(keysFrame[0:4])
-			keysCRC := binary.LittleEndian.Uint32(keysFrame[4:8])
-			keysBytes := keysFrame[8:]
-			if uint64(keysLen) == uint64(len(keysBytes)) && crc32.ChecksumIEEE(keysBytes) == keysCRC {
-				if keys, err := core.DecodeMatchKeys(keysBytes); err == nil {
-					e.keys, e.keysOK = keys, true
-				}
-			}
-		}
-		sf.entries = append(sf.entries, e)
 	}
-	if len(rest) != 0 {
-		return sf, corruptf("%d trailing bytes after last entry", len(rest))
+	sf.entries = make([]snapEntry, len(frames))
+	err := par.Do(context.TODO(), len(frames), 0, func(_, i int) error {
+		f := frames[i]
+		e, err := decodeSnapEntry(data[f[0]:f[1]])
+		if err != nil {
+			return corruptf("entry %d: %v", i, err)
+		}
+		e.core.off += int64(f[0])
+		sf.entries[i] = e
+		return nil
+	})
+	switch {
+	case err != nil:
+		return snapFile{}, err
+	case frameErr != nil:
+		return snapFile{}, frameErr
+	case len(rest) != 0:
+		return snapFile{}, corruptf("%d trailing bytes after last entry", len(rest))
 	}
 	return sf, nil
+}
+
+// decodeSnapEntry checks and decodes one framed entry, eb: the bytes after
+// its entryLen field. The returned core span is relative to eb.
+func decodeSnapEntry(eb []byte) (snapEntry, error) {
+	coreLen := binary.LittleEndian.Uint32(eb[0:4])
+	coreCRC := binary.LittleEndian.Uint32(eb[4:8])
+	if uint64(coreLen) > uint64(len(eb))-16 {
+		return snapEntry{}, errors.New("core section overruns entry")
+	}
+	coreBytes := eb[8 : 8+coreLen]
+	if crc32.ChecksumIEEE(coreBytes) != coreCRC {
+		return snapEntry{}, errors.New("core CRC mismatch")
+	}
+	e, err := decodeSnapCore(coreBytes)
+	if err != nil {
+		return snapEntry{}, err
+	}
+	e.core = span{off: 8, n: coreLen, crc: coreCRC}
+
+	// Keys section: any inconsistency here downgrades the entry to the
+	// parse path instead of failing the load — the canonical bytes above
+	// are intact and re-derivation is always correct.
+	keysFrame := eb[8+coreLen:]
+	if len(keysFrame) >= 8 {
+		keysLen := binary.LittleEndian.Uint32(keysFrame[0:4])
+		keysCRC := binary.LittleEndian.Uint32(keysFrame[4:8])
+		keysBytes := keysFrame[8:]
+		if uint64(keysLen) == uint64(len(keysBytes)) && crc32.ChecksumIEEE(keysBytes) == keysCRC {
+			if keys, err := core.DecodeMatchKeys(keysBytes); err == nil {
+				e.keys, e.keysOK = keys, true
+			}
+		}
+	}
+	return e, nil
 }
 
 // decodeSnapCore parses an entry's core section (id + canonical bytes).

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -320,5 +322,68 @@ func TestFingerprintTestOptionsDiffer(t *testing.T) {
 	b := core.Options{Semantics: core.NoSemantics}.MatchKeyFingerprint()
 	if a == b {
 		t.Fatal("test option sets share a fingerprint; mismatch test is vacuous")
+	}
+}
+
+// TestDecodeSnapshotReportsFirstFault damages one image in several places
+// at once. The entries decode in parallel, but the error must be the one a
+// serial decode meets first: the lowest damaged entry ahead of a torn
+// frame, else the torn frame, else trailing bytes; damage to keys
+// sections only clears those entries' keysOK. Each case runs at one and at
+// two procs.
+func TestDecodeSnapshotReportsFirstFault(t *testing.T) {
+	const n = 10
+	match := testOptions().Corpus.Match
+	blobs := make([]corpus.ModelBlob, n)
+	for i := range blobs {
+		m := testModel(i)
+		blobs[i] = corpus.ModelBlob{ID: m.ID, Doc: corpus.Bytes(sbml.WrapModel(m).String()), Keys: core.MatchKeys(m, match)}
+	}
+	image, spans, err := encodeSnapshotV2(9, match.MatchKeyFingerprint(), blobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each entry's core section is framed by entryLen, coreLen and coreCRC
+	// ahead of it and by keysLen and keysCRC after it.
+	damageCore := func(b []byte, i int) { b[spans[i].off] ^= 0xFF }
+	damageKeys := func(b []byte, i int) { b[spans[i].off+int64(spans[i].n)+8] ^= 0xFF }
+	tearFrame := func(b []byte, i int) { binary.LittleEndian.PutUint32(b[spans[i].off-12:], 3) }
+
+	cases := []struct {
+		name    string
+		mutate  func([]byte) []byte
+		wantErr string // "" means the image decodes
+		noKeys  []int  // entries whose keysOK must be false
+	}{
+		{"core damage at 3 and 7", func(b []byte) []byte { damageCore(b, 7); damageCore(b, 3); return b }, "entry 3: core CRC mismatch", nil},
+		{"torn frame at 5 behind core damage at 2", func(b []byte) []byte { tearFrame(b, 5); damageCore(b, 2); return b }, "entry 2: core CRC mismatch", nil},
+		{"torn frame at 5, core damage only at 8", func(b []byte) []byte { tearFrame(b, 5); damageCore(b, 8); return b }, "entry 5: implausible length 3", nil},
+		{"trailing bytes behind core damage at 9", func(b []byte) []byte { damageCore(b, 9); return append(b, 0) }, "entry 9: core CRC mismatch", nil},
+		{"trailing bytes only", func(b []byte) []byte { return append(b, 0, 0) }, "2 trailing bytes", nil},
+		{"keys damage at 1, 4 and 9", func(b []byte) []byte { damageKeys(b, 9); damageKeys(b, 1); damageKeys(b, 4); return b }, "", []int{1, 4, 9}},
+	}
+	for _, tc := range cases {
+		for _, procs := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(procs)
+			sf, err := decodeSnapshotV2(tc.mutate(bytes.Clone(image)))
+			runtime.GOMAXPROCS(prev)
+			if tc.wantErr != "" {
+				if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("%s, %d procs: err = %v, want ErrCorruptSnapshot naming %q", tc.name, procs, err, tc.wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s, %d procs: %v", tc.name, procs, err)
+			}
+			if len(sf.entries) != n {
+				t.Fatalf("%s, %d procs: %d entries, want %d", tc.name, procs, len(sf.entries), n)
+			}
+			for i, e := range sf.entries {
+				if e.id != blobs[i].ID || e.core != spans[i] || e.keysOK == slices.Contains(tc.noKeys, i) {
+					t.Fatalf("%s, %d procs: entry %d = {id %q, core %+v, keysOK %v}", tc.name, procs, i, e.id, e.core, e.keysOK)
+				}
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"sbmlcompose/internal/core"
 	"sbmlcompose/internal/corpus"
@@ -31,12 +32,18 @@ import (
 // aliases a transient file or chunk image and is read only by the parse
 // path and, for a follower, by PersistBatch.
 //
-// The parse path is embarrassingly parallel: each model parses
-// independently, and only the sequential apply step afterwards needs
-// the results in order. resolveKeys fans the parses out with par.Do over
-// GOMAXPROCS workers, which claim models in chunks so no worker idles
-// behind a heavy one, and returns results positionally, so callers apply
-// them in exactly the order a sequential recovery would have.
+// Recovery runs on every core, in three fan-outs with par.Do over
+// GOMAXPROCS workers, each writing per-index slots so the schedule never
+// changes the result:
+//
+//   - decodeSnapshotV2 (codec.go) frames the snapshot's entries serially,
+//     then checks and decodes them in parallel;
+//   - resolveKeys decodes or derives each model's keys independently:
+//     workers claim models in chunks, so none idles behind a heavy parse,
+//     and results come back positionally, so callers apply them in
+//     exactly the order a sequential recovery would;
+//   - ReplaceAll and ApplyBatch (internal/corpus) install each shard's
+//     models on their own worker, in op order within the shard.
 
 // persistedModel is one model as a snapshot entry or WAL record carries
 // it: canonical bytes plus, when the source persisted them, match keys.
@@ -64,12 +71,10 @@ func (s *Store) snapshotModels(sf snapFile) (models []corpus.PrecompiledModel, p
 		ms[i] = persistedModel{id: e.id, sbml: e.sbml, hasKeys: e.keysOK, keys: e.keys, fingerprint: sf.fingerprint}
 	}
 	models = make([]corpus.PrecompiledModel, len(ms))
-	for i, r := range s.resolveKeys(ms) {
+	results, parsed := s.resolveKeys(ms)
+	for i, r := range results {
 		if r.err != nil {
 			return nil, 0, fmt.Errorf("model %q: %w", ms[i].id, r.err)
-		}
-		if r.parsed {
-			parsed++
 		}
 		models[i] = corpus.PrecompiledModel{ID: ms[i].id, Keys: r.keys}
 	}
@@ -91,7 +96,7 @@ func (s *Store) batchOps(recs []walRecord) (ops []corpus.BatchOp, parsed int, er
 			adds = append(adds, persistedModel{id: rec.id, sbml: rec.sbml, hasKeys: rec.op == opAddKeys, keysBlob: rec.keys, fingerprint: rec.fingerprint})
 		}
 	}
-	keys := s.resolveKeys(adds)
+	keys, parsed := s.resolveKeys(adds)
 	ops = make([]corpus.BatchOp, len(recs))
 	ai := 0
 	for i, rec := range recs {
@@ -104,20 +109,15 @@ func (s *Store) batchOps(recs []walRecord) (ops []corpus.BatchOp, parsed int, er
 		if k.err != nil {
 			return nil, 0, fmt.Errorf("seq %d: %w", rec.seq, k.err)
 		}
-		if k.parsed {
-			parsed++
-		}
 		ops[i].Doc, ops[i].Keys = corpus.Bytes(rec.sbml), k.keys
 	}
 	return ops, parsed, nil
 }
 
 // keyResult is the outcome for one persistedModel, at the same index.
-// parsed reports that the keys came from the parse path.
 type keyResult struct {
-	keys   []core.ComponentKey
-	parsed bool
-	err    error
+	keys []core.ComponentKey
+	err  error
 }
 
 // trustsKeys is the trust rule: persisted keys derived under fingerprint
@@ -128,13 +128,17 @@ func (s *Store) trustsKeys(fingerprint uint64) bool {
 
 // resolveKeys returns every model's match keys: the persisted ones where
 // the trust rule accepts them and they decode, else keys derived on the
-// parse path. Errors are per-model, never short-circuiting: callers apply
-// results in record order, so the error they surface is the one a
-// sequential recovery would have hit first.
-func (s *Store) resolveKeys(ms []persistedModel) []keyResult {
-	results := make([]keyResult, len(ms))
-	var jobs []int
-	for i, m := range ms {
+// parse path. parsed counts the models that took the parse path. Errors
+// are per-model, never short-circuiting: callers apply results in record
+// order, so the error they surface is the one a sequential recovery would
+// have hit first.
+func (s *Store) resolveKeys(ms []persistedModel) (results []keyResult, parsed int) {
+	results = make([]keyResult, len(ms))
+	var n atomic.Int64
+	// Recovery takes no context, so nothing cancels the fan-out and fn
+	// never fails: a parse error is that model's result.
+	_ = par.Do(context.TODO(), len(ms), 0, func(_, i int) error {
+		m := &ms[i]
 		if m.hasKeys && s.trustsKeys(m.fingerprint) {
 			keys := m.keys
 			var err error
@@ -145,21 +149,16 @@ func (s *Store) resolveKeys(ms []persistedModel) []keyResult {
 			}
 			if err == nil {
 				results[i].keys = keys
-				continue
+				return nil
 			}
 		}
-		jobs = append(jobs, i)
-	}
-	s.parseJobs.Add(int64(len(jobs)))
-	// Recovery takes no context, so nothing cancels the fan-out and fn
-	// never fails: a parse error is that model's result.
-	_ = par.Do(context.TODO(), len(jobs), 0, func(_, k int) error {
-		i := jobs[k]
-		keys, err := parseKeys(ms[i].id, ms[i].sbml, s.opts.Corpus.Match)
-		results[i] = keyResult{keys: keys, parsed: true, err: err}
+		n.Add(1)
+		keys, err := parseKeys(m.id, m.sbml, s.opts.Corpus.Match)
+		results[i] = keyResult{keys: keys, err: err}
 		return nil
 	})
-	return results
+	s.parseJobs.Add(n.Load())
+	return results, int(n.Load())
 }
 
 // parseKeys runs the parse path for one model: parse the canonical
