@@ -999,45 +999,9 @@ func (c *Corpus) rank(ctx context.Context, cq *CompiledQuery, opts SearchOptions
 		opts.Offset = 0
 	}
 
-	// Retrieval: accumulate, per candidate model, the score-matrix cells
-	// its postings share with the query. A model lives in one shard, so
-	// its cells are its own postings under the query's keys, in query-key
-	// then posting order, whatever the shard layout.
-	retrieveSpan := obs.FromContext(ctx).Start("retrieve")
-	var cands []candidate
-	for _, sh := range c.shards {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sh.mu.RLock()
-		// at[slot] is 1 + the index in cands of the slot's candidate.
-		at := make([]int32, len(sh.slab))
-		for _, qk := range cq.keys {
-			if core.KeyTier(qk.tier).Weight() < opts.Cutoff {
-				continue
-			}
-			ord, ok := sh.ords[qk.key]
-			if !ok {
-				continue
-			}
-			var cand *candidate
-			for _, p := range sh.lists[ord] {
-				if cand == nil || cand.slot != p.slot {
-					if at[p.slot] == 0 {
-						cands = append(cands, candidate{e: sh.slab[p.slot], slot: p.slot})
-						at[p.slot] = int32(len(cands))
-					}
-					cand = &cands[at[p.slot]-1]
-				}
-				tk := cand.e.keys[p.i]
-				cand.cells = append(cand.cells, cell{q: qk.comp, t: tk.comp, tier: max(qk.tier, tk.tier), kind: tk.kind})
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	retrieveSpan.End()
-	if len(cands) == 0 {
-		return nil, nil
+	cands, err := c.retrieve(ctx, cq, opts.Cutoff)
+	if err != nil || len(cands) == 0 {
+		return nil, err
 	}
 
 	// Scoring: fan the candidates out with par.Do, each worker reusing its
@@ -1050,7 +1014,7 @@ func (c *Corpus) rank(ctx context.Context, cq *CompiledQuery, opts SearchOptions
 	// Each worker allocates its own scorer: scorers packed into one slice
 	// would share cache lines that every candidate writes.
 	scorers := make([]*scorer, workers)
-	err := par.Do(ctx, len(cands), workers, func(w, i int) error {
+	err = par.Do(ctx, len(cands), workers, func(w, i int) error {
 		if scorers[w] == nil {
 			scorers[w] = newScorer(cq)
 		}
@@ -1073,6 +1037,48 @@ func (c *Corpus) rank(ctx context.Context, cq *CompiledQuery, opts SearchOptions
 		ranked = append(ranked, h)
 	}
 	return append([]Hit(nil), RankWindow(ranked, opts.Offset, opts.TopK)...), nil
+}
+
+// retrieve accumulates, per candidate model, the score-matrix cells its
+// postings share with the query on keys of weight at least cutoff. A
+// model lives in one shard, so its cells are its own postings under the
+// query's keys, in query-key then posting order, whatever the shard
+// layout. ctx is checked between shards.
+func (c *Corpus) retrieve(ctx context.Context, cq *CompiledQuery, cutoff float64) ([]candidate, error) {
+	sp := obs.FromContext(ctx).Start("retrieve")
+	var cands []candidate
+	for _, sh := range c.shards {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		sh.mu.RLock()
+		// at[slot] is 1 + the index in cands of the slot's candidate.
+		at := make([]int32, len(sh.slab))
+		for _, qk := range cq.keys {
+			if core.KeyTier(qk.tier).Weight() < cutoff {
+				continue
+			}
+			ord, ok := sh.ords[qk.key]
+			if !ok {
+				continue
+			}
+			var cand *candidate
+			for _, p := range sh.lists[ord] {
+				if cand == nil || cand.slot != p.slot {
+					if at[p.slot] == 0 {
+						cands = append(cands, candidate{e: sh.slab[p.slot], slot: p.slot})
+						at[p.slot] = int32(len(cands))
+					}
+					cand = &cands[at[p.slot]-1]
+				}
+				tk := cand.e.keys[p.i]
+				cand.cells = append(cand.cells, cell{q: qk.comp, t: tk.comp, tier: max(qk.tier, tk.tier), kind: tk.kind})
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	sp.End()
+	return cands, nil
 }
 
 // RankWindow sorts hits in place into the global ranking order — score

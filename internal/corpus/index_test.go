@@ -3,7 +3,9 @@ package corpus
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -395,8 +397,12 @@ func churnPool(t testing.TB) *churnFixture {
 // over a pool of generated models, then checks the index invariants, that
 // both dump every survivor with the keys it was installed with, that both
 // rank exactly like a corpus freshly built from the surviving models, that
-// every model SearchAllPairs matches is retrieved, and that removing every
-// survivor leaves no dictionary key, posting or live slot behind.
+// every model SearchAllPairs matches is retrieved, that a search in the
+// input's window (churnWindow) is that window of the unbounded ranking,
+// that every candidate's greedy score is at most the maximum-weight
+// assignment and at least half of it, and the assignment at most the
+// per-query bound (checkAssignBounds), and that removing every survivor
+// leaves no dictionary key, posting or live slot behind.
 func FuzzSearchChurn(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 0})
 	f.Add([]byte{3, 0xff, 1, 2, 0, 2, 2, 3, 0x12, 0x34, 0x56})
@@ -410,6 +416,7 @@ func FuzzSearchChurn(f *testing.F) {
 			data = data[:maxChurnBytes]
 		}
 		fx := churnPool(t)
+		win := churnWindow(data)
 		o4 := fx.opts
 		o4.Shards = 4
 		c1, c4 := New(fx.opts), New(o4)
@@ -530,6 +537,12 @@ func FuzzSearchChurn(f *testing.F) {
 					}
 				}
 			}
+			for qi, q := range fx.queries {
+				if err := checkWindow(c, q, win); err != nil {
+					t.Fatalf("%d shards: query %d: %v", len(c.shards), qi, err)
+				}
+				checkAssignBounds(t, c, q, win.Cutoff)
+			}
 		}
 
 		for _, id := range survivors {
@@ -541,6 +554,53 @@ func FuzzSearchChurn(f *testing.F) {
 			}
 		}
 	})
+}
+
+// churnWindow derives FuzzSearchChurn's search window from a hash of the
+// whole input, so every input, the committed ones included, checks one:
+// TopK in [-1, 8] (0 is the default 5), Offset in [-1, 9], Cutoff in
+// {0, 0.5, …, 5} (above 4 drops every tier) and MinScore in
+// {0, 2.5, …, 37.5}.
+func churnWindow(data []byte) SearchOptions {
+	h := fnv.New64a()
+	h.Write(data)
+	x := h.Sum64()
+	return SearchOptions{
+		TopK:     int(x%10) - 1,
+		Offset:   int(x/10%11) - 1,
+		Cutoff:   float64(x/110%11) / 2,
+		MinScore: float64(x/1210%16) * 2.5,
+	}
+}
+
+// checkWindow checks that searching c for q in win gives exactly the
+// window of the unbounded ranking at win's cutoff, after dropping the hits
+// below win's MinScore, and that every hit of the unbounded ranking has
+// one evidence per match and at least one match.
+func checkWindow(c *Corpus, q *CompiledQuery, win SearchOptions) error {
+	all, err := c.SearchCompiled(q, SearchOptions{TopK: -1, Cutoff: win.Cutoff})
+	if err != nil {
+		return err
+	}
+	for _, h := range all {
+		if h.Matched == 0 || len(h.Evidence) != h.Matched {
+			return fmt.Errorf("cutoff %g: hit %+v has %d evidence for %d matches", win.Cutoff, h, len(h.Evidence), h.Matched)
+		}
+	}
+	all = slices.DeleteFunc(all, func(h Hit) bool { return h.Score < win.MinScore })
+	topK := win.TopK
+	if topK == 0 {
+		topK = 5
+	}
+	want := append([]Hit(nil), RankWindow(all, win.Offset, topK)...)
+	got, err := c.SearchCompiled(q, win)
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("window %+v: got %+v, want %+v", win, got, want)
+	}
+	return nil
 }
 
 // batchToggle returns the batch op that removes pool model k when
