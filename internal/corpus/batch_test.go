@@ -12,7 +12,8 @@ import (
 // ApplyBatch, installing each shard's ops on its own worker at
 // GOMAXPROCS ≥ 2, must leave every shard exactly as installing the same
 // ops one at a time in batch order does: the same id map, slab and free
-// slots, the same dictionary (ords, keyStr, lists, freeOrds), and the same
+// slots, the same dictionary (the (key, ordinal) pairs its table holds,
+// keyStr, lists, freeOrds), and the same
 // keys, component table and Doc in every entry. The batch removes models,
 // re-adds some of them and removes some of its own adds, so freed slots
 // and ordinals are reused.
@@ -70,7 +71,7 @@ func assertSameShards(t *testing.T, step string, got, want *Corpus) {
 		if !maps.Equal(g.entries, w.entries) || !slices.Equal(g.freeSlots, w.freeSlots) || len(g.slab) != len(w.slab) {
 			t.Fatalf("%s: shard %d: id map, free slots or slab length differ", step, s)
 		}
-		if !maps.Equal(g.ords, w.ords) || !slices.Equal(g.keyStr, w.keyStr) || !slices.Equal(g.freeOrds, w.freeOrds) ||
+		if !maps.Equal(g.ords.contents(g.keyStr), w.ords.contents(w.keyStr)) || !slices.Equal(g.keyStr, w.keyStr) || !slices.Equal(g.freeOrds, w.freeOrds) ||
 			!slices.EqualFunc(g.lists, w.lists, slices.Equal) {
 			t.Fatalf("%s: shard %d: dictionaries or postings differ", step, s)
 		}

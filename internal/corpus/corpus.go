@@ -8,13 +8,15 @@
 // patterns, reduced unit vectors (core.MatchKeys) — are posted into
 // per-shard inverted indexes. The resident index holds no pointers: each
 // shard keeps a dictionary giving every distinct key string a uint32
-// ordinal, entries live in a slab addressed by uint32 slots, a posting is
-// the 8-byte pair (slot, key index), and an entry's keys are 12-byte
-// (ordinal, component index, kind, tier) records. The collector has
-// nothing to scan in postings or keys, and an ordinal or slot freed by a
-// removal is reused. Retrieval for a query model is then a posting-list
-// walk over the query's own keys instead of an O(corpus) pairwise
-// composition scan: only models sharing at least one key are ever scored.
+// ordinal, found through an open-addressing table of 4-byte slots
+// (keytable.go), entries live in a slab addressed by uint32 slots, a
+// posting is the 8-byte pair (slot, key index), and an entry's keys are
+// 12-byte (ordinal, component index, kind, tier) records. The collector
+// has nothing to scan in the table, postings or keys, and an ordinal or
+// slot freed by a removal is reused. Retrieval for a query model is then
+// a posting-list walk over the query's own keys instead of an O(corpus)
+// pairwise composition scan: only models sharing at least one key are
+// ever scored.
 // Scoring builds a sparse component score matrix from the shared keys
 // (exact id > synonym-canonical > math-pattern > unit-compatible, see
 // core.KeyTier) and runs a greedy maximum-weight bipartite assignment with
@@ -398,14 +400,15 @@ type shard struct {
 	entries   map[string]uint32
 	slab      []*entry
 	freeSlots []uint32
-	// The key dictionary: ords maps every key some entry of this shard
-	// emits to its ordinal, keyStr maps the ordinal back, and lists[ord]
-	// holds the key's postings. A model's postings under one key are
-	// contiguous and in its key order (install appends them together). A
-	// list is never empty: the removal that empties it frees its ordinal
-	// onto freeOrds, with keyStr "" and lists nil there, so the dictionary
-	// never outgrows the shard's live distinct keys.
-	ords     map[string]uint32
+	// The key dictionary: ords finds the ordinal of every key some entry
+	// of this shard emits (a keyTable, which compares probes against
+	// keyStr), keyStr maps the ordinal back, and lists[ord] holds the
+	// key's postings. A model's postings under one key are contiguous and
+	// in its key order (install appends them together). A list is never
+	// empty: the removal that empties it frees its ordinal onto freeOrds,
+	// with keyStr "" and lists nil there, so the dictionary never outgrows
+	// the shard's live distinct keys.
+	ords     keyTable
 	keyStr   []string
 	lists    [][]posting
 	freeOrds []uint32
@@ -422,7 +425,7 @@ func newShard() *shard {
 // reset empties the shard; the caller holds its write lock (or owns it).
 func (sh *shard) reset() {
 	sh.entries, sh.slab, sh.freeSlots = make(map[string]uint32), nil, nil
-	sh.ords, sh.keyStr, sh.lists, sh.freeOrds = make(map[string]uint32), nil, nil, nil
+	sh.ords, sh.keyStr, sh.lists, sh.freeOrds = keyTable{}, nil, nil, nil
 	sh.compIdx = make(map[string]uint32)
 }
 
@@ -561,7 +564,7 @@ func (sh *shard) install(e *entry, keys []core.ComponentKey) {
 			buf = append(buf, k.Component...)
 			ends = append(ends, uint32(len(buf)))
 		}
-		ord, ok := sh.ords[k.Key]
+		at, ord, ok := sh.ords.find(sh.keyStr, k.Key, keyHash(k.Key))
 		if !ok {
 			if n := len(sh.freeOrds); n > 0 {
 				ord = sh.freeOrds[n-1]
@@ -572,7 +575,7 @@ func (sh *shard) install(e *entry, keys []core.ComponentKey) {
 				sh.keyStr = append(sh.keyStr, k.Key)
 				sh.lists = append(sh.lists, nil)
 			}
-			sh.ords[k.Key] = ord
+			sh.ords.insert(sh.keyStr, at, ord)
 		}
 		kind, _ := core.KindCode(k.Kind)
 		e.keys[i] = keyRef{ord: ord, comp: comp, kind: kind, tier: uint8(k.Tier)}
@@ -650,7 +653,7 @@ func (sh *shard) removeLocked(id string) {
 			sh.lists[k.ord] = list
 			continue
 		}
-		delete(sh.ords, sh.keyStr[k.ord])
+		sh.ords.remove(sh.keyStr, k.ord)
 		sh.keyStr[k.ord] = ""
 		sh.lists[k.ord] = nil
 		sh.freeOrds = append(sh.freeOrds, k.ord)
@@ -890,8 +893,9 @@ func (c *Corpus) CheckPropertyContext(ctx context.Context, id string, formula st
 // keys and the matchable-component denominator, everything ranking
 // consumes. It is immutable and safe to share across concurrent
 // SearchCompiled calls, and valid only against the corpus that compiled
-// it (the keys depend on its match options). It holds key strings, not
-// dictionary ordinals, so it also finds keys that later Adds introduce.
+// it (the keys depend on its match options). It holds key strings and
+// their hashes, not dictionary ordinals, so it also finds keys that later
+// Adds introduce.
 type CompiledQuery struct {
 	keys []queryKey
 	// comps holds the query's distinct component ids, sorted, so the
@@ -901,9 +905,11 @@ type CompiledQuery struct {
 }
 
 // queryKey is one match key of a compiled query, naming its component by
-// index into CompiledQuery.comps.
+// index into CompiledQuery.comps. hash is keyHash(key), computed once so
+// retrieval probes every shard's dictionary without rehashing the key.
 type queryKey struct {
 	key  string
+	hash uint64
 	comp uint32
 	tier uint8
 }
@@ -930,7 +936,7 @@ func (c *Corpus) CompileQuery(query *sbml.Model) (*CompiledQuery, error) {
 		idx[id] = uint32(i)
 	}
 	for i, k := range keys {
-		cq.keys[i] = queryKey{key: k.Key, comp: idx[k.Component], tier: uint8(k.Tier)}
+		cq.keys[i] = queryKey{key: k.Key, hash: keyHash(k.Key), comp: idx[k.Component], tier: uint8(k.Tier)}
 	}
 	return cq, nil
 }
@@ -1058,7 +1064,7 @@ func (c *Corpus) retrieve(ctx context.Context, cq *CompiledQuery, cutoff float64
 			if core.KeyTier(qk.tier).Weight() < cutoff {
 				continue
 			}
-			ord, ok := sh.ords[qk.key]
+			_, ord, ok := sh.ords.find(sh.keyStr, qk.key, qk.hash)
 			if !ok {
 				continue
 			}

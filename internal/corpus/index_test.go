@@ -16,9 +16,9 @@ import (
 // checkIndex verifies a corpus's resident index against its entries:
 //   - the slab and the id map agree, and the free slots are exactly the
 //     empty ones;
-//   - the dictionary maps each live key to an ordinal and back, every
-//     live ordinal's list is non-empty, and every free ordinal has no key
-//     and no list;
+//   - the dictionary's table is well formed, finds every live ordinal
+//     under its key and holds no free one, every live ordinal's list is
+//     non-empty, and every free ordinal has no key and no list;
 //   - every posting names a live entry whose key at its index resolves
 //     through the dictionary to the list's key, each entry's postings
 //     under a key form one contiguous run in its key order, and every key
@@ -67,20 +67,33 @@ func checkShard(sh *shard) error {
 	if len(sh.keyStr) != len(sh.lists) {
 		return fmt.Errorf("%d dictionary keys for %d posting lists", len(sh.keyStr), len(sh.lists))
 	}
-	if len(sh.ords)+len(sh.freeOrds) != len(sh.keyStr) {
-		return fmt.Errorf("%d live and %d free ordinals in a dictionary of %d", len(sh.ords), len(sh.freeOrds), len(sh.keyStr))
+	if err := sh.ords.check(sh.keyStr); err != nil {
+		return err
 	}
-	for key, ord := range sh.ords {
-		if int(ord) >= len(sh.keyStr) || sh.keyStr[ord] != key {
-			return fmt.Errorf("key %q: ordinal %d does not map back to it", key, ord)
+	if sh.ords.n+len(sh.freeOrds) != len(sh.keyStr) {
+		return fmt.Errorf("%d live and %d free ordinals in a dictionary of %d", sh.ords.n, len(sh.freeOrds), len(sh.keyStr))
+	}
+	free := make(map[uint32]bool)
+	for _, ord := range sh.freeOrds {
+		if sh.keyStr[ord] != "" || sh.lists[ord] != nil {
+			return fmt.Errorf("free ordinal %d keeps key %q and %d postings", ord, sh.keyStr[ord], len(sh.lists[ord]))
+		}
+		free[ord] = true
+	}
+	for ord, key := range sh.keyStr {
+		if free[uint32(ord)] {
+			continue
+		}
+		if _, got, ok := sh.ords.find(sh.keyStr, key, keyHash(key)); !ok || got != uint32(ord) {
+			return fmt.Errorf("key %q: ordinal %d is not found under it (found %d, present %v)", key, ord, got, ok)
 		}
 		if len(sh.lists[ord]) == 0 {
 			return fmt.Errorf("key %q: empty posting list", key)
 		}
 	}
-	for _, ord := range sh.freeOrds {
-		if sh.keyStr[ord] != "" || sh.lists[ord] != nil {
-			return fmt.Errorf("free ordinal %d keeps key %q and %d postings", ord, sh.keyStr[ord], len(sh.lists[ord]))
+	for key, ord := range sh.ords.contents(sh.keyStr) {
+		if free[ord] {
+			return fmt.Errorf("free ordinal %d is in the table under %q", ord, key)
 		}
 	}
 
@@ -155,9 +168,9 @@ func checkEmpty(c *Corpus) error {
 			postings += len(list)
 		}
 		slots := len(sh.slab) - len(sh.freeSlots)
-		if len(sh.entries) != 0 || len(sh.ords) != 0 || postings != 0 || slots != 0 {
+		if len(sh.entries) != 0 || sh.ords.n != 0 || postings != 0 || slots != 0 {
 			return fmt.Errorf("shard %d keeps %d models, %d dictionary keys, %d postings and %d live slots after removing every model",
-				si, len(sh.entries), len(sh.ords), postings, slots)
+				si, len(sh.entries), sh.ords.n, postings, slots)
 		}
 	}
 	return nil
