@@ -1,28 +1,37 @@
 package sbmlcompose
 
-// Benchmark harness for the paper's evaluation (§4). One benchmark per
-// figure plus the ablations DESIGN.md calls out:
+// Benchmarks of the paper's evaluation (§4) and its ablations:
 //
-//	BenchmarkFigure8Compose       — pairwise composition time vs model size
-//	                                across the 187-model corpus (Figure 8)
-//	BenchmarkFigure9SBMLCompose   — all pairs of the 17 annotated models,
-//	                                our composer (Figure 9, upper series)
-//	BenchmarkFigure9SemanticSBML  — same pairs, the semanticSBML baseline
-//	                                with its per-run DB load (Figure 9,
-//	                                lower series)
-//	BenchmarkSemanticsLevels      — heavy vs light vs none (§5 future work)
-//	BenchmarkIndexStructures      — hash vs linear vs sorted vs suffix tree
-//	                                (§5 items 3 and 7)
-//	BenchmarkMathPatternVsExact   — Figure 7 pattern matching vs exact tree
-//	                                equality on commuted kinetic laws
+//	BenchmarkFigure8               — the Figure 8 sweep: composition time
+//	                                 against combined model size over the
+//	                                 187-model corpus, with growth_exponent
+//	BenchmarkFigure9SBMLCompose    — all pairs of the 17 annotated models,
+//	                                 our composer (Figure 9, upper series)
+//	BenchmarkFigure9SemanticSBML   — same pairs, the semanticSBML baseline
+//	                                 with its per-run DB load (Figure 9,
+//	                                 lower series)
+//	BenchmarkFigure9SemanticSBMLPreloaded — same pairs, the baseline with
+//	                                 its database loaded once
+//	BenchmarkSemanticsLevels       — heavy vs light vs none (§5 future work)
+//	BenchmarkIndexStructures       — hash vs linear vs sorted vs suffix tree
+//	                                 (§5 items 3 and 7)
+//	BenchmarkMathPatternVsExact    — Figure 7 pattern matching vs exact tree
+//	                                 equality on commuted kinetic laws
 //
-// cmd/benchfig regenerates the actual figure series (log10 time vs size);
-// the engine rows of the BENCH_*.json files are benchmarks in the packages
-// they measure (internal/core, sim, mc2, corpus and store).
+// The Figure rows are BENCH_paper.json:
+//
+//	go test -run '^$' -bench '^BenchmarkFigure' -benchmem -cpu 1 -count 5 . |
+//	    go run ./cmd/benchfig -out BENCH_paper.json
+//
+// Figure 9's speedup is the SemanticSBML row's ns/op over the SBMLCompose
+// row's. The engine rows of the other BENCH_*.json files are benchmarks in
+// the packages they measure (internal/core, sim, mc2, corpus and store).
 
 import (
-	"fmt"
+	"math"
+	"sort"
 	"testing"
+	"time"
 
 	"sbmlcompose/internal/biomodels"
 	"sbmlcompose/internal/core"
@@ -52,31 +61,117 @@ func annotated() []*sbml.Model {
 	return annotatedOnce
 }
 
-// BenchmarkFigure8Compose measures composition across corpus size buckets:
-// each sub-benchmark composes a model with its size neighbour, in ascending
-// order of size exactly as the paper's sweep ran.
-func BenchmarkFigure8Compose(b *testing.B) {
+// figure8Stride samples the corpus for BenchmarkFigure8: every 8th model
+// gives 24 models and 300 pairs, about a second per sweep, where the full
+// corpus would take 17,578 pairs.
+const figure8Stride = 8
+
+// sweepPoint is one Figure 8 pair: its two models' sizes and its fastest
+// compose time in ns.
+type sweepPoint struct {
+	a, b int
+	ns   float64
+}
+
+// BenchmarkFigure8 runs the Figure 8 sweep: every sampled corpus model
+// composed with itself and with each later one, in ascending combined size
+// (the paper's smallest-with-smallest to largest-with-largest order). One
+// op is the whole sweep. Each pair keeps its fastest time over the
+// iterations, and growth_exponent fits those times against size.
+func BenchmarkFigure8(b *testing.B) {
 	models := corpus()
-	for _, bucket := range []struct {
-		name string
-		idx  int
-	}{
-		{"size~0", 5},
-		{"size~30", 60},
-		{"size~120", 110},
-		{"size~250", 150},
-		{"size~500", 185},
-	} {
-		m1 := models[bucket.idx]
-		m2 := models[bucket.idx+1]
-		b.Run(fmt.Sprintf("%s/%dx%d", bucket.name, m1.Size(), m2.Size()), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Compose(m1, m2, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
+	var sampled []*sbml.Model
+	for i := 0; i < len(models); i += figure8Stride {
+		sampled = append(sampled, models[i])
+	}
+	var pairs [][2]*sbml.Model
+	for i := range sampled {
+		for j := i; j < len(sampled); j++ {
+			pairs = append(pairs, [2]*sbml.Model{sampled[i], sampled[j]})
+		}
+	}
+	sort.SliceStable(pairs, func(x, y int) bool {
+		return pairs[x][0].Size()+pairs[x][1].Size() < pairs[y][0].Size()+pairs[y][1].Size()
+	})
+	pts := make([]sweepPoint, len(pairs))
+	for k, p := range pairs {
+		pts[k] = sweepPoint{a: p[0].Size(), b: p[1].Size(), ns: math.Inf(1)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, p := range pairs {
+			start := time.Now()
+			if _, err := core.Compose(p[0], p[1], core.Options{}); err != nil {
+				b.Fatal(err)
 			}
-		})
+			pts[k].ns = min(pts[k].ns, float64(time.Since(start)))
+		}
+	}
+	if k, ok := growthExponent(pts); ok {
+		b.ReportMetric(k, "growth_exponent")
+	}
+}
+
+// growthExponent is the least-squares slope of log(ns) against log(a+b)
+// over the points whose models are both non-empty: 1 when compose time is
+// linear in combined size, 2 when quadratic. ok is false when fewer than
+// two such points, or points all of one size, leave the slope undefined.
+func growthExponent(pts []sweepPoint) (k float64, ok bool) {
+	var xs, ys []float64
+	varied := false
+	for _, p := range pts {
+		if p.a > 0 && p.b > 0 {
+			xs = append(xs, math.Log(float64(p.a+p.b)))
+			ys = append(ys, math.Log(p.ns))
+			varied = varied || xs[len(xs)-1] != xs[0]
+		}
+	}
+	if !varied {
+		return 0, false
+	}
+	var mx, my float64
+	for i := range xs {
+		mx += xs[i]
+		my += ys[i]
+	}
+	mx /= float64(len(xs))
+	my /= float64(len(ys))
+	var sxy, sxx float64
+	for i := range xs {
+		sxy += (xs[i] - mx) * (ys[i] - my)
+		sxx += (xs[i] - mx) * (xs[i] - mx)
+	}
+	return sxy / sxx, true
+}
+
+// TestGrowthExponent: the fit recovers the exponent of exact power laws,
+// ignores pairs with an empty model, and reports nothing where the slope
+// is undefined.
+func TestGrowthExponent(t *testing.T) {
+	powerLaw := func(k float64) []sweepPoint {
+		pts := []sweepPoint{{a: 0, b: 40, ns: 1e9}, {a: 7, b: 0, ns: 1}}
+		for _, s := range [][2]int{{1, 1}, {1, 2}, {3, 4}, {10, 10}, {25, 60}, {200, 300}} {
+			pts = append(pts, sweepPoint{a: s[0], b: s[1], ns: 350 * math.Pow(float64(s[0]+s[1]), k)})
+		}
+		return pts
+	}
+	for _, k := range []float64{1, 1.5, 2} {
+		if got, ok := growthExponent(powerLaw(k)); !ok || math.Abs(got-k) > 1e-9 {
+			t.Errorf("y = c·x^%g: growthExponent = %v, %v; want %g, true", k, got, ok, k)
+		}
+	}
+	for name, pts := range map[string][]sweepPoint{
+		"no points":        nil,
+		"one point":        {{a: 3, b: 4, ns: 100}},
+		"one non-empty":    {{a: 3, b: 4, ns: 100}, {a: 0, b: 9, ns: 50}, {a: 5, b: 0, ns: 70}},
+		"all empty":        {{a: 0, b: 0, ns: 1}, {a: 0, b: 5, ns: 2}},
+		"all of one size":  {{a: 1, b: 5, ns: 100}, {a: 2, b: 4, ns: 300}, {a: 3, b: 3, ns: 200}},
+		"equal size pairs": {{a: 6, b: 6, ns: 10}, {a: 6, b: 6, ns: 20}},
+	} {
+		if got, ok := growthExponent(pts); ok {
+			t.Errorf("%s: growthExponent = %v, true; want no metric", name, got)
+		}
 	}
 }
 

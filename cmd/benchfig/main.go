@@ -1,42 +1,26 @@
-// Command benchfig regenerates the paper's evaluation figures (§4) and
-// writes the engine benchmarks' JSON snapshots:
+// Command benchfig converts `go test -bench -benchmem` output on stdin
+// into a commit-stamped BENCH_*.json snapshot:
 //
-//	benchfig -fig 8 [-stride 4]   Figure 8: log10(compose time in ms) for
-//	                              each corpus model with every other model,
-//	                              ascending by size, SBMLCompose only.
-//	benchfig -fig 9               Figure 9: log10(compose time in ms) for
-//	                              semanticSBML and SBMLCompose over all
-//	                              pairs of the 17 annotated models.
-//	benchfig -json -out f.json    convert `go test -bench -benchmem` text
-//	                              on stdin into a BENCH_*.json snapshot.
+//	go test -run '^$' -bench . -benchmem -cpu 1 -count 5 ./internal/core |
+//	    go run ./cmd/benchfig -out BENCH_compose.json
 //
-// The engine benchmarks are ordinary go test benchmarks in the packages
-// they measure; each BENCH file is one package set's output:
-//
-//	go test -run '^$' -bench . -benchmem -cpu 1 ./internal/core |
-//	    go run ./cmd/benchfig -json -out BENCH_compose.json
-//
-// (BENCH_sim.json: ./internal/sim ./internal/mc2; BENCH_corpus.json:
-// ./internal/corpus; BENCH_store.json: ./internal/store). A row is named
-// as its benchmark without the "Benchmark" prefix and the "-N" GOMAXPROCS
-// suffix, which goes to the header with the commit, dirty flag, Go
-// version and source_sha256, a hash of the tracked Go sources and go.mod
-// as they stood when the file was written (see sourceHash). The rows a
-// go test -count N run prints for one name fold into one row of medians
-// that records N as its runs. A commit stamp cannot name the commit that
-// adds the file; the source hash can be compared with any later tree.
+// Each BENCH file is one package set's benchmarks: BENCH_compose.json is
+// ./internal/core, BENCH_sim.json ./internal/sim ./internal/mc2,
+// BENCH_corpus.json ./internal/corpus, BENCH_store.json ./internal/store,
+// and BENCH_paper.json the root package's -bench '^BenchmarkFigure' rows,
+// the paper's Figure 8 and 9 sweeps. A row is named as its benchmark
+// without the "Benchmark" prefix and the "-N" GOMAXPROCS suffix, which
+// goes to the header with the commit, dirty flag, Go version and
+// source_sha256, a hash of the tracked Go sources and go.mod as they
+// stood when the file was written (see sourceHash). The rows a go test
+// -count N run prints for one name fold into one row of medians that
+// records N as its runs. A commit stamp cannot name the commit that adds
+// the file; the source hash can be compared with any later tree.
 // Serving-level load is measured by cmd/sbmlbench.
-//
-// Figure output is one whitespace-separated row per composition (ready for
-// gnuplot); a summary — the numbers EXPERIMENTS.md records — goes to
-// stderr. -stride samples every Nth model of the 187-model corpus so a
-// full Figure 8 sweep can be traded against runtime (stride 1 = the
-// complete 17,578-pair sweep).
 package main
 
 import (
 	"bufio"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -47,59 +31,24 @@ import (
 	"math"
 	"os"
 	"os/exec"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
-
-	"sbmlcompose/internal/biomodels"
-	"sbmlcompose/internal/core"
-	"sbmlcompose/internal/sbml"
-	"sbmlcompose/internal/semanticsbml"
 )
 
 func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	// Once the first signal has cancelled ctx, restore the default
-	// disposition so a second Ctrl-C kills the process immediately
-	// instead of being swallowed by the still-registered handler.
-	go func() { <-ctx.Done(); stop() }()
-	if err := run(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "benchfig:", err)
-		if errors.Is(err, context.Canceled) {
-			os.Exit(130)
-		}
-		os.Exit(1)
-	}
-}
-
-func run(ctx context.Context) error {
-	var (
-		fig      = flag.Int("fig", 8, "figure to regenerate: 8 or 9")
-		stride   = flag.Int("stride", 4, "corpus sampling stride for figure 8 (1 = full sweep)")
-		reps     = flag.Int("reps", 3, "repetitions per pair; the minimum is reported")
-		jsonMode = flag.Bool("json", false, "convert go test -bench output on stdin to JSON")
-		outPath  = flag.String("out", "", "output file for -json")
-	)
+	outPath := flag.String("out", "", "BENCH_*.json file to write")
 	flag.Parse()
-	if *jsonMode {
-		if *outPath == "" {
-			return errors.New("-json needs -out")
-		}
-		return writeJSON(os.Stdin, *outPath)
+	if *outPath == "" || flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchfig -out f.json < go-test-bench-output")
+		os.Exit(2)
 	}
-	switch *fig {
-	case 8:
-		return figure8(ctx, *stride, *reps)
-	case 9:
-		return figure9(ctx, *reps)
-	default:
-		return fmt.Errorf("unknown figure %d (want 8 or 9)", *fig)
+	if err := writeJSON(os.Stdin, *outPath); err != nil {
+		fmt.Fprintln(os.Stderr, "benchfig:", err)
+		os.Exit(1)
 	}
 }
 
@@ -363,140 +312,4 @@ func sourceHash(root string, paths []string) (string, error) {
 		h.Write(b)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// timeCompose returns the minimum wall-clock seconds over reps runs.
-func timeCompose(a, b *sbml.Model, reps int, f func(a, b *sbml.Model) error) (float64, error) {
-	best := math.Inf(1)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		if err := f(a, b); err != nil {
-			return 0, err
-		}
-		if d := time.Since(start).Seconds(); d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-func log10ms(seconds float64) float64 {
-	ms := seconds * 1000
-	if ms <= 0 {
-		ms = 1e-6
-	}
-	return math.Log10(ms)
-}
-
-func figure8(ctx context.Context, stride, reps int) error {
-	if stride < 1 {
-		stride = 1
-	}
-	models := biomodels.Corpus187()
-	var sampled []*sbml.Model
-	for i := 0; i < len(models); i += stride {
-		sampled = append(sampled, models[i])
-	}
-	fmt.Fprintf(os.Stderr, "figure 8: %d models (stride %d), %d pairs, ascending size\n",
-		len(sampled), stride, len(sampled)*(len(sampled)+1)/2)
-	fmt.Println("# pair_index combined_size size_a size_b time_ms log10_time_ms")
-
-	type pair struct{ i, j int }
-	var pairs []pair
-	for i := range sampled {
-		for j := i; j < len(sampled); j++ {
-			pairs = append(pairs, pair{i, j})
-		}
-	}
-	// The paper orders the sweep smallest-with-smallest → largest-with-
-	// largest; combined size realizes that order.
-	sort.Slice(pairs, func(x, y int) bool {
-		sx := sampled[pairs[x].i].Size() + sampled[pairs[x].j].Size()
-		sy := sampled[pairs[y].i].Size() + sampled[pairs[y].j].Size()
-		return sx < sy
-	})
-
-	var times []float64
-	for idx, p := range pairs {
-		if err := ctx.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: cancelled after %d/%d pairs\n", idx, len(pairs))
-			return err
-		}
-		a, b := sampled[p.i], sampled[p.j]
-		secs, err := timeCompose(a, b, reps, func(a, b *sbml.Model) error {
-			_, err := core.Compose(a, b, core.Options{})
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		times = append(times, secs)
-		fmt.Printf("%d %d %d %d %.4f %.3f\n",
-			idx, a.Size()+b.Size(), a.Size(), b.Size(), secs*1000, log10ms(secs))
-	}
-	// Shape summary: the last-to-first quartile ratio of mean compose time
-	// over the size-ordered sweep. It is a growth ratio, not an exponent: a
-	// log-log fit over a stride-8 sweep's non-empty pairs gave slope 1.16
-	// against combined size a+b, close to linear under the hash index.
-	q := len(times) / 4
-	fmt.Fprintf(os.Stderr, "first-quartile mean %.4f ms, last-quartile mean %.4f ms (growth ×%.1f)\n",
-		mean(times[:q])*1000, mean(times[len(times)-q:])*1000,
-		mean(times[len(times)-q:])/mean(times[:q]))
-	return nil
-}
-
-func figure9(ctx context.Context, reps int) error {
-	models := biomodels.Annotated17()
-	fmt.Fprintf(os.Stderr, "figure 9: %d models, %d pairs, both engines\n",
-		len(models), len(models)*len(models))
-	fmt.Println("# pair_index size_a size_b sbmlcompose_ms semanticsbml_ms log10_ours log10_theirs")
-
-	var ours, theirs []float64
-	idx := 0
-	for _, a := range models {
-		for _, b := range models {
-			if err := ctx.Err(); err != nil {
-				fmt.Fprintf(os.Stderr, "benchfig: cancelled after %d/%d pairs\n", idx, len(models)*len(models))
-				return err
-			}
-			tOurs, err := timeCompose(a, b, reps, func(a, b *sbml.Model) error {
-				_, err := core.Compose(a, b, core.Options{})
-				return err
-			})
-			if err != nil {
-				return err
-			}
-			tTheirs, err := timeCompose(a, b, reps, func(a, b *sbml.Model) error {
-				_, err := semanticsbml.Merge(a, b)
-				return err
-			})
-			if err != nil {
-				return err
-			}
-			ours = append(ours, tOurs)
-			theirs = append(theirs, tTheirs)
-			fmt.Printf("%d %d %d %.4f %.4f %.3f %.3f\n",
-				idx, a.Size(), b.Size(), tOurs*1000, tTheirs*1000, log10ms(tOurs), log10ms(tTheirs))
-			idx++
-		}
-	}
-	speedup := mean(theirs) / mean(ours)
-	fmt.Fprintf(os.Stderr,
-		"SBMLCompose mean %.4f ms, semanticSBML mean %.2f ms, speedup ×%.0f (paper: ≥1 order of magnitude)\n",
-		mean(ours)*1000, mean(theirs)*1000, speedup)
-	if speedup < 10 {
-		fmt.Fprintln(os.Stderr, "WARNING: speedup below one order of magnitude")
-	}
-	return nil
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

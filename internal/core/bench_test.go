@@ -10,8 +10,10 @@ import (
 	"sbmlcompose/internal/synonym"
 )
 
-// The rows of BENCH_compose.json (see cmd/benchfig for the command that
-// writes it).
+// The rows of BENCH_compose.json, written by
+//
+//	go test -run '^$' -bench . -benchmem -cpu 1 -count 5 ./internal/core |
+//	    go run ./cmd/benchfig -out BENCH_compose.json
 
 // benchModel generates one decorated model of the size ladder's shape.
 func benchModel(name string, nodes, edges int, seed int64) *sbml.Model {

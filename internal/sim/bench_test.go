@@ -9,10 +9,12 @@ import (
 	"sbmlcompose/internal/sbml"
 )
 
-// The rows of BENCH_sim.json (see cmd/benchfig for the command that
-// writes it): the ODE derivative and SSA propensity inner loops and full
-// runs, each under the compiled slot engine and the tree-walking
-// reference, across the size ladder.
+// The rows of BENCH_sim.json, with internal/mc2's: the ODE derivative and
+// SSA propensity inner loops and full runs, each under the compiled slot
+// engine and the tree-walking reference, across the size ladder. Written by
+//
+//	go test -run '^$' -bench . -benchmem -cpu 1 -count 5 ./internal/sim ./internal/mc2 |
+//	    go run ./cmd/benchfig -out BENCH_sim.json
 
 // eachSize calls fn with every model of the size ladder.
 func eachSize(fn func(size string, m *sbml.Model)) {

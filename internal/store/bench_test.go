@@ -19,10 +19,12 @@ import (
 	"sbmlcompose/internal/synonym"
 )
 
-// The rows of BENCH_store.json (see cmd/benchfig for the command that
-// writes it): WAL append latency per fsync policy, recovery (Open)
-// latency per source, the snapshot write, and follower catch-up, across
-// corpus sizes.
+// The rows of BENCH_store.json: WAL append latency per fsync policy,
+// recovery (Open) latency per source, the snapshot write, and follower
+// catch-up, across corpus sizes. Written by
+//
+//	go test -run '^$' -bench . -benchmem -cpu 1 -count 5 ./internal/store |
+//	    go run ./cmd/benchfig -out BENCH_store.json
 
 var benchCorpus = corpus.Options{Shards: 4, Workers: 4, Match: core.Options{Synonyms: synonym.Builtin()}}
 
