@@ -18,10 +18,14 @@ package sbmlcompose
 //	BenchmarkMathPatternVsExact    — Figure 7 pattern matching vs exact tree
 //	                                 equality on commuted kinetic laws
 //
-// The Figure rows are BENCH_paper.json:
+// The Figure rows are BENCH_paper.json, from two runs that benchfig folds
+// into one file. Figure 8 runs three sweeps per -count run, so each pair's
+// time is a minimum over three; one sweep of the Figure 9 baseline takes
+// ~30 s, so those rows keep the default benchtime:
 //
-//	go test -run '^$' -bench '^BenchmarkFigure' -benchmem -cpu 1 -count 5 . |
-//	    go run ./cmd/benchfig -out BENCH_paper.json
+//	{ go test -run '^$' -bench '^BenchmarkFigure8$' -benchtime 3x -benchmem -cpu 1 -count 5 .
+//	  go test -run '^$' -bench '^BenchmarkFigure9' -benchmem -cpu 1 -count 5 .
+//	} | go run ./cmd/benchfig -out BENCH_paper.json
 //
 // Figure 9's speedup is the SemanticSBML row's ns/op over the SBMLCompose
 // row's. The engine rows of the other BENCH_*.json files are benchmarks in

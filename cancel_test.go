@@ -95,7 +95,7 @@ func TestCancelComposeAllMidFlight(t *testing.T) {
 }
 
 func TestCancelCorpusSearchMidFlight(t *testing.T) {
-	corpus := NewCorpus(&CorpusOptions{Shards: 4, Workers: 4})
+	corpus := NewCorpus(&CorpusOptions{Shards: 4})
 	models := make([]*Model, 150)
 	for i := range models {
 		models[i] = biomodels.Generate(biomodels.Config{

@@ -54,7 +54,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8451", "listen address (host:port; port 0 picks a free port)")
 		shards      = flag.Int("shards", 4, "corpus shard count")
-		workers     = flag.Int("workers", 0, "search worker pool size (0 = GOMAXPROCS)")
 		drain       = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain window")
 		reqTimeout  = flag.Duration("request-timeout", 60*time.Second, "per-request deadline for search/compose/simulate/check (0 disables)")
 		dataDir     = flag.String("data", "", "durable store directory (empty = in-memory corpus, lost on exit)")
@@ -90,10 +89,7 @@ func main() {
 	// One registry serves /v1/metrics; it must exist before the store
 	// opens so recovery-time appends already have somewhere to land.
 	reg := obs.NewRegistry()
-	copts := sbmlcompose.CorpusOptions{
-		Shards:  *shards,
-		Workers: *workers,
-	}
+	copts := sbmlcompose.CorpusOptions{Shards: *shards}
 	cfg := serve.Config{
 		Registry:       reg,
 		RequestTimeout: *reqTimeout,

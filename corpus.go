@@ -22,8 +22,8 @@ import (
 // Search results are identical at any shard or worker count.
 type Corpus = corpuspkg.Corpus
 
-// CorpusOptions configures a Corpus: shard count, search worker pool and
-// the match options every stored model is compiled under.
+// CorpusOptions configures a Corpus: shard count and the match options
+// every stored model is compiled under.
 type CorpusOptions = corpuspkg.Options
 
 // SearchOptions configures one Corpus.Search call: TopK, the per-evidence
@@ -57,8 +57,8 @@ var (
 )
 
 // NewCorpus returns an empty model repository. A nil opts (or zero-valued
-// match options) means heavy semantics with the built-in synonym table, 4
-// shards and GOMAXPROCS search workers.
+// match options) means heavy semantics with the built-in synonym table and
+// 4 shards. Search scores candidates on one worker per proc (GOMAXPROCS).
 func NewCorpus(opts *CorpusOptions) *Corpus {
 	o := CorpusOptions{}
 	if opts != nil {

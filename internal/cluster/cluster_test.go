@@ -38,7 +38,7 @@ func modelXML(id string, seed int64) string {
 // the given shard count, behind a real TCP listener.
 func newNode(t testing.TB, shards int) *httptest.Server {
 	t.Helper()
-	srv := serve.New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: shards, Workers: 2}), serve.Config{})
+	srv := serve.New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: shards}), serve.Config{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts
@@ -173,7 +173,7 @@ func TestPartitionMapProperties(t *testing.T) {
 // the query (the nodes' cached path) changes nothing.
 func TestClusterSearchByteIdentical(t *testing.T) {
 	const nModels = 12
-	ref := serve.New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 2, Workers: 2}), serve.Config{})
+	ref := serve.New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 2}), serve.Config{})
 	seedModels(t, ref, nModels, 400)
 
 	queryHit := modelXML("cl_3", 403)   // clone of a stored model
@@ -587,7 +587,7 @@ func TestClusterRelaysQueryErrors(t *testing.T) {
 // model get the status, error text and code a single node gives.
 func TestClusterForwardedRoutesAnswerLikeANode(t *testing.T) {
 	gw, _ := newCluster(t, 3, 1)
-	node := serve.New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 1, Workers: 1}), serve.Config{})
+	node := serve.New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 1}), serve.Config{})
 	for _, tc := range []struct{ path, body string }{
 		{"/v1/check", `{"formula":"G(((("}`},
 		{"/v1/simulate", `{"method":"bogus"}`},
@@ -659,7 +659,7 @@ func (p *recordingProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func TestClusterRequestIDPropagationAndRetry(t *testing.T) {
-	backend := serve.New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 1, Workers: 1}), serve.Config{})
+	backend := serve.New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 1}), serve.Config{})
 	proxy := &recordingProxy{backend: backend}
 	ts := httptest.NewServer(proxy)
 	defer ts.Close()

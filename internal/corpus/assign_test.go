@@ -183,7 +183,7 @@ func TestAssignBoundsSeeAGreedyGap(t *testing.T) {
 // Gap ./internal/corpus).
 func TestGreedyAssignmentGapOnCorpus187(t *testing.T) {
 	models := biomodels.Corpus187()
-	opts := testOptions(4, 4)
+	opts := testOptions(4)
 	c := New(opts)
 	fill(t, c, models)
 	queries := compileQueries(t, opts, models)

@@ -21,7 +21,7 @@ func TestParallelInstallMatchesSerial(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
-	opts := testOptions(4, 2)
+	opts := testOptions(4)
 	pre := benchPrecompiled(opts, 120)
 	got, want := New(opts), New(opts)
 

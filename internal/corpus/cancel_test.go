@@ -43,19 +43,32 @@ func (c *countingCtx) Err() error {
 }
 
 // TestSearchContextCancelSweep lands cancellation at every observation
-// point of a multi-shard, multi-worker search. After every cancelled
-// attempt the very same corpus must serve an uncancelled search with the
-// reference ranking — cancellation may abandon a query, never corrupt the
-// repository.
+// point of a multi-shard search scored on one worker per proc. After every
+// cancelled attempt the very same corpus must serve an uncancelled search
+// with the reference ranking — cancellation may abandon a query, never
+// corrupt the repository. The first budget that survives must exceed the
+// candidate count, so scoring observes ctx between candidates and not only
+// retrieval between shards.
 func TestSearchContextCancelSweep(t *testing.T) {
 	models := testModels(30)
-	c := New(testOptions(4, 4))
+	c := New(testOptions(4))
 	fill(t, c, models)
 	query := models[7].Clone()
 
 	ref, err := c.Search(query.Clone(), SearchOptions{TopK: 10})
 	if err != nil {
 		t.Fatal(err)
+	}
+	cq, err := c.CompileQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := c.retrieve(context.Background(), cq, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) < 2*len(c.shards) {
+		t.Fatalf("workload too small: %d candidates over %d shards", len(cands), len(c.shards))
 	}
 
 	sawCancel := false
@@ -83,6 +96,9 @@ func TestSearchContextCancelSweep(t *testing.T) {
 		if !reflect.DeepEqual(hits, ref) {
 			t.Fatalf("budget %d: completed search diverged from reference", budget)
 		}
+		if budget <= len(cands) {
+			t.Fatalf("budget %d survived a search over %d candidates: scoring does not check ctx between candidates", budget, len(cands))
+		}
 		break // this budget survived the whole search; larger ones will too
 	}
 	if !sawCancel {
@@ -101,48 +117,45 @@ func TestSearchContextCancelSweep(t *testing.T) {
 }
 
 // TestSearchOffsetPagination pins that offset/TopK windows tile the full
-// ranking exactly, at every shard and worker count: pagination is applied
-// inside the ranking merge, so page boundaries cannot reorder or drop
-// tied hits.
+// ranking exactly, at every shard count: pagination is applied inside the
+// ranking merge, so page boundaries cannot reorder or drop tied hits.
 func TestSearchOffsetPagination(t *testing.T) {
 	models := testModels(40)
 	query := models[3].Clone()
 	for _, shards := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 4} {
-			c := New(testOptions(shards, workers))
-			fill(t, c, models)
+		c := New(testOptions(shards))
+		fill(t, c, models)
 
-			full, err := c.Search(query.Clone(), SearchOptions{TopK: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(full) < 4 {
-				t.Fatalf("workload too small: %d hits", len(full))
-			}
-			for pageSize := 1; pageSize <= 3; pageSize++ {
-				var paged []Hit
-				for off := 0; off < len(full); off += pageSize {
-					page, err := c.Search(query.Clone(), SearchOptions{TopK: pageSize, Offset: off})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(page) > pageSize {
-						t.Fatalf("shards=%d workers=%d: page size %d at offset %d", shards, workers, len(page), off)
-					}
-					paged = append(paged, page...)
+		full, err := c.Search(query.Clone(), SearchOptions{TopK: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full) < 4 {
+			t.Fatalf("workload too small: %d hits", len(full))
+		}
+		for pageSize := 1; pageSize <= 3; pageSize++ {
+			var paged []Hit
+			for off := 0; off < len(full); off += pageSize {
+				page, err := c.Search(query.Clone(), SearchOptions{TopK: pageSize, Offset: off})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(paged, full) {
-					t.Fatalf("shards=%d workers=%d pageSize=%d: pages don't tile the ranking", shards, workers, pageSize)
+				if len(page) > pageSize {
+					t.Fatalf("shards=%d: page size %d at offset %d", shards, len(page), off)
 				}
+				paged = append(paged, page...)
 			}
+			if !reflect.DeepEqual(paged, full) {
+				t.Fatalf("shards=%d pageSize=%d: pages don't tile the ranking", shards, pageSize)
+			}
+		}
 
-			// Past-the-end and negative offsets degrade gracefully.
-			if page, err := c.Search(query.Clone(), SearchOptions{TopK: 3, Offset: len(full) + 1}); err != nil || len(page) != 0 {
-				t.Fatalf("offset past end: %v hits, err %v", page, err)
-			}
-			if page, err := c.Search(query.Clone(), SearchOptions{TopK: -1, Offset: -5}); err != nil || !reflect.DeepEqual(page, full) {
-				t.Fatalf("negative offset should mean 0: err %v", err)
-			}
+		// Past-the-end and negative offsets degrade gracefully.
+		if page, err := c.Search(query.Clone(), SearchOptions{TopK: 3, Offset: len(full) + 1}); err != nil || len(page) != 0 {
+			t.Fatalf("offset past end: %v hits, err %v", page, err)
+		}
+		if page, err := c.Search(query.Clone(), SearchOptions{TopK: -1, Offset: -5}); err != nil || !reflect.DeepEqual(page, full) {
+			t.Fatalf("negative offset should mean 0: err %v", err)
 		}
 	}
 }
@@ -152,7 +165,7 @@ func TestSearchOffsetPagination(t *testing.T) {
 // model stays composable.
 func TestComposeWithContextCancelled(t *testing.T) {
 	models := testModels(2)
-	c := New(testOptions(2, 2))
+	c := New(testOptions(2))
 	fill(t, c, models)
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -14,7 +14,7 @@ import (
 // from; Search follows the mutation).
 func TestSearchEqualsSearchCompiled(t *testing.T) {
 	models := testModels(16)
-	c := New(testOptions(3, 2))
+	c := New(testOptions(3))
 	fill(t, c, models)
 
 	sopts := SearchOptions{TopK: -1}
@@ -83,7 +83,7 @@ func TestSearchEqualsSearchCompiled(t *testing.T) {
 // answer.
 func TestConcurrentSearchesAgree(t *testing.T) {
 	models := testModels(12)
-	c := New(testOptions(4, 2))
+	c := New(testOptions(4))
 	fill(t, c, models)
 	sopts := SearchOptions{TopK: 5}
 	want := make([][]Hit, 4)

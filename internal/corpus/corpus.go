@@ -29,11 +29,11 @@
 // memory otherwise. The model is parsed from the Doc on first structural
 // use (Get, ComposeWith, Simulate, CheckProperty); Search never parses.
 //
-// Sharding and the par.Do fan-out that scores candidates are pure
-// throughput mechanisms: a model's score depends only on the query and
-// that model, and the final ranking sorts globally, so Search returns
-// identical results at any shard or worker count (pinned by the
-// determinism tests).
+// Sharding and the par.Do fan-out that scores candidates on one worker
+// per proc are pure throughput mechanisms: a model's score depends only
+// on the query and that model, and the final ranking sorts globally, so
+// Search returns identical results at any shard count and GOMAXPROCS
+// (pinned by the determinism tests).
 package corpus
 
 import (
@@ -203,9 +203,6 @@ type Options struct {
 	// Shards is the number of repository shards; 0 defaults to 4. More
 	// shards reduce lock contention between concurrent Adds and Searches.
 	Shards int
-	// Workers is the par.Do worker count that scores Search candidates;
-	// 0 or less means GOMAXPROCS.
-	Workers int
 	// Match configures compilation and matching (semantics level, synonym
 	// table, index kind) for every model in the corpus.
 	Match core.Options
@@ -214,9 +211,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 4
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -1010,13 +1004,14 @@ func (c *Corpus) rank(ctx context.Context, cq *CompiledQuery, opts SearchOptions
 		return nil, err
 	}
 
-	// Scoring: fan the candidates out with par.Do, each worker reusing its
-	// own scorer; each score depends only on the candidate's own cells,
-	// and the merge below orders hits totally, so the layout of hits does
-	// not matter. A cancelled search discards the partial hits slice.
+	// Scoring: fan the candidates out with par.Do, one worker per proc,
+	// each reusing its own scorer; each score depends only on the
+	// candidate's own cells, and the merge below orders hits totally, so
+	// the layout of hits does not matter. A cancelled search discards the
+	// partial hits slice.
 	scoreSpan := obs.FromContext(ctx).Start("score")
 	hits := make([]Hit, len(cands))
-	workers := min(c.opts.Workers, len(cands))
+	workers := min(runtime.GOMAXPROCS(0), len(cands))
 	// Each worker allocates its own scorer: scorers packed into one slice
 	// would share cache lines that every candidate writes.
 	scorers := make([]*scorer, workers)

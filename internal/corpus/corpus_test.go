@@ -12,12 +12,8 @@ import (
 	"sbmlcompose/internal/synonym"
 )
 
-func testOptions(shards, workers int) Options {
-	return Options{
-		Shards:  shards,
-		Workers: workers,
-		Match:   core.Options{Synonyms: synonym.Builtin()},
-	}
+func testOptions(shards int) Options {
+	return Options{Shards: shards, Match: core.Options{Synonyms: synonym.Builtin()}}
 }
 
 // testModels generates a corpus whose models share a tight vocabulary so
@@ -48,7 +44,7 @@ func fill(t *testing.T, c *Corpus, models []*sbml.Model) {
 
 func TestAddRemoveLifecycle(t *testing.T) {
 	models := testModels(7)
-	c := New(testOptions(3, 2))
+	c := New(testOptions(3))
 	fill(t, c, models)
 	if got := c.Len(); got != 7 {
 		t.Fatalf("Len = %d, want 7", got)
@@ -112,7 +108,7 @@ func sortedStrings(xs []string) bool {
 
 func TestSearchSelfIsTopHit(t *testing.T) {
 	models := testModels(20)
-	c := New(testOptions(4, 4))
+	c := New(testOptions(4))
 	fill(t, c, models)
 	for _, probe := range []int{0, 7, 19} {
 		query := models[probe].Clone()
@@ -142,7 +138,7 @@ func TestSearchSelfIsTopHit(t *testing.T) {
 }
 
 func TestSearchEmptyCorpusAndNoOverlap(t *testing.T) {
-	c := New(testOptions(2, 2))
+	c := New(testOptions(2))
 	hits, err := c.Search(testModels(1)[0], SearchOptions{})
 	if err != nil || len(hits) != 0 {
 		t.Fatalf("empty corpus: hits=%v err=%v", hits, err)
@@ -167,7 +163,7 @@ func TestSearchEmptyCorpusAndNoOverlap(t *testing.T) {
 
 func TestSearchCutoffDropsWeakTiers(t *testing.T) {
 	models := testModels(12)
-	c := New(testOptions(2, 2))
+	c := New(testOptions(2))
 	fill(t, c, models)
 	query := models[5].Clone()
 	all, err := c.Search(query, SearchOptions{TopK: -1})
@@ -205,7 +201,7 @@ func TestSearchCutoffDropsWeakTiers(t *testing.T) {
 
 func TestSearchTopKTruncates(t *testing.T) {
 	models := testModels(15)
-	c := New(testOptions(4, 2))
+	c := New(testOptions(4))
 	fill(t, c, models)
 	query := models[1].Clone()
 	all, err := c.Search(query, SearchOptions{TopK: -1})
@@ -230,7 +226,7 @@ func TestSearchTopKTruncates(t *testing.T) {
 // query must rank its original first under both.
 func TestSearchAgreesWithAllPairsOracle(t *testing.T) {
 	models := testModels(10)
-	c := New(testOptions(3, 3))
+	c := New(testOptions(3))
 	fill(t, c, models)
 	query := models[6].Clone()
 	inv, err := c.Search(query, SearchOptions{TopK: -1})
@@ -261,7 +257,7 @@ func TestSearchAgreesWithAllPairsOracle(t *testing.T) {
 
 func TestComposeWithMatchesDirectCompose(t *testing.T) {
 	models := testModels(6)
-	c := New(testOptions(2, 2))
+	c := New(testOptions(2))
 	fill(t, c, models)
 	query := models[3].Clone()
 	got, err := c.ComposeWith(models[0].ID, query)
@@ -282,7 +278,7 @@ func TestComposeWithMatchesDirectCompose(t *testing.T) {
 
 func TestEngineCachedPerEntry(t *testing.T) {
 	models := testModels(3)
-	c := New(testOptions(2, 2))
+	c := New(testOptions(2))
 	fill(t, c, models)
 	id := models[0].ID
 	e, ok := c.lookup(id)

@@ -3,24 +3,28 @@ package corpus
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
 
 // TestSearchDeterministicAcrossShardsAndWorkers pins the acceptance
-// criterion that sharding and the scoring worker pool are pure throughput
-// mechanisms: the ranked hits (ids, scores, evidence, order) are identical
-// for every shard count in {1,2,4} and worker count in {1,2,4,8}. Run
-// under -race in CI, this also exercises the locking of concurrent reads.
+// criterion that sharding and the scoring fan-out are pure throughput
+// mechanisms: the ranked hits (ids, scores, evidence, order) are
+// identical for every shard count in {1,2,4} and, since search scores on
+// one worker per proc, every GOMAXPROCS in {1,2,4,8}. Run under -race in
+// CI, this also exercises the locking of concurrent reads.
 func TestSearchDeterministicAcrossShardsAndWorkers(t *testing.T) {
 	models := testModels(40)
 	queries := []int{0, 13, 39}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	var reference [][]Hit
 	for _, shards := range []int{1, 2, 4} {
+		c := New(testOptions(shards))
+		fill(t, c, models)
 		for _, workers := range []int{1, 2, 4, 8} {
-			c := New(testOptions(shards, workers))
-			fill(t, c, models)
+			runtime.GOMAXPROCS(workers)
 			var got [][]Hit
 			for _, qi := range queries {
 				hits, err := c.Search(models[qi].Clone(), SearchOptions{TopK: 10})
@@ -34,7 +38,7 @@ func TestSearchDeterministicAcrossShardsAndWorkers(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(reference, got) {
-				t.Fatalf("shards=%d workers=%d: ranking differs from shards=1 workers=1:\n got %+v\nwant %+v",
+				t.Fatalf("shards=%d GOMAXPROCS=%d: ranking differs from shards=1 GOMAXPROCS=1:\n got %+v\nwant %+v",
 					shards, workers, got, reference)
 			}
 		}
@@ -47,7 +51,7 @@ func TestSearchDeterministicAcrossShardsAndWorkers(t *testing.T) {
 // — the point is concurrent safety.
 func TestConcurrentAddSearchRemove(t *testing.T) {
 	models := testModels(24)
-	c := New(testOptions(4, 4))
+	c := New(testOptions(4))
 	fill(t, c, models[:8])
 
 	var wg sync.WaitGroup

@@ -42,7 +42,7 @@ func canonical(m *sbml.Model) string { return sbml.WrapModel(m).ToXML().Canonica
 func TestPersistedAddKeepsOnlyItsDoc(t *testing.T) {
 	m := testModels(1)[0]
 	log := &keyLog{}
-	c := New(testOptions(2, 1))
+	c := New(testOptions(2))
 	c.SetPersister(log)
 	if _, err := c.Add(m); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestPersistedAddKeepsOnlyItsDoc(t *testing.T) {
 func TestInMemoryAddKeepsOnlyADeflatedDoc(t *testing.T) {
 	m := testModels(1)[0]
 	want := canonical(m)
-	c := New(testOptions(2, 1))
+	c := New(testOptions(2))
 	if _, err := c.Add(m); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestInMemoryAddKeepsOnlyADeflatedDoc(t *testing.T) {
 		"reserved block type": append([]byte{0x07}, d.z[1:]...),
 		"truncated":           d.z[:len(d.z)/2],
 	} {
-		c := New(testOptions(2, 1))
+		c := New(testOptions(2))
 		if _, err := c.Add(testModels(1)[0]); err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestInMemoryAddKeepsOnlyADeflatedDoc(t *testing.T) {
 // where it is.
 func TestRelocateSkipsDocsHeldInMemory(t *testing.T) {
 	models := testModels(2)
-	c := New(testOptions(2, 1))
+	c := New(testOptions(2))
 	if _, err := c.Add(models[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestRelocateSkipsDocsHeldInMemory(t *testing.T) {
 // TestReplayRemoveOfAbsentNamesSeq: a replayed log whose remove names a
 // model that is not there fails, and the error names the record's seq.
 func TestReplayRemoveOfAbsentNamesSeq(t *testing.T) {
-	c := New(testOptions(2, 1))
+	c := New(testOptions(2))
 	err := c.ApplyBatch([]BatchOp{{Remove: true, Seq: 7, ID: "ghost"}})
 	if !errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), "seq 7") || !strings.Contains(err.Error(), `"ghost"`) {
 		t.Fatalf("replayed remove of an absent model: err = %v, want ErrNotFound naming seq 7 and the id", err)

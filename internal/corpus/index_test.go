@@ -223,7 +223,7 @@ func compileQueries(t testing.TB, opts Options, models []*sbml.Model) []*Compile
 
 func TestRemoveDropsEveryPosting(t *testing.T) {
 	models := testModels(6)
-	opts := testOptions(2, 2)
+	opts := testOptions(2)
 	queries := compileQueries(t, opts, models)
 	c := New(opts)
 	fill(t, c, models)
@@ -274,7 +274,7 @@ func TestRemoveDropsEveryPosting(t *testing.T) {
 // removal frees ordinals and slots for reuse.
 func TestChurnReusesOrdinalsAndSlots(t *testing.T) {
 	models := testModels(10)
-	c := New(testOptions(2, 1))
+	c := New(testOptions(2))
 	fill(t, c, models)
 	for _, m := range models {
 		if _, err := c.Remove(m.ID); err != nil {
@@ -382,7 +382,7 @@ var (
 
 func churnPool(t testing.TB) *churnFixture {
 	churnOnce.Do(func() {
-		churn.opts = testOptions(1, 2)
+		churn.opts = testOptions(1)
 		churn.models = testModels(churnPoolSize)
 		for _, m := range churn.models {
 			churn.pre = append(churn.pre, PrecompiledModel{ID: m.ID, Doc: Bytes(canonicalBytes(m)), Keys: core.MatchKeys(m, churn.opts.Match)})

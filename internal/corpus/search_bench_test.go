@@ -31,9 +31,9 @@ func corpusModels(n int) []*sbml.Model {
 	return models
 }
 
-// benchOptions are the corpus options of BENCH_corpus.json's rows. The
-// scoring worker count is the default, one per proc, so a -cpu 1 row
-// times the inline scoring production runs at GOMAXPROCS=1.
+// benchOptions are the corpus options of BENCH_corpus.json's rows. Search
+// scores on one worker per proc, so a -cpu 1 row times the inline scoring
+// production runs at GOMAXPROCS=1.
 var benchOptions = Options{Shards: 4, Match: core.Options{Synonyms: synonym.Builtin()}}
 
 // BenchmarkCorpusBuild adds a whole repository to an empty corpus, across

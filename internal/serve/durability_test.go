@@ -18,7 +18,7 @@ import (
 func openTestStore(t *testing.T, dir string) *sbmlcompose.CorpusStore {
 	t.Helper()
 	st, err := sbmlcompose.OpenCorpus(dir, &sbmlcompose.StoreOptions{
-		Corpus: sbmlcompose.CorpusOptions{Shards: 2, Workers: 2},
+		Corpus: sbmlcompose.CorpusOptions{Shards: 2},
 		Fsync:  sbmlcompose.FsyncNever, // tests reopen from files, not from a crash
 	})
 	if err != nil {
@@ -98,7 +98,7 @@ func TestServerStateSurvivesRestart(t *testing.T) {
 func TestHealthzReportsKeyedWALReplay(t *testing.T) {
 	dir := t.TempDir()
 	opts := &sbmlcompose.StoreOptions{
-		Corpus:            sbmlcompose.CorpusOptions{Shards: 2, Workers: 2},
+		Corpus:            sbmlcompose.CorpusOptions{Shards: 2},
 		Fsync:             sbmlcompose.FsyncNever,
 		NoSnapshotOnClose: true, // keep the tail: recovery must replay it
 	}

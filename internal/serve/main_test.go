@@ -14,7 +14,7 @@ import (
 )
 
 func testServer() *Server {
-	return New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 2, Workers: 2}), Config{})
+	return New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 2}), Config{})
 }
 
 func modelXML(id string, seed int64) string {

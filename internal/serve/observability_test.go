@@ -39,7 +39,7 @@ func metricValue(t *testing.T, text, prefix string) float64 {
 func TestMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	st, err := sbmlcompose.OpenCorpus(t.TempDir(), &sbmlcompose.StoreOptions{
-		Corpus:  sbmlcompose.CorpusOptions{Shards: 2, Workers: 2},
+		Corpus:  sbmlcompose.CorpusOptions{Shards: 2},
 		Metrics: NewStoreMetrics(reg), // default fsync=always exercises the fsync series
 	})
 	if err != nil {
@@ -192,7 +192,7 @@ func TestHealthzPercentiles(t *testing.T) {
 func TestSlowRequestLogging(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string
-	s := New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 2, Workers: 2}), Config{
+	s := New(sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 2}), Config{
 		SlowRequest: time.Nanosecond, // everything is slow
 		Logf: func(format string, args ...any) {
 			mu.Lock()

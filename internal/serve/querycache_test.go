@@ -31,7 +31,7 @@ func stripTook(t *testing.T, body []byte) string {
 }
 
 func TestSearchCacheHitsAreByteIdentical(t *testing.T) {
-	corpus := sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 2, Workers: 2})
+	corpus := sbmlcompose.NewCorpus(&sbmlcompose.CorpusOptions{Shards: 2})
 	cached := New(corpus, Config{})
 	uncached := New(corpus, Config{})
 	uncached.searchCache = nil

@@ -26,7 +26,7 @@ import (
 //	go test -run '^$' -bench . -benchmem -cpu 1 -count 5 ./internal/store |
 //	    go run ./cmd/benchfig -out BENCH_store.json
 
-var benchCorpus = corpus.Options{Shards: 4, Workers: 4, Match: core.Options{Synonyms: synonym.Builtin()}}
+var benchCorpus = corpus.Options{Shards: 4, Match: core.Options{Synonyms: synonym.Builtin()}}
 
 // benchOpen opens dir with no background compaction and no snapshot at
 // close, so measured opens leave their fixture intact.

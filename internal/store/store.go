@@ -180,8 +180,7 @@ const (
 
 // Options configures Open.
 type Options struct {
-	// Corpus configures the recovered corpus (shards, workers and match
-	// options).
+	// Corpus configures the recovered corpus (shards and match options).
 	Corpus corpus.Options
 	// Fsync is the WAL durability policy; empty means FsyncAlways.
 	Fsync FsyncPolicy

@@ -32,7 +32,7 @@ func testModel(i int) *sbml.Model {
 
 func testOptions() Options {
 	return Options{
-		Corpus: corpus.Options{Shards: 3, Workers: 2, Match: core.Options{Synonyms: synonym.Builtin()}},
+		Corpus: corpus.Options{Shards: 3, Match: core.Options{Synonyms: synonym.Builtin()}},
 	}
 }
 
