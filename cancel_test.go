@@ -139,31 +139,44 @@ func TestCancelCorpusSearchMidFlight(t *testing.T) {
 	}
 }
 
+// TestCancelEstimateProbabilityMidFlight cancels a Monte Carlo estimate
+// mid-flight at GOMAXPROCS 1, 2, 4 and 8. Each must leave no goroutine
+// behind, and the client's cached engine must then give the legacy
+// wrapper's estimate, the same at every GOMAXPROCS as at 1.
 func TestCancelEstimateProbabilityMidFlight(t *testing.T) {
 	m := biomodels.Generate(biomodels.Config{
 		ID: "prob_m", Nodes: 10, Edges: 14, Seed: 6200, VocabularySize: 60, Decorate: true,
 	})
 	formula := "G({" + m.Species[0].ID + " >= 0})"
 	cli := New()
-	opts := SimOptions{T1: 5, Step: 1, Seed: 1, Workers: 4}
+	opts := SimOptions{T1: 5, Step: 1, Seed: 1}
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	var base Estimate
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		before := runtime.NumGoroutine()
+		cancelMidFlight(t, 100, 2*time.Millisecond, func(ctx context.Context) error {
+			_, err := cli.EstimateProbability(ctx, m, formula, 100000, opts)
+			return err
+		})
+		requireNoGoroutineGrowth(t, before)
 
-	before := runtime.NumGoroutine()
-	cancelMidFlight(t, 100, 2*time.Millisecond, func(ctx context.Context) error {
-		_, err := cli.EstimateProbability(ctx, m, formula, 100000, opts)
-		return err
-	})
-	requireNoGoroutineGrowth(t, before)
-
-	// The cached engine still yields the deterministic estimate.
-	got, err := cli.ProbabilityEstimate(context.Background(), m, formula, 50, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ProbabilityEstimate(m, formula, 50, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("post-cancellation estimate %+v != legacy %+v", got, want)
+		got, err := cli.ProbabilityEstimate(context.Background(), m, formula, 50, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ProbabilityEstimate(m, formula, 50, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("GOMAXPROCS=%d: post-cancellation estimate %+v != legacy %+v", procs, got, want)
+		}
+		if procs == 1 {
+			base = got
+		} else if got != base {
+			t.Fatalf("GOMAXPROCS=%d: estimate %+v differs from GOMAXPROCS=1's %+v", procs, got, base)
+		}
 	}
 }

@@ -288,8 +288,8 @@ func (c *Client) SimulateSSA(ctx context.Context, m *Model, opts SimOptions) (*T
 }
 
 // SimulateEnsembleSSA averages `runs` stochastic trajectories with
-// consecutive seeds across opts.Workers workers. ctx is checked between
-// runs and inside each run; the mean is identical for every worker count.
+// consecutive seeds, run on one worker per proc. ctx is checked between
+// runs and inside each run; the mean is identical at every GOMAXPROCS.
 func (c *Client) SimulateEnsembleSSA(ctx context.Context, m *Model, runs int, opts SimOptions) (*Trace, error) {
 	eng, err := c.engineFor(m)
 	if err != nil {
@@ -321,7 +321,8 @@ func (c *Client) CheckProperty(ctx context.Context, m *Model, formula string, op
 // trajectory satisfies the formula over `runs` SSA simulations, with its
 // 95% Wilson score interval. ctx is checked between and inside runs; a
 // cancelled estimate returns ctx's error, never a partial fraction. The
-// estimate is bit-identical to the legacy path at every worker count.
+// runs execute on one worker per proc, and the estimate is bit-identical
+// at every GOMAXPROCS.
 func (c *Client) ProbabilityEstimate(ctx context.Context, m *Model, formula string, runs int, opts SimOptions) (Estimate, error) {
 	f, err := mc2.Parse(formula)
 	if err != nil {
@@ -331,7 +332,7 @@ func (c *Client) ProbabilityEstimate(ctx context.Context, m *Model, formula stri
 	if err != nil {
 		return Estimate{}, err
 	}
-	return mc2.ProbabilityEngine(ctx, eng, f, runs, opts)
+	return mc2.Probability(ctx, eng, f, runs, opts)
 }
 
 // EstimateProbability is ProbabilityEstimate reduced to the point

@@ -10,10 +10,10 @@
 //
 // With -runs 0 (default) the property is checked once on the ODE trace and
 // the exit status reports the verdict (0 holds, 1 fails). With -runs N > 0,
-// N stochastic runs estimate the satisfaction probability; -workers sizes
-// the worker pool the runs execute on (default GOMAXPROCS) without
-// affecting the estimate, and the reported interval is a 95% Wilson score
-// interval.
+// N stochastic runs, one worker per proc, estimate the satisfaction
+// probability; the estimate is the same at every GOMAXPROCS, and the
+// reported interval is a 95% Wilson score interval. A negative -runs is a
+// usage error.
 // Ctrl-C (SIGINT) or SIGTERM cancels the in-flight check or estimate at
 // its next loop-granular check (between and inside stochastic runs),
 // prints what was in progress to stderr, and exits 130.
@@ -54,17 +54,19 @@ func main() {
 
 func run(ctx context.Context) (int, error) {
 	var (
-		prop    = flag.String("prop", "", "temporal-logic property, e.g. 'G({A >= 0})'")
-		runs    = flag.Int("runs", 0, "stochastic runs; 0 checks the ODE trace once")
-		t0      = flag.Float64("t0", 0, "start time")
-		t1      = flag.Float64("t1", 10, "end time")
-		step    = flag.Float64("step", 0.1, "sampling step")
-		seed    = flag.Int64("seed", 1, "base stochastic seed")
-		workers = flag.Int("workers", 0, "worker pool for stochastic runs; 0 means GOMAXPROCS")
+		prop = flag.String("prop", "", "temporal-logic property, e.g. 'G({A >= 0})'")
+		runs = flag.Int("runs", 0, "stochastic runs; 0 checks the ODE trace once")
+		t0   = flag.Float64("t0", 0, "start time")
+		t1   = flag.Float64("t1", 10, "end time")
+		step = flag.Float64("step", 0.1, "sampling step")
+		seed = flag.Int64("seed", 1, "base stochastic seed")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 || *prop == "" {
 		return 2, fmt.Errorf("usage: mc2 -prop FORMULA [flags] model.xml")
+	}
+	if *runs < 0 {
+		return 2, fmt.Errorf("usage: -runs must not be negative, got %d", *runs)
 	}
 	m, err := sbmlcompose.ParseModelFile(flag.Arg(0))
 	if err != nil {
@@ -76,8 +78,8 @@ func run(ctx context.Context) (int, error) {
 		fmt.Fprintf(os.Stderr, "mc2: cancelled %s after %s (property %q, %d run(s) requested); no verdict\n",
 			what, time.Since(start).Round(time.Millisecond), *prop, *runs)
 	}
-	opts := sim.Options{T0: *t0, T1: *t1, Step: *step, Seed: *seed, Workers: *workers}
-	if *runs <= 0 {
+	opts := sim.Options{T0: *t0, T1: *t1, Step: *step, Seed: *seed}
+	if *runs == 0 {
 		ok, err := cli.CheckProperty(ctx, m, *prop, opts)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
@@ -96,7 +98,11 @@ func run(ctx context.Context) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-	est, err := mc2.ProbabilityContext(ctx, m, f, *runs, opts)
+	eng, err := sim.Compile(m)
+	if err != nil {
+		return 2, err
+	}
+	est, err := mc2.Probability(ctx, eng, f, *runs, opts)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			cancelled("probability estimate")

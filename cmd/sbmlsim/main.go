@@ -4,7 +4,7 @@
 // Usage:
 //
 //	sbmlsim [-method ode|ssa] [-t1 10] [-step 0.1] [-seed 1] model.xml
-//	sbmlsim -method ssa -runs 100 -workers 8 model.xml   mean of 100 runs
+//	sbmlsim -method ssa -runs 100 model.xml   mean of 100 runs, one worker per proc
 //	sbmlsim -rss other.csv model.xml        compare against a stored trace
 //
 // Ctrl-C (SIGINT) or SIGTERM cancels the in-flight simulation at its next
@@ -52,12 +52,14 @@ func run(ctx context.Context) error {
 		seed     = flag.Int64("seed", 1, "stochastic seed (ssa)")
 		adaptive = flag.Bool("adaptive", false, "use adaptive RKF45 integration (ode)")
 		runs     = flag.Int("runs", 1, "ssa only: average this many runs with consecutive seeds")
-		workers  = flag.Int("workers", 0, "worker pool for -runs > 1; 0 means GOMAXPROCS")
 		rssPath  = flag.String("rss", "", "CSV trace to compare against; prints per-species RSS")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		return fmt.Errorf("usage: sbmlsim [flags] model.xml")
+	}
+	if *runs < 1 {
+		return fmt.Errorf("usage: -runs must be at least 1, got %d", *runs)
 	}
 	m, err := sbmlcompose.ParseModelFile(flag.Arg(0))
 	if err != nil {
@@ -65,7 +67,7 @@ func run(ctx context.Context) error {
 	}
 	cli := sbmlcompose.New()
 	start := time.Now()
-	opts := sbmlcompose.SimOptions{T0: *t0, T1: *t1, Step: *step, Seed: *seed, Adaptive: *adaptive, Workers: *workers}
+	opts := sbmlcompose.SimOptions{T0: *t0, T1: *t1, Step: *step, Seed: *seed, Adaptive: *adaptive}
 	var tr *sbmlcompose.Trace
 	switch *method {
 	case "ode":

@@ -177,7 +177,7 @@ func (c *Corpus) installByShard(n int, id func(i int) string, apply func(sh *sha
 		groups[s] = append(groups[s], i)
 	}
 	// Nothing cancels an install and apply never fails.
-	_ = par.Do(context.TODO(), len(c.shards), 0, func(_, s int) error {
+	_ = par.Do(context.TODO(), len(c.shards), func(_, s int) error {
 		for _, i := range groups[s] {
 			apply(c.shards[s], i)
 		}

@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -1011,11 +1010,10 @@ func (c *Corpus) rank(ctx context.Context, cq *CompiledQuery, opts SearchOptions
 	// partial hits slice.
 	scoreSpan := obs.FromContext(ctx).Start("score")
 	hits := make([]Hit, len(cands))
-	workers := min(runtime.GOMAXPROCS(0), len(cands))
 	// Each worker allocates its own scorer: scorers packed into one slice
 	// would share cache lines that every candidate writes.
-	scorers := make([]*scorer, workers)
-	err = par.Do(ctx, len(cands), workers, func(w, i int) error {
+	scorers := make([]*scorer, par.Workers(len(cands)))
+	err = par.Do(ctx, len(cands), func(w, i int) error {
 		if scorers[w] == nil {
 			scorers[w] = newScorer(cq)
 		}

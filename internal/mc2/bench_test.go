@@ -8,9 +8,8 @@ import (
 	"sbmlcompose/internal/sim"
 )
 
-// BenchmarkProbability is BENCH_sim.json's Monte Carlo rows: 20 runs
-// across worker counts. The consecutive-seed scheme gives identical
-// estimates at every width.
+// BenchmarkProbability is BENCH_sim.json's Monte Carlo row: 20 runs of a
+// compiled model on par.Do's one worker per proc.
 func BenchmarkProbability(b *testing.B) {
 	m := biomodels.Generate(biomodels.Config{
 		ID: "simbench_mc", Nodes: 60, Edges: 90, Seed: 90211, VocabularySize: 150, Decorate: true,
@@ -19,14 +18,12 @@ func BenchmarkProbability(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		opts := sim.Options{T0: 0, T1: 2, Step: 0.1, Seed: 5, Workers: workers}
-		b.Run(fmt.Sprintf("runs=20/workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Probability(m, f, 20, opts); err != nil {
-					b.Fatal(err)
-				}
+	opts := sim.Options{T0: 0, T1: 2, Step: 0.1, Seed: 5}
+	b.Run("runs=20", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := probability(b, m, f, 20, opts); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }

@@ -5,7 +5,7 @@ package mc2
 // in one backward dynamic-programming pass per formula node. This replaces
 // the recursive holds evaluation — O(trace²) for U/G/F because every start
 // index rescanned its suffix — with O(trace) per node, and is what lets
-// Probability's worker pool check thousands of trajectories cheaply. The
+// Probability's par.Do fan-out check thousands of trajectories cheaply. The
 // recursive evaluator remains the semantic reference; the tests pin the two
 // against each other on randomized traces and formulae.
 

@@ -3,6 +3,7 @@ package mc2
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sbmlcompose/internal/sim"
@@ -149,25 +150,29 @@ func TestWilsonIntervalBounds(t *testing.T) {
 	}
 }
 
-// TestProbabilityDeterministicAcrossWorkers pins the tentpole requirement:
-// the parallel estimator returns bit-identical estimates for any worker
-// count (run under -race in CI).
+// TestProbabilityDeterministicAcrossWorkers pins the estimator's
+// GOMAXPROCS invariance: par.Do runs one worker per proc, and the estimate
+// at 2, 4 and 8 procs must equal the one at 1 bitwise (run under -race in
+// CI).
 func TestProbabilityDeterministicAcrossWorkers(t *testing.T) {
 	m := decayModel()
 	f := MustParse("F[1,1]({A < 61}) & G({A + B == 100})")
+	opts := sim.Options{T0: 0, T1: 1, Step: 0.25, Seed: 10}
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	var base Estimate
-	for _, workers := range []int{1, 2, 3, 7, 16} {
-		opts := sim.Options{T0: 0, T1: 1, Step: 0.25, Seed: 10, Workers: workers}
-		est, err := Probability(m, f, 40, opts)
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		est, err := probability(t, m, f, 40, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if workers == 1 {
+		if procs == 1 {
 			base = est
 			continue
 		}
 		if est != base {
-			t.Errorf("workers=%d: estimate %+v differs from serial %+v", workers, est, base)
+			t.Errorf("GOMAXPROCS=%d: estimate %+v differs from GOMAXPROCS=1's %+v", procs, est, base)
 		}
 	}
 }
@@ -196,8 +201,7 @@ func TestProbabilityMatchesSerialReference(t *testing.T) {
 			satisfied++
 		}
 	}
-	opts.Workers = 4
-	est, err := Probability(m, f, runs, opts)
+	est, err := probability(t, m, f, runs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,12 +31,12 @@
 // (division by zero, ...) follow the reference exactly: the check fails
 // only if the reference's evaluation from the first sample reaches one.
 //
-// Probability estimation compiles the model once (sim.Compile) and fans the
-// stochastic runs out with par.Do (sim.Options.Workers workers, default
-// GOMAXPROCS) with the same consecutive per-run seeds as the serial order,
-// so the estimate is bit-identical for every worker count. Its confidence
-// interval is a 95% Wilson score interval, which stays honest at p̂ = 0 or 1
-// where the normal approximation collapses to zero width.
+// Probability estimation runs on a compiled model (sim.Compile) and fans
+// the stochastic runs out with par.Do, one worker per proc, with the same
+// consecutive per-run seeds as the serial order, so the estimate is
+// bit-identical at every GOMAXPROCS. Its confidence interval is a 95%
+// Wilson score interval, which stays honest at p̂ = 0 or 1 where the normal
+// approximation collapses to zero width.
 package mc2
 
 import (
@@ -48,7 +48,6 @@ import (
 
 	"sbmlcompose/internal/mathml"
 	"sbmlcompose/internal/par"
-	"sbmlcompose/internal/sbml"
 	"sbmlcompose/internal/sim"
 	"sbmlcompose/internal/trace"
 )
@@ -477,43 +476,20 @@ func newEstimate(satisfied, runs int) Estimate {
 	}
 }
 
-// Probability estimates P(φ) over stochastic trajectories of the model:
-// `runs` SSA simulations with consecutive seeds starting at opts.Seed, each
-// checked against the formula. This is the MC2 procedure used to compare
-// composed and expected model behaviour. The model is compiled once and the
-// runs execute on opts.Workers par.Do workers (default GOMAXPROCS); the
-// per-run seeds are those of the serial order, so the estimate is identical
-// for every worker count.
-func Probability(m *sbml.Model, f Formula, runs int, opts sim.Options) (Estimate, error) {
-	return ProbabilityContext(context.Background(), m, f, runs, opts)
-}
-
-// ProbabilityContext is Probability honoring cancellation: ctx is checked
-// before each run by par.Do and inside each SSA event loop, every run has
-// returned before the call does, and a cancelled estimate returns ctx's
-// error (never a partial fraction). An uncancelled context yields an
-// estimate bit-identical to Probability at every worker count.
-func ProbabilityContext(ctx context.Context, m *sbml.Model, f Formula, runs int, opts sim.Options) (Estimate, error) {
-	// Validate before compiling: an invalid runs count must fail with the
-	// argument error (as Probability always has), not with whatever the
-	// model's compilation happens to say, and must not pay a compile.
-	if runs <= 0 {
-		return Estimate{}, fmt.Errorf("mc2: runs must be positive")
-	}
-	eng, err := sim.Compile(m)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return ProbabilityEngine(ctx, eng, f, runs, opts)
-}
-
-// ProbabilityEngine is ProbabilityContext over an already-compiled engine —
-// the repeated-request form: callers holding a model's engine (the facade
-// client's LRU, the corpus's per-entry cache) amortize compilation across
-// estimates. The runs fan out with par.Do; run i writes only its own
-// verdict slot, so the estimate is bit-identical to Probability's for the
-// same model, seeds and runs, whatever the worker count.
-func ProbabilityEngine(ctx context.Context, eng *sim.Engine, f Formula, runs int, opts sim.Options) (Estimate, error) {
+// Probability estimates P(φ) over stochastic trajectories of the compiled
+// model: `runs` SSA simulations with consecutive seeds starting at
+// opts.Seed, each checked against the formula. This is the MC2 procedure
+// used to compare composed and expected model behaviour. Taking the engine
+// lets a caller that holds one (the facade client's LRU) amortize
+// compilation across estimates.
+//
+// The runs fan out with par.Do, one worker per proc; run i writes only its
+// own verdict slot and uses the serial order's seed, so the estimate is
+// bit-identical at every GOMAXPROCS. ctx is checked before each run by
+// par.Do and inside each SSA run, every run has returned before the call
+// does, and a cancelled estimate returns ctx's error (never a partial
+// fraction).
+func Probability(ctx context.Context, eng *sim.Engine, f Formula, runs int, opts sim.Options) (Estimate, error) {
 	if runs <= 0 {
 		return Estimate{}, fmt.Errorf("mc2: runs must be positive")
 	}
@@ -522,7 +498,7 @@ func ProbabilityEngine(ctx context.Context, eng *sim.Engine, f Formula, runs int
 		return Estimate{}, err
 	}
 	sat := make([]bool, runs)
-	err = par.Do(ctx, runs, opts.Workers, func(_, i int) error {
+	err = par.Do(ctx, runs, func(_, i int) error {
 		runOpts := opts
 		runOpts.Seed = opts.Seed + int64(i)
 		tr, err := eng.SSACtx(ctx, runOpts)

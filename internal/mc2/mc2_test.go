@@ -1,6 +1,7 @@
 package mc2
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -156,11 +157,22 @@ func decayModel() *sbml.Model {
 	return m
 }
 
+// probability compiles m and estimates P(f) over it with a background
+// context.
+func probability(tb testing.TB, m *sbml.Model, f Formula, runs int, opts sim.Options) (Estimate, error) {
+	tb.Helper()
+	eng, err := sim.Compile(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Probability(context.Background(), eng, f, runs, opts)
+}
+
 func TestProbabilityCertainAndImpossible(t *testing.T) {
 	m := decayModel()
 	opts := sim.Options{T0: 0, T1: 20, Step: 0.5, Seed: 1}
 	// Conservation holds on every trajectory.
-	est, err := Probability(m, MustParse("G({A + B == 100})"), 20, opts)
+	est, err := probability(t, m, MustParse("G({A + B == 100})"), 20, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +180,7 @@ func TestProbabilityCertainAndImpossible(t *testing.T) {
 		t.Errorf("conservation probability = %g, want 1", est.Probability)
 	}
 	// A can never exceed its initial count.
-	est, err = Probability(m, MustParse("F({A > 100})"), 20, opts)
+	est, err = probability(t, m, MustParse("F({A > 100})"), 20, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +199,7 @@ func TestProbabilityIntermediate(t *testing.T) {
 	// both outcomes occur across seeds.
 	m := decayModel()
 	opts := sim.Options{T0: 0, T1: 1, Step: 0.25, Seed: 10}
-	est, err := Probability(m, MustParse("F[1,1]({A < 61})"), 60, opts)
+	est, err := probability(t, m, MustParse("F[1,1]({A < 61})"), 60, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +213,10 @@ func TestProbabilityIntermediate(t *testing.T) {
 
 func TestProbabilityErrors(t *testing.T) {
 	m := decayModel()
-	if _, err := Probability(m, MustParse("G({A>=0})"), 0, sim.Options{T0: 0, T1: 1}); err == nil {
+	if _, err := probability(t, m, MustParse("G({A>=0})"), 0, sim.Options{T0: 0, T1: 1}); err == nil {
 		t.Error("zero runs should error")
 	}
-	if _, err := Probability(m, MustParse("G({ghost>=0})"), 2, sim.Options{T0: 0, T1: 1, Step: 0.5}); err == nil {
+	if _, err := probability(t, m, MustParse("G({ghost>=0})"), 2, sim.Options{T0: 0, T1: 1, Step: 0.5}); err == nil {
 		t.Error("unknown species should error")
 	}
 }

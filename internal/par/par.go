@@ -3,7 +3,9 @@
 // snapshot decode, key resolution and per-shard installs, and corpus
 // scoring.
 // Each of those is n independent units of work whose results land in
-// per-index slots, so the schedule never changes the answer.
+// per-index slots, so the schedule never changes the answer. No caller
+// picks a worker count: every fan-out runs on one worker per proc, capped
+// at n (Workers).
 package par
 
 import (
@@ -13,32 +15,38 @@ import (
 	"sync/atomic"
 )
 
+// Workers is the number of workers Do runs n units of work on:
+// min(GOMAXPROCS, n), and 0 when n ≤ 0. A caller keeping per-worker
+// scratch sizes it with Workers(n) before calling Do; nothing in the
+// system changes GOMAXPROCS while a fan-out runs.
+func Workers(n int) int {
+	return max(0, min(runtime.GOMAXPROCS(0), n))
+}
+
 // Do calls fn(w, i) for every i in [0, n) and returns once every call it
 // started has returned; no goroutine outlives it.
 //
-// workers ≤ 0 means GOMAXPROCS, and the count is capped at n. The caller's
-// goroutine is worker 0, so a single worker runs inline and starts no
-// goroutine. w ∈ [0, workers) names the worker making a call, and one
-// worker's calls never overlap, so callers may keep per-worker scratch.
+// It runs on Workers(n) workers. The caller's goroutine is worker 0, so at
+// GOMAXPROCS=1 (or n=1) every call runs inline and no goroutine starts.
+// w ∈ [0, Workers(n)) names the worker making a call, and one worker's
+// calls never overlap, so callers may keep per-worker scratch.
 //
-// Workers claim contiguous chunks of indexes from a shared counter, about
-// four per worker: work stealing, so no worker idles behind a run of heavy
-// units, at one atomic per chunk rather than per index. (Eight chunks per
-// worker scored corpus candidates measurably slower at two procs.)
+// The workers claim contiguous chunks of indexes from a shared counter,
+// about four per worker: work stealing, so no worker idles behind a run of
+// heavy units, at one atomic per chunk rather than per index. (Eight
+// chunks per worker scored corpus candidates measurably slower at two
+// procs.)
 //
 // ctx is checked before each index; once it is done no further index
 // starts and Do returns ctx's error, whatever fn returned. Otherwise Do
 // returns the error of the lowest failing index: indexes above a failure
 // are skipped and those below it still run, so the error is the one a
 // serial loop would have met first, whatever the scheduling.
-func Do(ctx context.Context, n, workers int, fn func(w, i int) error) error {
-	if n <= 0 {
+func Do(ctx context.Context, n int, fn func(w, i int) error) error {
+	workers := Workers(n)
+	if workers == 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, n)
 	p := &pool{ctx: ctx, fn: fn, n: n, chunk: max(1, n/(workers*4))}
 	p.bound.Store(int64(n))
 	var wg sync.WaitGroup

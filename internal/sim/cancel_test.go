@@ -1,16 +1,29 @@
 package sim
 
 // Cancellation tests for the engine's context-aware run paths: the ODE
-// step loop, the SSA event loop (checked every ssaCtxCheckEvery events),
-// and the ensemble fan-out.
+// step loop, the SSA event loop and sample fill (each checked every
+// ssaCtxCheckEvery events or samples), and the ensemble fan-out.
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"sbmlcompose/internal/sbml"
+	"sbmlcompose/internal/trace"
 )
+
+// setProcs sets GOMAXPROCS for the rest of the test and restores the
+// value the test started with when it ends.
+func setProcs(t *testing.T, procs int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // countingCtx reports Canceled from the (n+1)-th Err() call on.
 type countingCtx struct {
@@ -155,6 +168,59 @@ func TestSSACtxCancelsInsideEventLoop(t *testing.T) {
 	}
 }
 
+// TestSSACtxCancelsSampleFill covers the two loops that append samples
+// without a reaction event: the flat-line fill of an exhausted system and
+// the fill up to an event far beyond the sampling grid. Neither may
+// outrun cancellation, however many samples the grid asks for.
+func TestSSACtxCancelsSampleFill(t *testing.T) {
+	idle := sbml.NewModel("idle")
+	idle.Compartments = append(idle.Compartments, &sbml.Compartment{ID: "cell", SpatialDimensions: 3, Size: 1, HasSize: true, Constant: true})
+	idle.Species = append(idle.Species, &sbml.Species{ID: "A", Compartment: "cell", InitialAmount: 5, HasInitialAmount: true})
+	exhausted, err := Compile(idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One molecule decaying at rate 1e-9: the first event lands far
+	// past T1, so every sample comes from the catch-up fill.
+	slow, err := Compile(decayModel(1e-9, 0.001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []struct {
+		name string
+		e    *Engine
+	}{{"exhausted", exhausted}, {"slow", slow}}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, step := range []float64{0.1, 1e-5} {
+		opts := Options{T1: 10, Step: step, Seed: 1}
+		for _, c := range engines {
+			if _, err := c.e.SSACtx(cancelled, opts); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s step=%g: pre-cancelled SSACtx = %v, want context.Canceled", c.name, step, err)
+			}
+		}
+	}
+	// Mid-fill: the sixth check (sample 5×ssaCtxCheckEvery of 10001)
+	// cancels, and no event loop check comes first.
+	opts := Options{T1: 10, Step: 1e-3, Seed: 1}
+	for _, c := range engines {
+		if _, err := c.e.SSACtx(newCountingCtx(5), opts); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: mid-fill SSACtx = %v, want context.Canceled", c.name, err)
+		}
+		// Uncancelled, the run fills the whole grid.
+		tr, err := c.e.SSACtx(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() < 10001 {
+			t.Errorf("%s: uncancelled run has %d samples, want the full grid", c.name, tr.Len())
+		}
+	}
+}
+
+// TestEnsembleSSACtxCancelled checks that a pre-cancelled ensemble
+// returns ctx's error at every GOMAXPROCS, and that the engine then
+// yields the same mean at GOMAXPROCS 1, 2, 4 and 8, bitwise.
 func TestEnsembleSSACtxCancelled(t *testing.T) {
 	e, err := Compile(decayModel(1.0, 1e3))
 	if err != nil {
@@ -162,21 +228,20 @@ func TestEnsembleSSACtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.EnsembleSSACtx(ctx, 50, Options{T1: 20, Step: 10, Workers: 4}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled EnsembleSSACtx = %v, want context.Canceled", err)
-	}
-	// The engine still produces the deterministic mean afterwards.
-	m1, err := e.EnsembleSSA(8, Options{T1: 5, Step: 1, Seed: 3, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := e.EnsembleSSA(8, Options{T1: 5, Step: 1, Seed: 3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m1.Values {
-		if m1.Values[i][0] != m2.Values[i][0] {
-			t.Fatalf("ensemble mean differs across worker counts at sample %d", i)
+	var base *trace.Trace
+	for _, procs := range []int{1, 2, 4, 8} {
+		setProcs(t, procs)
+		if _, err := e.EnsembleSSACtx(ctx, 50, Options{T1: 20, Step: 10}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("GOMAXPROCS=%d: pre-cancelled EnsembleSSACtx = %v, want context.Canceled", procs, err)
 		}
+		mean, err := e.EnsembleSSA(8, Options{T1: 5, Step: 1, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base == nil {
+			base = mean
+			continue
+		}
+		tracesIdentical(t, fmt.Sprintf("ensemble mean at GOMAXPROCS=%d", procs), base, mean)
 	}
 }

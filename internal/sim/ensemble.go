@@ -3,39 +3,20 @@ package sim
 // Parallel multi-run driver. The engine compiles a model once; an ensemble
 // then fans independent SSA trajectories out with par.Do, each with its
 // own runState and a consecutively-seeded RNG, so the result is identical
-// for every worker count — the same scheme mc2.Probability uses.
+// at every GOMAXPROCS — the same scheme mc2.Probability uses.
 
 import (
 	"context"
 	"fmt"
 
 	"sbmlcompose/internal/par"
-	"sbmlcompose/internal/sbml"
 	"sbmlcompose/internal/trace"
 )
 
 // EnsembleSSA runs `runs` stochastic simulations with consecutive seeds
-// starting at opts.Seed — in parallel across opts.Workers workers — and
-// returns the mean trajectory. The mean is accumulated in run order, so the
-// result is bit-identical for every worker count.
-func EnsembleSSA(m *sbml.Model, runs int, opts Options) (*trace.Trace, error) {
-	return EnsembleSSACtx(context.Background(), m, runs, opts)
-}
-
-// EnsembleSSACtx is EnsembleSSA honoring cancellation; see
-// Engine.EnsembleSSACtx.
-func EnsembleSSACtx(ctx context.Context, m *sbml.Model, runs int, opts Options) (*trace.Trace, error) {
-	if runs <= 0 {
-		return nil, fmt.Errorf("sim: ensemble runs must be positive")
-	}
-	e, err := Compile(m)
-	if err != nil {
-		return nil, err
-	}
-	return e.EnsembleSSACtx(ctx, runs, opts)
-}
-
-// EnsembleSSA is the engine form of the package-level EnsembleSSA.
+// starting at opts.Seed, in parallel on par.Do's workers, and returns the
+// mean trajectory. The mean is accumulated in run order, so the result is
+// bit-identical at every GOMAXPROCS.
 func (e *Engine) EnsembleSSA(runs int, opts Options) (*trace.Trace, error) {
 	return e.EnsembleSSACtx(context.Background(), runs, opts)
 }
@@ -44,13 +25,13 @@ func (e *Engine) EnsembleSSA(runs int, opts Options) (*trace.Trace, error) {
 // before each run by par.Do and inside each run's event loop, every run
 // has returned before the call does, and a cancelled ensemble returns
 // ctx's error with no partial mean. An uncancelled context produces a mean
-// bit-identical to EnsembleSSA at every worker count.
+// bit-identical to EnsembleSSA at every GOMAXPROCS.
 func (e *Engine) EnsembleSSACtx(ctx context.Context, runs int, opts Options) (*trace.Trace, error) {
 	if runs <= 0 {
 		return nil, fmt.Errorf("sim: ensemble runs must be positive")
 	}
 	traces := make([]*trace.Trace, runs)
-	err := par.Do(ctx, runs, opts.Workers, func(_, i int) error {
+	err := par.Do(ctx, runs, func(_, i int) error {
 		runOpts := opts
 		runOpts.Seed = opts.Seed + int64(i)
 		tr, err := e.SSACtx(ctx, runOpts)

@@ -293,17 +293,23 @@ func TestEngineInnerLoopsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestEnsembleSSADeterministicAcrossWorkers pins worker-count invariance of
-// the parallel multi-run driver.
+// TestEnsembleSSADeterministicAcrossWorkers pins GOMAXPROCS invariance of
+// the parallel multi-run driver: par.Do runs one worker per proc, and the
+// mean at 2, 4 and 8 procs must equal the one at 1 bitwise.
 func TestEnsembleSSADeterministicAcrossWorkers(t *testing.T) {
 	m := decayModel(0.4, 0)
 	m.Species[0].HasInitialConcentration = false
 	m.Species[0].HasInitialAmount = true
 	m.Species[0].InitialAmount = 200
+	e, err := Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{T0: 0, T1: 5, Step: 0.5, Seed: 11}
 	var base *trace.Trace
-	for _, workers := range []int{1, 2, 3, 8} {
-		opts := Options{T0: 0, T1: 5, Step: 0.5, Seed: 11, Workers: workers}
-		mean, err := EnsembleSSA(m, 12, opts)
+	for _, procs := range []int{1, 2, 4, 8} {
+		setProcs(t, procs)
+		mean, err := e.EnsembleSSA(12, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +317,7 @@ func TestEnsembleSSADeterministicAcrossWorkers(t *testing.T) {
 			base = mean
 			continue
 		}
-		tracesIdentical(t, fmt.Sprintf("ensemble workers=%d", workers), base, mean)
+		tracesIdentical(t, fmt.Sprintf("ensemble GOMAXPROCS=%d", procs), base, mean)
 	}
 }
 

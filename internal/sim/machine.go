@@ -17,8 +17,8 @@ package sim
 // An Engine is immutable after Compile and safe for concurrent use: all
 // mutable run state (the slot vector, scratch stacks, integrator buffers,
 // the event queue) lives in a per-run runState, which is what lets
-// EnsembleSSA and mc2.Probability run one compiled model on par.Do's
-// concurrent workers.
+// Engine.EnsembleSSA and mc2.Probability run one compiled model on
+// par.Do's concurrent workers, one per proc.
 
 import (
 	"context"
@@ -902,10 +902,11 @@ func (rs *runState) propensities(t float64) (float64, error) {
 	return total, nil
 }
 
-// ssaCtxCheckEvery is how many Gillespie events an SSA run executes
-// between context checks: frequent enough that cancellation lands within
-// microseconds even on stiff models, rare enough that the counter is
-// invisible next to the per-event propensity evaluation.
+// ssaCtxCheckEvery is how many Gillespie events, and separately how many
+// output samples, an SSA run produces between context checks: frequent
+// enough that cancellation lands within microseconds even on stiff models
+// or a fine sampling grid, rare enough that the counters are invisible
+// next to the per-event propensity evaluation and the per-sample copy.
 const ssaCtxCheckEvery = 1024
 
 // SSA runs Gillespie's direct method; see SimulateSSA.
@@ -913,10 +914,12 @@ func (e *Engine) SSA(opts Options) (*trace.Trace, error) {
 	return e.SSACtx(context.Background(), opts)
 }
 
-// SSACtx is SSA honoring cancellation: the event loop checks ctx every
-// ssaCtxCheckEvery reaction events and returns ctx's error mid-run. An
-// uncancelled context produces a trace bitwise identical to SSA's (the RNG
-// consumption sequence is untouched).
+// SSACtx is SSA honoring cancellation: ctx is checked before the first
+// sample, then every ssaCtxCheckEvery reaction events and every
+// ssaCtxCheckEvery samples, so neither a busy event loop nor the sample
+// fill of an exhausted system outruns it, and ctx's error is returned
+// mid-run. An uncancelled context produces a trace bitwise identical to
+// SSA's (the RNG consumption sequence is untouched).
 func (e *Engine) SSACtx(ctx context.Context, opts Options) (*trace.Trace, error) {
 	opts = opts.withDefaults()
 	if opts.T1 <= opts.T0 {
@@ -936,6 +939,11 @@ func (e *Engine) SSACtx(ctx context.Context, opts Options) (*trace.Trace, error)
 	t := opts.T0
 	nextSample := opts.T0
 	appendSample := func() error {
+		if tr.Len()%ssaCtxCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		if err := tr.Append(nextSample, rs.state); err != nil {
 			return err
 		}

@@ -60,11 +60,6 @@ type Options struct {
 	// species use initialConcentration (count = conc × scale). Zero
 	// defaults to 1000.
 	ScaleFactor float64
-	// Workers is the par.Do worker count of multi-run drivers
-	// (EnsembleSSA, mc2.Probability); 0 or less means GOMAXPROCS.
-	// Single-trajectory simulation ignores it. Results are identical for
-	// every worker count.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {

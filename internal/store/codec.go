@@ -218,7 +218,7 @@ func decodeSnapshotV2(data []byte) (snapFile, error) {
 		rest = rest[entryLen:]
 	}
 	sf.entries = make([]snapEntry, len(frames))
-	err := par.Do(context.TODO(), len(frames), 0, func(_, i int) error {
+	err := par.Do(context.TODO(), len(frames), func(_, i int) error {
 		f := frames[i]
 		e, err := decodeSnapEntry(data[f[0]:f[1]])
 		if err != nil {

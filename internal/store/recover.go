@@ -137,7 +137,7 @@ func (s *Store) resolveKeys(ms []persistedModel) (results []keyResult, parsed in
 	var n atomic.Int64
 	// Recovery takes no context, so nothing cancels the fan-out and fn
 	// never fails: a parse error is that model's result.
-	_ = par.Do(context.TODO(), len(ms), 0, func(_, i int) error {
+	_ = par.Do(context.TODO(), len(ms), func(_, i int) error {
 		m := &ms[i]
 		if m.hasKeys && s.trustsKeys(m.fingerprint) {
 			keys := m.keys

@@ -294,9 +294,9 @@ func SimulateSSA(m *Model, opts SimOptions) (*Trace, error) {
 }
 
 // SimulateEnsembleSSA averages `runs` stochastic trajectories with
-// consecutive seeds starting at opts.Seed, fanned out across
-// opts.Workers workers; the mean trace is identical for every worker
-// count. A context.Background() wrapper over the default client.
+// consecutive seeds starting at opts.Seed, fanned out on one worker per
+// proc; the mean trace is identical at every GOMAXPROCS. A
+// context.Background() wrapper over the default client.
 func SimulateEnsembleSSA(m *Model, runs int, opts SimOptions) (*Trace, error) {
 	return defaultClient.SimulateEnsembleSSA(context.Background(), m, runs, opts)
 }
@@ -323,10 +323,10 @@ func CheckProperty(m *Model, formula string, opts SimOptions) (bool, error) {
 // EstimateProbability estimates the probability that a stochastic
 // trajectory of the model satisfies the formula, over `runs` SSA
 // simulations (the §4.1.4 Monte Carlo model-checking procedure). The runs
-// execute on opts.Workers workers (default GOMAXPROCS) with an estimate
-// identical to the serial order's; see ProbabilityEstimate for the
-// confidence interval. A context.Background() wrapper over the default
-// client; use Client.EstimateProbability to cancel or deadline the runs.
+// execute on one worker per proc with an estimate identical to the serial
+// order's; see ProbabilityEstimate for the confidence interval. A
+// context.Background() wrapper over the default client; use
+// Client.EstimateProbability to cancel or deadline the runs.
 func EstimateProbability(m *Model, formula string, runs int, opts SimOptions) (float64, error) {
 	est, err := ProbabilityEstimate(m, formula, runs, opts)
 	if err != nil {
