@@ -32,6 +32,7 @@ package sbmlcompose
 // the packages they measure (internal/core, sim, mc2, corpus and store).
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -106,7 +107,7 @@ func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for k, p := range pairs {
 			start := time.Now()
-			if _, err := core.Compose(p[0], p[1], core.Options{}); err != nil {
+			if _, err := core.Compose(context.Background(), p[0], p[1], core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 			pts[k].ns = min(pts[k].ns, float64(time.Since(start)))
@@ -187,7 +188,7 @@ func BenchmarkFigure9SBMLCompose(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, m1 := range models {
 			for _, m2 := range models {
-				if _, err := core.Compose(m1, m2, core.Options{}); err != nil {
+				if _, err := core.Compose(context.Background(), m1, m2, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -244,7 +245,7 @@ func BenchmarkSemanticsLevels(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Compose(m1, m2, opts); err != nil {
+				if _, err := core.Compose(context.Background(), m1, m2, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -261,7 +262,7 @@ func BenchmarkIndexStructures(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Compose(m1, m2, core.Options{Index: kind}); err != nil {
+				if _, err := core.Compose(context.Background(), m1, m2, core.Options{Index: kind}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -314,7 +315,7 @@ func BenchmarkGenericVsSemantic(b *testing.B) {
 		opts := core.Options{Synonyms: BuiltinSynonyms()}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Compose(m1, m2, opts); err != nil {
+			if _, err := core.Compose(context.Background(), m1, m2, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -337,7 +338,7 @@ func BenchmarkComposerStreaming(b *testing.B) {
 	base, next := models[:8], models[8]
 	opts := core.Options{Synonyms: BuiltinSynonyms()}
 
-	accRes, err := core.ComposeAll(base, opts)
+	accRes, err := core.ComposeAll(context.Background(), base, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -357,7 +358,7 @@ func BenchmarkComposerStreaming(b *testing.B) {
 			}
 			comp := core.NewComposerFrom(cm)
 			b.StartTimer()
-			if err := comp.Add(next); err != nil {
+			if err := comp.Add(context.Background(), next); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -366,7 +367,7 @@ func BenchmarkComposerStreaming(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Compose(acc, next, opts); err != nil {
+			if _, err := core.Compose(context.Background(), acc, next, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

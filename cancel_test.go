@@ -1,7 +1,7 @@
 package sbmlcompose
 
 // End-to-end cancellation acceptance tests: a context cancelled mid-
-// ComposeAll / mid-Search / mid-EstimateProbability returns
+// ComposeAll / mid-Search / mid-ProbabilityEstimate returns
 // context.Canceled within a bounded wall-clock time, leaks no goroutines,
 // and leaves shared state (the corpus) consistent — a follow-up query
 // matches an uncancelled twin exactly.
@@ -111,21 +111,21 @@ func TestCancelCorpusSearchMidFlight(t *testing.T) {
 		}
 	}
 	query := models[11]
-	ref, err := corpus.Search(query.Clone(), SearchOptions{TopK: 20})
+	ref, err := corpus.Search(context.Background(), query.Clone(), SearchOptions{TopK: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	before := runtime.NumGoroutine()
 	cancelMidFlight(t, 200, 500*time.Microsecond, func(ctx context.Context) error {
-		_, err := corpus.SearchContext(ctx, query.Clone(), SearchOptions{TopK: 20})
+		_, err := corpus.Search(ctx, query.Clone(), SearchOptions{TopK: 20})
 		return err
 	})
 	requireNoGoroutineGrowth(t, before)
 
 	// Corpus state is untouched: the follow-up search matches the
 	// pre-cancellation reference, and mutations still work.
-	again, err := corpus.Search(query.Clone(), SearchOptions{TopK: 20})
+	again, err := corpus.Search(context.Background(), query.Clone(), SearchOptions{TopK: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +141,15 @@ func TestCancelCorpusSearchMidFlight(t *testing.T) {
 
 // TestCancelEstimateProbabilityMidFlight cancels a Monte Carlo estimate
 // mid-flight at GOMAXPROCS 1, 2, 4 and 8. Each must leave no goroutine
-// behind, and the client's cached engine must then give the legacy
-// wrapper's estimate, the same at every GOMAXPROCS as at 1.
+// behind, and the client's cached engine must then give a cache-disabled
+// client's estimate, the same at every GOMAXPROCS as at 1.
 func TestCancelEstimateProbabilityMidFlight(t *testing.T) {
 	m := biomodels.Generate(biomodels.Config{
 		ID: "prob_m", Nodes: 10, Edges: 14, Seed: 6200, VocabularySize: 60, Decorate: true,
 	})
 	formula := "G({" + m.Species[0].ID + " >= 0})"
 	cli := New()
+	uncached := New(WithEngineCache(-1))
 	opts := SimOptions{T1: 5, Step: 1, Seed: 1}
 	prev := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -157,7 +158,7 @@ func TestCancelEstimateProbabilityMidFlight(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		before := runtime.NumGoroutine()
 		cancelMidFlight(t, 100, 2*time.Millisecond, func(ctx context.Context) error {
-			_, err := cli.EstimateProbability(ctx, m, formula, 100000, opts)
+			_, err := cli.ProbabilityEstimate(ctx, m, formula, 100000, opts)
 			return err
 		})
 		requireNoGoroutineGrowth(t, before)
@@ -166,12 +167,12 @@ func TestCancelEstimateProbabilityMidFlight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ProbabilityEstimate(m, formula, 50, opts)
+		want, err := uncached.ProbabilityEstimate(context.Background(), m, formula, 50, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("GOMAXPROCS=%d: post-cancellation estimate %+v != legacy %+v", procs, got, want)
+			t.Fatalf("GOMAXPROCS=%d: post-cancellation estimate %+v != uncached %+v", procs, got, want)
 		}
 		if procs == 1 {
 			base = got

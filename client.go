@@ -1,11 +1,11 @@
 package sbmlcompose
 
-// This file is the context-aware client facade — the package's primary
-// API since the v1 redesign. A Client bundles the composition/matching
-// configuration (functional options over the former mutable *Options
-// struct) with a small LRU of compiled simulation engines, and every
-// potentially long-running method takes a context.Context first so callers
-// can cancel, deadline, or tie work to an HTTP request's lifetime:
+// This file is the context-aware client: the one entry point for every
+// operation that is configured or can run long. A Client bundles the
+// composition/matching configuration (functional options) with a small
+// LRU of compiled simulation engines, and every potentially long-running
+// method takes a context.Context first so callers can cancel, deadline,
+// or tie work to an HTTP request's lifetime:
 //
 //	cli := sbmlcompose.New(
 //		sbmlcompose.WithSynonyms(table),
@@ -19,10 +19,7 @@ package sbmlcompose
 // checks between component families, simulation between integrator steps
 // and stochastic events, probability estimation between and inside runs.
 // A cancelled call drains any worker pool it started, returns the
-// context's error, and never exposes a half-mutated result. An uncancelled
-// context always produces results byte-identical to the legacy
-// package-level functions, which remain supported as thin
-// context.Background() wrappers over a default client.
+// context's error, and never exposes a half-mutated result.
 
 import (
 	"context"
@@ -74,10 +71,10 @@ func WithLog(w io.Writer) Option {
 
 // WithMatchOptions replaces the whole composition/matching configuration
 // at once — the escape hatch for callers (CLIs, tests) that already build
-// an Options value. Later options still apply on top. The legacy
+// an Options value. Later options still apply on top. The facade
 // defaulting applies to the replaced value: a nil Synonyms under heavy
-// semantics gets the built-in table, exactly like Compose(a, b, &opts);
-// follow with WithSynonyms(nil) to suppress that.
+// semantics gets the built-in table, exactly as NewCorpus resolves its
+// match options; follow with WithSynonyms(nil) to suppress that.
 func WithMatchOptions(o Options) Option {
 	return func(c *clientConfig) {
 		c.match = o
@@ -87,14 +84,14 @@ func WithMatchOptions(o Options) Option {
 
 // WithEngineCache bounds the client's LRU of compiled simulation engines,
 // keyed by canonical model bytes: repeated SimulateODE/SimulateSSA/
-// CheckProperty/EstimateProbability calls against the same model pay
+// CheckProperty/ProbabilityEstimate calls against the same model pay
 // compilation once (the corpus keeps one engine per stored model for the
 // same reason). 0 keeps the default of 16; negative disables caching.
 func WithEngineCache(n int) Option {
 	return func(c *clientConfig) { c.engineCache = n }
 }
 
-// Client is the context-aware facade over parsing, composition,
+// Client is the context-aware facade over composition, matching,
 // simulation and model checking. It is immutable after New and safe for
 // concurrent use; its stateless operations share only the configured
 // options and the engine LRU. Corpus and CorpusStore are the stateful
@@ -110,8 +107,7 @@ type Client struct {
 
 // New returns a Client configured by the given options. With no options
 // it composes with heavy semantics, the built-in synonym table, and a
-// 16-entry compiled-engine LRU — the same defaults the package-level
-// functions use.
+// 16-entry compiled-engine LRU.
 func New(opts ...Option) *Client {
 	cfg := clientConfig{}
 	for _, o := range opts {
@@ -119,10 +115,9 @@ func New(opts ...Option) *Client {
 	}
 	// The built-in table is a default, not a mandate: an explicit
 	// WithSynonyms(nil) keeps heavy semantics synonym-free. Otherwise,
-	// WithMatchOptions included, the facade defaulting applies, exactly as
-	// Compose(a, b, &Options{}) always has.
+	// WithMatchOptions included, the facade defaulting applies.
 	if !cfg.synonymsSet {
-		cfg.match = resolveOptions(&cfg.match)
+		cfg.match = resolveOptions(cfg.match)
 	}
 	n := cfg.engineCache
 	if n == 0 {
@@ -135,33 +130,9 @@ func New(opts ...Option) *Client {
 	return c
 }
 
-// defaultClient backs the package-level wrappers: the legacy functions
-// are context.Background() delegations to it.
-var defaultClient = New()
-
 // Options returns the composition/matching options the client resolved
 // from its functional options.
 func (c *Client) Options() Options { return c.opts }
-
-// --- parsing and serialization (stateless, never long-running) ---
-
-// ParseModel reads an SBML document from r.
-func (c *Client) ParseModel(r io.Reader) (*Model, error) { return ParseModel(r) }
-
-// ParseModelString parses an in-memory SBML document.
-func (c *Client) ParseModelString(s string) (*Model, error) { return ParseModelString(s) }
-
-// ParseModelFile reads an SBML file.
-func (c *Client) ParseModelFile(path string) (*Model, error) { return ParseModelFile(path) }
-
-// WriteModel serializes the model as an SBML Level 2 document.
-func (c *Client) WriteModel(m *Model, w io.Writer) error { return WriteModel(m, w) }
-
-// WriteModelFile writes the model to a file.
-func (c *Client) WriteModelFile(m *Model, path string) error { return WriteModelFile(m, path) }
-
-// Validate checks the model's structural and referential integrity.
-func (c *Client) Validate(m *Model) error { return Validate(m) }
 
 // --- composition and matching ---
 
@@ -169,34 +140,31 @@ func (c *Client) Validate(m *Model) error { return Validate(m) }
 // options, checking ctx between component families. Neither input is
 // modified; a cancelled compose returns ctx's error and no model.
 func (c *Client) Compose(ctx context.Context, a, b *Model) (*Result, error) {
-	return core.ComposeContext(ctx, a, b, c.opts)
+	return core.Compose(ctx, a, b, c.opts)
 }
 
 // ComposeAll batch-composes the models by the incremental fold. ctx is
 // checked between component families of every fold step; a cancelled call
 // returns ctx's error with no partial model.
 func (c *Client) ComposeAll(ctx context.Context, models []*Model) (*Result, error) {
-	return core.ComposeAllContext(ctx, models, c.opts)
+	return core.ComposeAll(ctx, models, c.opts)
 }
 
 // MatchModels computes the component correspondence between two models
 // without producing a merged model, checking ctx like Compose.
 func (c *Client) MatchModels(ctx context.Context, a, b *Model) ([]Match, error) {
-	return core.MatchModelsContext(ctx, a, b, c.opts)
+	return core.MatchModels(ctx, a, b, c.opts)
 }
 
-// Decompose splits a model into its weakly connected reaction
-// subnetworks; see the package-level Decompose.
-func (c *Client) Decompose(m *Model) ([]*Model, error) { return core.Decompose(m) }
-
 // Compile precompiles a model for repeated or streaming composition under
-// the client's options.
+// the client's options. The input is cloned; seed a Composer with the
+// result through NewComposerFrom.
 func (c *Client) Compile(m *Model) (*CompiledModel, error) { return core.Compile(m, c.opts) }
 
 // NewComposer returns an empty streaming composer under the client's
-// options. Feed it with AddContext to make each fold step cancellable; a
-// step cancelled mid-mutation poisons the composer (ErrComposerPoisoned)
-// rather than exposing a half-merged accumulator.
+// options. Each Add takes a ctx; a step cancelled mid-mutation poisons
+// the composer (ErrComposerPoisoned) rather than exposing a half-merged
+// accumulator.
 func (c *Client) NewComposer() *Composer { return core.NewComposer(c.opts) }
 
 // NewCorpus returns an empty model repository session. A nil opts
@@ -273,7 +241,7 @@ func (c *Client) SimulateODE(ctx context.Context, m *Model, opts SimOptions) (*T
 	if err != nil {
 		return nil, err
 	}
-	return eng.ODECtx(ctx, opts)
+	return eng.ODE(ctx, opts)
 }
 
 // SimulateSSA runs Gillespie's direct method over molecule counts,
@@ -284,7 +252,7 @@ func (c *Client) SimulateSSA(ctx context.Context, m *Model, opts SimOptions) (*T
 	if err != nil {
 		return nil, err
 	}
-	return eng.SSACtx(ctx, opts)
+	return eng.SSA(ctx, opts)
 }
 
 // SimulateEnsembleSSA averages `runs` stochastic trajectories with
@@ -295,7 +263,7 @@ func (c *Client) SimulateEnsembleSSA(ctx context.Context, m *Model, runs int, op
 	if err != nil {
 		return nil, err
 	}
-	return eng.EnsembleSSACtx(ctx, runs, opts)
+	return eng.EnsembleSSA(ctx, runs, opts)
 }
 
 // CheckProperty evaluates a temporal-logic formula (mc2 syntax) over a
@@ -310,7 +278,7 @@ func (c *Client) CheckProperty(ctx context.Context, m *Model, formula string, op
 	if err != nil {
 		return false, err
 	}
-	tr, err := eng.ODECtx(ctx, opts)
+	tr, err := eng.ODE(ctx, opts)
 	if err != nil {
 		return false, err
 	}
@@ -333,14 +301,4 @@ func (c *Client) ProbabilityEstimate(ctx context.Context, m *Model, formula stri
 		return Estimate{}, err
 	}
 	return mc2.Probability(ctx, eng, f, runs, opts)
-}
-
-// EstimateProbability is ProbabilityEstimate reduced to the point
-// estimate.
-func (c *Client) EstimateProbability(ctx context.Context, m *Model, formula string, runs int, opts SimOptions) (float64, error) {
-	est, err := c.ProbabilityEstimate(ctx, m, formula, runs, opts)
-	if err != nil {
-		return 0, err
-	}
-	return est.Probability, nil
 }

@@ -1,9 +1,8 @@
 package sbmlcompose
 
-// Tests for the Client facade: functional options resolve like the legacy
-// *Options defaulting, every Client operation is byte/bit-identical to
-// its package-level wrapper, and the compiled-engine LRU serves the exact
-// traces and estimates of the uncached path.
+// Tests for the Client facade: functional options resolve like the
+// *Options defaulting of NewCorpus, and the compiled-engine LRU serves the
+// exact traces, verdicts and estimates of the uncached path.
 
 import (
 	"context"
@@ -31,7 +30,7 @@ func clientBatch(n int, seed int64) []*Model {
 
 func TestFunctionalOptionsResolveDefaults(t *testing.T) {
 	// No options: heavy semantics with the built-in synonym table, like
-	// resolveOptions(nil).
+	// resolveOptions(Options{}).
 	cli := New()
 	if cli.Options().Synonyms == nil {
 		t.Fatal("default client has no synonym table")
@@ -53,10 +52,10 @@ func TestFunctionalOptionsResolveDefaults(t *testing.T) {
 	if opts := New(WithSynonyms(nil)).Options(); opts.Synonyms != nil || opts.Semantics != HeavySemantics {
 		t.Fatalf("WithSynonyms(nil) resolved to %+v", opts)
 	}
-	// ...while the WithMatchOptions escape hatch keeps the legacy
+	// ...while the WithMatchOptions escape hatch keeps the facade
 	// defaulting (nil table under heavy semantics gets the builtin).
 	if opts := New(WithMatchOptions(Options{})).Options(); opts.Synonyms == nil {
-		t.Fatal("WithMatchOptions lost the legacy builtin-synonyms defaulting")
+		t.Fatal("WithMatchOptions lost the builtin-synonyms defaulting")
 	}
 	// WithMatchOptions is the escape hatch; later options layer on top.
 	base := Options{Semantics: NoSemantics}
@@ -65,52 +64,10 @@ func TestFunctionalOptionsResolveDefaults(t *testing.T) {
 	}
 }
 
-func TestClientComposeMatchesLegacy(t *testing.T) {
-	models := clientBatch(6, 31000)
-	ctx := context.Background()
-
-	legacy, err := ComposeAll(models, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := New()
-	got, err := cli.ComposeAll(ctx, models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ModelToString(got.Model) != ModelToString(legacy.Model) {
-		t.Fatal("Client.ComposeAll diverges from package ComposeAll")
-	}
-
-	legacyPair, err := Compose(models[0], models[1], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPair, err := cli.Compose(ctx, models[0], models[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ModelToString(gotPair.Model) != ModelToString(legacyPair.Model) {
-		t.Fatal("Client.Compose diverges from package Compose")
-	}
-
-	legacyMatches, err := MatchModels(models[0], models[1], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotMatches, err := cli.MatchModels(ctx, models[0], models[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotMatches, legacyMatches) {
-		t.Fatal("Client.MatchModels diverges from package MatchModels")
-	}
-}
-
 // TestEngineLRUPinnedToUncached pins the satellite requirement: the
 // client's cached engines produce bitwise-identical traces, verdicts and
-// estimates to a cache-disabled client and to the legacy one-shots, on
-// both the first (miss) and second (hit) call.
+// estimates to a cache-disabled client, on both the first (miss) and
+// second (hit) call.
 func TestEngineLRUPinnedToUncached(t *testing.T) {
 	m := clientBatch(1, 4600)[0]
 	ctx := context.Background()
@@ -152,19 +109,19 @@ func TestEngineLRUPinnedToUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := CheckProperty(m, formula, simOpts)
+	v2, err := uncached.CheckProperty(ctx, m, formula, simOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v1 != v2 {
-		t.Fatal("cached CheckProperty verdict differs from legacy")
+		t.Fatal("cached CheckProperty verdict differs from uncached")
 	}
 
 	e1, err := cached.ProbabilityEstimate(ctx, m, formula, 20, ssaOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := New(WithEngineCache(-1)).ProbabilityEstimate(ctx, m, formula, 20, ssaOpts)
+	e2, err := uncached.ProbabilityEstimate(ctx, m, formula, 20, ssaOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

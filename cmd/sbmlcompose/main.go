@@ -134,7 +134,7 @@ func run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if err := comp.AddContext(ctx, m); err != nil {
+		if err := comp.Add(ctx, m); err != nil {
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintf(os.Stderr, "sbmlcompose: cancelled mid-fold after folding %d/%d models in %s; no output written\n",
 					folded, flag.NArg(), time.Since(start).Round(time.Millisecond))

@@ -35,9 +35,9 @@ type Hit = corpuspkg.Hit
 
 // CompiledQuery is a query model's derived match state — its tiered
 // component keys plus the matchable-component denominator — compiled once
-// with Corpus.CompileQuery and reusable across Corpus.SearchCompiled /
-// SearchCompiledContext calls. Rankings are identical to Search on the
-// original model; only the per-call key derivation is skipped.
+// with Corpus.CompileQuery and reusable across Corpus.SearchCompiled
+// calls. Rankings are identical to Search on the original model; only the
+// per-call key derivation is skipped.
 type CompiledQuery = corpuspkg.CompiledQuery
 
 // MatchEvidence is one component correspondence supporting a Hit.
@@ -64,22 +64,22 @@ func NewCorpus(opts *CorpusOptions) *Corpus {
 	if opts != nil {
 		o = *opts
 	}
-	o.Match = resolveOptions(&o.Match)
+	o.Match = resolveOptions(o.Match)
 	return corpuspkg.New(o)
 }
 
 // Engine is a compiled simulation engine: the model's symbols resolved to
 // dense slots, every expression compiled to a stack program, stoichiometry
 // precomputed. An Engine is immutable and safe for concurrent use; compile
-// once and reuse it across runs to amortize compilation (SimulateODE and
-// SimulateSSA recompile per call, which is wasteful for repeated requests
-// against the same model — the corpus caches one Engine per stored model
-// for exactly this reason).
+// once and reuse it across runs to amortize compilation (the Client's
+// engine LRU and the corpus's one Engine per stored model do exactly
+// that).
 type Engine = sim.Engine
 
 // CompileEngine compiles the model for repeated simulation. The returned
-// engine's ODE, SSA and EnsembleSSA methods accept the same SimOptions as
-// the facade one-shots and produce bitwise-identical traces.
+// engine's ODE, SSA and EnsembleSSA methods take a ctx and the same
+// SimOptions as Client.SimulateODE, SimulateSSA and SimulateEnsembleSSA,
+// and produce bitwise-identical traces.
 func CompileEngine(m *Model) (*Engine, error) {
 	return sim.Compile(m)
 }
@@ -95,8 +95,9 @@ func ParseFormula(src string) (Formula, error) {
 }
 
 // CheckTrace evaluates a parsed formula over a simulation trace. Together
-// with CompileEngine this is the engine-holding form of CheckProperty:
-// compile the model once, simulate per request, check per request.
+// with CompileEngine this is the engine-holding form of
+// Client.CheckProperty: compile the model once, simulate per request,
+// check per request.
 func CheckTrace(tr *Trace, f Formula) (bool, error) {
 	return mc2.Check(tr, f)
 }

@@ -4,12 +4,14 @@ package sbmlcompose
 // simulation path.
 
 import (
+	"context"
 	"testing"
 
 	"sbmlcompose/internal/biomodels"
 )
 
 func TestFacadeCorpusDefaultsAndSearch(t *testing.T) {
+	ctx := context.Background()
 	c := NewCorpus(nil)
 	models := facadeBatch(6)
 	for _, m := range models {
@@ -22,14 +24,14 @@ func TestFacadeCorpusDefaultsAndSearch(t *testing.T) {
 	}
 	// The default synonym table must have been resolved: a clone query
 	// must rank its original first with heavy-semantics evidence.
-	hits, err := c.Search(models[2].Clone(), SearchOptions{TopK: 3})
+	hits, err := c.Search(ctx, models[2].Clone(), SearchOptions{TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hits) == 0 || hits[0].ModelID != models[2].ID {
 		t.Fatalf("top hit = %+v, want %s", hits, models[2].ID)
 	}
-	res, err := c.ComposeWith(hits[0].ModelID, models[3])
+	res, err := c.ComposeWith(ctx, hits[0].ModelID, models[3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +49,13 @@ func TestFacadeEngineMatchesOneShots(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := SimOptions{T0: 0, T1: 1, Step: 0.05, Seed: 11}
-	want, err := SimulateODE(m, opts)
+	ctx := context.Background()
+	oneShot := New(WithEngineCache(-1))
+	want, err := oneShot.SimulateODE(ctx, m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.ODE(opts)
+	got, err := eng.ODE(ctx, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +78,7 @@ func TestFacadeEngineMatchesOneShots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := CheckProperty(m, "G({"+m.Species[0].ID+" >= 0})", opts)
+	direct, err := oneShot.CheckProperty(ctx, m, "G({"+m.Species[0].ID+" >= 0})", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,6 +105,6 @@ func OpenCorpus(dir string, opts *StoreOptions) (*CorpusStore, error) {
 	if opts != nil {
 		o = *opts
 	}
-	o.Corpus.Match = resolveOptions(&o.Corpus.Match)
+	o.Corpus.Match = resolveOptions(o.Corpus.Match)
 	return store.Open(dir, o)
 }

@@ -1,6 +1,7 @@
 package sbmlcompose_test
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -35,7 +36,7 @@ func TestOpenCorpusRoundTrip(t *testing.T) {
 		t.Fatalf("Remove: ok=%v err=%v", ok, err)
 	}
 	query := models[2].Clone()
-	want, err := st.Corpus().Search(query, sbmlcompose.SearchOptions{TopK: -1})
+	want, err := st.Corpus().Search(context.Background(), query, sbmlcompose.SearchOptions{TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestOpenCorpusRoundTrip(t *testing.T) {
 	if got := st2.Corpus().IDs(); !reflect.DeepEqual(got, []string{"alpha", "delta", "eps", "gamma"}) {
 		t.Fatalf("recovered IDs = %v", got)
 	}
-	got, err := st2.Corpus().Search(query, sbmlcompose.SearchOptions{TopK: -1})
+	got, err := st2.Corpus().Search(context.Background(), query, sbmlcompose.SearchOptions{TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

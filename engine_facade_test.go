@@ -1,9 +1,10 @@
 package sbmlcompose
 
-// Facade coverage for the compiled-model engine: Compile and the
-// streaming Composer, with the facade's default-synonym resolution.
+// Facade coverage for the compiled-model engine: Client.Compile and the
+// streaming Composer, with the client's default-synonym resolution.
 
 import (
+	"context"
 	"testing"
 
 	"sbmlcompose/internal/biomodels"
@@ -26,13 +27,15 @@ func facadeBatch(n int) []*Model {
 
 func TestFacadeComposerMatchesComposeAll(t *testing.T) {
 	models := facadeBatch(5)
-	batch, err := ComposeAll(models, nil)
+	ctx := context.Background()
+	cli := New()
+	batch, err := cli.ComposeAll(ctx, models)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewComposer(nil)
+	c := cli.NewComposer()
 	for _, m := range models {
-		if err := c.Add(m); err != nil {
+		if err := c.Add(ctx, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,19 +49,21 @@ func TestFacadeComposerMatchesComposeAll(t *testing.T) {
 
 func TestFacadeCompileSeedsComposer(t *testing.T) {
 	models := facadeBatch(3)
-	cm, err := Compile(models[0], nil)
+	ctx := context.Background()
+	cli := New()
+	cm, err := cli.Compile(models[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewComposerFrom(cm)
 	for _, m := range models[1:] {
-		if err := c.Add(m); err != nil {
+		if err := c.Add(ctx, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The default synonym table must have been resolved: composing the same
-	// batch through the plain facade fold gives the same model.
-	want, err := ComposeAll(models, nil)
+	// batch through the client's fold gives the same model.
+	want, err := cli.ComposeAll(ctx, models)
 	if err != nil {
 		t.Fatal(err)
 	}

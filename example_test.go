@@ -46,8 +46,8 @@ const chainBC = `<sbml level="2" version="4"><model id="chain2">
   </listOfReactions>
 </model></sbml>`
 
-// ExampleCompose merges two chain fragments that share species B.
-func ExampleCompose() {
+// ExampleClient_Compose merges two chain fragments that share species B.
+func ExampleClient_Compose() {
 	a, err := sbmlcompose.ParseModelString(chainAB)
 	if err != nil {
 		log.Fatal(err)
@@ -56,7 +56,7 @@ func ExampleCompose() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sbmlcompose.Compose(a, b, nil)
+	res, err := sbmlcompose.New().Compose(context.Background(), a, b)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func ExampleCompose() {
 	// species: 3, reactions: 2, warnings: 0
 }
 
-// ExampleMatchModels reports which components two models share without
-// merging them.
-func ExampleMatchModels() {
+// ExampleClient_MatchModels reports which components two models share
+// without merging them.
+func ExampleClient_MatchModels() {
 	a, _ := sbmlcompose.ParseModelString(chainAB)
 	b, _ := sbmlcompose.ParseModelString(chainBC)
-	matches, err := sbmlcompose.MatchModels(a, b, nil)
+	matches, err := sbmlcompose.New().MatchModels(context.Background(), a, b)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func ExampleMatchModels() {
 	// B
 }
 
-// ExampleCheckProperty verifies a temporal-logic property on a simulated
-// model.
-func ExampleCheckProperty() {
+// ExampleClient_CheckProperty verifies a temporal-logic property on a
+// simulated model.
+func ExampleClient_CheckProperty() {
 	m, _ := sbmlcompose.ParseModelString(chainAB)
-	ok, err := sbmlcompose.CheckProperty(m, "G({A >= 0}) & F({B > 0.9})",
+	ok, err := sbmlcompose.New().CheckProperty(context.Background(), m, "G({A >= 0}) & F({B > 0.9})",
 		sbmlcompose.SimOptions{T0: 0, T1: 20, Step: 0.1})
 	if err != nil {
 		log.Fatal(err)
@@ -98,12 +98,11 @@ func ExampleCheckProperty() {
 }
 
 // ExampleClient shows the primary API: one configured client, every
-// long-running call context-first. Results are byte-identical to the
-// legacy package-level functions.
+// long-running call context-first.
 func ExampleClient() {
 	cli := sbmlcompose.New() // heavy semantics, built-in synonyms
-	a, _ := cli.ParseModelString(chainAB)
-	b, _ := cli.ParseModelString(chainBC)
+	a, _ := sbmlcompose.ParseModelString(chainAB)
+	b, _ := sbmlcompose.ParseModelString(chainBC)
 
 	res, err := cli.Compose(context.Background(), a, b)
 	if err != nil {
@@ -120,8 +119,8 @@ func ExampleNew() {
 	cli := sbmlcompose.New(
 		sbmlcompose.WithSemantics(sbmlcompose.LightSemantics),
 	)
-	a, _ := cli.ParseModelString(chainAB)
-	b, _ := cli.ParseModelString(chainBC)
+	a, _ := sbmlcompose.ParseModelString(chainAB)
+	b, _ := sbmlcompose.ParseModelString(chainBC)
 	res, err := cli.ComposeAll(context.Background(), []*sbmlcompose.Model{a, b})
 	if err != nil {
 		log.Fatal(err)
@@ -131,18 +130,18 @@ func ExampleNew() {
 	// merged 2 models into 3 species
 }
 
-// ExampleClient_EstimateProbability bounds a Monte Carlo probability
+// ExampleClient_ProbabilityEstimate bounds a Monte Carlo probability
 // estimate with a deadline: the runs stop between (and inside) stochastic
 // simulations when the deadline passes, returning
 // context.DeadlineExceeded instead of running to completion. With a
 // generous deadline the estimate is the deterministic per-seed value.
-func ExampleClient_EstimateProbability() {
+func ExampleClient_ProbabilityEstimate() {
 	cli := sbmlcompose.New()
-	m, _ := cli.ParseModelString(chainAB)
+	m, _ := sbmlcompose.ParseModelString(chainAB)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	p, err := cli.EstimateProbability(ctx, m, "F({B > 200})", 40,
+	est, err := cli.ProbabilityEstimate(ctx, m, "F({B > 200})", 40,
 		sbmlcompose.SimOptions{T0: 0, T1: 20, Step: 0.5, Seed: 1})
 	if errors.Is(err, context.DeadlineExceeded) {
 		fmt.Println("out of time")
@@ -151,7 +150,7 @@ func ExampleClient_EstimateProbability() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("P = %.2f\n", p)
+	fmt.Printf("P = %.2f\n", est.Probability)
 	// Output:
 	// P = 1.00
 }

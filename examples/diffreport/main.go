@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,9 @@ func main() {
 
 	// Compose the variant back with the expected model. First-model-wins
 	// resolves the concentration conflict in expected's favour.
-	res, err := sbmlcompose.Compose(expected, variant, nil)
+	ctx := context.Background()
+	cli := sbmlcompose.New()
+	res, err := cli.Compose(ctx, expected, variant)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,15 +61,15 @@ func main() {
 	// Method 3: trace equivalence. Composed and expected must simulate
 	// identically (RSS ≈ 0); the variant must not.
 	opts := sbmlcompose.SimOptions{T0: 0, T1: 5, Step: 0.05}
-	trExpected, err := sbmlcompose.SimulateODE(expected, opts)
+	trExpected, err := cli.SimulateODE(ctx, expected, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	trComposed, err := sbmlcompose.SimulateODE(res.Model, opts)
+	trComposed, err := cli.SimulateODE(ctx, res.Model, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	trVariant, err := sbmlcompose.SimulateODE(variant, opts)
+	trVariant, err := cli.SimulateODE(ctx, variant, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -78,7 +79,9 @@ func main() {
 	}
 
 	// 1. Compose: the shared target protein P merges automatically.
-	res, err := sbmlcompose.Compose(disease, drug, nil)
+	ctx := context.Background()
+	cli := sbmlcompose.New()
+	res, err := cli.Compose(ctx, disease, drug)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,11 +96,11 @@ func main() {
 
 	// 2. Simulate the disease pathway alone, then with the drug present.
 	opts := sbmlcompose.SimOptions{T0: 0, T1: 10, Step: 0.05}
-	before, err := sbmlcompose.SimulateODE(disease, opts)
+	before, err := cli.SimulateODE(ctx, disease, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	after, err := sbmlcompose.SimulateODE(res.Model, opts)
+	after, err := cli.SimulateODE(ctx, res.Model, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func main() {
 
 	// 3. The interaction is a topological property: with the fast-binding
 	// drug present, most of the target ends up drug-bound.
-	holds, err := sbmlcompose.CheckProperty(res.Model,
+	holds, err := cli.CheckProperty(ctx, res.Model,
 		"F({DP > 0.8}) & G({SP < 0.5})", opts)
 	if err != nil {
 		log.Fatal(err)

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -89,11 +90,12 @@ func main() {
 		parts = append(parts, m)
 	}
 
-	opts := &sbmlcompose.Options{
-		Synonyms: sbmlcompose.BuiltinSynonyms(), // knows glucose ≡ dextrose
-		Log:      os.Stderr,
-	}
-	res, err := sbmlcompose.ComposeAll(parts, opts)
+	ctx := context.Background()
+	cli := sbmlcompose.New(
+		sbmlcompose.WithSynonyms(sbmlcompose.BuiltinSynonyms()), // knows glucose ≡ dextrose
+		sbmlcompose.WithLog(os.Stderr),
+	)
+	res, err := cli.ComposeAll(ctx, parts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func main() {
 
 	// The assembled pathway must actually flow: external glucose ends up
 	// as fructose-6-phosphate.
-	holds, err := sbmlcompose.CheckProperty(res.Model,
+	holds, err := cli.CheckProperty(ctx, res.Model,
 		"F({f6p > 2}) & G({glc_ext >= 0})",
 		sbmlcompose.SimOptions{T0: 0, T1: 40, Step: 0.1})
 	if err != nil {

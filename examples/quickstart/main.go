@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -64,7 +65,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := sbmlcompose.Compose(a, b, nil)
+	cli := sbmlcompose.New() // heavy semantics, built-in synonyms
+	res, err := cli.Compose(context.Background(), a, b)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sbmlcompose
 
 import (
+	"context"
 	"testing"
 )
 
@@ -13,7 +14,7 @@ func TestFacadeMatchModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := MatchModels(a, b, nil)
+	matches, err := New().MatchModels(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,9 @@ func TestFacadeDecompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Compose(a, b, nil)
+	ctx := context.Background()
+	cli := New()
+	res, err := cli.Compose(ctx, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +73,7 @@ func TestFacadeDecompose(t *testing.T) {
 		}
 	}
 	// Round trip: recompose restores counts.
-	back, err := ComposeAll(parts, nil)
+	back, err := cli.ComposeAll(ctx, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

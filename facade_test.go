@@ -1,6 +1,7 @@
 package sbmlcompose
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -57,7 +58,7 @@ func TestFacadeComposePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Compose(a, b, nil)
+	res, err := New().Compose(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,9 @@ func TestFacadeDiff(t *testing.T) {
 
 func TestFacadeSimulateAndRSS(t *testing.T) {
 	a, _ := ParseModelString(modelA)
-	tr, err := SimulateODE(a, SimOptions{T0: 0, T1: 4, Step: 0.01})
+	ctx := context.Background()
+	cli := New()
+	tr, err := cli.SimulateODE(ctx, a, SimOptions{T0: 0, T1: 4, Step: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +135,7 @@ func TestFacadeSimulateAndRSS(t *testing.T) {
 	if math.Abs(v-math.Exp(-1)) > 1e-5 {
 		t.Errorf("A(2) = %g, want %g", v, math.Exp(-1))
 	}
-	tr2, err := SimulateODE(a, SimOptions{T0: 0, T1: 4, Step: 0.01, Adaptive: true})
+	tr2, err := cli.SimulateODE(ctx, a, SimOptions{T0: 0, T1: 4, Step: 0.01, Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,29 +151,31 @@ func TestFacadeSimulateAndRSS(t *testing.T) {
 
 func TestFacadeModelChecking(t *testing.T) {
 	a, _ := ParseModelString(modelA)
-	ok, err := CheckProperty(a, "G({A >= 0}) & F({B > 0.5})", SimOptions{T0: 0, T1: 10, Step: 0.05})
+	ctx := context.Background()
+	cli := New()
+	ok, err := cli.CheckProperty(ctx, a, "G({A >= 0}) & F({B > 0.5})", SimOptions{T0: 0, T1: 10, Step: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Error("decay property should hold")
 	}
-	ok, err = CheckProperty(a, "G({A > 0.5})", SimOptions{T0: 0, T1: 10, Step: 0.05})
+	ok, err = cli.CheckProperty(ctx, a, "G({A > 0.5})", SimOptions{T0: 0, T1: 10, Step: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Error("A stays above 0.5 is false")
 	}
-	if _, err := CheckProperty(a, "G({A", SimOptions{T0: 0, T1: 1}); err == nil {
+	if _, err := cli.CheckProperty(ctx, a, "G({A", SimOptions{T0: 0, T1: 1}); err == nil {
 		t.Error("bad formula should error")
 	}
-	p, err := EstimateProbability(a, "G({A + B == 1000})", 10, SimOptions{T0: 0, T1: 2, Step: 0.5, Seed: 3})
+	est, err := cli.ProbabilityEstimate(ctx, a, "G({A + B == 1000})", 10, SimOptions{T0: 0, T1: 2, Step: 0.5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p != 1 { // conservation at SSA scale 1000
-		t.Errorf("conservation probability = %g", p)
+	if est.Probability != 1 { // conservation at SSA scale 1000
+		t.Errorf("conservation probability = %g", est.Probability)
 	}
 }
 
@@ -180,7 +185,8 @@ func TestFacadeSynonymComposition(t *testing.T) {
 	b, _ := ParseModelString(strings.Replace(modelB, `species id="C" compartment="cell"`,
 		`species id="C" name="dextrose" compartment="cell"`, 1))
 	// Built-in table knows glucose=dextrose, so A and C merge.
-	res, err := Compose(a, b, nil)
+	ctx := context.Background()
+	res, err := New().Compose(ctx, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +194,7 @@ func TestFacadeSynonymComposition(t *testing.T) {
 		t.Errorf("species = %d, want 2 (glucose≡dextrose)", len(res.Model.Species))
 	}
 	// Light semantics keeps them apart.
-	res, err = Compose(a, b, &Options{Semantics: LightSemantics})
+	res, err = New(WithSemantics(LightSemantics)).Compose(ctx, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

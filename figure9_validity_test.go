@@ -7,6 +7,7 @@ package sbmlcompose
 // adjacent pairs the integration test samples.
 
 import (
+	"context"
 	"testing"
 
 	"sbmlcompose/internal/biomodels"
@@ -23,7 +24,7 @@ func TestFigure9SweepValidity(t *testing.T) {
 	merger := semanticsbml.NewMerger() // one load; validity is per-pair identical
 	for i, a := range models {
 		for j, b := range models {
-			ours, err := core.Compose(a, b, core.Options{})
+			ours, err := core.Compose(context.Background(), a, b, core.Options{})
 			if err != nil {
 				t.Fatalf("pair %d×%d: compose: %v", i, j, err)
 			}

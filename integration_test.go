@@ -6,6 +6,7 @@ package sbmlcompose
 // baseline cross-check.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestComposedEqualsExpected411(t *testing.T) {
 	subset := biomodels.Generate(biomodels.Config{ID: "full", Nodes: 20, Edges: 30, Seed: 11, Decorate: true})
 	subset.Reactions = subset.Reactions[:len(subset.Reactions)/2]
 
-	res, err := core.Compose(full, subset, core.Options{})
+	res, err := core.Compose(context.Background(), full, subset, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,19 +46,23 @@ func TestComposedEqualsExpected411(t *testing.T) {
 func TestTraceEquivalence413(t *testing.T) {
 	expected := biomodels.Generate(biomodels.Config{ID: "m", Nodes: 8, Edges: 12, Seed: 21})
 	clone := expected.Clone()
-	res, err := core.Compose(expected, clone, core.Options{})
+	res, err := core.Compose(context.Background(), expected, clone, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := sim.Options{T0: 0, T1: 5, Step: 0.05}
-	trExpected, err := sim.SimulateODE(expected, opts)
-	if err != nil {
-		t.Fatal(err)
+	simulate := func(m *Model) *Trace {
+		eng, err := sim.Compile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := eng.ODE(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
-	trComposed, err := sim.SimulateODE(res.Model, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trExpected, trComposed := simulate(expected), simulate(res.Model)
 	per, err := trace.RSS(trExpected, trComposed, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +85,9 @@ func TestModelChecking414(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Compose(a, b, nil)
+	ctx := context.Background()
+	cli := New()
+	res, err := cli.Compose(ctx, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +98,7 @@ func TestModelChecking414(t *testing.T) {
 		"G({A + B + C <= 1.000001})",        // conservation
 		"{C < 0.5} U {B > 0.1}",             // B rises before C accumulates
 	} {
-		ok, err := CheckProperty(res.Model, prop, opts)
+		ok, err := cli.CheckProperty(ctx, res.Model, prop, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", prop, err)
 		}
@@ -108,7 +115,7 @@ func TestComposerAgreesWithBaseline(t *testing.T) {
 	models := biomodels.Annotated17()
 	for i := 0; i < len(models)-1; i++ {
 		a, b := models[i], models[i+1]
-		ours, err := core.Compose(a, b, core.Options{})
+		ours, err := core.Compose(context.Background(), a, b, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +157,7 @@ func TestFigure8SweepSlice(t *testing.T) {
 	count := 0
 	for i := 0; i < len(models); i += stride {
 		for j := i; j < len(models); j += stride {
-			res, err := core.Compose(models[i], models[j], core.Options{})
+			res, err := core.Compose(context.Background(), models[i], models[j], core.Options{})
 			if err != nil {
 				t.Fatalf("compose %d×%d: %v", i, j, err)
 			}
@@ -175,7 +182,7 @@ func TestOrderOfMagnitudeGap(t *testing.T) {
 	models := biomodels.Annotated17()
 	a, b := models[3], models[8]
 	// Warm up both paths once.
-	if _, err := core.Compose(a, b, core.Options{}); err != nil {
+	if _, err := core.Compose(context.Background(), a, b, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := semanticsbml.Merge(a, b); err != nil {
@@ -184,7 +191,7 @@ func TestOrderOfMagnitudeGap(t *testing.T) {
 	const rounds = 5
 	var ours, theirs float64
 	for i := 0; i < rounds; i++ {
-		res, err := core.Compose(a, b, core.Options{})
+		res, err := core.Compose(context.Background(), a, b, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,17 +19,18 @@ var ctxPackages = map[string]bool{
 	"corpus": true, "store": true, "cluster": true, "par": true,
 }
 
-// CtxFirst enforces the PR 5 context conventions in the core packages:
-// a context.Context parameter is always first; and when an exported
-// FooContext variant exists, the legacy Foo must delegate to it (two
-// parallel implementations WILL drift — the composer-poisoning rules
-// live in exactly one body). Exported functions that loop over real
-// work without taking a context and without a Context variant are
-// flagged too: they are uncancellable by construction. Escape hatch:
-// //sbml:noctx with a justification.
+// CtxFirst enforces the context conventions in the core packages: a
+// context.Context parameter is always first, and an operation has one
+// entry point — ctx first, under the plain name. An exported ctx-free Foo
+// beside an exported FooContext or FooCtx is flagged: the ctx-free twin
+// is only FooContext(context.Background(), ...) under another name, and
+// two spellings of one operation invite two bodies that drift. Exported
+// functions that loop over real work without taking a context are flagged
+// too: they are uncancellable by construction. Escape hatch: //sbml:noctx
+// with a justification.
 var CtxFirst = &analysis.Analyzer{
 	Name:     "ctxfirst",
-	Doc:      "require context.Context first and base-delegates-to-Context-variant in core packages",
+	Doc:      "require context.Context first and one ctx-first entry point per operation in core packages",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runCtxFirst,
 }
@@ -42,11 +43,11 @@ func runCtxFirst(pass *analysis.Pass) (interface{}, error) {
 	sup := newSuppressor(pass)
 
 	// Index every declared function by (receiver type, name) so the
-	// delegation rule can find Context-suffixed siblings.
-	decls := make(map[[2]string]*ast.FuncDecl)
+	// twin rule can find Context- and Ctx-suffixed siblings.
+	decls := make(map[[2]string]bool)
 	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fd := n.(*ast.FuncDecl)
-		decls[[2]string{receiverTypeName(fd), fd.Name.Name}] = fd
+		decls[[2]string{receiverTypeName(fd), fd.Name.Name}] = true
 	})
 
 	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
@@ -65,31 +66,32 @@ func runCtxFirst(pass *analysis.Pass) (interface{}, error) {
 		if ctxIdx == 0 || !fd.Name.IsExported() {
 			return
 		}
-		// Exported, context-free. If a Context variant exists, the body
-		// must delegate to it rather than duplicate the work.
+		// Exported, context-free. A ctx-taking twin under a suffixed
+		// name makes two entry points for one operation.
 		recv := receiverTypeName(fd)
-		if variant, ok := decls[[2]string{recv, fd.Name.Name + "Context"}]; ok {
-			if fd.Body != nil && !callsFunc(pass, fd.Body, variant.Name) {
-				if !sup.suppressed(fd.Pos(), "noctx") {
-					pass.Reportf(fd.Pos(),
-						"%s has a %sContext variant but does not delegate to it; the two bodies will drift (or //sbml:noctx <why>)",
-						fd.Name.Name, fd.Name.Name)
-				}
+		for _, suffix := range []string{"Context", "Ctx"} {
+			if !decls[[2]string{recv, fd.Name.Name + suffix}] {
+				continue
+			}
+			if !sup.suppressed(fd.Pos(), "noctx") {
+				pass.Reportf(fd.Pos(),
+					"%s has a ctx-taking twin %s%s; keep one entry point, ctx first under the plain name (or //sbml:noctx <why>)",
+					fd.Name.Name, fd.Name.Name, suffix)
 			}
 			return
 		}
-		// No variant at all: flag only when the body loops over
-		// context-aware work — a callee that itself takes a
-		// context.Context (fed context.Background/TODO since this
-		// function has none). That is swallowed cancellation: the work
-		// under the loop could be cancelled, but no caller can reach it.
-		// Pure compute loops (encoders, hash rings, accessors) stay
-		// exempt; they cost microseconds and a ctx would be noise.
+		// No twin: flag only when the body loops over context-aware
+		// work — a callee that itself takes a context.Context (fed
+		// context.Background/TODO since this function has none). That
+		// is swallowed cancellation: the work under the loop could be
+		// cancelled, but no caller can reach it. Pure compute loops
+		// (encoders, hash rings, accessors) stay exempt; they cost
+		// microseconds and a ctx would be noise.
 		if fd.Body != nil && hasCtxSwallowingLoop(pass, fd.Body) {
 			if !sup.suppressed(fd.Pos(), "noctx") {
 				pass.Reportf(fd.Pos(),
-					"exported %s loops over context-aware calls but takes no context.Context and has no %sContext variant; cancellation is swallowed (or //sbml:noctx <why>)",
-					fd.Name.Name, fd.Name.Name)
+					"exported %s loops over context-aware calls but takes no context.Context; cancellation is swallowed (or //sbml:noctx <why>)",
+					fd.Name.Name)
 			}
 		}
 	})
@@ -144,27 +146,6 @@ func receiverTypeName(fd *ast.FuncDecl) string {
 			return ""
 		}
 	}
-}
-
-// callsFunc reports whether body references target (the delegation
-// check: any mention of the Context variant's identifier counts).
-func callsFunc(pass *analysis.Pass, body *ast.BlockStmt, target *ast.Ident) bool {
-	want := pass.TypesInfo.ObjectOf(target)
-	if want == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) == want {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // hasCtxSwallowingLoop reports whether body contains a for/range

@@ -20,7 +20,7 @@ func Placed(ctx context.Context, name string) error {
 	return nil
 }
 
-// ProcessContext is the cancellable variant of Process.
+// ProcessContext is the cancellable twin of Process.
 func ProcessContext(ctx context.Context, items []int) int {
 	total := 0
 	for _, it := range items {
@@ -29,12 +29,13 @@ func ProcessContext(ctx context.Context, items []int) int {
 	return total
 }
 
-// Good: the legacy entry point delegates to its Context variant.
-func Process(items []int) int {
+// Bad: a ctx-free twin, even one that delegates, is a second entry point
+// for the same operation.
+func Process(items []int) int { // want "Process has a ctx-taking twin ProcessContext; keep one entry point"
 	return ProcessContext(context.Background(), items)
 }
 
-// RebuildContext exists, so Rebuild must delegate to it.
+// RebuildContext exists, so Rebuild is a twin too.
 func RebuildContext(ctx context.Context, items []int) int {
 	total := 0
 	for _, it := range items {
@@ -43,14 +44,35 @@ func RebuildContext(ctx context.Context, items []int) int {
 	return total
 }
 
-// Bad: a parallel implementation instead of delegation; the two bodies
-// will drift.
-func Rebuild(items []int) int { // want "Rebuild has a RebuildContext variant but does not delegate to it"
+// Bad: a parallel implementation beside the Context twin.
+func Rebuild(items []int) int { // want "Rebuild has a ctx-taking twin RebuildContext; keep one entry point"
 	total := 0
 	for _, it := range items {
 		total += it * 2
 	}
 	return total
+}
+
+// StepCtx is the Ctx-suffixed spelling of a ctx-taking twin.
+func StepCtx(ctx context.Context, items []int) int {
+	return ProcessContext(ctx, items)
+}
+
+// Bad: the Ctx suffix makes a twin just as Context does.
+func Step(items []int) int { // want "Step has a ctx-taking twin StepCtx; keep one entry point"
+	return StepCtx(context.Background(), items)
+}
+
+// DrainContext is the ctx-taking half of a pair kept on purpose.
+func DrainContext(ctx context.Context, items []int) int {
+	return ProcessContext(ctx, items)
+}
+
+// Good: an annotated pair documents why both spellings stay.
+//
+//sbml:noctx a caller outside this change's scope still calls the ctx-free half
+func Drain(items []int) int {
+	return DrainContext(context.Background(), items)
 }
 
 // Bad: loops over a context-aware callee with no way to cancel it.
@@ -94,12 +116,12 @@ func fold(items []int) int {
 // Methods are covered too.
 type Engine struct{}
 
-// RunContext is Run's cancellable variant.
+// RunContext is Run's cancellable twin.
 func (e *Engine) RunContext(ctx context.Context, items []int) int {
 	return ProcessContext(ctx, items)
 }
 
-// Good: method delegation.
-func (e *Engine) Run(items []int) int {
+// Bad: a method twin, even one that delegates.
+func (e *Engine) Run(items []int) int { // want "Run has a ctx-taking twin RunContext; keep one entry point"
 	return e.RunContext(context.Background(), items)
 }

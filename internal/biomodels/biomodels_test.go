@@ -1,6 +1,7 @@
 package biomodels
 
 import (
+	"context"
 	"testing"
 
 	"sbmlcompose/internal/core"
@@ -141,7 +142,7 @@ func TestCorpusComposes(t *testing.T) {
 	corpus := Corpus187()
 	pairs := [][2]int{{10, 20}, {50, 60}, {100, 101}}
 	for _, p := range pairs {
-		res, err := core.Compose(corpus[p[0]], corpus[p[1]], core.Options{})
+		res, err := core.Compose(context.Background(), corpus[p[0]], corpus[p[1]], core.Options{})
 		if err != nil {
 			t.Fatalf("core compose %v: %v", p, err)
 		}

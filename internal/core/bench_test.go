@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -37,7 +38,7 @@ func BenchmarkCompose(b *testing.B) {
 			opts := Options{Index: kind, Synonyms: tab}
 			b.Run(fmt.Sprintf("size=%s/index=%s", sz.name, kind), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := Compose(m1, m2, opts); err != nil {
+					if _, err := Compose(context.Background(), m1, m2, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -60,7 +61,7 @@ func BenchmarkComposeAll(b *testing.B) {
 				name string
 				run  func(b *testing.B) error
 			}{
-				{"sequential", func(*testing.B) error { _, err := ComposeAll(models, opts); return err }},
+				{"sequential", func(*testing.B) error { _, err := ComposeAll(context.Background(), models, opts); return err }},
 				{"seed-left-fold", func(b *testing.B) error { seedFold(b, models, opts); return nil }},
 			} {
 				b.Run(fmt.Sprintf("n=%d/index=%s/%s", n, kind, s.name), func(b *testing.B) {

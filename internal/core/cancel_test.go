@@ -51,14 +51,14 @@ func foldClean(t *testing.T, models []*sbml.Model) string {
 	t.Helper()
 	c := NewComposer(Options{})
 	for _, m := range models {
-		if err := c.Add(m); err != nil {
+		if err := c.Add(context.Background(), m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return sbml.WrapModel(c.Result().Model).String()
 }
 
-// TestAddContextPoisonSweep drives AddContext with cancellation landing
+// TestAddContextPoisonSweep drives Add with cancellation landing
 // at every possible Err() observation point of a three-model fold and
 // checks the all-or-poisoned contract at each: either the cancellation
 // was caught before any mutation — the same composer can simply retry and
@@ -76,7 +76,7 @@ func TestAddContextPoisonSweep(t *testing.T) {
 		ctx := newCountingCtx(budget)
 		cancelled := false
 		for i := 0; i < len(models); {
-			err := c.AddContext(ctx, models[i])
+			err := c.Add(ctx, models[i])
 			if err == nil {
 				i++
 				continue
@@ -92,7 +92,7 @@ func TestAddContextPoisonSweep(t *testing.T) {
 				if c.Result() != nil || c.Model() != nil || c.Snapshot() != nil {
 					t.Fatalf("budget %d: poisoned composer still exposes state", budget)
 				}
-				if err := c.Add(models[0]); !errors.Is(err, ErrComposerPoisoned) {
+				if err := c.Add(context.Background(), models[0]); !errors.Is(err, ErrComposerPoisoned) {
 					t.Fatalf("budget %d: Add after poison = %v, want ErrComposerPoisoned", budget, err)
 				}
 				if !errors.Is(c.Err(), ErrComposerPoisoned) || !errors.Is(c.Err(), context.Canceled) {
@@ -105,7 +105,7 @@ func TestAddContextPoisonSweep(t *testing.T) {
 			// match the twin.
 			sawClean = true
 			for ; i < len(models); i++ {
-				if err := c.Add(models[i]); err != nil {
+				if err := c.Add(context.Background(), models[i]); err != nil {
 					t.Fatalf("budget %d: resumed Add failed: %v", budget, err)
 				}
 			}
@@ -136,16 +136,16 @@ func TestComposeContextPreCancelled(t *testing.T) {
 	models := cancelBatch(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ComposeContext(ctx, models[0], models[1], Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := Compose(ctx, models[0], models[1], Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled Compose = %v, want context.Canceled", err)
 	}
-	if _, err := MatchModelsContext(ctx, models[0], models[1], Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := MatchModels(ctx, models[0], models[1], Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled MatchModels = %v, want context.Canceled", err)
 	}
-	if _, err := ComposeAllContext(ctx, models, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := ComposeAll(ctx, models, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled ComposeAll = %v, want context.Canceled", err)
 	}
-	ref, err := ComposeContext(context.Background(), models[0], models[1], Options{})
+	ref, err := Compose(context.Background(), models[0], models[1], Options{})
 	if err != nil || ref.Model == nil {
 		t.Fatalf("live-context Compose failed: %v", err)
 	}

@@ -448,7 +448,7 @@ func (cm *CompiledModel) rekeyMathIndexes(funcs, algs, cons, events bool) {
 // --- streaming incremental composer ---
 
 // ErrComposerPoisoned marks a Composer whose accumulator was abandoned
-// mid-mutation by a cancelled AddContext. Every later Add/AddContext fails
+// mid-mutation by a cancelled Add. Every later Add fails
 // with an error wrapping it, and Result/Model/Snapshot return nil: the
 // accumulator holds an arbitrary prefix of the cancelled step and must not
 // be observed. Err exposes the original cancellation cause.
@@ -463,7 +463,7 @@ type Composer struct {
 	opts Options
 	acc  *CompiledModel
 	res  *Result
-	// err, once set, poisons the composer: a cancelled AddContext
+	// err, once set, poisons the composer: a cancelled Add
 	// interrupted the step pipeline mid-mutation, so the accumulator is an
 	// arbitrary prefix of that step and no longer safe to extend or read.
 	err error
@@ -492,19 +492,15 @@ func NewComposerFrom(cm *CompiledModel) *Composer {
 // mutated. Warnings, matches, mappings, renames and statistics accumulate
 // onto the composer's Result exactly as the sequential left fold reports
 // them: earlier steps win when two steps map or rename the same id.
-func (c *Composer) Add(m *sbml.Model) error {
-	return c.AddContext(context.Background(), m)
-}
-
-// AddContext is Add honoring cancellation: the step pipeline checks ctx
-// between component families. Cancellation observed before the first
-// family leaves the accumulator untouched and the composer usable — the
-// same Add can simply be retried. Cancellation observed mid-pipeline has
-// already mutated the accumulator, so the composer poisons itself: the
-// interrupted state is never exposed (Result/Model/Snapshot return nil)
-// and every later Add fails with an error wrapping ErrComposerPoisoned.
-// An uncancelled context folds byte-identically to Add.
-func (c *Composer) AddContext(ctx context.Context, m *sbml.Model) error {
+//
+// The step pipeline checks ctx between component families. Cancellation
+// observed before the first family leaves the accumulator untouched and
+// the composer usable — the same Add can simply be retried. Cancellation
+// observed mid-pipeline has already mutated the accumulator, so the
+// composer poisons itself: the interrupted state is never exposed
+// (Result/Model/Snapshot return nil) and every later Add fails with an
+// error wrapping ErrComposerPoisoned.
+func (c *Composer) Add(ctx context.Context, m *sbml.Model) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -540,7 +536,7 @@ func (c *Composer) AddContext(ctx context.Context, m *sbml.Model) error {
 	step := &Result{Mappings: map[string]string{}, Renames: map[string]string{}}
 	cs := newStepComposer(c.acc, m.Clone(), step)
 	cs.secondValues = collectInitialValues(m)
-	if err := cs.runPipelineCtx(ctx); err != nil {
+	if err := cs.runPipeline(ctx); err != nil {
 		// The pipeline stopped between families: earlier families already
 		// landed in the accumulator, so it no longer equals any fold
 		// prefix. Refuse all further use rather than expose it.
@@ -559,7 +555,7 @@ func (c *Composer) AddContext(ctx context.Context, m *sbml.Model) error {
 	return nil
 }
 
-// Err returns the poison error set by a cancelled AddContext, or nil while
+// Err returns the poison error set by a cancelled Add, or nil while
 // the composer is healthy.
 func (c *Composer) Err() error { return c.err }
 
@@ -587,7 +583,7 @@ func (c *Composer) mergeStep(step *Result) {
 }
 
 // Result returns the cumulative composition result, or nil when the
-// composer was poisoned by a cancelled AddContext. The result (and its
+// composer was poisoned by a cancelled Add. The result (and its
 // Model) is live: subsequent Adds keep extending it.
 func (c *Composer) Result() *Result {
 	if c.err != nil {

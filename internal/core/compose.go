@@ -219,22 +219,16 @@ func newStepComposer(acc *CompiledModel, second *sbml.Model, res *Result) *compo
 	}
 }
 
-// runPipeline executes Figure 4's fixed composition order. Callers that
-// keep the accumulator beyond this step must repair math-derived index
-// keys afterwards (rekeyMathIndexes) if the step mapped or renamed ids; a
-// one-shot Compose skips that, its indexes die with the call.
-func (c *composer) runPipeline() {
-	_ = c.runPipelineCtx(context.Background())
-}
-
-// runPipelineCtx is runPipeline with cancellation checked between component
-// families (Figure 4's stages are the step's natural units of work). On
-// cancellation it stops before the next family and returns the context's
-// error; families already composed have mutated the accumulator, so callers
-// that keep the accumulator must treat a non-nil return as poisoning it.
-// The check sequence never alters the composition itself: an uncancelled
-// context yields byte-identical results to runPipeline.
-func (c *composer) runPipelineCtx(ctx context.Context) error {
+// runPipeline executes Figure 4's fixed composition order, checking ctx
+// between component families (the stages are the step's natural units of
+// work). On cancellation it stops before the next family and returns the
+// context's error; families already composed have mutated the accumulator,
+// so callers that keep the accumulator must treat a non-nil return as
+// poisoning it. Callers that keep the accumulator beyond this step must
+// also repair math-derived index keys afterwards (rekeyMathIndexes) if the
+// step mapped or renamed ids; a one-shot Compose skips that, its indexes
+// die with the call.
+func (c *composer) runPipeline(ctx context.Context) error {
 	stages := []func(){
 		c.composeFunctionDefinitions,
 		c.composeUnitDefinitions,
@@ -259,18 +253,13 @@ func (c *composer) runPipelineCtx(ctx context.Context) error {
 }
 
 // Compose merges model b into a copy of model a following Figures 4 and 5.
-// Neither input is modified. The error is non-nil only for nil inputs;
-// model-level conflicts are resolved first-wins and reported as warnings.
-func Compose(a, b *sbml.Model, opts Options) (*Result, error) {
-	return ComposeContext(context.Background(), a, b, opts)
-}
-
-// ComposeContext is Compose honoring cancellation: the pairwise step checks
-// ctx between component families and returns ctx's error without producing
-// a model when the context is done. All compiled state is private to the
-// call, so a cancelled ComposeContext leaves nothing half-mutated. An
-// uncancelled context yields results byte-identical to Compose.
-func ComposeContext(ctx context.Context, a, b *sbml.Model, opts Options) (*Result, error) {
+// Neither input is modified. The error is non-nil for nil inputs and for a
+// cancelled ctx; model-level conflicts are resolved first-wins and reported
+// as warnings. The pairwise step checks ctx between component families and
+// returns ctx's error without producing a model when the context is done.
+// All compiled state is private to the call, so a cancelled Compose leaves
+// nothing half-mutated.
+func Compose(ctx context.Context, a, b *sbml.Model, opts Options) (*Result, error) {
 	if a == nil || b == nil {
 		return nil, fmt.Errorf("core: Compose requires two non-nil models (got %v, %v)", a != nil, b != nil)
 	}
@@ -294,7 +283,7 @@ func ComposeContext(ctx context.Context, a, b *sbml.Model, opts Options) (*Resul
 	res := &Result{Mappings: map[string]string{}, Renames: map[string]string{}}
 	c := newStepComposer(compile(a.Clone(), opts), b.Clone(), res)
 	c.secondValues = collectInitialValues(b)
-	if err := c.runPipelineCtx(ctx); err != nil {
+	if err := c.runPipeline(ctx); err != nil {
 		return nil, err
 	}
 	res.Model = c.out
@@ -306,15 +295,9 @@ func ComposeContext(ctx context.Context, a, b *sbml.Model, opts Options) (*Resul
 // without producing a merged model: the matching problem of the paper's
 // title, answered with the same machinery composition uses. The returned
 // matches pair first-model ids with the second-model ids identified with
-// them.
-func MatchModels(a, b *sbml.Model, opts Options) ([]Match, error) {
-	return MatchModelsContext(context.Background(), a, b, opts)
-}
-
-// MatchModelsContext is MatchModels honoring cancellation; see
-// ComposeContext.
-func MatchModelsContext(ctx context.Context, a, b *sbml.Model, opts Options) ([]Match, error) {
-	res, err := ComposeContext(ctx, a, b, opts)
+// them. ctx is checked like Compose.
+func MatchModels(ctx context.Context, a, b *sbml.Model, opts Options) ([]Match, error) {
+	res, err := Compose(ctx, a, b, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -328,17 +311,11 @@ func MatchModelsContext(ctx context.Context, a, b *sbml.Model, opts Options) ([]
 //
 // It folds left-to-right through one persistent compiled
 // accumulator, so each input model is matched against indexes that are
-// updated in place rather than rebuilt every step.
-func ComposeAll(models []*sbml.Model, opts Options) (*Result, error) {
-	return ComposeAllContext(context.Background(), models, opts)
-}
-
-// ComposeAllContext is ComposeAll honoring cancellation: the fold checks
-// ctx between component families of every Add. A cancelled call returns
-// ctx's error and no model; the accumulator is private to the call, so
-// nothing half-mutated escapes. An uncancelled context yields results
-// byte-identical to ComposeAll.
-func ComposeAllContext(ctx context.Context, models []*sbml.Model, opts Options) (*Result, error) {
+// updated in place rather than rebuilt every step. The fold checks ctx
+// between component families of every Add. A cancelled call returns ctx's
+// error and no model; the accumulator is private to the call, so nothing
+// half-mutated escapes.
+func ComposeAll(ctx context.Context, models []*sbml.Model, opts Options) (*Result, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("core: ComposeAll requires at least one model")
 	}
@@ -349,7 +326,7 @@ func ComposeAllContext(ctx context.Context, models []*sbml.Model, opts Options) 
 	}
 	c := NewComposer(opts)
 	for _, m := range models {
-		if err := c.AddContext(ctx, m); err != nil {
+		if err := c.Add(ctx, m); err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -465,7 +466,7 @@ func TestComposeAllIncremental(t *testing.T) {
 		mkModel("p2", []string{"B", "C"}, []string{"B>C:k2"}),
 		mkModel("p3", []string{"C", "D"}, []string{"C>D:k3"}),
 	}
-	res, err := ComposeAll(parts, Options{})
+	res, err := ComposeAll(context.Background(), parts, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,10 +476,10 @@ func TestComposeAllIncremental(t *testing.T) {
 	if len(res.Model.Species) != 4 || len(res.Model.Reactions) != 3 {
 		t.Errorf("pipeline = %d species %d reactions", len(res.Model.Species), len(res.Model.Reactions))
 	}
-	if _, err := ComposeAll(nil, Options{}); err == nil {
+	if _, err := ComposeAll(context.Background(), nil, Options{}); err == nil {
 		t.Error("empty ComposeAll should error")
 	}
-	single, err := ComposeAll(parts[:1], Options{})
+	single, err := ComposeAll(context.Background(), parts[:1], Options{})
 	if err != nil || len(single.Model.Species) != 2 {
 		t.Errorf("single-model fold: %v", err)
 	}
@@ -534,7 +535,7 @@ func TestQuickComposeIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m := randomModel(r, "m")
-		res, err := Compose(m, m, Options{})
+		res, err := Compose(context.Background(), m, m, Options{})
 		if err != nil {
 			return false
 		}
@@ -552,7 +553,7 @@ func TestQuickComposePreservesValidity(t *testing.T) {
 	f := func(s1, s2 int64) bool {
 		a := randomModel(rand.New(rand.NewSource(s1)), "a")
 		b := randomModel(rand.New(rand.NewSource(s2)), "b")
-		res, err := Compose(a, b, Options{})
+		res, err := Compose(context.Background(), a, b, Options{})
 		if err != nil {
 			return false
 		}
@@ -567,7 +568,7 @@ func TestQuickComposeSizeBounds(t *testing.T) {
 	f := func(s1, s2 int64) bool {
 		a := randomModel(rand.New(rand.NewSource(s1)), "a")
 		b := randomModel(rand.New(rand.NewSource(s2)), "b")
-		res, err := Compose(a, b, Options{})
+		res, err := Compose(context.Background(), a, b, Options{})
 		if err != nil {
 			return false
 		}
@@ -588,8 +589,8 @@ func TestQuickComposeCommutativeSizes(t *testing.T) {
 	f := func(s1, s2 int64) bool {
 		a := randomModel(rand.New(rand.NewSource(s1)), "a")
 		b := randomModel(rand.New(rand.NewSource(s2)), "b")
-		ab, err1 := Compose(a, b, Options{})
-		ba, err2 := Compose(b, a, Options{})
+		ab, err1 := Compose(context.Background(), a, b, Options{})
+		ba, err2 := Compose(context.Background(), b, a, Options{})
 		if err1 != nil || err2 != nil {
 			return false
 		}

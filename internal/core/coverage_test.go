@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sbmlcompose/internal/mathml"
@@ -83,7 +84,7 @@ func TestRateRuleVsAssignmentRuleDistinct(t *testing.T) {
 	b := mkModel("b", []string{"A"}, nil)
 	b.Species[0].Constant = false
 	b.Rules = append(b.Rules, &sbml.Rule{Kind: sbml.AssignmentRule, Variable: "A", Math: mathml.N(1)})
-	res, err := Compose(a, b, Options{})
+	res, err := Compose(context.Background(), a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -66,7 +67,7 @@ func TestDecomposeComposeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ComposeAll(parts, Options{})
+	res, err := ComposeAll(context.Background(), parts, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestQuickDecomposeComposeRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := ComposeAll(parts, Options{})
+		res, err := ComposeAll(context.Background(), parts, Options{})
 		if err != nil {
 			return false
 		}

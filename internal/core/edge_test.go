@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestUnitDefinitionUnknownKindStructuralKey(t *testing.T) {
 	// Note: these models are structurally fine but semantically invalid
 	// (unknown unit kind); composition still behaves deterministically.
 	a, b := mk("a", "zorkmids"), mk("b", "zorkmids")
-	res, err := Compose(a, b, Options{})
+	res, err := Compose(context.Background(), a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestUnitDefinitionUnknownKindStructuralKey(t *testing.T) {
 		t.Errorf("identical unknown units should merge: %d", len(res.Model.UnitDefinitions))
 	}
 	c := mk("c", "flurbs")
-	res, err = Compose(a, c, Options{})
+	res, err = Compose(context.Background(), a, c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestComposeLogIsOptional(t *testing.T) {
 	a := mkModel("m1", []string{"A"}, nil)
 	b := mkModel("m2", []string{"A"}, nil)
 	b.Species[0].InitialConcentration = 9 // conflict with nil log
-	res, err := Compose(a, b, Options{Log: nil})
+	res, err := Compose(context.Background(), a, b, Options{Log: nil})
 	if err != nil {
 		t.Fatal(err)
 	}

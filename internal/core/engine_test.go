@@ -6,6 +6,7 @@ package core
 // after renames.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -40,7 +41,7 @@ func seedFold(t testing.TB, models []*sbml.Model, opts Options) *Result {
 	t.Helper()
 	acc := &Result{Model: models[0].Clone(), Mappings: map[string]string{}, Renames: map[string]string{}}
 	for _, m := range models[1:] {
-		step, err := Compose(acc.Model, m, opts)
+		step, err := Compose(context.Background(), acc.Model, m, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestComposeAllMatchesSeedFold(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := seedFold(t, models, tc.opts)
-			got, err := ComposeAll(models, tc.opts)
+			got, err := ComposeAll(context.Background(), models, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,24 +130,24 @@ func TestComposerStreamingIncremental(t *testing.T) {
 	if comp.Model() != nil || comp.Snapshot() != nil {
 		t.Fatal("empty composer should have no model")
 	}
-	if err := comp.Add(nil); err == nil {
+	if err := comp.Add(context.Background(), nil); err == nil {
 		t.Fatal("Add(nil) should error")
 	}
 	for i, m := range models {
 		if i > 0 {
 			// What a from-scratch compose of the current accumulator
 			// snapshot would produce for this step.
-			want, err := Compose(comp.Snapshot(), m, Options{})
+			want, err := Compose(context.Background(), comp.Snapshot(), m, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := comp.Add(m); err != nil {
+			if err := comp.Add(context.Background(), m); err != nil {
 				t.Fatal(err)
 			}
 			if got := modelBytes(comp.Model()); got != modelBytes(want.Model) {
 				t.Fatalf("step %d: incremental accumulator diverged from from-scratch compose", i)
 			}
-		} else if err := comp.Add(m); err != nil {
+		} else if err := comp.Add(context.Background(), m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +166,7 @@ func TestCompiledIndexesMatchRebuild(t *testing.T) {
 	for _, opts := range []Options{{}, {Semantics: NoSemantics}} {
 		comp := NewComposer(opts)
 		for _, m := range models {
-			if err := comp.Add(m); err != nil {
+			if err := comp.Add(context.Background(), m); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -282,10 +283,10 @@ func TestComposerFigure5EmptyCases(t *testing.T) {
 	full := mkModel("full", []string{"A", "B"}, []string{"A>B:k1"})
 
 	comp := NewComposer(Options{})
-	if err := comp.Add(empty); err != nil {
+	if err := comp.Add(context.Background(), empty); err != nil {
 		t.Fatal(err)
 	}
-	if err := comp.Add(full); err != nil {
+	if err := comp.Add(context.Background(), full); err != nil {
 		t.Fatal(err)
 	}
 	res := comp.Result()
@@ -297,10 +298,10 @@ func TestComposerFigure5EmptyCases(t *testing.T) {
 	}
 
 	comp = NewComposer(Options{})
-	if err := comp.Add(full); err != nil {
+	if err := comp.Add(context.Background(), full); err != nil {
 		t.Fatal(err)
 	}
-	if err := comp.Add(empty); err != nil {
+	if err := comp.Add(context.Background(), empty); err != nil {
 		t.Fatal(err)
 	}
 	if got := comp.Result(); got.Stats.Added != 0 || len(got.Model.Species) != 2 {
@@ -310,7 +311,7 @@ func TestComposerFigure5EmptyCases(t *testing.T) {
 	// Both empty: the later model's identity wins, exactly as pairwise
 	// Compose(empty, empty) returns the second model's clone.
 	e1, e2 := sbml.NewModel("e1"), sbml.NewModel("e2")
-	res2, err := ComposeAll([]*sbml.Model{e1, e2}, Options{})
+	res2, err := ComposeAll(context.Background(), []*sbml.Model{e1, e2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,10 +339,10 @@ func TestNewComposerFrom(t *testing.T) {
 
 	comp := NewComposerFrom(cm)
 	next := mkModel("next", []string{"B", "C"}, []string{"B>C:k2"})
-	if err := comp.Add(next); err != nil {
+	if err := comp.Add(context.Background(), next); err != nil {
 		t.Fatal(err)
 	}
-	want, err := Compose(base, next, Options{})
+	want, err := Compose(context.Background(), base, next, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +380,7 @@ func TestRekeyAfterMidStepRename(t *testing.T) {
 
 	models := []*sbml.Model{m1, m2, m3}
 	want := seedFold(t, models, Options{})
-	got, err := ComposeAll(models, Options{})
+	got, err := ComposeAll(context.Background(), models, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +423,7 @@ func TestAdoptedLawParamsClaimed(t *testing.T) {
 
 	models := []*sbml.Model{m1, m2, m3}
 	want := seedFold(t, models, Options{})
-	got, err := ComposeAll(models, Options{})
+	got, err := ComposeAll(context.Background(), models, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sbmlcompose/internal/mathml"
@@ -58,7 +59,7 @@ func figure1Model(id string) *sbml.Model {
 
 func compose(t *testing.T, a, b *sbml.Model, opts Options) *Result {
 	t.Helper()
-	res, err := Compose(a, b, opts)
+	res, err := Compose(context.Background(), a, b, opts)
 	if err != nil {
 		t.Fatalf("Compose: %v", err)
 	}
@@ -146,7 +147,7 @@ func TestEmptyModelCases(t *testing.T) {
 	if len(res.Model.Species) != 3 {
 		t.Errorf("empty+a lost species")
 	}
-	if _, err := Compose(nil, a, Options{}); err == nil {
+	if _, err := Compose(context.Background(), nil, a, Options{}); err == nil {
 		t.Error("nil model should error")
 	}
 }

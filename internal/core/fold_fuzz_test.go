@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -64,12 +65,12 @@ func FuzzComposeFold(f *testing.F) {
 
 		c := NewComposer(opts)
 		for _, m := range fresh() {
-			if err := c.Add(m); err != nil {
+			if err := c.Add(context.Background(), m); err != nil {
 				t.Fatalf("Composer.Add: %v", err)
 			}
 		}
 		equalResults(t, "Composer vs seed fold", c.Result(), want)
-		got, err := ComposeAll(fresh(), opts)
+		got, err := ComposeAll(context.Background(), fresh(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sbmlcompose/internal/sbml"
@@ -10,7 +11,7 @@ import (
 func TestMatchModelsIdentical(t *testing.T) {
 	a := figure1Model("m1")
 	b := figure1Model("m2")
-	matches, err := MatchModels(a, b, Options{})
+	matches, err := MatchModels(context.Background(), a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestMatchModelsIdentical(t *testing.T) {
 func TestMatchModelsDisjoint(t *testing.T) {
 	a := mkModel("m1", []string{"A"}, nil)
 	b := mkModel("m2", []string{"X"}, nil)
-	matches, err := MatchModels(a, b, Options{})
+	matches, err := MatchModels(context.Background(), a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestMatchModelsSynonyms(t *testing.T) {
 	a.Species = append(a.Species, &sbml.Species{ID: "glc", Name: "glucose", Compartment: "cell"})
 	b := mkModel("m2", nil, nil)
 	b.Species = append(b.Species, &sbml.Species{ID: "dex", Name: "dextrose", Compartment: "cell"})
-	matches, err := MatchModels(a, b, Options{Synonyms: tab})
+	matches, err := MatchModels(context.Background(), a, b, Options{Synonyms: tab})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestMatchModelsSynonyms(t *testing.T) {
 func TestMatchesOnComposeResult(t *testing.T) {
 	a := mkModel("m1", []string{"A", "B"}, []string{"A>B:k1"})
 	b := mkModel("m2", []string{"B", "C"}, []string{"B>C:k2"})
-	res, err := Compose(a, b, Options{})
+	res, err := Compose(context.Background(), a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

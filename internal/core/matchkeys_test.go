@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sbmlcompose/internal/biomodels"
@@ -31,7 +32,7 @@ func TestMatchKeysAgreeWithComposer(t *testing.T) {
 		}
 	}
 
-	matches, err := MatchModels(a, b, opts)
+	matches, err := MatchModels(context.Background(), a, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

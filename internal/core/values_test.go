@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestComposerValuesMatchScanOnRenameHeavyBatch(t *testing.T) {
 	} {
 		c := NewComposer(opts)
 		for i, m := range renameHeavyBatch(t, 8) {
-			if err := c.Add(m); err != nil {
+			if err := c.Add(context.Background(), m); err != nil {
 				t.Fatal(err)
 			}
 			assertValuesMatchScan(t, m.ID, c.acc)
@@ -74,7 +75,7 @@ func TestComposerValuesAdoptionAndAssignments(t *testing.T) {
 
 	c := NewComposer(Options{})
 	for _, m := range []*sbml.Model{m1, m2} {
-		if err := c.Add(m); err != nil {
+		if err := c.Add(context.Background(), m); err != nil {
 			t.Fatal(err)
 		}
 		assertValuesMatchScan(t, m.ID, c.acc)
@@ -114,7 +115,7 @@ func TestComposerValuesAssignmentOnlyStep(t *testing.T) {
 	// An intermediate no-new-values step drains any seed buffering, so the
 	// assignment step below must trigger its own flush.
 	for _, m := range []*sbml.Model{base, base.Clone(), overlay} {
-		if err := c.Add(m); err != nil {
+		if err := c.Add(context.Background(), m); err != nil {
 			t.Fatal(err)
 		}
 		assertValuesMatchScan(t, m.ID, c.acc)

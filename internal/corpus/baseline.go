@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"sort"
 
 	"sbmlcompose/internal/core"
@@ -12,11 +13,12 @@ import (
 // (core.MatchModels) and rank by the number of identified component
 // correspondences. It exists as the benchmark baseline — O(corpus) full
 // pairwise compositions per query — and as an independent oracle for the
-// retrieval tests; it shares no code with Corpus.Search.
-func SearchAllPairs(models []*sbml.Model, query *sbml.Model, opts core.Options, topK int) ([]Hit, error) {
+// retrieval tests; it shares no code with Corpus.Search. ctx is checked
+// by every pairwise match.
+func SearchAllPairs(ctx context.Context, models []*sbml.Model, query *sbml.Model, opts core.Options, topK int) ([]Hit, error) {
 	hits := make([]Hit, 0, len(models))
 	for _, m := range models {
-		matches, err := core.MatchModels(m, query, opts)
+		matches, err := core.MatchModels(ctx, m, query, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -55,7 +55,7 @@ func TestSearchContextCancelSweep(t *testing.T) {
 	fill(t, c, models)
 	query := models[7].Clone()
 
-	ref, err := c.Search(query.Clone(), SearchOptions{TopK: 10})
+	ref, err := c.Search(context.Background(), query.Clone(), SearchOptions{TopK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSearchContextCancelSweep(t *testing.T) {
 
 	sawCancel := false
 	for budget := 0; ; budget++ {
-		hits, err := c.SearchContext(newCountingCtx(budget), query.Clone(), SearchOptions{TopK: 10})
+		hits, err := c.Search(newCountingCtx(budget), query.Clone(), SearchOptions{TopK: 10})
 		if err != nil {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("budget %d: unexpected error %v", budget, err)
@@ -84,7 +84,7 @@ func TestSearchContextCancelSweep(t *testing.T) {
 			sawCancel = true
 			// The corpus must be unscathed: a follow-up uncancelled
 			// search ranks exactly like the reference.
-			again, err := c.Search(query.Clone(), SearchOptions{TopK: 10})
+			again, err := c.Search(context.Background(), query.Clone(), SearchOptions{TopK: 10})
 			if err != nil {
 				t.Fatalf("budget %d: follow-up search failed: %v", budget, err)
 			}
@@ -126,7 +126,7 @@ func TestSearchOffsetPagination(t *testing.T) {
 		c := New(testOptions(shards))
 		fill(t, c, models)
 
-		full, err := c.Search(query.Clone(), SearchOptions{TopK: -1})
+		full, err := c.Search(context.Background(), query.Clone(), SearchOptions{TopK: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestSearchOffsetPagination(t *testing.T) {
 		for pageSize := 1; pageSize <= 3; pageSize++ {
 			var paged []Hit
 			for off := 0; off < len(full); off += pageSize {
-				page, err := c.Search(query.Clone(), SearchOptions{TopK: pageSize, Offset: off})
+				page, err := c.Search(context.Background(), query.Clone(), SearchOptions{TopK: pageSize, Offset: off})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,10 +151,10 @@ func TestSearchOffsetPagination(t *testing.T) {
 		}
 
 		// Past-the-end and negative offsets degrade gracefully.
-		if page, err := c.Search(query.Clone(), SearchOptions{TopK: 3, Offset: len(full) + 1}); err != nil || len(page) != 0 {
+		if page, err := c.Search(context.Background(), query.Clone(), SearchOptions{TopK: 3, Offset: len(full) + 1}); err != nil || len(page) != 0 {
 			t.Fatalf("offset past end: %v hits, err %v", page, err)
 		}
-		if page, err := c.Search(query.Clone(), SearchOptions{TopK: -1, Offset: -5}); err != nil || !reflect.DeepEqual(page, full) {
+		if page, err := c.Search(context.Background(), query.Clone(), SearchOptions{TopK: -1, Offset: -5}); err != nil || !reflect.DeepEqual(page, full) {
 			t.Fatalf("negative offset should mean 0: err %v", err)
 		}
 	}
@@ -170,10 +170,10 @@ func TestComposeWithContextCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.ComposeWithContext(ctx, models[0].ID, models[1].Clone()); !errors.Is(err, context.Canceled) {
+	if _, err := c.ComposeWith(ctx, models[0].ID, models[1].Clone()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled ComposeWith = %v, want context.Canceled", err)
 	}
-	res, err := c.ComposeWith(models[0].ID, models[1].Clone())
+	res, err := c.ComposeWith(context.Background(), models[0].ID, models[1].Clone())
 	if err != nil || res.Model == nil {
 		t.Fatalf("follow-up ComposeWith failed: %v", err)
 	}

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -20,7 +21,7 @@ func TestSearchEqualsSearchCompiled(t *testing.T) {
 	sopts := SearchOptions{TopK: -1}
 	for _, probe := range []int{0, 5, 11} {
 		query := models[probe].Clone()
-		want, err := c.Search(query, sopts)
+		want, err := c.Search(context.Background(), query, sopts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,14 +33,14 @@ func TestSearchEqualsSearchCompiled(t *testing.T) {
 			t.Fatal(err)
 		}
 		for rep := 0; rep < 3; rep++ {
-			got, err := c.SearchCompiled(cq, sopts)
+			got, err := c.SearchCompiled(context.Background(), cq, sopts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("SearchCompiled(%s) call %d diverges from Search:\n got %+v\nwant %+v", query.ID, rep, got, want)
 			}
-			again, err := c.Search(query, sopts)
+			again, err := c.Search(context.Background(), query, sopts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,12 +55,12 @@ func TestSearchEqualsSearchCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	original, err := c.Search(query, sopts)
+	original, err := c.Search(context.Background(), query, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	query.Species = query.Species[:1]
-	mutated, err := c.Search(query, sopts)
+	mutated, err := c.Search(context.Background(), query, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +71,10 @@ func TestSearchEqualsSearchCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := c.SearchCompiled(cq, sopts); err != nil || !reflect.DeepEqual(got, mutated) {
+	if got, err := c.SearchCompiled(context.Background(), cq, sopts); err != nil || !reflect.DeepEqual(got, mutated) {
 		t.Fatalf("mutated query: SearchCompiled diverges from Search (err %v):\n got %+v\nwant %+v", err, got, mutated)
 	}
-	if got, err := c.SearchCompiled(before, sopts); err != nil || !reflect.DeepEqual(got, original) {
+	if got, err := c.SearchCompiled(context.Background(), before, sopts); err != nil || !reflect.DeepEqual(got, original) {
 		t.Fatalf("a query compiled before the mutation changed its ranking (err %v):\n got %+v\nwant %+v", err, got, original)
 	}
 }
@@ -88,7 +89,7 @@ func TestConcurrentSearchesAgree(t *testing.T) {
 	sopts := SearchOptions{TopK: 5}
 	want := make([][]Hit, 4)
 	for i := range want {
-		hits, err := c.Search(models[i], sopts)
+		hits, err := c.Search(context.Background(), models[i], sopts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestConcurrentSearchesAgree(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				q := (g + i) % 4
-				hits, err := c.Search(models[q], sopts)
+				hits, err := c.Search(context.Background(), models[q], sopts)
 				if err != nil {
 					errs <- err
 					return

@@ -660,19 +660,12 @@ func (sh *shard) removeLocked(id string) {
 // the map change). before, if non-nil, runs while all locks are held —
 // the store uses it to capture its WAL append position at a point that is
 // provably consistent with the dumped state, which is what makes a
-// snapshot's "records ≤ LastSeq are included" claim true.
-func (c *Corpus) DumpConsistent(before func()) []ModelBlob {
-	blobs, _ := c.DumpConsistentContext(context.Background(), before)
-	return blobs
-}
-
-// DumpConsistentContext is DumpConsistent honoring cancellation: ctx is
-// checked between entries while the per-model XML renders run (the dump's
-// units of work), so a snapshot of a large corpus can be abandoned without
-// holding every shard read lock for its full duration. A cancelled dump
-// returns ctx's error and no blobs; the corpus is read-locked only, so no
-// state needs undoing.
-func (c *Corpus) DumpConsistentContext(ctx context.Context, before func()) ([]ModelBlob, error) {
+// snapshot's "records ≤ LastSeq are included" claim true. ctx is checked
+// between entries, so a snapshot of a large corpus can be abandoned
+// without holding every shard read lock for its full duration. A
+// cancelled dump returns ctx's error and no blobs; the corpus is
+// read-locked only, so no state needs undoing.
+func (c *Corpus) DumpConsistent(ctx context.Context, before func()) ([]ModelBlob, error) {
 	for _, sh := range c.shards {
 		sh.mu.RLock()
 	}
@@ -783,15 +776,10 @@ func (c *Corpus) lookup(id string) (*entry, bool) {
 // ComposeWith merges the query model into a copy of the stored model under
 // the corpus match options — the "find a composition partner, then
 // compose" workflow. Neither the stored model nor the query is mutated.
-func (c *Corpus) ComposeWith(id string, query *sbml.Model) (*core.Result, error) {
-	return c.ComposeWithContext(context.Background(), id, query)
-}
-
-// ComposeWithContext is ComposeWith honoring cancellation: the pairwise
-// composition checks ctx between component families. All compiled state is
-// private to the call (the stored model is never mutated), so a cancelled
-// compose leaves the corpus untouched.
-func (c *Corpus) ComposeWithContext(ctx context.Context, id string, query *sbml.Model) (*core.Result, error) {
+// The pairwise composition checks ctx between component families; all
+// compiled state is private to the call, so a cancelled compose leaves the
+// corpus untouched.
+func (c *Corpus) ComposeWith(ctx context.Context, id string, query *sbml.Model) (*core.Result, error) {
 	e, ok := c.lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("corpus: no model %q: %w", id, ErrNotFound)
@@ -801,12 +789,14 @@ func (c *Corpus) ComposeWithContext(ctx context.Context, id string, query *sbml.
 		return nil, err
 	}
 	sp := obs.FromContext(ctx).Start("compose")
-	res, err := core.ComposeContext(ctx, m, query, c.opts.Match)
+	res, err := core.Compose(ctx, m, query, c.opts.Match)
 	sp.End()
 	return res, err
 }
 
 // SimulateODE integrates a stored model on its cached engine.
+//
+//sbml:noctx cmd/sbmlbench calls the ctx-free half; the pair folds into one when the benchmark changes
 func (c *Corpus) SimulateODE(id string, opts sim.Options) (*trace.Trace, error) {
 	return c.SimulateODEContext(context.Background(), id, opts)
 }
@@ -823,19 +813,13 @@ func (c *Corpus) SimulateODEContext(ctx context.Context, id string, opts sim.Opt
 		return nil, err
 	}
 	sp := obs.FromContext(ctx).Start("simulate")
-	tr, err := eng.ODECtx(ctx, opts)
+	tr, err := eng.ODE(ctx, opts)
 	sp.End()
 	return tr, err
 }
 
-// SimulateSSA runs Gillespie's direct method on a stored model's cached
-// engine.
-func (c *Corpus) SimulateSSA(id string, opts sim.Options) (*trace.Trace, error) {
-	return c.SimulateSSAContext(context.Background(), id, opts)
-}
-
-// SimulateSSAContext is SimulateSSA honoring cancellation: the event loop
-// checks ctx periodically mid-run.
+// SimulateSSAContext runs Gillespie's direct method on a stored model's
+// cached engine; the event loop checks ctx periodically mid-run.
 func (c *Corpus) SimulateSSAContext(ctx context.Context, id string, opts sim.Options) (*trace.Trace, error) {
 	e, ok := c.lookup(id)
 	if !ok {
@@ -846,13 +830,15 @@ func (c *Corpus) SimulateSSAContext(ctx context.Context, id string, opts sim.Opt
 		return nil, err
 	}
 	sp := obs.FromContext(ctx).Start("simulate")
-	tr, err := eng.SSACtx(ctx, opts)
+	tr, err := eng.SSA(ctx, opts)
 	sp.End()
 	return tr, err
 }
 
 // CheckProperty evaluates a temporal-logic formula (mc2 syntax) over a
 // deterministic simulation of a stored model, reusing the cached engine.
+//
+//sbml:noctx cmd/sbmlbench calls the ctx-free half; the pair folds into one when the benchmark changes
 func (c *Corpus) CheckProperty(id string, formula string, opts sim.Options) (bool, error) {
 	return c.CheckPropertyContext(context.Background(), id, formula, opts)
 }
@@ -873,7 +859,7 @@ func (c *Corpus) CheckPropertyContext(ctx context.Context, id string, formula st
 		return false, err
 	}
 	sp := obs.FromContext(ctx).Start("simulate")
-	tr, err := eng.ODECtx(ctx, opts)
+	tr, err := eng.ODE(ctx, opts)
 	sp.End()
 	if err != nil {
 		return false, err
@@ -934,16 +920,11 @@ func (c *Corpus) CompileQuery(query *sbml.Model) (*CompiledQuery, error) {
 	return cq, nil
 }
 
-// SearchCompiled ranks the corpus against an already compiled query; see
-// Search. Rankings are computed fresh against the live corpus on every
-// call, so SearchCompiled(CompileQuery(q)) equals Search(q) exactly.
-func (c *Corpus) SearchCompiled(cq *CompiledQuery, opts SearchOptions) ([]Hit, error) {
-	return c.SearchCompiledContext(context.Background(), cq, opts)
-}
-
-// SearchCompiledContext is SearchCompiled honoring cancellation, with
-// SearchContext's exact semantics.
-func (c *Corpus) SearchCompiledContext(ctx context.Context, cq *CompiledQuery, opts SearchOptions) ([]Hit, error) {
+// SearchCompiled ranks the corpus against an already compiled query, with
+// Search's exact semantics. Rankings are computed fresh against the live
+// corpus on every call, so SearchCompiled(CompileQuery(q)) equals
+// Search(q) exactly.
+func (c *Corpus) SearchCompiled(ctx context.Context, cq *CompiledQuery, opts SearchOptions) ([]Hit, error) {
 	if cq == nil {
 		return nil, fmt.Errorf("corpus: SearchCompiled requires a non-nil compiled query")
 	}
@@ -960,18 +941,14 @@ func (c *Corpus) SearchCompiledContext(ctx context.Context, cq *CompiledQuery, o
 // shared-key score matrix) and merged into one global ranking: score
 // descending, model id ascending on ties, windowed to [Offset,
 // Offset+TopK).
-func (c *Corpus) Search(query *sbml.Model, opts SearchOptions) ([]Hit, error) {
-	return c.SearchContext(context.Background(), query, opts)
-}
-
-// SearchContext is Search honoring cancellation: ctx is checked between
-// shards during retrieval and by every scoring worker between candidates.
-// A cancelled search drains its worker pool (nothing outlives the call),
-// leaves the corpus untouched — Search never mutates shared state, so a
-// follow-up query behaves as if the cancelled one never ran — and returns
-// ctx's error. An uncancelled context ranks identically to Search at every
+//
+// ctx is checked between shards during retrieval and by every scoring
+// worker between candidates. A cancelled search drains its worker pool
+// (nothing outlives the call), leaves the corpus untouched — Search never
+// mutates shared state, so a follow-up query behaves as if the cancelled
+// one never ran — and returns ctx's error. Rankings are identical at every
 // shard and worker count.
-func (c *Corpus) SearchContext(ctx context.Context, query *sbml.Model, opts SearchOptions) ([]Hit, error) {
+func (c *Corpus) Search(ctx context.Context, query *sbml.Model, opts SearchOptions) ([]Hit, error) {
 	if query == nil {
 		return nil, fmt.Errorf("corpus: Search requires a non-nil query")
 	}
@@ -987,8 +964,7 @@ func (c *Corpus) SearchContext(ctx context.Context, query *sbml.Model, opts Sear
 	return c.rank(ctx, cq, opts)
 }
 
-// rank is the shared post-compile body of SearchContext and
-// SearchCompiledContext: retrieval, concurrent scoring and the
+// rank is the shared post-compile body of Search and SearchCompiled: retrieval, concurrent scoring and the
 // deterministic global merge, all a pure function of the compiled query.
 func (c *Corpus) rank(ctx context.Context, cq *CompiledQuery, opts SearchOptions) ([]Hit, error) {
 	if opts.TopK == 0 {

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -58,7 +59,7 @@ func TestAddRemoveLifecycle(t *testing.T) {
 	if _, err := c.Add(sbml.NewModel("")); err == nil {
 		t.Fatal("empty-id Add succeeded")
 	}
-	if _, err := c.ComposeWith("ghost", models[0]); !errors.Is(err, ErrNotFound) {
+	if _, err := c.ComposeWith(context.Background(), "ghost", models[0]); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("ComposeWith missing id: err = %v, want ErrNotFound", err)
 	}
 
@@ -86,7 +87,7 @@ func TestAddRemoveLifecycle(t *testing.T) {
 	if _, ok := c.Get(models[4].ID); ok {
 		t.Fatal("Get found removed model")
 	}
-	hits, err := c.Search(models[4], SearchOptions{TopK: -1})
+	hits, err := c.Search(context.Background(), models[4], SearchOptions{TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestSearchSelfIsTopHit(t *testing.T) {
 	fill(t, c, models)
 	for _, probe := range []int{0, 7, 19} {
 		query := models[probe].Clone()
-		hits, err := c.Search(query, SearchOptions{TopK: 5})
+		hits, err := c.Search(context.Background(), query, SearchOptions{TopK: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func TestSearchSelfIsTopHit(t *testing.T) {
 
 func TestSearchEmptyCorpusAndNoOverlap(t *testing.T) {
 	c := New(testOptions(2))
-	hits, err := c.Search(testModels(1)[0], SearchOptions{})
+	hits, err := c.Search(context.Background(), testModels(1)[0], SearchOptions{})
 	if err != nil || len(hits) != 0 {
 		t.Fatalf("empty corpus: hits=%v err=%v", hits, err)
 	}
@@ -148,7 +149,7 @@ func TestSearchEmptyCorpusAndNoOverlap(t *testing.T) {
 	alien := sbml.NewModel("alien")
 	alien.Compartments = append(alien.Compartments, &sbml.Compartment{ID: "vacuole", Constant: true})
 	alien.Species = append(alien.Species, &sbml.Species{ID: "zz_unobtainium", Name: "unobtainium", Compartment: "vacuole"})
-	hits, err = c.Search(alien, SearchOptions{TopK: 3})
+	hits, err = c.Search(context.Background(), alien, SearchOptions{TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +167,11 @@ func TestSearchCutoffDropsWeakTiers(t *testing.T) {
 	c := New(testOptions(2))
 	fill(t, c, models)
 	query := models[5].Clone()
-	all, err := c.Search(query, SearchOptions{TopK: -1})
+	all, err := c.Search(context.Background(), query, SearchOptions{TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := c.Search(query, SearchOptions{TopK: -1, Cutoff: core.TierSynonym.Weight()})
+	strict, err := c.Search(context.Background(), query, SearchOptions{TopK: -1, Cutoff: core.TierSynonym.Weight()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestSearchCutoffDropsWeakTiers(t *testing.T) {
 	// MinScore keeps only strong hits.
 	if len(all) > 1 {
 		min := all[0].Score
-		top, err := c.Search(query, SearchOptions{TopK: -1, MinScore: min})
+		top, err := c.Search(context.Background(), query, SearchOptions{TopK: -1, MinScore: min})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,14 +205,14 @@ func TestSearchTopKTruncates(t *testing.T) {
 	c := New(testOptions(4))
 	fill(t, c, models)
 	query := models[1].Clone()
-	all, err := c.Search(query, SearchOptions{TopK: -1})
+	all, err := c.Search(context.Background(), query, SearchOptions{TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) < 3 {
 		t.Skipf("workload produced only %d hits", len(all))
 	}
-	top2, err := c.Search(query, SearchOptions{TopK: 2})
+	top2, err := c.Search(context.Background(), query, SearchOptions{TopK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +230,11 @@ func TestSearchAgreesWithAllPairsOracle(t *testing.T) {
 	c := New(testOptions(3))
 	fill(t, c, models)
 	query := models[6].Clone()
-	inv, err := c.Search(query, SearchOptions{TopK: -1})
+	inv, err := c.Search(context.Background(), query, SearchOptions{TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := SearchAllPairs(models, query, c.Options().Match, -1)
+	naive, err := SearchAllPairs(context.Background(), models, query, c.Options().Match, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,18 +261,18 @@ func TestComposeWithMatchesDirectCompose(t *testing.T) {
 	c := New(testOptions(2))
 	fill(t, c, models)
 	query := models[3].Clone()
-	got, err := c.ComposeWith(models[0].ID, query)
+	got, err := c.ComposeWith(context.Background(), models[0].ID, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Compose(models[0], query, c.Options().Match)
+	want, err := core.Compose(context.Background(), models[0], query, c.Options().Match)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gx, wx := sbml.WrapModel(got.Model).ToXML().Canonical(), sbml.WrapModel(want.Model).ToXML().Canonical(); gx != wx {
 		t.Fatal("ComposeWith differs from direct core.Compose")
 	}
-	if _, err := c.ComposeWith("nope", query); err == nil {
+	if _, err := c.ComposeWith(context.Background(), "nope", query); err == nil {
 		t.Fatal("ComposeWith on a missing id succeeded")
 	}
 }
@@ -316,7 +317,7 @@ func TestEngineCachedPerEntry(t *testing.T) {
 			}
 		}
 	}
-	if _, err := c.SimulateSSA(id, opts); err != nil {
+	if _, err := c.SimulateSSAContext(context.Background(), id, opts); err != nil {
 		t.Fatal(err)
 	}
 	sp := models[0].Species[0].ID

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -27,7 +28,7 @@ func TestSearchDeterministicAcrossShardsAndWorkers(t *testing.T) {
 			runtime.GOMAXPROCS(workers)
 			var got [][]Hit
 			for _, qi := range queries {
-				hits, err := c.Search(models[qi].Clone(), SearchOptions{TopK: 10})
+				hits, err := c.Search(context.Background(), models[qi].Clone(), SearchOptions{TopK: 10})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -66,7 +67,7 @@ func TestConcurrentAddSearchRemove(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := c.Search(models[g], SearchOptions{TopK: 3}); err != nil {
+				if _, err := c.Search(context.Background(), models[g], SearchOptions{TopK: 3}); err != nil {
 					t.Error(err)
 					return
 				}

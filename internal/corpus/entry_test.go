@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"strings"
@@ -103,7 +104,7 @@ func TestInMemoryAddKeepsOnlyADeflatedDoc(t *testing.T) {
 	if parsed == nil || parsed == got {
 		t.Fatalf("first Get left model=%v, or returned the shared model", parsed != nil)
 	}
-	if _, err := c.ComposeWith(m.ID, testModels(2)[1]); err != nil {
+	if _, err := c.ComposeWith(context.Background(), m.ID, testModels(2)[1]); err != nil {
 		t.Fatal(err)
 	}
 	if again, ok := c.Get(m.ID); !ok || canonical(again) != want || e.model != parsed {
@@ -125,7 +126,7 @@ func TestInMemoryAddKeepsOnlyADeflatedDoc(t *testing.T) {
 		if _, ok := c.Get(m.ID); ok {
 			t.Errorf("%s: Get found a model whose Doc cannot be inflated", name)
 		}
-		if _, err := c.ComposeWith(m.ID, testModels(2)[1]); err == nil {
+		if _, err := c.ComposeWith(context.Background(), m.ID, testModels(2)[1]); err == nil {
 			t.Errorf("%s: ComposeWith succeeded", name)
 		}
 		if _, err := c.SimulateODE(m.ID, sim.Options{T1: 1, Step: 0.5}); err == nil {
@@ -148,7 +149,10 @@ func TestRelocateSkipsDocsHeldInMemory(t *testing.T) {
 	if _, err := c.Add(models[1]); err != nil {
 		t.Fatal(err)
 	}
-	blobs := c.DumpConsistent(nil)
+	blobs, err := c.DumpConsistent(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	moved := make([]Doc, len(blobs))
 	for i, b := range blobs {
 		moved[i] = &keyLogDoc{log: log, b: []byte("relocated " + b.ID)}

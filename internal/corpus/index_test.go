@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -179,7 +180,10 @@ func checkEmpty(c *Corpus) error {
 // checkDump verifies that DumpConsistent gives back, for every model,
 // exactly the keys it was installed with: want maps an id to them.
 func checkDump(c *Corpus, want map[string][]core.ComponentKey) error {
-	blobs := c.DumpConsistent(nil)
+	blobs, err := c.DumpConsistent(context.Background(), nil)
+	if err != nil {
+		return err
+	}
 	if len(blobs) != len(want) {
 		return fmt.Errorf("dump holds %d models, want %d", len(blobs), len(want))
 	}
@@ -196,7 +200,7 @@ func rankAll(t testing.TB, c *Corpus, queries []*CompiledQuery) [][]Hit {
 	t.Helper()
 	out := make([][]Hit, len(queries))
 	for i, q := range queries {
-		hits, err := c.SearchCompiled(q, SearchOptions{TopK: -1})
+		hits, err := c.SearchCompiled(context.Background(), q, SearchOptions{TopK: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,7 +393,7 @@ func churnPool(t testing.TB) *churnFixture {
 		}
 		churn.queries = compileQueries(t, churn.opts, churn.models)
 		for _, q := range churn.models {
-			hits, err := SearchAllPairs(churn.models, q, churn.opts.Match, -1)
+			hits, err := SearchAllPairs(context.Background(), churn.models, q, churn.opts.Match, -1)
 			if err != nil {
 				panic(err)
 			}
@@ -591,7 +595,7 @@ func churnWindow(data []byte) SearchOptions {
 // below win's MinScore, and that every hit of the unbounded ranking has
 // one evidence per match and at least one match.
 func checkWindow(c *Corpus, q *CompiledQuery, win SearchOptions) error {
-	all, err := c.SearchCompiled(q, SearchOptions{TopK: -1, Cutoff: win.Cutoff})
+	all, err := c.SearchCompiled(context.Background(), q, SearchOptions{TopK: -1, Cutoff: win.Cutoff})
 	if err != nil {
 		return err
 	}
@@ -606,7 +610,7 @@ func checkWindow(c *Corpus, q *CompiledQuery, win SearchOptions) error {
 		topK = 5
 	}
 	want := append([]Hit(nil), RankWindow(all, win.Offset, topK)...)
-	got, err := c.SearchCompiled(q, win)
+	got, err := c.SearchCompiled(context.Background(), q, win)
 	if err != nil {
 		return err
 	}

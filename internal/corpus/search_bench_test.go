@@ -86,19 +86,19 @@ func BenchmarkCorpusSearch(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		row(fmt.Sprintf("size=%d/engine=inverted", size), func() ([]Hit, error) { return c.Search(query, opts) }, query.ID)
+		row(fmt.Sprintf("size=%d/engine=inverted", size), func() ([]Hit, error) { return c.Search(context.Background(), query, opts) }, query.ID)
 		if size == 100 {
 			big := biomodels.Generate(biomodels.Config{ID: "bigquery", Nodes: 60, Edges: 90, Seed: 4242, VocabularySize: 150, Decorate: true})
-			row("size=100/query=large/engine=inverted", func() ([]Hit, error) { return c.Search(big, opts) }, "")
+			row("size=100/query=large/engine=inverted", func() ([]Hit, error) { return c.Search(context.Background(), big, opts) }, "")
 			cq, err := c.CompileQuery(query)
 			if err != nil {
 				b.Fatal(err)
 			}
 			ctx := context.Background()
-			row("size=100/query=compiled/engine=inverted", func() ([]Hit, error) { return c.SearchCompiledContext(ctx, cq, opts) }, query.ID)
+			row("size=100/query=compiled/engine=inverted", func() ([]Hit, error) { return c.SearchCompiled(ctx, cq, opts) }, query.ID)
 		}
 		row(fmt.Sprintf("size=%d/engine=allpairs", size), func() ([]Hit, error) {
-			return SearchAllPairs(models, query, benchOptions.Match, 5)
+			return SearchAllPairs(context.Background(), models, query, benchOptions.Match, 5)
 		}, query.ID)
 	}
 }

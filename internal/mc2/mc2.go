@@ -501,7 +501,7 @@ func Probability(ctx context.Context, eng *sim.Engine, f Formula, runs int, opts
 	err = par.Do(ctx, runs, func(_, i int) error {
 		runOpts := opts
 		runOpts.Seed = opts.Seed + int64(i)
-		tr, err := eng.SSACtx(ctx, runOpts)
+		tr, err := eng.SSA(ctx, runOpts)
 		if err != nil {
 			return err
 		}

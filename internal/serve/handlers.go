@@ -347,7 +347,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	t0 := time.Now()
-	hits, err := s.corpus.SearchCompiledContext(ctx, cq, sbmlcompose.SearchOptions{
+	hits, err := s.corpus.SearchCompiled(ctx, cq, sbmlcompose.SearchOptions{
 		TopK: win.Limit, Offset: win.Offset, Cutoff: req.Cutoff, MinScore: req.MinScore,
 	})
 	if err != nil {
@@ -435,7 +435,7 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	res, err := s.corpus.ComposeWithContext(ctx, req.ID, query)
+	res, err := s.corpus.ComposeWith(ctx, req.ID, query)
 	if err != nil {
 		modelError(w, err)
 		return

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -149,7 +150,7 @@ func BenchmarkODERun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchRow(b, size, "compiled", func() error { _, err := e.ODE(runOpts); return err })
+		benchRow(b, size, "compiled", func() error { _, err := e.ODE(context.Background(), runOpts); return err })
 		benchRow(b, size, "tree", func() error { _, err := ReferenceODE(m, runOpts); return err })
 	})
 }
@@ -161,7 +162,7 @@ func BenchmarkSSARun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchRow(b, size, "compiled", func() error { _, err := e.SSA(runOpts); return err })
+		benchRow(b, size, "compiled", func() error { _, err := e.SSA(context.Background(), runOpts); return err })
 		if size == "large" {
 			return // the tree row costs ~27 s and 15.3M allocs per op; small and medium show the ratio
 		}

@@ -1,8 +1,9 @@
 package sim
 
-// Cancellation tests for the engine's context-aware run paths: the ODE
-// step loop, the SSA event loop and sample fill (each checked every
-// ssaCtxCheckEvery events or samples), and the ensemble fan-out.
+// Cancellation tests for the engine's run paths: the check before the
+// output trace is allocated, the ODE step loop, the SSA event loop and
+// sample fill (each checked every ssaCtxCheckEvery events or samples), and
+// the ensemble fan-out.
 
 import (
 	"context"
@@ -56,24 +57,25 @@ func TestODECtxCancelsMidIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{T1: 10, Step: 0.01}
-	// Budget 5: the run survives five step-boundary checks, then stops.
-	if _, err := e.ODECtx(newCountingCtx(5), opts); !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-run ODECtx = %v, want context.Canceled", err)
+	// Budget 5: the run survives the check before the trace is allocated
+	// and four step-boundary checks, then stops.
+	if _, err := e.ODE(newCountingCtx(5), opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-run ODE = %v, want context.Canceled", err)
 	}
 	// Pre-cancelled context: no work at all.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.ODECtx(ctx, opts); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled ODECtx = %v, want context.Canceled", err)
+	if _, err := e.ODE(ctx, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled ODE = %v, want context.Canceled", err)
 	}
 	// The engine is unaffected: a live run still matches an independent
 	// engine bitwise.
-	tr, err := e.ODECtx(context.Background(), opts)
+	tr, err := e.ODE(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2, _ := Compile(decayModel(0.5, 100))
-	want, err := e2.ODE(opts)
+	want, err := e2.ODE(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestODECtxCancelsMidIntegration(t *testing.T) {
 // TestODECtxCancelsInsideSubstepStorm pins cancellation from inside the
 // RKF45 sub-step loop. A very stiff decay under a tight tolerance drives
 // the step controller to its floor (h·1e-6), where one output step costs
-// on the order of a million sub-steps; ODECtx's between-steps check never
+// on the order of a million sub-steps; ODE's between-steps check never
 // runs during that storm, so the loop must check on its own.
 func TestODECtxCancelsInsideSubstepStorm(t *testing.T) {
 	e, err := Compile(decayModel(1e8, 1))
@@ -97,19 +99,19 @@ func TestODECtxCancelsInsideSubstepStorm(t *testing.T) {
 	// thousand checks (~32k sub-steps) is exhausted inside the single
 	// output step. Without this the assertions below would pass vacuously
 	// on a non-stiff setup.
-	if _, err := e.ODECtx(newCountingCtx(1000), storm); !errors.Is(err, context.Canceled) {
+	if _, err := e.ODE(newCountingCtx(1000), storm); !errors.Is(err, context.Canceled) {
 		t.Fatalf("storm with 1000-check budget: err = %v, want context.Canceled", err)
 	}
 	// A small budget cancels promptly mid-storm.
-	if _, err := e.ODECtx(newCountingCtx(3), storm); !errors.Is(err, context.Canceled) {
+	if _, err := e.ODE(newCountingCtx(3), storm); !errors.Is(err, context.Canceled) {
 		t.Fatalf("storm with 3-check budget: err = %v, want context.Canceled", err)
 	}
 	// Already-cancelled context: the adaptive path returns before any
 	// integration work.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.ODECtx(ctx, storm); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled adaptive ODECtx = %v, want context.Canceled", err)
+	if _, err := e.ODE(ctx, storm); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled adaptive ODE = %v, want context.Canceled", err)
 	}
 	// The in-loop check must not perturb the arithmetic: an uncancelled
 	// adaptive run is bitwise identical to a fresh engine's ODE.
@@ -118,12 +120,12 @@ func TestODECtxCancelsInsideSubstepStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e2.ODECtx(context.Background(), mild)
+	got, err := e2.ODE(context.Background(), mild)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e3, _ := Compile(decayModel(100, 1))
-	want, err := e3.ODE(mild)
+	want, err := e3.ODE(context.Background(), mild)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,22 +142,25 @@ func TestODECtxCancelsInsideSubstepStorm(t *testing.T) {
 }
 
 func TestSSACtxCancelsInsideEventLoop(t *testing.T) {
-	// A large initial population sustains ~1e4 Gillespie events, so the
-	// every-1024-events check fires several times inside one run.
-	e, err := Compile(decayModel(1.0, 1e4))
+	// 5 × ScaleFactor = 5000 molecules decay one Gillespie event each by
+	// T1, so the every-1024-events check fires four times inside one run.
+	// The budget of 3 spends two checks before the first event (before the
+	// trace is allocated and at the first sample) and the third at event
+	// 1024, so cancellation lands at event 2048.
+	e, err := Compile(decayModel(1.0, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{T1: 50, Step: 25, Seed: 7}
-	if _, err := e.SSACtx(newCountingCtx(3), opts); !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-run SSACtx = %v, want context.Canceled", err)
+	if _, err := e.SSA(newCountingCtx(3), opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-run SSA = %v, want context.Canceled", err)
 	}
 	// Uncancelled runs are bitwise reproducible afterwards.
-	a, err := e.SSACtx(context.Background(), opts)
+	a, err := e.SSA(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.SSA(opts)
+	b, err := e.SSA(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,20 +200,21 @@ func TestSSACtxCancelsSampleFill(t *testing.T) {
 	for _, step := range []float64{0.1, 1e-5} {
 		opts := Options{T1: 10, Step: step, Seed: 1}
 		for _, c := range engines {
-			if _, err := c.e.SSACtx(cancelled, opts); !errors.Is(err, context.Canceled) {
-				t.Errorf("%s step=%g: pre-cancelled SSACtx = %v, want context.Canceled", c.name, step, err)
+			if _, err := c.e.SSA(cancelled, opts); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s step=%g: pre-cancelled SSA = %v, want context.Canceled", c.name, step, err)
 			}
 		}
 	}
-	// Mid-fill: the sixth check (sample 5×ssaCtxCheckEvery of 10001)
-	// cancels, and no event loop check comes first.
+	// Mid-fill: the sixth check cancels (the first comes before the trace
+	// is allocated, the sixth at sample 4×ssaCtxCheckEvery of 10001), and
+	// no event loop check comes first.
 	opts := Options{T1: 10, Step: 1e-3, Seed: 1}
 	for _, c := range engines {
-		if _, err := c.e.SSACtx(newCountingCtx(5), opts); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: mid-fill SSACtx = %v, want context.Canceled", c.name, err)
+		if _, err := c.e.SSA(newCountingCtx(5), opts); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: mid-fill SSA = %v, want context.Canceled", c.name, err)
 		}
 		// Uncancelled, the run fills the whole grid.
-		tr, err := c.e.SSACtx(context.Background(), opts)
+		tr, err := c.e.SSA(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,11 +224,42 @@ func TestSSACtxCancelsSampleFill(t *testing.T) {
 	}
 }
 
+// TestPreCancelledRunsAllocateNoTrace pins the check before the output
+// trace is allocated: at Step 1e-6 the trace would hold a million samples,
+// tens of megabytes that a dead request must not allocate.
+func TestPreCancelledRunsAllocateNoTrace(t *testing.T) {
+	e, err := Compile(decayModel(1.0, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := Options{T1: 1, Step: 1e-6}
+	for _, run := range []struct {
+		name string
+		run  func() (*trace.Trace, error)
+	}{
+		{"ODE", func() (*trace.Trace, error) { return e.ODE(ctx, opts) }},
+		{"SSA", func() (*trace.Trace, error) { return e.SSA(ctx, opts) }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := run.run()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("pre-cancelled %s = %v, want context.Canceled", run.name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("pre-cancelled %s allocated %d bytes", run.name, n)
+		}
+	}
+}
+
 // TestEnsembleSSACtxCancelled checks that a pre-cancelled ensemble
 // returns ctx's error at every GOMAXPROCS, and that the engine then
 // yields the same mean at GOMAXPROCS 1, 2, 4 and 8, bitwise.
 func TestEnsembleSSACtxCancelled(t *testing.T) {
-	e, err := Compile(decayModel(1.0, 1e3))
+	e, err := Compile(decayModel(1.0, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +268,10 @@ func TestEnsembleSSACtxCancelled(t *testing.T) {
 	var base *trace.Trace
 	for _, procs := range []int{1, 2, 4, 8} {
 		setProcs(t, procs)
-		if _, err := e.EnsembleSSACtx(ctx, 50, Options{T1: 20, Step: 10}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("GOMAXPROCS=%d: pre-cancelled EnsembleSSACtx = %v, want context.Canceled", procs, err)
+		if _, err := e.EnsembleSSA(ctx, 50, Options{T1: 20, Step: 10}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("GOMAXPROCS=%d: pre-cancelled EnsembleSSA = %v, want context.Canceled", procs, err)
 		}
-		mean, err := e.EnsembleSSA(8, Options{T1: 5, Step: 1, Seed: 3})
+		mean, err := e.EnsembleSSA(context.Background(), 8, Options{T1: 5, Step: 1, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,17 +16,11 @@ import (
 // EnsembleSSA runs `runs` stochastic simulations with consecutive seeds
 // starting at opts.Seed, in parallel on par.Do's workers, and returns the
 // mean trajectory. The mean is accumulated in run order, so the result is
-// bit-identical at every GOMAXPROCS.
-func (e *Engine) EnsembleSSA(runs int, opts Options) (*trace.Trace, error) {
-	return e.EnsembleSSACtx(context.Background(), runs, opts)
-}
-
-// EnsembleSSACtx is EnsembleSSA honoring cancellation: ctx is checked
-// before each run by par.Do and inside each run's event loop, every run
-// has returned before the call does, and a cancelled ensemble returns
-// ctx's error with no partial mean. An uncancelled context produces a mean
-// bit-identical to EnsembleSSA at every GOMAXPROCS.
-func (e *Engine) EnsembleSSACtx(ctx context.Context, runs int, opts Options) (*trace.Trace, error) {
+// bit-identical at every GOMAXPROCS. ctx is checked before each run by
+// par.Do and inside each run's event loop, every run has returned before
+// the call does, and a cancelled ensemble returns ctx's error with no
+// partial mean.
+func (e *Engine) EnsembleSSA(ctx context.Context, runs int, opts Options) (*trace.Trace, error) {
 	if runs <= 0 {
 		return nil, fmt.Errorf("sim: ensemble runs must be positive")
 	}
@@ -34,7 +28,7 @@ func (e *Engine) EnsembleSSACtx(ctx context.Context, runs int, opts Options) (*t
 	err := par.Do(ctx, runs, func(_, i int) error {
 		runOpts := opts
 		runOpts.Seed = opts.Seed + int64(i)
-		tr, err := e.SSACtx(ctx, runOpts)
+		tr, err := e.SSA(ctx, runOpts)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -49,7 +50,7 @@ func TestEngineMatchesReferenceOnGeneratedModels(t *testing.T) {
 		opts := Options{T0: 0, T1: 2, Step: 0.05, Seed: 77 + seed}
 
 		refODE, err1 := ReferenceODE(m, opts)
-		engODE, err2 := SimulateODE(m, opts)
+		engODE, err2 := simulateODE(m, opts)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("model %s: ODE error mismatch: ref=%v engine=%v", cfg.ID, err1, err2)
 		}
@@ -60,7 +61,7 @@ func TestEngineMatchesReferenceOnGeneratedModels(t *testing.T) {
 		aopts := opts
 		aopts.Adaptive = true
 		refA, err1 := ReferenceODE(m, aopts)
-		engA, err2 := SimulateODE(m, aopts)
+		engA, err2 := simulateODE(m, aopts)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("model %s: adaptive error mismatch: ref=%v engine=%v", cfg.ID, err1, err2)
 		}
@@ -69,7 +70,7 @@ func TestEngineMatchesReferenceOnGeneratedModels(t *testing.T) {
 		}
 
 		refSSA, err1 := ReferenceSSA(m, opts)
-		engSSA, err2 := SimulateSSA(m, opts)
+		engSSA, err2 := simulateSSA(m, opts)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("model %s: SSA error mismatch: ref=%v engine=%v", cfg.ID, err1, err2)
 		}
@@ -137,7 +138,7 @@ func TestEngineMatchesReferenceOnEventfulModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := SimulateODE(m, opts)
+		eng, err := simulateODE(m, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func TestEngineAssignmentRuleErrorPropagates(t *testing.T) {
 	if _, err := ReferenceODE(m, Options{T0: 0, T1: 1, Step: 0.1}); err == nil {
 		t.Error("reference: assignment-rule division by zero should abort the run")
 	}
-	if _, err := SimulateODE(m, Options{T0: 0, T1: 1, Step: 0.1}); err == nil {
+	if _, err := simulateODE(m, Options{T0: 0, T1: 1, Step: 0.1}); err == nil {
 		t.Error("engine: assignment-rule division by zero should abort the run")
 	}
 
@@ -173,7 +174,7 @@ func TestEngineAssignmentRuleErrorPropagates(t *testing.T) {
 	if _, err := ReferenceODE(ia, Options{T0: 0, T1: 1, Step: 0.1}); err == nil {
 		t.Error("reference: initial-assignment division by zero should abort the run")
 	}
-	if _, err := SimulateODE(ia, Options{T0: 0, T1: 1, Step: 0.1}); err == nil {
+	if _, err := simulateODE(ia, Options{T0: 0, T1: 1, Step: 0.1}); err == nil {
 		t.Error("engine: initial-assignment division by zero should abort the run")
 	}
 }
@@ -193,7 +194,7 @@ func TestEngineNonSpeciesRateRuleParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := SimulateODE(m, opts)
+	eng, err := simulateODE(m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestEngineNonSpeciesRateRuleParity(t *testing.T) {
 	if _, err := ReferenceODE(bad, opts); err == nil {
 		t.Error("reference: failing non-species rate rule should abort")
 	}
-	if _, err := SimulateODE(bad, opts); err == nil {
+	if _, err := simulateODE(bad, opts); err == nil {
 		t.Error("engine: failing non-species rate rule should abort")
 	}
 }
@@ -231,7 +232,7 @@ func TestEngineInitialAssignmentChainsResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := SimulateODE(m, Options{T0: 0, T1: 1, Step: 0.5})
+	eng, err := simulateODE(m, Options{T0: 0, T1: 1, Step: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestEnsembleSSADeterministicAcrossWorkers(t *testing.T) {
 	var base *trace.Trace
 	for _, procs := range []int{1, 2, 4, 8} {
 		setProcs(t, procs)
-		mean, err := e.EnsembleSSA(12, opts)
+		mean, err := e.EnsembleSSA(context.Background(), 12, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,11 +332,11 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{T0: 0, T1: 3, Step: 0.02}
-	first, err := e.ODE(opts)
+	first, err := e.ODE(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.ODE(opts)
+	second, err := e.ODE(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ func TestSSAClampsNaNPropensity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := e.SSA(opts)
+	eng, err := e.SSA(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("Engine.SSA: %v", err)
 	}

@@ -21,7 +21,7 @@ func TestODEDelayedEvent(t *testing.T) {
 			{Variable: "B", Math: mathml.N(42)},
 		},
 	})
-	tr, err := SimulateODE(m, Options{T0: 0, T1: 3, Step: 0.01})
+	tr, err := simulateODE(m, Options{T0: 0, T1: 3, Step: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestODEZeroDelayBehavesImmediate(t *testing.T) {
 			{Variable: "B", Math: mathml.N(7)},
 		},
 	})
-	tr, err := SimulateODE(m, Options{T0: 0, T1: 2, Step: 0.01})
+	tr, err := simulateODE(m, Options{T0: 0, T1: 2, Step: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestODEDelayedEventAssignmentUsesFireTimeValues(t *testing.T) {
 			{Variable: "B", Math: mathml.S("A")},
 		},
 	})
-	tr, err := SimulateODE(m, Options{T0: 0, T1: 3, Step: 0.01})
+	tr, err := simulateODE(m, Options{T0: 0, T1: 3, Step: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}

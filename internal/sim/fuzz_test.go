@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"sbmlcompose/internal/biomodels"
@@ -60,14 +61,14 @@ func FuzzSimEquiv(f *testing.F) {
 			}
 			return
 		}
-		engODE, err := e.ODE(opts)
+		engODE, err := e.ODE(context.Background(), opts)
 		if (err == nil) != (odeErr == nil) {
 			t.Fatalf("ODE error mismatch: reference=%v engine=%v", odeErr, err)
 		}
 		if err == nil {
 			tracesIdentical(t, "ode", refODE, engODE)
 		}
-		engSSA, err := e.SSA(opts)
+		engSSA, err := e.SSA(context.Background(), opts)
 		if (err == nil) != (ssaErr == nil) {
 			t.Fatalf("SSA error mismatch: reference=%v engine=%v", ssaErr, err)
 		}

@@ -675,20 +675,15 @@ func sampleCapacity(opts Options) int {
 	return int(samples) + 2
 }
 
-// ODE integrates the model deterministically; see SimulateODE.
-func (e *Engine) ODE(opts Options) (*trace.Trace, error) {
-	return e.ODECtx(context.Background(), opts)
-}
-
-// ODECtx is ODE honoring cancellation: the integrator checks ctx between
-// output steps, and the adaptive path additionally checks it inside the
-// RKF45 sub-step loop (every rkf45CtxCheckEvery sub-steps), so even a
-// sub-step storm — a stiff system driving the controller to its minimum
-// step size for up to ~1e6 sub-steps per output step — returns ctx's
-// error promptly. The run state is private to the call, so a cancelled
-// run leaves nothing behind; an uncancelled context produces a trace
-// bitwise identical to ODE's.
-func (e *Engine) ODECtx(ctx context.Context, opts Options) (*trace.Trace, error) {
+// ODE integrates the model deterministically and returns the sampled
+// concentrations of every species. The integrator checks ctx before the
+// output trace is allocated and between output steps, and the adaptive
+// path additionally checks it inside the RKF45 sub-step loop (every
+// rkf45CtxCheckEvery sub-steps), so even a sub-step storm — a stiff system
+// driving the controller to its minimum step size for up to ~1e6
+// sub-steps per output step — returns ctx's error promptly. The run state
+// is private to the call, so a cancelled run leaves nothing behind.
+func (e *Engine) ODE(ctx context.Context, opts Options) (*trace.Trace, error) {
 	opts = opts.withDefaults()
 	if opts.T1 <= opts.T0 {
 		return nil, fmt.Errorf("sim: T1 (%g) must exceed T0 (%g)", opts.T1, opts.T0)
@@ -699,6 +694,9 @@ func (e *Engine) ODECtx(ctx context.Context, opts Options) (*trace.Trace, error)
 	rs := e.newRunState()
 	rs.ensureODEBuffers()
 	if err := rs.initODEState(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	tr := trace.NewWithCapacity(e.names, sampleCapacity(opts))
@@ -724,7 +722,7 @@ func (e *Engine) ODECtx(ctx context.Context, opts Options) (*trace.Trace, error)
 		}
 		var err error
 		if opts.Adaptive {
-			err = rs.rkf45StepCtx(ctx, t, step, opts.Tolerance)
+			err = rs.rkf45Step(ctx, t, step, opts.Tolerance)
 		} else {
 			err = rs.rk4Step(t, step)
 		}
@@ -782,21 +780,15 @@ func (rs *runState) rk4Step(t, h float64) error {
 // floor-size accepts advance t by only ~1e-6·h each, so one output step
 // can cost on the order of a million sub-steps on a stiff system with a
 // tight tolerance — far too long to wait for the between-steps check in
-// ODECtx. The counter counts every loop iteration (rejections and
+// ODE. The counter counts every loop iteration (rejections and
 // floor accepts alike — both are storm modes); at 6 derivative
 // evaluations per sub-step, a check every 32 is noise.
 const rkf45CtxCheckEvery = 32
 
-// rkf45Step advances rs.state from t to t+h with embedded RKF45 sub-steps.
-// The arithmetic replicates the reference step-size controller exactly.
-func (rs *runState) rkf45Step(t, h, tol float64) error {
-	return rs.rkf45StepCtx(context.Background(), t, h, tol)
-}
-
-// rkf45StepCtx is rkf45Step honoring cancellation from inside the
-// sub-step loop; see rkf45CtxCheckEvery. The step-size arithmetic is
-// untouched, so an uncancelled context integrates bitwise identically.
-func (rs *runState) rkf45StepCtx(ctx context.Context, t, h, tol float64) error {
+// rkf45Step advances rs.state from t to t+h with embedded RKF45 sub-steps,
+// checking ctx inside the sub-step loop; see rkf45CtxCheckEvery. The
+// arithmetic replicates the reference step-size controller exactly.
+func (rs *runState) rkf45Step(ctx context.Context, t, h, tol float64) error {
 	target := t + h
 	sub := h
 	copy(rs.cur, rs.state)
@@ -909,18 +901,17 @@ func (rs *runState) propensities(t float64) (float64, error) {
 // next to the per-event propensity evaluation and the per-sample copy.
 const ssaCtxCheckEvery = 1024
 
-// SSA runs Gillespie's direct method; see SimulateSSA.
-func (e *Engine) SSA(opts Options) (*trace.Trace, error) {
-	return e.SSACtx(context.Background(), opts)
-}
-
-// SSACtx is SSA honoring cancellation: ctx is checked before the first
-// sample, then every ssaCtxCheckEvery reaction events and every
+// SSA runs Gillespie's direct method over molecule counts and returns
+// counts sampled on the Options.Step grid. Species that specify an
+// initialAmount start at that count; species with an initialConcentration
+// start at round(concentration × ScaleFactor). The run is deterministic
+// for a given Options.Seed. ctx is checked before the output trace is
+// allocated, then every ssaCtxCheckEvery reaction events and every
 // ssaCtxCheckEvery samples, so neither a busy event loop nor the sample
 // fill of an exhausted system outruns it, and ctx's error is returned
-// mid-run. An uncancelled context produces a trace bitwise identical to
-// SSA's (the RNG consumption sequence is untouched).
-func (e *Engine) SSACtx(ctx context.Context, opts Options) (*trace.Trace, error) {
+// mid-run. The checks consume no randomness, so the RNG sequence is the
+// same whether or not ctx can be cancelled.
+func (e *Engine) SSA(ctx context.Context, opts Options) (*trace.Trace, error) {
 	opts = opts.withDefaults()
 	if opts.T1 <= opts.T0 {
 		return nil, fmt.Errorf("sim: T1 (%g) must exceed T0 (%g)", opts.T1, opts.T0)
@@ -934,6 +925,9 @@ func (e *Engine) SSACtx(ctx context.Context, opts Options) (*trace.Trace, error)
 		case s.HasInitialConcentration:
 			rs.state[i] = math.Round(s.InitialConcentration * opts.ScaleFactor)
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	tr := trace.NewWithCapacity(e.names, sampleCapacity(opts))
 	t := opts.T0

@@ -18,16 +18,16 @@
 //
 // # Execution model
 //
-// SimulateODE and SimulateSSA run on a compiled engine (machine.go): the
+// Engine.ODE and Engine.SSA run on a compiled engine (machine.go): the
 // model's symbols are resolved once into a dense slot-indexed state vector,
 // every kinetic law, rule, initial assignment and event expression is
 // compiled to a mathml.Program, and stoichiometry is a precomputed sparse
 // matrix — so the integrator and propensity inner loops are allocation-free
-// and touch no maps. Compile once via Compile and reuse the Engine to
-// amortize compilation across many runs (the model checker does exactly
-// that). The historical tree-walking evaluator is retained as ReferenceODE
-// and ReferenceSSA; the engine's trajectories are pinned bitwise to it by
-// the randomized equivalence tests and FuzzSimEquiv, and the package's
+// and touch no maps. Compile builds the Engine once; reusing it amortizes
+// compilation across many runs (the model checker does exactly that). The
+// historical tree-walking evaluator is retained as ReferenceODE and
+// ReferenceSSA; the engine's trajectories are pinned bitwise to it by the
+// randomized equivalence tests and FuzzSimEquiv, and the package's
 // benchmarks measure both so the speedup stays visible in BENCH_sim.json.
 //
 // Unlike the original evaluator, failures to evaluate an initial assignment
@@ -39,7 +39,6 @@ import (
 	"fmt"
 
 	"sbmlcompose/internal/sbml"
-	"sbmlcompose/internal/trace"
 )
 
 // Options configures a simulation run.
@@ -73,29 +72,6 @@ func (o Options) withDefaults() Options {
 		o.ScaleFactor = 1000
 	}
 	return o
-}
-
-// SimulateODE integrates the model deterministically and returns the
-// sampled concentrations of every species.
-func SimulateODE(m *sbml.Model, opts Options) (*trace.Trace, error) {
-	e, err := Compile(m)
-	if err != nil {
-		return nil, err
-	}
-	return e.ODE(opts)
-}
-
-// SimulateSSA runs Gillespie's direct method over molecule counts and
-// returns counts sampled on the Options.Step grid. Species that specify an
-// initialAmount start at that count; species with an initialConcentration
-// start at round(concentration × ScaleFactor). The run is deterministic for
-// a given Options.Seed.
-func SimulateSSA(m *sbml.Model, opts Options) (*trace.Trace, error) {
-	e, err := Compile(m)
-	if err != nil {
-		return nil, err
-	}
-	return e.SSA(opts)
 }
 
 // dynamic reports whether the species participates in the ODE state.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,25 @@ import (
 	"sbmlcompose/internal/sbml"
 	"sbmlcompose/internal/trace"
 )
+
+// simulateODE compiles m and integrates it on the fresh engine.
+func simulateODE(m *sbml.Model, opts Options) (*trace.Trace, error) {
+	e, err := Compile(m)
+	if err != nil {
+		return nil, err
+	}
+	return e.ODE(context.Background(), opts)
+}
+
+// simulateSSA compiles m and runs one Gillespie trajectory on the fresh
+// engine.
+func simulateSSA(m *sbml.Model, opts Options) (*trace.Trace, error) {
+	e, err := Compile(m)
+	if err != nil {
+		return nil, err
+	}
+	return e.SSA(context.Background(), opts)
+}
 
 // decayModel is A →(k) B with mass-action kinetics; A(t) = A0·e^(−kt).
 func decayModel(k, a0 float64) *sbml.Model {
@@ -29,7 +49,7 @@ func decayModel(k, a0 float64) *sbml.Model {
 
 func TestODEFirstOrderDecayMatchesAnalytic(t *testing.T) {
 	const k, a0 = 0.7, 2.0
-	tr, err := SimulateODE(decayModel(k, a0), Options{T0: 0, T1: 5, Step: 0.01})
+	tr, err := simulateODE(decayModel(k, a0), Options{T0: 0, T1: 5, Step: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +71,11 @@ func TestODEFirstOrderDecayMatchesAnalytic(t *testing.T) {
 
 func TestODEAdaptiveMatchesFixed(t *testing.T) {
 	m := decayModel(1.2, 1)
-	fixed, err := SimulateODE(m, Options{T0: 0, T1: 3, Step: 0.05})
+	fixed, err := simulateODE(m, Options{T0: 0, T1: 3, Step: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := SimulateODE(m, Options{T0: 0, T1: 3, Step: 0.05, Adaptive: true, Tolerance: 1e-9})
+	adaptive, err := simulateODE(m, Options{T0: 0, T1: 3, Step: 0.05, Adaptive: true, Tolerance: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +102,7 @@ func TestODEReversibleEquilibrium(t *testing.T) {
 		Products:   []*sbml.SpeciesReference{{Species: "B", Stoichiometry: 1}},
 		KineticLaw: &sbml.KineticLaw{Math: mathml.MustParseInfix("k1*A - k2*B")},
 	}}
-	tr, err := SimulateODE(m, Options{T0: 0, T1: 20, Step: 0.01})
+	tr, err := simulateODE(m, Options{T0: 0, T1: 20, Step: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +125,7 @@ func TestODEMichaelisMenten(t *testing.T) {
 		Products:   []*sbml.SpeciesReference{{Species: "B", Stoichiometry: 1}},
 		KineticLaw: &sbml.KineticLaw{Math: mathml.MustParseInfix("Vmax*A/(Km+A)")},
 	}}
-	tr, err := SimulateODE(m, Options{T0: 0, T1: 1, Step: 0.001})
+	tr, err := simulateODE(m, Options{T0: 0, T1: 1, Step: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +147,7 @@ func TestODERateAndAssignmentRules(t *testing.T) {
 		&sbml.Rule{Kind: sbml.RateRule, Variable: "X", Math: mathml.N(2)},                        // dX/dt = 2
 		&sbml.Rule{Kind: sbml.AssignmentRule, Variable: "Y", Math: mathml.MustParseInfix("X*3")}, // Y = 3X
 	)
-	tr, err := SimulateODE(m, Options{T0: 0, T1: 1, Step: 0.1})
+	tr, err := simulateODE(m, Options{T0: 0, T1: 1, Step: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +170,7 @@ func TestODEEventFires(t *testing.T) {
 			{Variable: "B", Math: mathml.N(42)},
 		},
 	})
-	tr, err := SimulateODE(m, Options{T0: 0, T1: 2, Step: 0.01})
+	tr, err := simulateODE(m, Options{T0: 0, T1: 2, Step: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +197,7 @@ func TestODEFunctionDefinitionCall(t *testing.T) {
 		{ID: "Km", Value: 5, HasValue: true, Constant: true},
 	}
 	m.Reactions[0].KineticLaw = &sbml.KineticLaw{Math: mathml.MustParseInfix("mm(A, Vmax, Km)")}
-	tr, err := SimulateODE(m, Options{T0: 0, T1: 0.5, Step: 0.01})
+	tr, err := simulateODE(m, Options{T0: 0, T1: 0.5, Step: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +211,7 @@ func TestODELocalParametersShadowGlobals(t *testing.T) {
 	m.Reactions[0].KineticLaw.Parameters = []*sbml.Parameter{
 		{ID: "k", Value: 0.5, HasValue: true, Constant: true}, // local wins
 	}
-	tr, err := SimulateODE(m, Options{T0: 0, T1: 1, Step: 0.001})
+	tr, err := simulateODE(m, Options{T0: 0, T1: 1, Step: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,17 +224,17 @@ func TestODELocalParametersShadowGlobals(t *testing.T) {
 
 func TestODEErrors(t *testing.T) {
 	m := decayModel(1, 1)
-	if _, err := SimulateODE(m, Options{T0: 1, T1: 1}); err == nil {
+	if _, err := simulateODE(m, Options{T0: 1, T1: 1}); err == nil {
 		t.Error("empty interval should fail")
 	}
 	bad := decayModel(1, 1)
 	bad.Reactions[0].KineticLaw.Math = mathml.MustParseInfix("undefined_param*A")
-	if _, err := SimulateODE(bad, Options{T0: 0, T1: 1}); err == nil {
+	if _, err := simulateODE(bad, Options{T0: 0, T1: 1}); err == nil {
 		t.Error("unbound identifier should fail (validation or eval)")
 	}
 	invalid := decayModel(1, 1)
 	invalid.Species[0].Compartment = "nowhere"
-	if _, err := SimulateODE(invalid, Options{T0: 0, T1: 1}); err == nil {
+	if _, err := simulateODE(invalid, Options{T0: 0, T1: 1}); err == nil {
 		t.Error("invalid model should fail compile validation")
 	}
 }
@@ -224,11 +244,11 @@ func TestSSADeterministicPerSeed(t *testing.T) {
 	m.Species[0].HasInitialConcentration = false
 	m.Species[0].HasInitialAmount = true
 	m.Species[0].InitialAmount = 500
-	a, err := SimulateSSA(m, Options{T0: 0, T1: 10, Step: 0.5, Seed: 42})
+	a, err := simulateSSA(m, Options{T0: 0, T1: 10, Step: 0.5, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateSSA(m, Options{T0: 0, T1: 10, Step: 0.5, Seed: 42})
+	b, err := simulateSSA(m, Options{T0: 0, T1: 10, Step: 0.5, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +259,7 @@ func TestSSADeterministicPerSeed(t *testing.T) {
 	if rss != 0 {
 		t.Errorf("same seed should reproduce exactly, RSS = %g", rss)
 	}
-	c, err := SimulateSSA(m, Options{T0: 0, T1: 10, Step: 0.5, Seed: 43})
+	c, err := simulateSSA(m, Options{T0: 0, T1: 10, Step: 0.5, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +277,7 @@ func TestSSAConservesTotalCount(t *testing.T) {
 	m.Species[1].HasInitialConcentration = false
 	m.Species[1].HasInitialAmount = true
 	m.Species[1].InitialAmount = 0
-	tr, err := SimulateSSA(m, Options{T0: 0, T1: 20, Step: 1, Seed: 7})
+	tr, err := simulateSSA(m, Options{T0: 0, T1: 20, Step: 1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +303,7 @@ func TestSSAMeanApproximatesODE(t *testing.T) {
 	const runs = 30
 	sum := 0.0
 	for seed := int64(0); seed < runs; seed++ {
-		tr, err := SimulateSSA(m, Options{T0: 0, T1: 2, Step: 1, Seed: seed})
+		tr, err := simulateSSA(m, Options{T0: 0, T1: 2, Step: 1, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +319,7 @@ func TestSSAMeanApproximatesODE(t *testing.T) {
 
 func TestSSAScaleFactorForConcentrations(t *testing.T) {
 	m := decayModel(0.1, 2.5) // concentration 2.5 → 2500 molecules at scale 1000
-	tr, err := SimulateSSA(m, Options{T0: 0, T1: 0.001, Step: 0.001, Seed: 1})
+	tr, err := simulateSSA(m, Options{T0: 0, T1: 0.001, Step: 0.001, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

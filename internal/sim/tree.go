@@ -284,7 +284,7 @@ func (c *treeModel) applyAssignments(e *sbml.Event, env *mathml.MapEnv, state []
 
 // ReferenceODE integrates the model with the tree-walking evaluator. It is
 // the semantic reference for Engine.ODE: same trajectories, bit for bit,
-// only slower. New code should call SimulateODE.
+// only slower. New code should compile an Engine and call ODE.
 func ReferenceODE(m *sbml.Model, opts Options) (*trace.Trace, error) {
 	opts = opts.withDefaults()
 	if err := checkInterval(opts); err != nil {
@@ -459,7 +459,8 @@ func axpy(y, k []float64, h float64) []float64 {
 
 // ReferenceSSA runs Gillespie's direct method with the tree-walking
 // evaluator: the semantic reference for Engine.SSA, reproducing identical
-// trajectories for identical seeds. New code should call SimulateSSA.
+// trajectories for identical seeds. New code should compile an Engine and
+// call SSA.
 func ReferenceSSA(m *sbml.Model, opts Options) (*trace.Trace, error) {
 	opts = opts.withDefaults()
 	if err := checkInterval(opts); err != nil {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -116,7 +117,7 @@ type expectedState struct {
 
 func stateOf(t *testing.T, c *corpus.Corpus, query *sbml.Model) expectedState {
 	t.Helper()
-	hits, err := c.Search(query, corpus.SearchOptions{TopK: -1})
+	hits, err := c.Search(context.Background(), query, corpus.SearchOptions{TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func assertRecoveredEqualsPrefix(t *testing.T, s *Store, want expectedState, que
 	if g := s.Corpus().IDs(); !reflect.DeepEqual(g, want.ids) {
 		t.Fatalf("%s: recovered IDs %v, want %v", ctx, g, want.ids)
 	}
-	gh, err := s.Corpus().Search(query, corpus.SearchOptions{TopK: -1})
+	gh, err := s.Corpus().Search(context.Background(), query, corpus.SearchOptions{TopK: -1})
 	if err != nil {
 		t.Fatalf("%s: recovered Search: %v", ctx, err)
 	}

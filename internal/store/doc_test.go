@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -28,7 +29,10 @@ var simOpts = sim.Options{T1: 2, Step: 0.5}
 // a store locator.
 func assertAllLocators(t *testing.T, c *corpus.Corpus, ctx string) {
 	t.Helper()
-	blobs := c.DumpConsistent(nil)
+	blobs, err := c.DumpConsistent(context.Background(), nil)
+	if err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
 	if len(blobs) == 0 {
 		t.Fatalf("%s: empty corpus", ctx)
 	}
@@ -56,11 +60,11 @@ func assertModelsMatch(t *testing.T, got, ref *corpus.Corpus, ctx string) {
 		if g, w := sbml.WrapModel(gm).String(), sbml.WrapModel(wm).String(); g != w {
 			t.Fatalf("%s: Get(%s) differs from the model added", ctx, id)
 		}
-		gr, err := got.ComposeWith(id, query)
+		gr, err := got.ComposeWith(context.Background(), id, query)
 		if err != nil {
 			t.Fatalf("%s: ComposeWith(%s): %v", ctx, id, err)
 		}
-		wr, _ := ref.ComposeWith(id, query)
+		wr, _ := ref.ComposeWith(context.Background(), id, query)
 		if sbml.WrapModel(gr.Model).String() != sbml.WrapModel(wr.Model).String() {
 			t.Fatalf("%s: ComposeWith(%s) diverges", ctx, id)
 		}
@@ -322,7 +326,7 @@ func TestDocRotCaughtAtReadTime(t *testing.T) {
 		if _, ok := s.Corpus().Get(c.id); ok {
 			t.Fatalf("%s: Get(%s) returned the rotted model", ctx, c.id)
 		}
-		if _, err := s.Corpus().ComposeWith(c.id, testModel(90)); !errors.Is(err, ErrCorruptDoc) {
+		if _, err := s.Corpus().ComposeWith(context.Background(), c.id, testModel(90)); !errors.Is(err, ErrCorruptDoc) {
 			t.Fatalf("%s: ComposeWith(%s): %v, want ErrCorruptDoc", ctx, c.id, err)
 		}
 		if _, err := s.Corpus().SimulateODE(c.id, simOpts); !errors.Is(err, ErrCorruptDoc) {

@@ -453,7 +453,7 @@ func TestReplicaPrimaryKillPromote(t *testing.T) {
 
 	// Degraded but serving: reads answer, mutations are refused, status
 	// reports the disconnect.
-	if res, err := follower.Corpus().Search(probes[0], corpus.SearchOptions{TopK: -1}); err != nil || len(res) == 0 {
+	if res, err := follower.Corpus().Search(context.Background(), probes[0], corpus.SearchOptions{TopK: -1}); err != nil || len(res) == 0 {
 		t.Fatalf("disconnected follower stopped serving reads: %d hits, err %v", len(res), err)
 	}
 	if _, err := follower.Corpus().Add(testModel(40)); !errors.Is(err, ErrReadOnly) {

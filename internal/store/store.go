@@ -780,6 +780,8 @@ func (s *Store) LastSeq() uint64 {
 // while the snapshot file is written, and every intermediate crash state
 // recovers (the snapshot's LastSeq makes already-covered tail records
 // no-ops at replay).
+//
+//sbml:noctx cmd/sbmlbench calls the ctx-free half; the pair folds into one when the benchmark changes
 func (s *Store) Snapshot() error {
 	return s.SnapshotContext(context.Background())
 }
@@ -809,7 +811,7 @@ func (s *Store) SnapshotContext(ctx context.Context) error {
 	// Collect a consistent view: every shard read-locked before the first
 	// model is serialized, LastSeq captured under the same locks.
 	var lastSeq uint64
-	blobs, err := s.c.DumpConsistentContext(ctx, func() {
+	blobs, err := s.c.DumpConsistent(ctx, func() {
 		s.mu.Lock()
 		lastSeq = s.seq
 		s.mu.Unlock()

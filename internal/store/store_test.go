@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -69,11 +70,11 @@ func assertCorporaEquivalent(t *testing.T, got, want *corpus.Corpus, queries []*
 		t.Fatalf("IDs diverge:\n got %v\nwant %v", g, w)
 	}
 	for _, q := range queries {
-		gh, err := got.Search(q, corpus.SearchOptions{TopK: -1})
+		gh, err := got.Search(context.Background(), q, corpus.SearchOptions{TopK: -1})
 		if err != nil {
 			t.Fatalf("recovered Search(%s): %v", q.ID, err)
 		}
-		wh, err := want.Search(q, corpus.SearchOptions{TopK: -1})
+		wh, err := want.Search(context.Background(), q, corpus.SearchOptions{TopK: -1})
 		if err != nil {
 			t.Fatalf("reference Search(%s): %v", q.ID, err)
 		}
@@ -81,8 +82,8 @@ func assertCorporaEquivalent(t *testing.T, got, want *corpus.Corpus, queries []*
 			t.Fatalf("Search(%s) diverges:\n got %+v\nwant %+v", q.ID, gh, wh)
 		}
 		for _, id := range want.IDs() {
-			gr, gerr := got.ComposeWith(id, q)
-			wr, werr := want.ComposeWith(id, q)
+			gr, gerr := got.ComposeWith(context.Background(), id, q)
+			wr, werr := want.ComposeWith(context.Background(), id, q)
 			if (gerr == nil) != (werr == nil) {
 				t.Fatalf("ComposeWith(%s, %s) error mismatch: %v vs %v", id, q.ID, gerr, werr)
 			}

@@ -286,7 +286,7 @@ func (s *Store) PersistBatch(ops []corpus.BatchOp) error {
 func (s *Store) SnapshotImage(ctx context.Context) ([]byte, uint64, error) {
 	var lastSeq uint64
 	var closed bool
-	blobs, err := s.c.DumpConsistentContext(ctx, func() {
+	blobs, err := s.c.DumpConsistent(ctx, func() {
 		s.mu.Lock()
 		lastSeq = s.seq
 		closed = s.closed

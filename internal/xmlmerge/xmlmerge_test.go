@@ -1,6 +1,7 @@
 package xmlmerge
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -178,7 +179,7 @@ func TestGenericMissesSynonyms(t *testing.T) {
 	// Semantic (heavy): the synonym table merges them.
 	tab := synonym.NewTable()
 	tab.Add("glucose", "dextrose")
-	sres, err := core.Compose(a, b, core.Options{Synonyms: tab})
+	sres, err := core.Compose(context.Background(), a, b, core.Options{Synonyms: tab})
 	if err != nil {
 		t.Fatal(err)
 	}
